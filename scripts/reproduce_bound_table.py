@@ -23,14 +23,12 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=9)
     parser.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     for method in args.methods:
         t0 = time.perf_counter()
         rows = sweep_alpha(
-            args.alpha_start, args.alpha_end, args.steps, method,
-            seed=args.seed, workers=args.workers,
+            args.alpha_start, args.alpha_end, args.steps, method, seed=args.seed
         )
         elapsed = time.perf_counter() - t0
         print(f"\nmethod = {method}  ({elapsed:.1f}s)")

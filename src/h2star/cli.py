@@ -16,7 +16,7 @@ import numpy as np
 from . import checks as _checks
 from .caratheodory import LemmaPoint, MomentTriple, atoms_from_text, moments_from_atoms
 from .errors import H2StarError
-from .formatting import fmt_complex, fmt_float
+from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import (
     HankelSpec,
     bound_profile,
@@ -60,14 +60,9 @@ def _coeff_list(text: str):
     return [complex(tok.strip()) for tok in text.split(",")]
 
 
-def _cj(z: complex):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _print_doc(doc: dict, as_json: bool, text_lines):
     if as_json:
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(to_jsonable(doc), sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -83,7 +78,7 @@ def _cmd_coeffs(args) -> int:
     doc = {
         "alpha": alpha.value,
         "order": order,
-        "coefficients": [_cj(c) for c in f.coeffs],
+        "coefficients": f.coeffs,
     }
     text = [f"a_{n} = {fmt_complex(c)}" for n, c in enumerate(f.coeffs, start=1)]
     _print_doc(doc, args.json, text)
@@ -97,8 +92,8 @@ def _cmd_extremal(args) -> int:
     doc = {
         "alpha": alpha.value,
         "order": args.order,
-        "coefficients": [_cj(c) for c in f.coeffs],
-        "hankel_det": _cj(det),
+        "coefficients": f.coeffs,
+        "hankel_det": det,
         "h2_abs": abs(det),
     }
     text = [f"a_{n} = {fmt_complex(c)}" for n, c in enumerate(f.coeffs, start=1)]
@@ -110,7 +105,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_hankel(args) -> int:
     f = CoefficientVector(args.coeffs)
     det = hankel_det(f, HankelSpec(q=args.q, n=args.n))
-    doc = {"q": args.q, "n": args.n, "det": _cj(det), "det_abs": abs(det)}
+    doc = {"q": args.q, "n": args.n, "det": det, "det_abs": abs(det)}
     _print_doc(doc, args.json, [f"det = {fmt_complex(det)}", f"det_abs = {fmt_float(abs(det))}"])
     return 0
 
@@ -121,10 +116,10 @@ def _cmd_functional(args) -> int:
     value = functional_moment_form(alpha, m)
     doc = {
         "alpha": alpha.value,
-        "p1": _cj(m.p1),
-        "p2": _cj(m.p2),
-        "p3": _cj(m.p3),
-        "value": _cj(value),
+        "p1": m.p1,
+        "p2": m.p2,
+        "p3": m.p3,
+        "value": value,
         "abs": abs(value),
     }
     _print_doc(doc, args.json, [f"value = {fmt_complex(value)}", f"abs = {fmt_float(abs(value))}"])
@@ -139,9 +134,9 @@ def _cmd_param(args) -> int:
     doc = {
         "alpha": alpha.value,
         "p": pt.p,
-        "y": _cj(pt.y),
-        "zeta": _cj(pt.zeta),
-        "value": _cj(value),
+        "y": pt.y,
+        "zeta": pt.zeta,
+        "value": value,
         "abs": abs(value),
         "phi": majorant,
     }
@@ -330,7 +325,8 @@ def build_parser() -> _Parser:
                            help="write the CSV here instead of stdout")
         p.add_argument("--method", choices=METHODS, required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="must be at least 1; does not affect the computation")
         p.add_argument("--grid-p", dest="grid_p", type=int, default=None)
         p.add_argument("--grid-t", dest="grid_t", type=int, default=None)
         p.add_argument("--grid-ymod", dest="grid_ymod", type=int, default=None)

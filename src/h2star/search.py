@@ -3,26 +3,28 @@
 Three routes to the same maximum: the scalar majorant phi on its (p, t) box,
 the five-term parameterized form over the full (p, y, zeta) box, and direct
 search over genuine class members built from boundary atoms.  All searches
-are deterministic: grids are fixed, random starts come from seeded
-generators, and grid reductions use a max with lexicographic tie-break on
-grid indices so that results do not depend on evaluation order or worker
-count.  zeta is searched on the unit circle only; the functional is affine
-in zeta, so the modulus over the closed disk is maximized on the boundary.
+are deterministic: grids are fixed and random starts come from seeded
+generators.  A grid reduction reports the first index, in C order, whose
+value lies within TIE_TOL of the grid maximum; that is the lexicographically
+smallest tied grid index, so the result does not depend on evaluation order.
+Grids are evaluated on one thread; ``workers`` is accepted and validated but
+does not affect the computation.  zeta is searched on the unit circle only;
+the functional is affine in zeta, so the modulus over the closed disk is
+maximized on the boundary.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import hankel
 from .caratheodory import HerglotzAtoms, LemmaPoint
 from .errors import DomainError
-from .formatting import fmt_complex, fmt_float
+from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import HankelSpec, hankel_det, sharp_bound
 from .starlike import Alpha, coeffs_from_moments
 
@@ -39,23 +41,6 @@ DEFAULT_GRID_ZARG = 64
 METHODS = ("phi", "lemma", "herglotz")
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        return [z.real, z.imag]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 @dataclass(frozen=True)
 class SearchOutcome:
     """Result record: maximum found, where, how, and at what cost."""
@@ -67,13 +52,7 @@ class SearchOutcome:
     evaluations: int
 
     def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "argmax": _jsonify(self.argmax),
-            "method": self.method,
-            "grid_spec": _jsonify(self.grid_spec),
-            "evaluations": int(self.evaluations),
-        }
+        return to_jsonable(asdict(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -88,37 +67,18 @@ class SweepRow:
     argmax_summary: str
 
 
-def _map_chunks(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
 
 
-def _chunk_candidates(vals: np.ndarray, prefix: tuple):
-    """Chunk maximum plus every index within TIE_TOL of it."""
-    vmax = float(vals.max())
-    idx = np.argwhere(vals >= vmax - TIE_TOL)
-    cands = [
-        (prefix + tuple(int(x) for x in row), float(vals[tuple(row)])) for row in idx
-    ]
-    return vmax, cands
+def _first_tied_index(vals: np.ndarray, vmax: float) -> tuple:
+    """C-order first index of ``vals`` within TIE_TOL of ``vmax``.
 
-
-def _reduce_candidates(results) -> tuple:
-    """Lexicographically smallest index among values tied with the global max.
-
-    Candidates tied with a chunk max are a superset of those tied with the
-    global max, so this reduction is independent of how the grid was chunked.
+    C order is lexicographic order on grid indices, so this is the smallest
+    tied index.
     """
-    global_max = max(vmax for vmax, _ in results)
-    pool = [
-        key
-        for vmax, cands in results
-        for key, val in cands
-        if val >= global_max - TIE_TOL
-    ]
-    return min(pool)
+    return tuple(int(i) for i in np.argwhere(vals >= vmax - TIE_TOL)[0])
 
 
 def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
@@ -158,14 +118,11 @@ def maximize_phi(
     """
     if grid_p < 2 or grid_t < 2:
         raise DomainError(f"grids must have at least 2 points, got {grid_p} x {grid_t}")
+    _check_workers(workers)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
-
-    def eval_chunk(i):
-        return _chunk_candidates(hankel.phi(alpha, ps[i], ts), (i,))
-
-    results = _map_chunks(eval_chunk, range(grid_p), workers)
-    pi, ti = _reduce_candidates(results)
+    vals = hankel.phi(alpha, ps[:, None], ts[None, :])
+    pi, ti = _first_tied_index(vals, vals.max())
     evaluations = grid_p * grid_t
 
     best_p, best_t = float(ps[pi]), float(ts[ti])
@@ -200,6 +157,7 @@ def maximize_param(
                     ("grid_yarg", grid_yarg), ("grid_zarg", grid_zarg)):
         if g < 2:
             raise DomainError(f"{name} must have at least 2 points, got {g}")
+    _check_workers(workers)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_ymod)
     e_mu = np.exp(1j * np.arange(grid_yarg) * (_TWO_PI / grid_yarg))
@@ -207,12 +165,15 @@ def maximize_param(
     y_grid = ts[:, None, None] * e_mu[None, :, None]
     zeta_grid = e_nu[None, None, :]
 
-    def eval_chunk(i):
-        vals = np.abs(hankel._param_form_raw(alpha.value, ps[i], y_grid, zeta_grid))
-        return _chunk_candidates(vals, (i,))
+    def eval_slice(i):
+        return np.abs(hankel._param_form_raw(alpha.value, ps[i], y_grid, zeta_grid))
 
-    results = _map_chunks(eval_chunk, range(grid_p), workers)
-    pi, ti, mi, ni = _reduce_candidates(results)
+    # The full grid does not fit in memory: find the first slice holding a
+    # tied value from the slice maxima, then evaluate that slice once more.
+    slice_max = np.array([eval_slice(i).max() for i in range(grid_p)])
+    gmax = slice_max.max()
+    (pi,) = _first_tied_index(slice_max, gmax)
+    ti, mi, ni = _first_tied_index(eval_slice(pi), gmax)
     pt = LemmaPoint(float(ps[pi]), complex(ts[ti] * e_mu[mi]), complex(e_nu[ni]))
     value = abs(hankel.functional_param_form(alpha, pt))
 
@@ -348,6 +309,7 @@ def _summarize_argmax(outcome: SearchOutcome) -> str:
 
 def run_method(method: str, alpha: Alpha, workers: int = 1, seed: int = 0, **kwargs) -> SearchOutcome:
     """Dispatch one search by method name with default resolutions."""
+    _check_workers(workers)
     if method == "phi":
         return maximize_phi(alpha, workers=workers, seed=seed, **kwargs)
     if method == "lemma":

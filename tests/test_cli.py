@@ -202,6 +202,22 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "hankel", "--coeffs", "2,2,3,4", "--q", "2", "--n", "2")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--alpha", "0.1", "--method", "phi"],
+            ["search", "--alpha", "0.1", "--method", "herglotz"],
+            ["sweep", "--alpha-start", "0", "--alpha-end", "0.5", "--steps", "1",
+             "--method", "phi"],
+        ],
+    )
+    def test_domain_error_from_zero_workers(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--workers", "0")
+        assert code == 1
+        assert out == ""
+        assert "workers" in err
+        assert "Traceback" not in err
+
     def test_unknown_check_name(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--only", "nonsense")
         assert code == 2

@@ -21,6 +21,8 @@ from h2star import (
     sharp_bound,
     sweep_alpha,
 )
+from h2star import hankel
+from h2star.search import TIE_TOL, run_method
 
 EXTREMAL_ATOMS = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
 
@@ -97,6 +99,82 @@ class TestMaximizeParam:
     def test_degenerate_grid(self):
         with pytest.raises(DomainError):
             maximize_param(Alpha(0.1), grid_ymod=1)
+
+
+class TestReferenceTieBreak:
+    """Reported grid argmax against a brute-force oracle over the whole grid.
+
+    The oracle evaluates every grid point in one broadcast call and takes the
+    Python ``min`` over all indices tied within TIE_TOL of the maximum.
+    Alpha = 0 has massive ties (p = 0 and p = 2 both attain the bound);
+    0.45 and 0.55 lie on either side of the sign change of
+    c = 3 - 8 alpha + 4 alpha^2 at alpha = 0.5.
+    """
+
+    ALPHAS = [0.0, 0.45, 0.55]
+
+    @staticmethod
+    def _oracle(vals):
+        tied = np.nonzero(vals >= vals.max() - TIE_TOL)
+        return min(tuple(int(i) for i in idx) for idx in zip(*tied))
+
+    def _check_param(self, form, a):
+        g = SMALL_PARAM_GRIDS
+        ps = np.linspace(0.0, 2.0, g["grid_p"])
+        ts = np.linspace(0.0, 1.0, g["grid_ymod"])
+        e_mu = np.exp(2j * math.pi * np.arange(g["grid_yarg"]) / g["grid_yarg"])
+        e_nu = np.exp(2j * math.pi * np.arange(g["grid_zarg"]) / g["grid_zarg"])
+        vals = np.abs(
+            form(
+                a,
+                ps[:, None, None, None],
+                ts[None, :, None, None] * e_mu[None, None, :, None],
+                e_nu[None, None, None, :],
+            )
+        )
+        pi, ti, mi, ni = self._oracle(vals)
+        outcome = maximize_param(Alpha(a), **g)
+        assert outcome.argmax["p"] == ps[pi]
+        assert outcome.argmax["y"] == ts[ti] * e_mu[mi]
+        assert outcome.argmax["zeta"] == e_nu[ni]
+
+    @pytest.mark.parametrize("a", ALPHAS)
+    def test_param(self, a):
+        self._check_param(hankel._param_form_raw, a)
+
+    def test_param_tie_across_slices(self, monkeypatch):
+        # The exact maximum lies in the last p slice; every value of the
+        # p = 0 slice is within TIE_TOL of it, so the p = 0 slice must win.
+        def form(alpha_value, p, y, zeta):
+            return (1.0 + 0.4 * TIE_TOL * p) * np.ones_like(y * zeta)
+
+        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        self._check_param(form, 0.3)
+
+    @pytest.mark.parametrize("a", ALPHAS)
+    @pytest.mark.parametrize("grid", [(51, 26), (201, 101)])
+    def test_phi(self, a, grid):
+        ps = np.linspace(0.0, 2.0, grid[0])
+        ts = np.linspace(0.0, 1.0, grid[1])
+        pi, ti = self._oracle(phi(Alpha(a), ps[:, None], ts[None, :]))
+        outcome = maximize_phi(Alpha(a), *grid)
+        assert outcome.argmax == {"p": ps[pi], "t": ts[ti]}
+
+
+class TestWorkers:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: maximize_phi(Alpha(0.2), 11, 7, workers=w),
+            lambda w: maximize_param(Alpha(0.2), 5, 2, 3, 2, workers=w),
+            lambda w: run_method("herglotz", Alpha(0.2), workers=w, restarts=1),
+            lambda w: sweep_alpha(0.0, 0.5, 1, "phi", workers=w),
+        ],
+    )
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one(self, call, workers):
+        with pytest.raises(DomainError, match="workers"):
+            call(workers)
 
 
 class TestMaximizeHerglotz:
