@@ -50,11 +50,14 @@ class HerglotzAtoms:
     def __post_init__(self):
         try:
             w = tuple(float(x) for x in self.weights)
-            t = tuple(float(x) % _TWO_PI for x in self.angles)
+            t = tuple(float(x) for x in self.angles)
         except (TypeError, ValueError) as exc:
             raise InvalidAtoms(f"weights/angles must be real numbers: {exc}") from exc
         if not w or len(w) != len(t):
             raise InvalidAtoms("need at least one atom and matching weights/angles")
+        if not all(math.isfinite(x) for x in w + t):
+            raise InvalidAtoms(f"weights and angles must be finite, got {w} and {t}")
+        t = tuple(x % _TWO_PI for x in t)
         if any(x < 0.0 for x in w):
             raise InvalidAtoms(f"weights must be nonnegative, got {w}")
         if abs(sum(w) - 1.0) > _WEIGHT_TOL:
@@ -198,8 +201,9 @@ def normalize_rotation(moments) -> tuple:
     return p * np.exp(1j * theta * n), theta
 
 
-def atoms_from_text(text: str) -> HerglotzAtoms:
-    """Parse the CLI atom format: comma-separated ``weight:angle`` pairs."""
+def atom_pairs_from_text(text: str) -> tuple:
+    """Split the CLI atom format, comma-separated ``weight:angle`` pairs,
+    into (weights, angles) without validating them as a measure."""
     weights, angles = [], []
     for pair in text.split(","):
         left, sep, right = pair.partition(":")
@@ -207,7 +211,12 @@ def atoms_from_text(text: str) -> HerglotzAtoms:
             raise ValueError(f"atom {pair!r} is not of the form weight:angle")
         weights.append(float(left))
         angles.append(float(right))
-    return HerglotzAtoms(tuple(weights), tuple(angles))
+    return tuple(weights), tuple(angles)
+
+
+def atoms_from_text(text: str) -> HerglotzAtoms:
+    """Parse the CLI atom format: comma-separated ``weight:angle`` pairs."""
+    return HerglotzAtoms(*atom_pairs_from_text(text))
 
 
 def atoms_to_text(atoms: HerglotzAtoms) -> str:

@@ -14,7 +14,13 @@ import sys
 import numpy as np
 
 from . import checks as _checks
-from .caratheodory import LemmaPoint, MomentTriple, atoms_from_text, moments_from_atoms
+from .caratheodory import (
+    HerglotzAtoms,
+    LemmaPoint,
+    MomentTriple,
+    atom_pairs_from_text,
+    moments_from_atoms,
+)
 from .errors import H2StarError
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import (
@@ -36,6 +42,7 @@ _METHOD_FLAGS = {
     "herglotz": ("atom_count", "restarts", "local_steps"),
 }
 _ALL_METHOD_FLAGS = sorted({f for flags in _METHOD_FLAGS.values() for f in flags})
+_COMPLEX_FLAGS = ("--p1", "--p2", "--p3", "--y", "--zeta")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +60,27 @@ def _complex_flag(text: str) -> complex:
     re = float(parts[0])
     im = float(parts[1]) if len(parts) == 2 else 0.0
     return complex(re, im)
+
+
+def _glue_complex_values(argv) -> list:
+    """Rewrite ``--p3 -1,0.5`` as ``--p3=-1,0.5``.
+
+    argparse reads a separate token that starts with ``-`` and is not a plain
+    negative number as an option, so a negative real part would otherwise
+    need the ``=`` form.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _COMPLEX_FLAGS and tok.startswith("-"):
+            try:
+                _complex_flag(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
 
 
 def _coeff_list(text: str):
@@ -73,7 +101,7 @@ def _cmd_coeffs(args) -> int:
     order = args.order
     if order < 2:
         raise H2StarError(f"need order >= 2, got {order}")
-    moments = moments_from_atoms(args.atoms, order - 1)
+    moments = moments_from_atoms(HerglotzAtoms(*args.atoms), order - 1)
     f = coeffs_from_moments(alpha, moments)
     doc = {
         "alpha": alpha.value,
@@ -262,7 +290,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("coeffs", help="coefficients of f from an atom measure")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--atoms", type=atoms_from_text, required=True,
+    p.add_argument("--atoms", type=atom_pairs_from_text, required=True,
                    help="comma-separated weight:angle pairs, angles in radians")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     _add_json_flag(p)
@@ -351,8 +379,9 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_complex_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -74,7 +74,7 @@ def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
     if q == 1:
         return complex(entry(0, 0))
     if q == 2:
-        return complex(entry(0, 0) * entry(1, 1) - entry(0, 1) * entry(1, 0))
+        return complex(*det2(entry(0, 0), entry(1, 1), entry(0, 1), entry(1, 0)))
     m = np.array([[entry(i, j) for j in range(q)] for i in range(q)], dtype=complex)
     if q == 3:
         return complex(
@@ -83,6 +83,19 @@ def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
             + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
         )
     return _det_partial_pivot(m)
+
+
+def det2(a, d, b, c):
+    """Real and imaginary parts of the 2 x 2 determinant a d - b c.
+
+    Takes complex scalars or equal-shape complex arrays.  The products are
+    written in real arithmetic, the way numpy multiplies complex scalars;
+    numpy's product of complex arrays may fuse multiply-adds and then differs
+    in the last bit.
+    """
+    re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return re, im
 
 
 def _det_partial_pivot(m: np.ndarray) -> complex:

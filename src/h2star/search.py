@@ -25,8 +25,8 @@ from . import hankel
 from .caratheodory import HerglotzAtoms, LemmaPoint
 from .errors import DomainError
 from .formatting import fmt_complex, fmt_float, to_jsonable
-from .hankel import HankelSpec, hankel_det, sharp_bound
-from .starlike import Alpha, coeffs_from_moments
+from .hankel import det2, sharp_bound
+from .starlike import Alpha, coeff_rows
 
 TIE_TOL = 1e-12
 
@@ -192,45 +192,82 @@ def maximize_param(
     )
 
 
-def _refine_atoms(objective, weights, angles, sweeps: int):
-    """Coordinate-wise pattern search with shrinking steps.
+_MOMENT_ORDERS = np.array([1.0, 2.0, 3.0])
 
-    Weights stay on the simplex by clipping at 0 and renormalizing after each
-    probe; angles wrap mod 2 pi.  A probe is kept only if strictly better, so
-    the value never decreases and the path is deterministic.
+
+def _h2_rows(alpha: Alpha, weights: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """|a2 a4 - a3^2| of each row of an (R, k) batch of atom weights and angles.
+
+    Three stages: the moments p_1..p_3, the coefficient recurrence, and the
+    2 x 2 Hankel determinant.  Each row is bit-equal to
+    abs(hankel_det(coeffs_from_moments(...))) on that row alone.
     """
-    w = np.asarray(weights, dtype=float).copy()
-    t = np.asarray(angles, dtype=float).copy()
-    best = objective(w, t)
-    evals = 1
-    step_w, step_t = 0.15, 0.4
+    kernels = np.exp(1j * (angles[:, None, :] * _MOMENT_ORDERS[:, None]))
+    moments = 2.0 * (kernels @ np.ascontiguousarray(weights)[:, :, None])[:, :, 0]
+    a = coeff_rows(alpha, moments)
+    re, im = det2(a[:, 1], a[:, 3], a[:, 2], a[:, 2])
+    return np.hypot(re, im)
+
+
+def _refine_rows(alpha: Alpha, weights: np.ndarray, angles: np.ndarray, sweeps: int):
+    """Coordinate-wise pattern search with shrinking steps, on all rows in lock-step.
+
+    Each row is one restart with its own steps and its own stop rule.  Every
+    sweep probes each weight by +-step_w, then each angle by +-step_t, and a
+    probe evaluates all live rows at once.  Weights stay on the simplex by
+    clipping at 0 and renormalizing (a probe whose total is not positive is
+    skipped and not counted); angles wrap mod 2 pi.  A probe is kept only if
+    strictly better, so no row's value decreases and every path is
+    deterministic.  A row that improves nowhere in a sweep halves both steps
+    and stops once both are below 1e-12.
+
+    Returns the per-row best values, weights and angles, and the number of
+    evaluations.
+    """
+    w = weights.copy()
+    t = angles.copy()
+    rows, k = w.shape
+    best = _h2_rows(alpha, w, t)
+    evals = rows
+    step_w = np.full(rows, 0.15)
+    step_t = np.full(rows, 0.4)
+    live = np.arange(rows)
+    improved = np.zeros(rows, dtype=bool)
+
+    def keep(idx, val, trial, target):
+        better = val > best[idx]
+        hit = idx[better]
+        best[hit] = val[better]
+        target[hit] = trial[better]
+        improved[hit] = True
+
     for _ in range(sweeps):
-        improved = False
-        for i in range(w.size):
-            for delta in (step_w, -step_w):
-                trial = w.copy()
-                trial[i] = max(0.0, trial[i] + delta)
-                total = trial.sum()
-                if total <= 0.0:
-                    continue
-                trial /= total
-                val = objective(trial, t)
-                evals += 1
-                if val > best:
-                    best, w, improved = val, trial, True
-        for i in range(t.size):
-            for delta in (step_t, -step_t):
-                trial = t.copy()
-                trial[i] = (trial[i] + delta) % _TWO_PI
-                val = objective(w, trial)
-                evals += 1
-                if val > best:
-                    best, t, improved = val, trial, True
-        if not improved:
-            step_w *= 0.5
-            step_t *= 0.5
-            if step_w < 1e-12 and step_t < 1e-12:
-                break
+        if live.size == 0:
+            break
+        improved[:] = False
+        for i in range(k):
+            for sign in (1.0, -1.0):
+                trial = w[live]
+                x = trial[:, i] + sign * step_w[live]
+                trial[:, i] = np.where(x > 0.0, x, 0.0)
+                total = trial.sum(axis=1)
+                ok = total > 0.0
+                idx, trial = live[ok], trial[ok] / total[ok, None]
+                val = _h2_rows(alpha, trial, t[idx])
+                evals += idx.size
+                keep(idx, val, trial, w)
+        for i in range(k):
+            for sign in (1.0, -1.0):
+                trial = t[live]
+                trial[:, i] = (trial[:, i] + sign * step_t[live]) % _TWO_PI
+                val = _h2_rows(alpha, w[live], trial)
+                evals += live.size
+                keep(live, val, trial, t)
+        stalled = live[~improved[live]]
+        step_w[stalled] *= 0.5
+        step_t[stalled] *= 0.5
+        done = (step_w < 1e-12) & (step_t < 1e-12)
+        live = live[~done[live]]
     return best, w, t, evals
 
 
@@ -244,10 +281,14 @@ def maximize_herglotz(
 ) -> SearchOutcome:
     """Random-restart search for |a2 a4 - a3^2| over genuine atom measures.
 
-    Restart weights are Dirichlet(1) samples, angles uniform; each restart is
-    refined coordinate-wise.  ``seed_atoms``, when given, contributes one
-    plain evaluation ahead of the restarts, so seeding at a known maximizer
-    reports its exact value.
+    Restart weights are Dirichlet(1) samples, angles uniform, drawn restart
+    by restart; each restart is refined coordinate-wise.  The restarts run
+    in lock-step as one batch (see _refine_rows) and give the same result,
+    bit for bit, as running them one after another: each keeps its own
+    steps and stop rule, and the reported maximum is the first restart, in
+    restart order, that is strictly better than all before it.
+    ``seed_atoms``, when given, contributes one plain evaluation ahead of
+    the restarts, so seeding at a known maximizer reports its exact value.
     """
     if not 1 <= atom_count <= 4:
         raise DomainError(f"atom_count must lie in 1..4, got {atom_count}")
@@ -256,12 +297,6 @@ def maximize_herglotz(
     if restarts == 0 and seed_atoms is None:
         raise DomainError("need restarts >= 1 or seed_atoms")
     rng = np.random.default_rng(seed)
-    spec = HankelSpec(q=2, n=2)
-    orders = np.array([1.0, 2.0, 3.0])
-
-    def objective(w, t):
-        moments = 2.0 * (np.exp(1j * np.outer(orders, t)) @ w)
-        return abs(hankel_det(coeffs_from_moments(alpha, moments), spec))
 
     evaluations = 0
     best_val = -math.inf
@@ -269,13 +304,16 @@ def maximize_herglotz(
     if seed_atoms is not None:
         best_w = np.asarray(seed_atoms.weights, dtype=float)
         best_t = np.asarray(seed_atoms.angles, dtype=float)
-        best_val = objective(best_w, best_t)
+        best_val = _h2_rows(alpha, best_w[None, :], best_t[None, :])[0]
         evaluations += 1
-    for _ in range(restarts):
-        w0 = rng.dirichlet(np.ones(atom_count))
-        t0 = rng.uniform(0.0, _TWO_PI, atom_count)
-        val, w, t, n_evals = _refine_atoms(objective, w0, t0, local_steps)
-        evaluations += n_evals
+    w0 = np.empty((restarts, atom_count))
+    t0 = np.empty((restarts, atom_count))
+    for r in range(restarts):
+        w0[r] = rng.dirichlet(np.ones(atom_count))
+        t0[r] = rng.uniform(0.0, _TWO_PI, atom_count)
+    vals, ws, ts, n_evals = _refine_rows(alpha, w0, t0, local_steps)
+    evaluations += n_evals
+    for val, w, t in zip(vals, ws, ts):
         if val > best_val:
             best_val, best_w, best_t = val, w, t
 

@@ -74,13 +74,31 @@ def coeffs_from_moments(alpha: Alpha, moments) -> CoefficientVector:
         a_n = (1 - alpha) / (n - 1) * sum_{k=1..n-1} a_{n-k} p_k,   a_1 = 1.
     """
     p = np.atleast_1d(np.asarray(moments, dtype=complex))
-    n_max = p.size + 1
-    a = np.zeros(n_max, dtype=complex)
-    a[0] = 1.0
+    return CoefficientVector(coeff_rows(alpha, p[None, :])[0])
+
+
+def coeff_rows(alpha: Alpha, moments) -> np.ndarray:
+    """The recurrence of coeffs_from_moments on each row of an (R, N-1) moment array.
+
+    Returns the (R, N) array of rows a_1..a_N.  Every row is bit-equal to
+    what np.dot gives one row at a time: each sum is a stacked product of
+    contiguous rows, which numpy hands to the same BLAS dot, and the one-term
+    sum for a_2 is a plain complex product, as np.dot forms it.
+    """
+    p = np.ascontiguousarray(moments, dtype=complex)
+    rows, m = p.shape
+    a = np.zeros((rows, m + 1), dtype=complex)
+    a[:, 0] = 1.0
     s = 1.0 - alpha.value
-    for n in range(2, n_max + 1):
-        a[n - 1] = s / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
-    return CoefficientVector(a)
+    for n in range(2, m + 2):
+        if n == 2:
+            total = a[:, 0] * p[:, 0]
+        else:
+            head = np.ascontiguousarray(a[:, n - 2 :: -1])
+            tail = np.ascontiguousarray(p[:, : n - 1])
+            total = (head[:, None, :] @ tail[:, :, None])[:, 0, 0]
+        a[:, n - 1] = s / (n - 1) * total
+    return a
 
 
 def closed_form_a234(alpha: Alpha, m: MomentTriple) -> tuple:

@@ -42,6 +42,19 @@ class TestAtoms:
         with pytest.raises(InvalidAtoms):
             HerglotzAtoms((1.0,), (0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "weights, angles",
+        [
+            ((math.nan,), (0.0,)),
+            ((math.inf,), (0.0,)),
+            ((1.0,), (math.nan,)),
+            ((0.5, 0.5), (0.0, -math.inf)),
+        ],
+    )
+    def test_rejects_non_finite(self, weights, angles):
+        with pytest.raises(InvalidAtoms, match="finite"):
+            HerglotzAtoms(weights, angles)
+
     def test_angles_wrap_into_period(self):
         atoms = HerglotzAtoms((0.5, 0.5), (math.pi / 3, -math.pi / 3))
         assert atoms.angles[1] == pytest.approx(2 * math.pi - math.pi / 3)

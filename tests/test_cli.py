@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,52 @@ class TestSweep:
         assert lines[2].startswith("0.5,0.25,0.25,0,")
 
 
+class TestComplexFlags:
+    @pytest.mark.parametrize(
+        "spaced, glued",
+        [
+            (["--p1", "1.5", "--p2", "0.3,0.2", "--p3", "-1,0.5"],
+             ["--p1", "1.5", "--p2", "0.3,0.2", "--p3=-1,0.5"]),
+            (["--p1", "-0.5", "--p2", "-1e-1,-0.2", "--p3", "0"],
+             ["--p1=-0.5", "--p2=-1e-1,-0.2", "--p3", "0"]),
+        ],
+    )
+    def test_negative_real_part_after_a_space(self, capsys, spaced, glued):
+        code, out, err = run_cli(capsys, "functional", "--alpha", "0.1", *spaced)
+        assert code == 0, err
+        assert run_cli(capsys, "functional", "--alpha", "0.1", *glued) == (0, out, "")
+
+    def test_negative_point_after_a_space(self, capsys):
+        code, out, err = run_cli(
+            capsys, "param", "--alpha", "0.2", "--p", "1", "--y", "-0.5,-0.1", "--zeta", "-1,0"
+        )
+        assert code == 0, err
+        assert run_cli(
+            capsys, "param", "--alpha", "0.2", "--p", "1", "--y=-0.5,-0.1", "--zeta=-1,0"
+        ) == (0, out, "")
+
+    def test_missing_value_is_still_a_parse_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "functional", "--alpha", "0", "--p1", "1", "--p2", "0", "--p3", "--json"
+        )
+        assert code == 2
+        assert "--p3" in err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_h2star(self, capsys):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        argv = ["bound", "--alpha", "0.25", "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "h2star", *argv], capture_output=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, out, _ = run_cli(capsys, *argv)
+        assert proc.stdout.decode() == out
+
+
 class TestExitCodes:
     def test_unknown_flag_is_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--alpha", "0.5", "--bogus", "1")
@@ -171,6 +218,13 @@ class TestExitCodes:
     def test_malformed_atoms(self, capsys):
         code, _, _ = run_cli(capsys, "coeffs", "--alpha", "0", "--atoms", "0.5;0")
         assert code == 2
+
+    @pytest.mark.parametrize("atoms", ["1:nan", "nan:0", "1:inf", "0.5:0,0.5:-inf", "2:0"])
+    def test_invalid_atoms_are_domain_errors(self, capsys, atoms):
+        code, out, err = run_cli(capsys, "coeffs", "--alpha", "0.1", "--atoms", atoms)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
 
     def test_bad_method_choice(self, capsys):
         code, _, _ = run_cli(capsys, "search", "--alpha", "0.1", "--method", "newton")

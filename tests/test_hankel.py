@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from h2star import (
     sharp_bound,
 )
 from h2star.caratheodory import random_disk_point, random_lemma_point
+from h2star.hankel import det2
 
 KOEBE = CoefficientVector([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 
@@ -36,6 +39,22 @@ class TestHankelDet:
 
     def test_koebe_first(self):
         assert hankel_det(KOEBE, HankelSpec(q=2, n=1)) == -1.0
+
+    def test_order_two_bit_equal_to_complex_products(self):
+        # det2 forms the products in real arithmetic; on scalars that is how
+        # numpy multiplies complex numbers, signed zeros included.
+        parts = [0.0, -0.0, 1.25, -2.5]
+        values = [complex(x, y) for x in parts for y in parts]
+        rng = np.random.default_rng(8)
+        randoms = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+        triples = list(itertools.product(values, repeat=3)) + [tuple(r) for r in randoms]
+        a2, a3, a4 = (np.array(col) for col in zip(*triples))
+        re, im = det2(a2, a4, a3, a3)
+        for i, (x2, x3, x4) in enumerate(triples):
+            f = CoefficientVector([1.0, x2, x3, x4])
+            want = complex(f.coeffs[1] * f.coeffs[3] - f.coeffs[2] * f.coeffs[2])
+            got = hankel_det(f, HankelSpec(q=2, n=2))
+            assert np.array([got, complex(re[i], im[i])]).tobytes() == np.array([want] * 2).tobytes()
 
     @pytest.mark.parametrize("q", [3, 4, 5, 6])
     def test_matches_numpy_determinant(self, q):

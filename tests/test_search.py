@@ -8,6 +8,7 @@ from h2star import (
     DomainError,
     HankelSpec,
     HerglotzAtoms,
+    InvalidAtoms,
     LemmaPoint,
     coeffs_from_moments,
     functional_param_form,
@@ -21,8 +22,8 @@ from h2star import (
     sharp_bound,
     sweep_alpha,
 )
-from h2star import hankel
-from h2star.search import TIE_TOL, run_method
+from h2star import hankel, search
+from h2star.search import TIE_TOL, SearchOutcome, run_method
 
 EXTREMAL_ATOMS = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
 
@@ -218,6 +219,160 @@ class TestMaximizeHerglotz:
             maximize_herglotz(Alpha(0.1), atom_count=5)
         with pytest.raises(DomainError):
             maximize_herglotz(Alpha(0.1), restarts=0)
+
+    @pytest.mark.parametrize("weights, angles", [((math.nan,), (0.0,)), ((1.0,), (math.inf,))])
+    def test_non_finite_seed_atoms_rejected(self, weights, angles):
+        with pytest.raises(InvalidAtoms):
+            maximize_herglotz(Alpha(0.1), restarts=0, seed_atoms=HerglotzAtoms(weights, angles))
+
+
+def _scalar_h2(alpha, w, t):
+    """|a2 a4 - a3^2| of one atom measure, by the one-point route.
+
+    Moments from one matrix-vector product, the recurrence through np.dot,
+    the determinant from products of complex scalars: the reference for the
+    batched row kernel.
+    """
+    p = 2.0 * (np.exp(1j * np.outer([1.0, 2.0, 3.0], t)) @ w)
+    a = np.zeros(4, dtype=complex)
+    a[0] = 1.0
+    for n in range(2, 5):
+        a[n - 1] = (1.0 - alpha.value) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
+    return abs(complex(a[1] * a[3] - a[2] * a[2]))
+
+
+def _refine_atoms(objective, weights, angles, sweeps):
+    """One restart of the coordinate-wise pattern search, one probe at a time."""
+    w = np.asarray(weights, dtype=float).copy()
+    t = np.asarray(angles, dtype=float).copy()
+    best = objective(w, t)
+    evals = 1
+    step_w, step_t = 0.15, 0.4
+    for _ in range(sweeps):
+        improved = False
+        for i in range(w.size):
+            for delta in (step_w, -step_w):
+                trial = w.copy()
+                trial[i] = max(0.0, trial[i] + delta)
+                total = trial.sum()
+                if total <= 0.0:
+                    continue
+                trial /= total
+                val = objective(trial, t)
+                evals += 1
+                if val > best:
+                    best, w, improved = val, trial, True
+        for i in range(t.size):
+            for delta in (step_t, -step_t):
+                trial = t.copy()
+                trial[i] = (trial[i] + delta) % (2.0 * math.pi)
+                val = objective(w, trial)
+                evals += 1
+                if val > best:
+                    best, t, improved = val, trial, True
+        if not improved:
+            step_w *= 0.5
+            step_t *= 0.5
+            if step_w < 1e-12 and step_t < 1e-12:
+                break
+    return best, w, t, evals
+
+
+def _herglotz_one_at_a_time(alpha, atom_count=2, restarts=100, local_steps=60, seed=0,
+                            seed_atoms=None):
+    """maximize_herglotz with each restart drawn and refined before the next."""
+    rng = np.random.default_rng(seed)
+
+    def objective(w, t):
+        return _scalar_h2(alpha, w, t)
+
+    evaluations = 0
+    best_val = -math.inf
+    best_w = best_t = None
+    if seed_atoms is not None:
+        best_w = np.asarray(seed_atoms.weights, dtype=float)
+        best_t = np.asarray(seed_atoms.angles, dtype=float)
+        best_val = objective(best_w, best_t)
+        evaluations += 1
+    for _ in range(restarts):
+        w0 = rng.dirichlet(np.ones(atom_count))
+        t0 = rng.uniform(0.0, 2.0 * math.pi, atom_count)
+        val, w, t, n_evals = _refine_atoms(objective, w0, t0, local_steps)
+        evaluations += n_evals
+        if val > best_val:
+            best_val, best_w, best_t = val, w, t
+    return SearchOutcome(
+        value=float(best_val),
+        argmax={"weights": [float(x) for x in best_w], "angles": [float(x) for x in best_t]},
+        method="herglotz",
+        grid_spec={"atom_count": atom_count, "restarts": restarts,
+                   "local_steps": local_steps, "seed": seed},
+        evaluations=evaluations,
+    )
+
+
+class TestHerglotzRowKernel:
+    """The batched objective against the one-point route, bit for bit."""
+
+    ROWS = 1000
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bit_equal_at_every_batch_size(self, k):
+        rng = np.random.default_rng(40 + k)
+        alpha = Alpha(float(rng.uniform(0.0, 1.0)))
+        w = rng.dirichlet(np.ones(k), size=self.ROWS)
+        t = rng.uniform(0.0, 2.0 * math.pi, size=(self.ROWS, k))
+        spec = HankelSpec(2, 2)
+        via_api = np.array([
+            abs(hankel_det(coeffs_from_moments(
+                alpha, 2.0 * (np.exp(1j * np.outer([1.0, 2.0, 3.0], t[r])) @ w[r])), spec))
+            for r in range(self.ROWS)
+        ])
+        one_point = np.array([_scalar_h2(alpha, w[r], t[r]) for r in range(self.ROWS)])
+        batch = search._h2_rows(alpha, w, t)
+        singles = np.concatenate(
+            [search._h2_rows(alpha, w[r : r + 1], t[r : r + 1]) for r in range(self.ROWS)]
+        )
+        assert via_api.tobytes() == one_point.tobytes()
+        assert batch.tobytes() == via_api.tobytes()
+        assert singles.tobytes() == via_api.tobytes()
+
+
+class TestLockStepRestarts:
+    """Restarts in lock-step give the record of restarts run one after another.
+
+    Alphas 0.3 and 0.7 lie on either side of the sign change of
+    c = 3 - 8 alpha + 4 alpha^2 at alpha = 0.5.
+    """
+
+    @pytest.mark.parametrize("local_steps", [0, 3])
+    @pytest.mark.parametrize("a", [0.3, 0.7])
+    @pytest.mark.parametrize("atom_count", [1, 2, 3, 4])
+    def test_short_refinement(self, atom_count, a, local_steps):
+        kwargs = dict(atom_count=atom_count, restarts=12, local_steps=local_steps,
+                      seed=10 * atom_count + local_steps)
+        want = _herglotz_one_at_a_time(Alpha(a), **kwargs).to_json()
+        assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
+
+    @pytest.mark.parametrize("atom_count, a", [(1, 0.3), (2, 0.55), (3, 0.45)])
+    def test_full_refinement_with_stop_rule(self, atom_count, a):
+        # With 60 sweeps most one- and two-atom restarts halve their steps
+        # below 1e-12 and stop early, each at its own sweep.
+        kwargs = dict(atom_count=atom_count, restarts=6, seed=5)
+        want = _herglotz_one_at_a_time(Alpha(a), **kwargs).to_json()
+        assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
+
+    @pytest.mark.parametrize("restarts", [0, 5])
+    @pytest.mark.parametrize(
+        "seed_atoms",
+        [EXTREMAL_ATOMS, HerglotzAtoms((0.2, 0.3, 0.5), (1.0, 2.0, 3.0))],
+    )
+    def test_seed_atoms(self, seed_atoms, restarts):
+        kwargs = dict(atom_count=2, restarts=restarts, local_steps=8, seed=9,
+                      seed_atoms=seed_atoms)
+        for a in (0.3, 0.7):
+            want = _herglotz_one_at_a_time(Alpha(a), **kwargs).to_json()
+            assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
 
 
 class TestSafetyAcrossMethods:

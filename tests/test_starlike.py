@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from h2star import (
     verify_membership,
 )
 from h2star.caratheodory import random_disk_point
+from h2star.starlike import coeff_rows
 
 
 class TestAlpha:
@@ -63,6 +65,40 @@ class TestCoeffsFromMoments:
         for a in (0.1, 0.5, 0.9):
             scaled = coeffs_from_moments(Alpha(a), [p1, 0.0, 0.0]).coeff(2)
             assert scaled == pytest.approx((1.0 - a) * base, abs=1e-15)
+
+
+def _dot_recurrence(alpha, p):
+    """The recurrence one coefficient at a time through np.dot."""
+    a = np.zeros(len(p) + 1, dtype=complex)
+    a[0] = 1.0
+    for n in range(2, len(p) + 2):
+        a[n - 1] = (1.0 - alpha.value) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
+    return a
+
+
+class TestCoeffRows:
+    """coeff_rows, and coeffs_from_moments through it, bit-equal to np.dot."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11])
+    def test_random_moments(self, m):
+        rng = np.random.default_rng(60 + m)
+        alpha = Alpha(float(rng.uniform(0.0, 1.0)))
+        p = rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
+        rows = coeff_rows(alpha, p)
+        for r in range(p.shape[0]):
+            want = _dot_recurrence(alpha, p[r]).tobytes()
+            assert coeffs_from_moments(alpha, p[r]).coeffs.tobytes() == want
+            assert rows[r].tobytes() == want
+
+    def test_signed_zeros_and_negative_parts(self):
+        # Every moment pair drawn from these parts, signed zeros included.
+        parts = [0.0, -0.0, 1.5, -1.5, 2.0]
+        values = [complex(x, y) for x in parts for y in parts]
+        p = np.array(list(itertools.product(values, repeat=2)), dtype=complex)
+        alpha = Alpha(0.39)
+        rows = coeff_rows(alpha, p)
+        for r in range(p.shape[0]):
+            assert rows[r].tobytes() == _dot_recurrence(alpha, p[r]).tobytes()
 
 
 class TestClosedForm:
