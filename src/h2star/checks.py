@@ -16,20 +16,23 @@ import numpy as np
 
 from .caratheodory import (
     MomentTriple,
+    _lemma_forward_raw,
+    _lemma_row_blocks,
     lemma_forward,
     lemma_inverse,
     moments_from_atoms,
     normalize_rotation,
     random_atoms,
     random_disk_point,
-    random_lemma_point,
     LemmaPoint,
 )
 from .hankel import (
     HankelSpec,
+    _moment_form_raw,
+    _param_form_raw,
+    _phi_raw,
     bound_profile,
     functional_moment_form,
-    functional_param_form,
     hankel_det,
     phi,
     sharp_bound,
@@ -172,7 +175,16 @@ def check_prior_result_anchors() -> CheckResult:
 
 
 def check_algebra_reconciliation() -> CheckResult:
-    """Moment form matches the closed-form route; parameterized form matches both."""
+    """Moment form matches the closed-form route; parameterized form matches both.
+
+    1,000 scalar draws compare the moment form with a2 a4 - a3^2 from the
+    closed forms.  Then 100,000 draws of (alpha, p, y, zeta) from the same
+    generator compare the five-term form with the moment form of the
+    substituted moments.  Those are the rows of the scalar loop
+    ``alpha = rng.random(); pt = random_lemma_point(rng)``, evaluated in
+    blocks of rows from _lemma_row_blocks.  The sampler reads ahead of its
+    rows, so it must be the last to draw: the 1,000-row loop runs first.
+    """
 
     def body():
         rng = np.random.default_rng(11)
@@ -189,14 +201,12 @@ def check_algebra_reconciliation() -> CheckResult:
             diff = abs(functional_moment_form(alpha, m) - direct)
             worst_rel = max(worst_rel, diff / max(1.0, abs(direct)))
         worst_sub = 0.0
-        for _ in range(100_000):
-            alpha = Alpha(rng.random())
-            pt = random_lemma_point(rng)
-            diff = abs(
-                functional_param_form(alpha, pt)
-                - functional_moment_form(alpha, lemma_forward(pt))
+        for alpha, p, y, zeta in _lemma_row_blocks(rng, 100_000):
+            diff = np.abs(
+                _param_form_raw(alpha, p, y, zeta)
+                - _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta))
             )
-            worst_sub = max(worst_sub, diff)
+            worst_sub = max(worst_sub, float(diff.max()))
         ok = worst_rel <= 1e-12 and worst_sub <= 1e-12
         return ok, f"worst relative = {worst_rel:.3e}, worst substitution = {worst_sub:.3e}"
 
@@ -204,16 +214,19 @@ def check_algebra_reconciliation() -> CheckResult:
 
 
 def check_proof_step_properties() -> CheckResult:
-    """Domination |Psi| <= phi, monotonicity of phi in t, profile identity and bound."""
+    """Domination |Psi| <= phi, monotonicity of phi in t, profile identity and bound.
+
+    Domination is sampled at 100,000 draws of (alpha, p, y, zeta), the rows
+    of the scalar loop ``alpha = rng.random(); pt = random_lemma_point(rng)``,
+    evaluated in blocks of rows from _lemma_row_blocks.
+    """
 
     def body():
         rng = np.random.default_rng(12)
         worst_dom = -np.inf
-        for _ in range(100_000):
-            alpha = Alpha(rng.random())
-            pt = random_lemma_point(rng)
-            slack = abs(functional_param_form(alpha, pt)) - phi(alpha, pt.p, abs(pt.y))
-            worst_dom = max(worst_dom, slack)
+        for alpha, p, y, zeta in _lemma_row_blocks(rng, 100_000):
+            slack = np.abs(_param_form_raw(alpha, p, y, zeta)) - _phi_raw(alpha, p, np.abs(y))
+            worst_dom = max(worst_dom, float(slack.max()))
         violations = 0
         worst_ident = 0.0
         worst_excess = -np.inf

@@ -2,7 +2,7 @@
 
 Output goes to stdout as text, JSON (``--json``) or CSV (``sweep``); files are
 written only via ``--out``.  Exit codes: 0 success, 1 domain error from the
-library, 2 flag or parse error.
+library, overflow or file error, 2 flag or parse error.
 """
 
 from __future__ import annotations
@@ -48,8 +48,22 @@ _COMPLEX_FLAGS = ("--p1", "--p2", "--p3", "--y", "--zeta")
 class _Parser(argparse.ArgumentParser):
     """argparse with a one-line diagnostic on stderr and exit status 2."""
 
+    # Subcommand name -> its parser; build_parser sets it on the top parser.
+    commands: dict
+
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def resolve_flag(self, token: str):
+        """The flag argparse reads ``token`` as: an exact flag, or the one long
+        flag that ``token`` abbreviates; None for anything else."""
+        flags = self._option_string_actions
+        if token in flags:
+            return token
+        if not token.startswith("--") or len(token) < 3:
+            return None
+        hits = [f for f in flags if f.startswith(token)]
+        return hits[0] if len(hits) == 1 else None
 
 
 def _complex_flag(text: str) -> complex:
@@ -62,16 +76,21 @@ def _complex_flag(text: str) -> complex:
     return complex(re, im)
 
 
-def _glue_complex_values(argv) -> list:
-    """Rewrite ``--p3 -1,0.5`` as ``--p3=-1,0.5``.
+def _glue_complex_values(parser: _Parser, argv) -> list:
+    """Rewrite ``--p3 -1,0.5`` as ``--p3=-1,0.5``, and ``--ze -1,0`` as ``--ze=-1,0``.
 
     argparse reads a separate token that starts with ``-`` and is not a plain
     negative number as an option, so a negative real part would otherwise
-    need the ``=`` form.
+    need the ``=`` form.  A flag counts as complex when the subcommand's
+    parser resolves it, exactly or as an unambiguous prefix, to one of
+    ``_COMPLEX_FLAGS``; ambiguous prefixes are left for argparse to reject.
     """
+    sub = next((parser.commands.get(tok) for tok in argv if not tok.startswith("-")), None)
+    if sub is None:
+        return list(argv)
     out = []
     for tok in argv:
-        if out and out[-1] in _COMPLEX_FLAGS and tok.startswith("-"):
+        if out and sub.resolve_flag(out[-1]) in _COMPLEX_FLAGS and tok.startswith("-"):
             try:
                 _complex_flag(tok)
             except ValueError:
@@ -374,6 +393,7 @@ def build_parser() -> _Parser:
                    help="run a single named check (repeatable)")
     p.set_defaults(handler=_cmd_check)
 
+    parser.commands = dict(subs.choices)
     return parser
 
 
@@ -381,17 +401,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_glue_complex_values(argv))
+        args = parser.parse_args(_glue_complex_values(parser, argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except H2StarError as exc:
-        print(f"h2star: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # ValueError covers every H2StarError; Python's complex power raises
+        # OverflowError (functional --p1 1e100); OSError is an unwritable --out.
         print(f"h2star: error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caratheodory import LemmaPoint, MomentTriple
+from .caratheodory import LemmaPoint, MomentTriple, _require
 from .errors import DomainError, InsufficientCoefficients, UnsupportedOrder
 from .starlike import Alpha, CoefficientVector
 
@@ -117,8 +117,13 @@ def _det_partial_pivot(m: np.ndarray) -> complex:
 
 def functional_moment_form(alpha: Alpha, m: MomentTriple) -> complex:
     """a2 a4 - a3^2 written directly in the moments (p1, p2, p3)."""
-    s2 = (1.0 - alpha.value) ** 2
-    return complex(s2 * (-s2 * m.p1**4 / 12.0 - m.p2 * m.p2 / 4.0 + m.p1 * m.p3 / 3.0))
+    return complex(_moment_form_raw(alpha.value, m.p1, m.p2, m.p3))
+
+
+def _moment_form_raw(alpha_value, p1, p2, p3):
+    """Moment form of functional_moment_form; broadcast-safe over numpy arrays."""
+    s2 = (1.0 - alpha_value) ** 2
+    return s2 * (-s2 * p1**4 / 12.0 - p2 * p2 / 4.0 + p1 * p3 / 3.0)
 
 
 def _param_form_raw(alpha_value: float, p, y, zeta):
@@ -147,14 +152,18 @@ def phi(alpha: Alpha, p, t):
     Accepts scalars or broadcastable numpy arrays with p in [0, 2] and
     t in [0, 1]; nonnegative on its domain and nondecreasing in t.
     """
+    val = _phi_raw(alpha.value, p, t)
+    return float(val) if val.ndim == 0 else val
+
+
+def _phi_raw(alpha_value, p, t):
+    """The array value of phi; alpha_value may be an array broadcast with p and t."""
     p_arr = np.asarray(p, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 2.0):
-        raise DomainError("p must lie in [0, 2]")
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise DomainError("t must lie in [0, 1]")
-    s2 = (1.0 - alpha.value) ** 2
-    c = abs(3.0 - 8.0 * alpha.value + 4.0 * alpha.value**2)
+    _require((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError, "p must lie in [0, 2], got {}")
+    _require((t_arr >= 0.0) & (t_arr <= 1.0), t_arr, DomainError, "t must lie in [0, 1], got {}")
+    s2 = (1.0 - alpha_value) ** 2
+    c = abs(3.0 - 8.0 * alpha_value + 4.0 * alpha_value**2)
     q = 4.0 - p_arr * p_arr
     val = s2 * (
         c * p_arr**4 / 48.0
@@ -163,7 +172,7 @@ def phi(alpha: Alpha, p, t):
         + q * q * t_arr**2 / 16.0
         + p_arr * q * (1.0 - t_arr**2) / 6.0
     )
-    return float(val) if val.ndim == 0 else val
+    return val
 
 
 def bound_profile(alpha: Alpha, p):
@@ -173,8 +182,7 @@ def bound_profile(alpha: Alpha, p):
     folds the two sign cases of 3 - 8 alpha + 4 alpha^2 into one formula.
     """
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 2.0):
-        raise DomainError("p must lie in [0, 2]")
+    _require((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError, "p must lie in [0, 2], got {}")
     s2 = (1.0 - alpha.value) ** 2
     c = abs(3.0 - 8.0 * alpha.value + 4.0 * alpha.value**2)
     val = s2 * (1.0 - p_arr**4 / 16.0 + p_arr**4 * c / 48.0)

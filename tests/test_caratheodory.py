@@ -5,6 +5,7 @@ import pytest
 
 from h2star import (
     DegenerateP1,
+    DomainError,
     HerglotzAtoms,
     InadmissibleMoments,
     InvalidAtoms,
@@ -143,6 +144,25 @@ class TestLemmaForward:
         with pytest.raises(InvalidLemmaPoint):
             LemmaPoint(1.0, 0.0, -1.0 - 1e-6)
 
+    @pytest.mark.parametrize(
+        "p, y, zeta",
+        [
+            (math.nan, 0.0, 0.0),
+            (math.inf, 0.0, 0.0),
+            (1.0, complex(0.0, math.nan), 0.0),
+            (1.0, 0.0, math.nan),
+            (1.0, 0.0, complex(math.nan, math.inf)),
+        ],
+    )
+    def test_rejects_non_finite(self, p, y, zeta):
+        with pytest.raises(InvalidLemmaPoint):
+            LemmaPoint(p, y, zeta)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_moment_triple_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            MomentTriple(1.0, bad, 0.0)
+
 
 class TestLemmaInverse:
     def test_sharpness_triple_boundary_y(self):
@@ -213,6 +233,11 @@ class TestToeplitzPsd:
         min_eig, admissible = toeplitz_psd([2.5, 0.0, 0.0])
         assert not admissible
         assert min_eig < 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            toeplitz_psd([bad, 2.0, 0.0])
 
     def test_atom_measures_always_admissible(self):
         rng = np.random.default_rng(8)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2star import cli
 
@@ -177,6 +181,21 @@ class TestComplexFlags:
             capsys, "param", "--alpha", "0.2", "--p", "1", "--y=-0.5,-0.1", "--zeta=-1,0"
         ) == (0, out, "")
 
+    @pytest.mark.parametrize("flag", [["--ze", "-1,0"], ["--z", "-1,0"], ["--zet=-1,0"]])
+    def test_abbreviated_flag(self, capsys, flag):
+        head = ["param", "--alpha", "0.2", "--p", "1", "--y", "-0.5,-0.1"]
+        code, out, err = run_cli(capsys, *head, "--zeta=-1,0")
+        assert code == 0, err
+        assert run_cli(capsys, *head, *flag) == (0, out, "")
+
+    @pytest.mark.parametrize("flag", [["--p", "-1,0"], ["--p=-1,0"], ["--p", "1"]])
+    def test_ambiguous_prefix_is_still_a_parse_error(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "functional", "--alpha", "0", "--p2", "0", "--p3", "0", *flag
+        )
+        assert (code, out) == (2, "")
+        assert "ambiguous option: --p" in err
+
     def test_missing_value_is_still_a_parse_error(self, capsys):
         code, _, err = run_cli(
             capsys, "functional", "--alpha", "0", "--p1", "1", "--p2", "0", "--p3", "--json"
@@ -248,6 +267,37 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hankel", "--coeffs", "1,nan,2,3", "--q", "2", "--n", "2"],
+            ["param", "--alpha", "0.1", "--p", "1", "--y", "0.5", "--zeta", "nan"],
+            ["functional", "--alpha", "0.1", "--p1", "1", "--p2", "inf,0", "--p3", "0"],
+            ["phi", "--alpha", "0.1", "--p", "nan", "--t", "0.5"],
+        ],
+    )
+    def test_non_finite_input_is_a_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("h2star: error: ")
+        assert "Traceback" not in err
+
+    def test_overflow_is_an_error_not_a_traceback(self, capsys):
+        code, out, err = run_cli(
+            capsys, "functional", "--alpha", "0", "--p1", "1e100", "--p2", "0", "--p3", "0"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("h2star: error: ")
+
+    def test_unwritable_out_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "sweep", "--alpha-start", "0", "--alpha-end", "0.5", "--steps", "1",
+            "--method", "phi", "--out", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("h2star: error: ")
+        assert "Traceback" not in err
+
     def test_domain_error_from_short_coeffs(self, capsys):
         code, _, _ = run_cli(capsys, "hankel", "--coeffs", "1,2", "--q", "2", "--n", "2")
         assert code == 1
@@ -275,3 +325,53 @@ class TestExitCodes:
     def test_unknown_check_name(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--only", "nonsense")
         assert code == 2
+
+
+_REALS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf"]),
+    # magnitudes whose fourth power overflows while the square does not
+    st.sampled_from(["0", "0.5", "-1", "1e100", "-1e100"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_COMPLEX = st.one_of(_REALS, st.builds(lambda re, im: f"{re},{im}", _REALS, _REALS))
+
+
+@st.composite
+def _flag(draw, name, values):
+    """``--name value`` or ``--name=value``, with a value drawn from ``values``."""
+    value = draw(values)
+    return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["param", "functional", "phi", "hankel", "coeffs"]))
+    if command == "param":
+        flags = [("--alpha", _REALS), ("--p", _REALS), ("--y", _COMPLEX), ("--zeta", _COMPLEX)]
+    elif command == "functional":
+        flags = [("--alpha", _REALS), ("--p1", _COMPLEX), ("--p2", _COMPLEX),
+                 ("--p3", _COMPLEX)]
+    elif command == "phi":
+        flags = [("--alpha", _REALS), ("--p", _REALS), ("--t", _REALS)]
+    elif command == "hankel":
+        coeffs = st.lists(_REALS, min_size=1, max_size=6).map(",".join)
+        flags = [("--coeffs", coeffs), ("--q", st.sampled_from(["1", "2", "3"])),
+                 ("--n", st.sampled_from(["1", "2"]))]
+    else:
+        pair = st.builds(lambda w, t: f"{w}:{t}", _REALS, _REALS)
+        atoms = st.lists(pair, min_size=1, max_size=3).map(",".join)
+        flags = [("--alpha", _REALS), ("--atoms", atoms), ("--order", st.just("6"))]
+    argv = [command]
+    for name, values in flags:
+        argv += draw(_flag(name, values))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_cli_exit_code_for_any_float_input(argv):
+    """NaN, infinities or any finite value in a float or complex flag never
+    escape as an exception: the exit code is always 0, 1 or 2."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv

@@ -188,6 +188,11 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(Alpha(0.1), 1.0, -0.1)
 
+    @pytest.mark.parametrize("p, t", [(np.nan, 0.5), (1.0, np.nan), ([0.5, np.inf], 0.5)])
+    def test_rejects_non_finite(self, p, t):
+        with pytest.raises(DomainError):
+            phi(Alpha(0.1), p, t)
+
     def test_t_derivative_sign_factor(self):
         # phi' in t equals s2 * (4 - p^2) * [p^2 + t (p-2)(p-6)] / 24, which is
         # nonnegative on the box; cross-check against central differences
@@ -213,6 +218,10 @@ class TestBoundProfile:
     def test_flat_for_alpha_zero(self):
         ps = np.linspace(0.0, 2.0, 101)
         np.testing.assert_allclose(bound_profile(Alpha(0.0), ps), np.ones(101), atol=1e-14)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(DomainError):
+            bound_profile(Alpha(0.1), [0.5, np.nan])
 
     def test_vanishing_discriminant_case(self):
         # 3 - 8 alpha + 4 alpha^2 = 0 at alpha = 1/2, so the profile dies at p = 2

@@ -37,6 +37,11 @@ class TestCoefficientVector:
         with pytest.raises(ValueError):
             CoefficientVector([2.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(2.0, math.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            CoefficientVector([1.0, bad, 2.0, 3.0])
+
     def test_one_indexed_access(self):
         f = CoefficientVector([1, 5, 7])
         assert f.coeff(1) == 1
