@@ -409,8 +409,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     except (ValueError, OverflowError, OSError) as exc:
-        # ValueError covers every H2StarError; Python's complex power raises
-        # OverflowError (functional --p1 1e100); OSError is an unwritable --out.
+        # ValueError covers every H2StarError; abs() of a finite complex whose
+        # modulus exceeds the float range raises OverflowError (hankel --coeffs
+        # 1,1.5e308+1.5e308j --q 1 --n 2); OSError is an unwritable --out.
         print(f"h2star: error: {exc}", file=sys.stderr)
         return 1
 

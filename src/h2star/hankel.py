@@ -22,6 +22,7 @@ whose maximum over p in [0, 2] is the sharp bound (1 - alpha)^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,7 @@ def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
     For q = 2, n = 2 this is a2 a4 - a3^2.  Small orders expand directly;
     orders 4..6 use Gaussian elimination with partial pivoting and a pivot
     threshold of 1e-14 (below it the determinant is reported as 0).
+    Coefficients so large that the determinant overflows raise DomainError.
     """
     q, n = spec.q, spec.n
     if q > MAX_DET_ORDER:
@@ -66,16 +68,18 @@ def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
         raise InsufficientCoefficients(
             f"need coefficients through a_{spec.max_index}, have a_1..a_{len(f)}"
         )
-    a = f.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = _expand_det(f.coeffs[n - 1 : spec.max_index], q)
+    return _finite(det, "Hankel determinant")
 
-    def entry(i, j):
-        return a[n + i + j - 1]
 
+def _expand_det(a, q: int) -> complex:
+    """Determinant of the q x q Hankel matrix M[i][j] = a[i + j]."""
     if q == 1:
-        return complex(entry(0, 0))
+        return complex(a[0])
     if q == 2:
-        return complex(*det2(entry(0, 0), entry(1, 1), entry(0, 1), entry(1, 0)))
-    m = np.array([[entry(i, j) for j in range(q)] for i in range(q)], dtype=complex)
+        return complex(*det2(a[0], a[2], a[1], a[1]))
+    m = np.array([[a[i + j] for j in range(q)] for i in range(q)], dtype=complex)
     if q == 3:
         return complex(
             m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
@@ -83,6 +87,13 @@ def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
             + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
         )
     return _det_partial_pivot(m)
+
+
+def _finite(value: complex, what: str) -> complex:
+    """value, or DomainError when the inputs overflowed it to inf or NaN."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(f"{what} is not finite: the inputs are too large")
+    return value
 
 
 def det2(a, d, b, c):
@@ -116,8 +127,15 @@ def _det_partial_pivot(m: np.ndarray) -> complex:
 
 
 def functional_moment_form(alpha: Alpha, m: MomentTriple) -> complex:
-    """a2 a4 - a3^2 written directly in the moments (p1, p2, p3)."""
-    return complex(_moment_form_raw(alpha.value, m.p1, m.p2, m.p3))
+    """a2 a4 - a3^2 written directly in the moments (p1, p2, p3).
+
+    Moments so large that the value overflows raise DomainError.
+    """
+    try:
+        value = complex(_moment_form_raw(alpha.value, m.p1, m.p2, m.p3))
+    except OverflowError:  # from Python's complex power
+        value = complex(math.inf)
+    return _finite(value, "moment form")
 
 
 def _moment_form_raw(alpha_value, p1, p2, p3):
@@ -143,7 +161,7 @@ def _param_form_raw(alpha_value: float, p, y, zeta):
 
 def functional_param_form(alpha: Alpha, pt: LemmaPoint) -> complex:
     """a2 a4 - a3^2 evaluated through the (p, y, zeta) parameterization."""
-    return complex(_param_form_raw(alpha.value, pt.p, pt.y, pt.zeta))
+    return _finite(complex(_param_form_raw(alpha.value, pt.p, pt.y, pt.zeta)), "five-term form")
 
 
 def phi(alpha: Alpha, p, t):

@@ -19,6 +19,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for subprocesses."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 0, err
@@ -137,6 +145,7 @@ class TestSweep:
             [sys.executable, "-m", "h2star.cli", *self.GOLDEN_ARGS],
             capture_output=True,
             cwd=Path(__file__).resolve().parents[1],
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == path.read_bytes()
@@ -206,12 +215,9 @@ class TestComplexFlags:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_h2star(self, capsys):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         argv = ["bound", "--alpha", "0.25", "--json"]
         proc = subprocess.run(
-            [sys.executable, "-m", "h2star", *argv], capture_output=True, env=env
+            [sys.executable, "-m", "h2star", *argv], capture_output=True, env=src_env()
         )
         assert proc.returncode == 0, proc.stderr
         _, out, _ = run_cli(capsys, *argv)
@@ -281,6 +287,20 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("h2star: error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["functional", "--alpha", "0.1", "--p1", "1e300", "--p2", "0", "--p3", "0"],
+            ["hankel", "--coeffs", "1,1e200,1e200,1e200", "--q", "2", "--n", "2"],
+        ],
+    )
+    def test_non_finite_result_is_a_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("h2star: error: ")
+        assert "not finite" in err
 
     def test_overflow_is_an_error_not_a_traceback(self, capsys):
         code, out, err = run_cli(

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,12 @@ from h2star import (
     functional_moment_form,
     functional_param_form,
     hankel_det,
-    lemma_forward,
     normalize_rotation,
     phi,
     sharp_bound,
 )
-from h2star.caratheodory import random_disk_point, random_lemma_point
-from h2star.hankel import det2
+from h2star.caratheodory import _lemma_forward_raw, _lemma_row_blocks, random_disk_point
+from h2star.hankel import _moment_form_raw, _param_form_raw, _phi_raw, det2
 
 KOEBE = CoefficientVector([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 
@@ -73,6 +73,14 @@ class TestHankelDet:
             got = hankel_det(f, HankelSpec(q=q, n=n))
             assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
+    @pytest.mark.parametrize("q, n", [(2, 2), (3, 1)])
+    def test_overflow_is_a_domain_error(self, q, n):
+        f = CoefficientVector([1.0, 1e200, 1e200, 1e200, 1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                hankel_det(f, HankelSpec(q=q, n=n))
+
     def test_constant_coefficients_are_singular(self):
         f = CoefficientVector(np.ones(10))
         assert hankel_det(f, HankelSpec(q=2, n=2)) == 0.0
@@ -105,6 +113,12 @@ class TestMomentForm:
 
     def test_zero_triple(self):
         assert functional_moment_form(Alpha(0.3), MomentTriple(0, 0, 0)) == 0.0
+
+    @pytest.mark.parametrize("p1", [1e300, 1e100])
+    def test_overflow_is_a_domain_error(self, p1):
+        # 1e300 overflows to NaN; 1e100 makes Python's complex power raise
+        with pytest.raises(DomainError, match="not finite"):
+            functional_moment_form(Alpha(0.1), MomentTriple(p1, 0, 0))
 
     def test_matches_determinant_route(self):
         rng = np.random.default_rng(32)
@@ -149,25 +163,27 @@ class TestParamForm:
             c = 3.0 - 8.0 * a + 4.0 * a * a
             assert value == pytest.approx(-(1.0 - a) ** 2 * c / 48.0, abs=1e-16)
 
+    # The next two tests draw the rows of the scalar loop
+    # ``alpha = Alpha(rng.random()); pt = random_lemma_point(rng)`` in blocks.
+
     def test_substitution_identity(self):
-        rng = np.random.default_rng(34)
-        worst = 0.0
-        for _ in range(20_000):
-            alpha = Alpha(rng.random())
-            pt = random_lemma_point(rng)
-            diff = abs(
-                functional_param_form(alpha, pt)
-                - functional_moment_form(alpha, lemma_forward(pt))
+        rows = 0
+        for alpha, p, y, zeta in _lemma_row_blocks(np.random.default_rng(34), 20_000):
+            diff = np.abs(
+                _param_form_raw(alpha, p, y, zeta)
+                - _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta))
             )
-            worst = max(worst, diff)
-        assert worst <= 1e-12, worst
+            assert np.all(diff <= 1e-12), diff.max()
+            rows += alpha.size
+        assert rows == 20_000
 
     def test_dominated_by_majorant(self):
-        rng = np.random.default_rng(35)
-        for _ in range(20_000):
-            alpha = Alpha(rng.random())
-            pt = random_lemma_point(rng)
-            assert abs(functional_param_form(alpha, pt)) <= phi(alpha, pt.p, abs(pt.y)) + 1e-12
+        rows = 0
+        for alpha, p, y, zeta in _lemma_row_blocks(np.random.default_rng(35), 20_000):
+            excess = np.abs(_param_form_raw(alpha, p, y, zeta)) - _phi_raw(alpha, p, np.abs(y))
+            assert np.all(excess <= 1e-12), excess.max()
+            rows += alpha.size
+        assert rows == 20_000
 
 
 class TestPhi:

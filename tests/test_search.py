@@ -162,6 +162,112 @@ class TestReferenceTieBreak:
         assert outcome.argmax == {"p": ps[pi], "t": ts[ti]}
 
 
+def _maximize_param_full(alpha, grid_p, grid_ymod, grid_yarg, grid_zarg):
+    """maximize_param evaluating every grid point, one whole p slice at a time.
+
+    The reference for the bound-pruned search: it takes every slice's
+    maximum, picks the first slice tied within TIE_TOL of the global maximum
+    and reports the first C-order tied index of that slice.
+    """
+    ps = np.linspace(0.0, 2.0, grid_p)
+    ts = np.linspace(0.0, 1.0, grid_ymod)
+    e_mu = np.exp(1j * np.arange(grid_yarg) * (2.0 * math.pi / grid_yarg))
+    e_nu = np.exp(1j * np.arange(grid_zarg) * (2.0 * math.pi / grid_zarg))
+    y_grid = ts[:, None, None] * e_mu[None, :, None]
+    zeta_grid = e_nu[None, None, :]
+
+    def eval_slice(i):
+        return np.abs(hankel._param_form_raw(alpha.value, ps[i], y_grid, zeta_grid))
+
+    def first_tied(vals, vmax):
+        return tuple(int(i) for i in np.argwhere(vals >= vmax - TIE_TOL)[0])
+
+    slice_max = np.array([eval_slice(i).max() for i in range(grid_p)])
+    gmax = slice_max.max()
+    (pi,) = first_tied(slice_max, gmax)
+    ti, mi, ni = first_tied(eval_slice(pi), gmax)
+    pt = LemmaPoint(float(ps[pi]), complex(ts[ti] * e_mu[mi]), complex(e_nu[ni]))
+    return SearchOutcome(
+        value=float(abs(functional_param_form(alpha, pt))),
+        argmax={"p": pt.p, "y": pt.y, "zeta": pt.zeta},
+        method="lemma",
+        grid_spec={"grid_p": grid_p, "grid_ymod": grid_ymod, "grid_yarg": grid_yarg,
+                   "grid_zarg": grid_zarg, "seed": None},
+        evaluations=grid_p * grid_ymod * grid_yarg * grid_zarg,
+    )
+
+
+class TestBoundPruning:
+    """The bound-pruned lemma grid against the full-slice reference, byte for byte.
+
+    Alpha = 0 has massive ties; 0.45, 0.5 and 0.55 sit at and around the
+    sign change of c = 3 - 8 alpha + 4 alpha^2.
+    """
+
+    ALPHAS = [0.0, 0.45, 0.5, 0.55, 0.01, 0.123, 0.2, 0.25, 0.3, 0.333, 0.4, 0.48,
+              0.52, 0.6, 0.65, 0.7, 0.75, 0.8, 0.875, 0.9, 0.95, 0.99]
+
+    @pytest.mark.parametrize("block_points", [search._ZETA_BLOCK_POINTS, 1])
+    @pytest.mark.parametrize("grid", [(9, 5, 4, 2), (17, 9, 7, 3), (41, 21, 16, 8)])
+    def test_small_grids(self, grid, block_points, monkeypatch):
+        monkeypatch.setattr(search, "_ZETA_BLOCK_POINTS", block_points)
+        for a in self.ALPHAS:
+            want = _maximize_param_full(Alpha(a), *grid).to_json()
+            assert maximize_param(Alpha(a), *grid).to_json() == want, a
+
+    def test_default_grid_alpha_zero(self):
+        grid = (search.DEFAULT_GRID_P, search.DEFAULT_GRID_T,
+                search.DEFAULT_GRID_YARG, search.DEFAULT_GRID_ZARG)
+        want = _maximize_param_full(Alpha(0.0), *grid).to_json()
+        assert maximize_param(Alpha(0.0)).to_json() == want
+
+    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75, 0.99])
+    def test_bound_covers_every_zeta(self, a):
+        # The computed |Psi| may exceed the computed |A| + |B| only by
+        # rounding, far below the margin the search leaves.
+        ps = np.linspace(0.0, 2.0, 51)
+        ts = np.linspace(0.0, 1.0, 26)
+        y = (ts[:, None] * np.exp(2j * math.pi * np.arange(16) / 16)[None, :]).ravel()
+        e_nu = np.exp(2j * math.pi * np.arange(16) / 16)
+        worst = max(
+            float(np.max(np.abs(hankel._param_form_raw(a, p, y[:, None], e_nu[None, :]))
+                         - search._cell_bound(a, p, y)[:, None]))
+            for p in ps
+        )
+        assert worst <= search._BOUND_MARGIN / 1000
+
+    @pytest.mark.parametrize("block_points", [1, 20, search._ZETA_BLOCK_POINTS])
+    def test_tie_in_a_later_block(self, monkeypatch, block_points):
+        # Every cell's bound is 1, so every cell survives, but only the cells
+        # with |y| = 1 reach 1 on the zeta grid: with small blocks the first
+        # tied value of the p = 0 slice lies in a later block.
+        def form(alpha_value, p, y, zeta):
+            w = np.where(np.abs(y) < 1.0, np.exp(0.1j), 1.0)
+            return 0.5 + 0.5 * w * zeta * np.ones_like(p)
+
+        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        monkeypatch.setattr(search, "_ZETA_BLOCK_POINTS", block_points)
+        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
+        assert abs(want.argmax["y"]) == 1.0
+        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+
+    def test_zeta_axis_skipped_below_the_bound(self, monkeypatch):
+        form = hankel._param_form_raw
+        zeta_points = []
+
+        def counting(alpha_value, p, y, zeta):
+            out = form(alpha_value, p, y, zeta)
+            if np.ndim(zeta):
+                zeta_points.append(out.size)
+            return out
+
+        monkeypatch.setattr(hankel, "_param_form_raw", counting)
+        g = SMALL_PARAM_GRIDS
+        outcome = maximize_param(Alpha(0.25), **g)
+        assert outcome.evaluations == math.prod(g.values())
+        assert 0 < sum(zeta_points) < outcome.evaluations // 10
+
+
 class TestWorkers:
     @pytest.mark.parametrize(
         "call",
