@@ -2,35 +2,29 @@
 functions of order alpha.
 
 The toolkit realizes every step between the class definition and the sharp
-bound (1 - alpha)^2: truncated series arithmetic, Caratheodory moment models,
-the coefficient maps of the starlike class, the closed-form functionals, and
-deterministic derivative-free searches that reproduce the bound numerically.
+bound (1 - alpha)^2: Caratheodory moment models, the coefficient maps of the
+starlike class, the closed-form functionals, and deterministic derivative-free
+searches that reproduce the bound numerically.
 """
 
 from .caratheodory import (
     HerglotzAtoms,
     LemmaPoint,
     MomentTriple,
-    atoms_from_text,
-    atoms_to_text,
     lemma_forward,
     lemma_inverse,
     moments_from_atoms,
     normalize_rotation,
-    series_from_atoms,
     toeplitz_psd,
 )
 from .errors import (
     DegenerateP1,
-    DivisionByNonUnit,
     DomainError,
     H2StarError,
     InadmissibleMoments,
     InsufficientCoefficients,
     InvalidAtoms,
     InvalidLemmaPoint,
-    InvalidRadius,
-    NonUnitConstant,
     UnsupportedOrder,
 )
 from .hankel import (
@@ -51,16 +45,12 @@ from .search import (
     monotonicity_scan,
     sweep_alpha,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries, div, mul, real_power, z_derivative
 from .starlike import (
     Alpha,
     CoefficientVector,
     closed_form_a234,
     coeffs_from_moments,
     extremal_coeffs,
-    extremal_series,
-    rotate_function,
-    verify_membership,
 )
 
 __version__ = "0.1.0"

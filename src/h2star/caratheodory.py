@@ -33,7 +33,6 @@ from .errors import (
     InvalidAtoms,
     InvalidLemmaPoint,
 )
-from .series import TruncatedSeries
 
 _TWO_PI = 2.0 * math.pi
 _WEIGHT_TOL = 1e-12
@@ -93,9 +92,6 @@ class MomentTriple:
         object.__setattr__(self, "p2", p[1])
         object.__setattr__(self, "p3", p[2])
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.p3], dtype=complex)
-
 
 @dataclass(frozen=True)
 class LemmaPoint:
@@ -145,17 +141,6 @@ def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
     t = np.asarray(atoms.angles)
     n = np.arange(1, m + 1)
     return 2.0 * (w[None, :] * np.exp(1j * np.outer(n, t))).sum(axis=1)
-
-
-def series_from_atoms(atoms: HerglotzAtoms, order: int) -> TruncatedSeries:
-    """The series 1 + p_1 z + ... + p_N z^N of the atom measure."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    c = np.empty(order + 1, dtype=complex)
-    c[0] = 1.0
-    if order >= 1:
-        c[1:] = moments_from_atoms(atoms, order)
-    return TruncatedSeries(c)
 
 
 def lemma_forward(pt: LemmaPoint) -> MomentTriple:
@@ -249,18 +234,6 @@ def atom_pairs_from_text(text: str) -> tuple:
         weights.append(float(left))
         angles.append(float(right))
     return tuple(weights), tuple(angles)
-
-
-def atoms_from_text(text: str) -> HerglotzAtoms:
-    """Parse the CLI atom format: comma-separated ``weight:angle`` pairs."""
-    return HerglotzAtoms(*atom_pairs_from_text(text))
-
-
-def atoms_to_text(atoms: HerglotzAtoms) -> str:
-    return ",".join(
-        f"{format(w, '.17g')}:{format(t, '.17g')}"
-        for w, t in zip(atoms.weights, atoms.angles)
-    )
 
 
 def random_atoms(rng: np.random.Generator, max_atoms: int = 5) -> HerglotzAtoms:

@@ -2,7 +2,7 @@
 
 Output goes to stdout as text, JSON (``--json``) or CSV (``sweep``); files are
 written only via ``--out``.  Exit codes: 0 success, 1 domain error from the
-library, overflow or file error, 2 flag or parse error.
+library, overflow, allocation or file error, 2 flag or parse error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .hankel import (
     sharp_bound,
 )
 from .search import METHODS, _summarize_argmax, run_method, sweep_alpha
-from .series import DEFAULT_ORDER
 from .starlike import Alpha, CoefficientVector, coeffs_from_moments, extremal_coeffs
 
 _METHOD_FLAGS = {
@@ -311,7 +310,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--atoms", type=atom_pairs_from_text, required=True,
                    help="comma-separated weight:angle pairs, angles in radians")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=int, default=16)
     _add_json_flag(p)
     p.set_defaults(handler=_cmd_coeffs)
 
@@ -408,10 +407,12 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except (ValueError, OverflowError, OSError) as exc:
-        # ValueError covers every H2StarError; abs() of a finite complex whose
-        # modulus exceeds the float range raises OverflowError (hankel --coeffs
-        # 1,1.5e308+1.5e308j --q 1 --n 2); OSError is an unwritable --out.
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+        # ValueError covers every H2StarError.  OverflowError is what Python's
+        # float arithmetic raises past the float range; the library turns the
+        # overflows it knows of into DomainError, and this keeps any other one
+        # from printing a traceback.  MemoryError is a size flag numpy cannot
+        # allocate (coeffs --order 10**15).  OSError is an unwritable --out.
         print(f"h2star: error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,14 +13,6 @@ class DomainError(H2StarError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class DivisionByNonUnit(H2StarError):
-    """Series division by a series whose constant term is numerically zero."""
-
-
-class NonUnitConstant(H2StarError):
-    """Series power of a series whose constant term is not exactly 1."""
-
-
 class InvalidAtoms(H2StarError):
     """Atom weights or angles violate the convex-combination invariants."""
 
@@ -43,7 +35,3 @@ class InsufficientCoefficients(H2StarError):
 
 class UnsupportedOrder(H2StarError):
     """Hankel determinant order above the supported maximum."""
-
-
-class InvalidRadius(DomainError):
-    """Sampling radius outside the open interval (0, 1)."""

@@ -59,7 +59,8 @@ def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
     For q = 2, n = 2 this is a2 a4 - a3^2.  Small orders expand directly;
     orders 4..6 use Gaussian elimination with partial pivoting and a pivot
     threshold of 1e-14 (below it the determinant is reported as 0).
-    Coefficients so large that the determinant overflows raise DomainError.
+    Coefficients so large that the determinant or its modulus overflows raise
+    DomainError.
     """
     q, n = spec.q, spec.n
     if q > MAX_DET_ORDER:
@@ -90,9 +91,13 @@ def _expand_det(a, q: int) -> complex:
 
 
 def _finite(value: complex, what: str) -> complex:
-    """value, or DomainError when the inputs overflowed it to inf or NaN."""
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DomainError(f"{what} is not finite: the inputs are too large")
+    """value, or DomainError when the inputs overflowed it or its modulus to inf or NaN.
+
+    math.hypot is the modulus abs() takes, but returns inf where abs() raises
+    OverflowError, so a finite value with an unrepresentable modulus fails here.
+    """
+    if not math.isfinite(math.hypot(value.real, value.imag)):
+        raise DomainError(f"{what} or its modulus is not finite: the inputs are too large")
     return value
 
 
@@ -129,7 +134,7 @@ def _det_partial_pivot(m: np.ndarray) -> complex:
 def functional_moment_form(alpha: Alpha, m: MomentTriple) -> complex:
     """a2 a4 - a3^2 written directly in the moments (p1, p2, p3).
 
-    Moments so large that the value overflows raise DomainError.
+    Moments so large that the value or its modulus overflows raise DomainError.
     """
     try:
         value = complex(_moment_form_raw(alpha.value, m.p1, m.p2, m.p3))

@@ -3,8 +3,8 @@
 Such f satisfy z f'(z) = [alpha + (1 - alpha) p(z)] f(z) for some p in the
 Caratheodory class, which pins every Taylor coefficient of f to the moments
 of p.  This module maps moment data to coefficient vectors, provides the
-closed forms for a2, a3, a4, the extremal odd function z (1 - z^2)^(alpha - 1),
-and rotation and membership utilities.
+closed forms for a2, a3, a4 and the coefficients of the extremal odd function
+z (1 - z^2)^(alpha - 1).
 """
 
 from __future__ import annotations
@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caratheodory import HerglotzAtoms, MomentTriple
-from .errors import DomainError, InvalidRadius
-from .series import TruncatedSeries, real_power
-from . import series as _series
-
-DEFAULT_MEMBERSHIP_RADIUS = 0.99
-DEFAULT_MEMBERSHIP_SAMPLES = 720
+from .caratheodory import MomentTriple
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -131,44 +126,3 @@ def extremal_coeffs(alpha: Alpha, order: int) -> CoefficientVector:
         a[2 * k] = coef
         k += 1
     return CoefficientVector(a)
-
-
-def extremal_series(alpha: Alpha, order: int = _series.DEFAULT_ORDER) -> TruncatedSeries:
-    """The series route to the same function: z * (1 - z^2)^(alpha - 1)."""
-    u = np.zeros(order + 1, dtype=complex)
-    u[0] = 1.0
-    if order >= 2:
-        u[2] = -1.0
-    v = real_power(TruncatedSeries(u), -(1.0 - alpha.value))
-    return TruncatedSeries(np.concatenate(([0.0], v.coeffs[:order])))
-
-
-def rotate_function(f: CoefficientVector, theta: float) -> CoefficientVector:
-    """The rotation e^{-i theta} f(e^{i theta} z): a_n -> e^{i (n-1) theta} a_n."""
-    return CoefficientVector(f.coeffs * np.exp(1j * theta * np.arange(len(f))))
-
-
-def verify_membership(
-    atoms: HerglotzAtoms,
-    alpha: Alpha,
-    radius: float = DEFAULT_MEMBERSHIP_RADIUS,
-    samples: int = DEFAULT_MEMBERSHIP_SAMPLES,
-) -> tuple:
-    """Diagnostic margin of the defining inequality on the circle |z| = radius.
-
-    Evaluates p exactly from its atoms at equispaced sample points and returns
-    (min Re[alpha + (1 - alpha) p(z)] - alpha, margin > 0), which simplifies to
-    (1 - alpha) * min Re p(z).  Sampling a circle is a diagnostic, not a proof;
-    harmonicity makes the circle minimum the binding one at fixed radius.
-    """
-    if not 0.0 < radius < 1.0:
-        raise InvalidRadius(f"radius must lie in (0, 1), got {radius}")
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
-    z = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
-    eta = np.exp(1j * np.asarray(atoms.angles))
-    w = np.asarray(atoms.weights)
-    ez = np.outer(z, eta)
-    p_vals = ((1.0 + ez) / (1.0 - ez)) @ w
-    margin = (1.0 - alpha.value) * float(np.min(p_vals.real))
-    return margin, margin > 0.0

@@ -12,13 +12,10 @@ from h2star import (
     InvalidLemmaPoint,
     LemmaPoint,
     MomentTriple,
-    atoms_from_text,
-    atoms_to_text,
     lemma_forward,
     lemma_inverse,
     moments_from_atoms,
     normalize_rotation,
-    series_from_atoms,
     toeplitz_psd,
 )
 from h2star.caratheodory import random_atoms, random_disk_point, random_lemma_point
@@ -60,16 +57,6 @@ class TestAtoms:
         atoms = HerglotzAtoms((0.5, 0.5), (math.pi / 3, -math.pi / 3))
         assert atoms.angles[1] == pytest.approx(2 * math.pi - math.pi / 3)
 
-    def test_text_round_trip(self):
-        atoms = HerglotzAtoms((0.25, 0.75), (0.5, 3.141592653589793))
-        again = atoms_from_text(atoms_to_text(atoms))
-        assert again.weights == atoms.weights
-        assert again.angles == atoms.angles
-
-    def test_text_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            atoms_from_text("0.5;0")
-
 
 class TestMoments:
     def test_single_atom_at_zero(self):
@@ -87,6 +74,10 @@ class TestMoments:
             moments_from_atoms(atoms, 3), [2.0j, -2.0, -2.0j], atol=1e-14
         )
 
+    def test_alternating(self):
+        atoms = HerglotzAtoms((1.0,), (math.pi,))
+        np.testing.assert_allclose(moments_from_atoms(atoms, 2), [-2.0, 2.0], atol=1e-14)
+
     def test_moment_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
@@ -96,27 +87,6 @@ class TestMoments:
     def test_rejects_zero_m(self):
         with pytest.raises(ValueError):
             moments_from_atoms(HALF_HALF_0_PI, 0)
-
-
-class TestSeriesFromAtoms:
-    def test_even_kernel(self):
-        s = series_from_atoms(HALF_HALF_0_PI, 4)
-        np.testing.assert_allclose(s.coeffs, [1, 0, 2, 0, 2], atol=1e-15)
-
-    def test_single_atom(self):
-        s = series_from_atoms(HerglotzAtoms((1.0,), (0.0,)), 3)
-        np.testing.assert_allclose(s.coeffs, [1, 2, 2, 2], atol=0)
-
-    def test_alternating(self):
-        s = series_from_atoms(HerglotzAtoms((1.0,), (math.pi,)), 2)
-        np.testing.assert_allclose(s.coeffs, [1, -2, 2], atol=1e-14)
-
-    def test_matches_moments(self):
-        rng = np.random.default_rng(6)
-        atoms = random_atoms(rng)
-        s = series_from_atoms(atoms, 5)
-        np.testing.assert_allclose(s.coeffs[1:], moments_from_atoms(atoms, 5), atol=1e-14)
-        assert s.coeffs[0] == 1.0
 
 
 class TestLemmaForward:

@@ -67,6 +67,11 @@ class TestSubcommands:
         )
         assert doc["coefficients"] == [[float(n), 0.0] for n in range(1, 6)]
 
+    def test_coeffs_default_order(self, capsys):
+        doc = run_json(capsys, "coeffs", "--alpha", "0", "--atoms", "1:0")
+        assert doc["order"] == 16
+        assert len(doc["coefficients"]) == 16
+
     def test_functional_moment_form(self, capsys):
         doc = run_json(
             capsys,
@@ -224,6 +229,16 @@ class TestModuleEntryPoint:
         assert proc.stdout.decode() == out
 
 
+def test_reproduce_bound_table_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_bound_table.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--steps", "1", "--methods", "phi"],
+        capture_output=True, env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert b"worst gap" in proc.stdout
+
+
 class TestExitCodes:
     def test_unknown_flag_is_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--alpha", "0.5", "--bogus", "1")
@@ -294,6 +309,8 @@ class TestExitCodes:
         [
             ["functional", "--alpha", "0.1", "--p1", "1e300", "--p2", "0", "--p3", "0"],
             ["hankel", "--coeffs", "1,1e200,1e200,1e200", "--q", "2", "--n", "2"],
+            # finite, but its modulus is past the float range
+            ["hankel", "--coeffs", "1,1.5e308+1.5e308j", "--q", "1", "--n", "2"],
         ],
     )
     def test_non_finite_result_is_a_domain_error(self, capsys, argv):
@@ -301,6 +318,7 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("h2star: error: ")
         assert "not finite" in err
+        assert "moment form" in err or "Hankel determinant" in err
 
     def test_overflow_is_an_error_not_a_traceback(self, capsys):
         code, out, err = run_cli(
@@ -308,6 +326,23 @@ class TestExitCodes:
         )
         assert (code, out) == (1, "")
         assert err.startswith("h2star: error: ")
+
+    # 10**15 entries need more than a 47-bit address space, so the allocation
+    # fails at once, whatever the overcommit policy, and touches no memory.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--alpha", "0", "--atoms", "1:0", "--order", "1000000000000000"],
+            ["extremal", "--alpha", "0", "--order", "1000000000000000"],
+            ["sweep", "--alpha-start", "0", "--alpha-end", "0.5", "--method", "phi",
+             "--steps", "1000000000000000"],
+        ],
+    )
+    def test_unallocatable_size_is_an_error_not_a_traceback(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("h2star: error: ")
+        assert err.count("\n") == 1
 
     def test_unwritable_out_is_an_error_not_a_traceback(self, capsys, tmp_path):
         code, out, err = run_cli(

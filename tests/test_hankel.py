@@ -81,6 +81,12 @@ class TestHankelDet:
             with pytest.raises(DomainError, match="not finite"):
                 hankel_det(f, HankelSpec(q=q, n=n))
 
+    def test_overflowing_modulus_is_a_domain_error(self):
+        # both parts are finite, but abs() of the value would raise OverflowError
+        f = CoefficientVector([1.0, complex(1.5e308, 1.5e308)])
+        with pytest.raises(DomainError, match="Hankel determinant or its modulus is not finite"):
+            hankel_det(f, HankelSpec(q=1, n=2))
+
     def test_constant_coefficients_are_singular(self):
         f = CoefficientVector(np.ones(10))
         assert hankel_det(f, HankelSpec(q=2, n=2)) == 0.0
@@ -127,7 +133,7 @@ class TestMomentForm:
             alpha = Alpha(rng.random())
             m = MomentTriple(*(random_disk_point(rng, 2.0) for _ in range(3)))
             a2, a3, a4 = closed_form_a234(alpha, m)
-            f = coeffs_from_moments(alpha, m.as_array())
+            f = coeffs_from_moments(alpha, [m.p1, m.p2, m.p3])
             det = hankel_det(f, HankelSpec(q=2, n=2))
             assert det == pytest.approx(a2 * a4 - a3 * a3, abs=1e-14)
             diff = abs(functional_moment_form(alpha, m) - det)

@@ -8,15 +8,10 @@ from h2star import (
     Alpha,
     CoefficientVector,
     DomainError,
-    HerglotzAtoms,
-    InvalidRadius,
     MomentTriple,
     closed_form_a234,
     coeffs_from_moments,
     extremal_coeffs,
-    extremal_series,
-    rotate_function,
-    verify_membership,
 )
 from h2star.caratheodory import random_disk_point
 from h2star.starlike import coeff_rows
@@ -151,13 +146,14 @@ class TestExtremal:
         with pytest.raises(DomainError):
             extremal_coeffs(Alpha(0.1), 3)
 
-    def test_matches_series_route(self):
+    def test_matches_gamma_closed_form(self):
+        # a_{2k+1} = Gamma(k + 1 - alpha) / (Gamma(1 - alpha) k!); even a_n vanish
         for a in np.linspace(0.0, 0.95, 20):
+            expected = np.zeros(16)
+            for k in range(8):
+                expected[2 * k] = math.gamma(k + 1 - a) / (math.gamma(1 - a) * math.factorial(k))
             direct = extremal_coeffs(Alpha(float(a)), 16)
-            via_series = extremal_series(Alpha(float(a)), 16)
-            np.testing.assert_allclose(
-                direct.coeffs, via_series.coeffs[1:], rtol=0.0, atol=1e-12
-            )
+            np.testing.assert_allclose(direct.coeffs, expected, rtol=0.0, atol=1e-12)
 
     def test_matches_moment_route(self):
         # p_n = 1 + (-1)^n is the even two-atom measure
@@ -166,26 +162,6 @@ class TestExtremal:
             via_moments = coeffs_from_moments(Alpha(a), moments)
             direct = extremal_coeffs(Alpha(a), 16)
             np.testing.assert_allclose(direct.coeffs, via_moments.coeffs, atol=1e-12)
-
-
-class TestRotation:
-    def test_zero_angle(self):
-        f = CoefficientVector([1, 2, 3, 4])
-        np.testing.assert_allclose(rotate_function(f, 0.0).coeffs, f.coeffs, atol=0)
-
-    def test_half_turn_koebe(self):
-        f = CoefficientVector([1, 2, 3, 4])
-        np.testing.assert_allclose(
-            rotate_function(f, math.pi).coeffs, [1, -2, 3, -4], atol=1e-14
-        )
-
-    def test_full_turn(self):
-        f = CoefficientVector([1, 2, 3, 4])
-        np.testing.assert_allclose(rotate_function(f, 2 * math.pi).coeffs, f.coeffs, atol=1e-14)
-
-    def test_leading_coefficient_stays_exactly_one(self):
-        f = rotate_function(CoefficientVector([1, 1j, -2]), 0.7)
-        assert f.coeff(1) == 1.0
 
 
 def test_rotation_commutes_with_moment_normalization():
@@ -200,26 +176,7 @@ def test_rotation_commutes_with_moment_normalization():
         q, theta = normalize_rotation(p)
         f = coeffs_from_moments(alpha, p)
         g = coeffs_from_moments(alpha, q)
-        np.testing.assert_allclose(rotate_function(f, theta).coeffs, g.coeffs, atol=1e-12)
+        rotated = f.coeffs * np.exp(1j * theta * np.arange(len(f)))  # a_n e^{i (n-1) theta}
+        np.testing.assert_allclose(rotated, g.coeffs, atol=1e-12)
         spec = HankelSpec(q=2, n=2)
         assert abs(hankel_det(g, spec)) == pytest.approx(abs(hankel_det(f, spec)), abs=1e-12)
-
-
-class TestMembership:
-    def test_single_atom_margin(self):
-        alpha = Alpha(0.3)
-        margin, ok = verify_membership(HerglotzAtoms((1.0,), (0.0,)), alpha, radius=0.9)
-        assert ok
-        expected = (1.0 - 0.3) * (1.0 - 0.9) / (1.0 + 0.9)
-        assert margin == pytest.approx(expected, abs=1e-12)
-
-    def test_even_pair(self):
-        margin, ok = verify_membership(
-            HerglotzAtoms((0.5, 0.5), (0.0, math.pi)), Alpha(0.0), radius=0.5
-        )
-        assert ok and margin > 0.0
-
-    @pytest.mark.parametrize("bad", [1.5, 0.0, 1.0, -0.2])
-    def test_rejects_bad_radius(self, bad):
-        with pytest.raises(InvalidRadius):
-            verify_membership(HerglotzAtoms((1.0,), (0.0,)), Alpha(0.0), radius=bad)
