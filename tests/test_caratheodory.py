@@ -18,9 +18,15 @@ from h2star import (
     normalize_rotation,
     toeplitz_psd,
 )
-from h2star.caratheodory import random_atoms, random_disk_point, random_lemma_point
+from h2star.caratheodory import (
+    atom_pairs_from_text,
+    random_atoms,
+    random_disk_point,
+    random_lemma_point,
+)
 
 HALF_HALF_0_PI = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
+DISK_POINTS = (0.3, -0.4j, 0.2 + 0.25j, -0.45 + 0.1j)
 
 
 class TestAtoms:
@@ -57,6 +63,21 @@ class TestAtoms:
         atoms = HerglotzAtoms((0.5, 0.5), (math.pi / 3, -math.pi / 3))
         assert atoms.angles[1] == pytest.approx(2 * math.pi - math.pi / 3)
 
+    def test_text_round_trip(self):
+        # the CLI reads --atoms with atom_pairs_from_text; 17 digits parse back exactly
+        atoms = HerglotzAtoms((0.25, 0.75), (0.5, 3.141592653589793))
+        text = ",".join(
+            f"{format(w, '.17g')}:{format(t, '.17g')}"
+            for w, t in zip(atoms.weights, atoms.angles)
+        )
+        again = HerglotzAtoms(*atom_pairs_from_text(text))
+        assert again.weights == atoms.weights
+        assert again.angles == atoms.angles
+
+    def test_text_parse_rejects_garbage(self):
+        with pytest.raises(ValueError):
+            atom_pairs_from_text("0.5;0")
+
 
 class TestMoments:
     def test_single_atom_at_zero(self):
@@ -87,6 +108,43 @@ class TestMoments:
     def test_rejects_zero_m(self):
         with pytest.raises(ValueError):
             moments_from_atoms(HALF_HALF_0_PI, 0)
+
+
+def _series_at(atoms, z, order=80):
+    """1 + p_1 z + ... + p_order z^order, from the atom moments."""
+    p = moments_from_atoms(atoms, order)
+    return 1.0 + np.sum(p * z ** np.arange(1, order + 1))
+
+
+class TestSeriesFromAtoms:
+    # the moment series sums to the Herglotz kernel: sum_k w_k (1 + e^{i t_k} z) / (1 - e^{i t_k} z)
+    def test_even_kernel(self):
+        for z in DISK_POINTS:
+            assert _series_at(HALF_HALF_0_PI, z) == pytest.approx(
+                (1 + z * z) / (1 - z * z), abs=1e-14
+            )
+
+    def test_single_atom(self):
+        for z in DISK_POINTS:
+            assert _series_at(HerglotzAtoms((1.0,), (0.0,)), z) == pytest.approx(
+                (1 + z) / (1 - z), abs=1e-14
+            )
+
+    def test_alternating(self):
+        for z in DISK_POINTS:
+            assert _series_at(HerglotzAtoms((1.0,), (math.pi,)), z) == pytest.approx(
+                (1 - z) / (1 + z), abs=1e-14
+            )
+
+    def test_matches_moments(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            atoms = random_atoms(rng)
+            e = np.exp(1j * np.asarray(atoms.angles))
+            w = np.asarray(atoms.weights)
+            for z in DISK_POINTS:
+                kernel = np.sum(w * (1 + e * z) / (1 - e * z))
+                assert _series_at(atoms, z) == pytest.approx(kernel, abs=1e-13)
 
 
 class TestLemmaForward:

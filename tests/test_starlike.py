@@ -146,7 +146,8 @@ class TestExtremal:
         with pytest.raises(DomainError):
             extremal_coeffs(Alpha(0.1), 3)
 
-    def test_matches_gamma_closed_form(self):
+    def test_matches_series_route(self):
+        # binomial series of z (1 - z^2)^(alpha - 1):
         # a_{2k+1} = Gamma(k + 1 - alpha) / (Gamma(1 - alpha) k!); even a_n vanish
         for a in np.linspace(0.0, 0.95, 20):
             expected = np.zeros(16)
