@@ -42,6 +42,12 @@ _METHOD_FLAGS = {
 }
 _ALL_METHOD_FLAGS = sorted({f for flags in _METHOD_FLAGS.values() for f in flags})
 _COMPLEX_FLAGS = ("--p1", "--p2", "--p3", "--y", "--zeta")
+# Flags that set an array length, by argparse dest.
+_SIZE_FLAGS = ("order", "steps", "restarts", "grid_p", "grid_t", "grid_ymod", "grid_yarg",
+               "grid_zarg")
+# No 64-bit address space spans more than 2^57 bytes (x86-64 maps 2^57 with
+# five-level paging), so no array holds more entries than this.
+_MAX_ENTRIES = 1 << 57
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,6 +304,21 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _largest_size_flag(args):
+    """(value, flag) of the size flag with the largest value, or None.
+
+    An allocation that fails is reported against this flag.  Each size flag
+    sets the length of an array of its own, so one oversized flag is always
+    the one named.
+    """
+    given = [(getattr(args, dest), dest) for dest in _SIZE_FLAGS
+             if getattr(args, dest, None) is not None]
+    if not given:
+        return None
+    value, dest = max(given)
+    return value, "--" + dest.replace("_", "-")
+
+
 def _add_json_flag(sub):
     sub.add_argument("--json", action="store_true", help="emit a JSON document")
 
@@ -403,16 +424,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(_glue_complex_values(parser, argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    size = _largest_size_flag(args)
     try:
+        if size is not None and size[0] > _MAX_ENTRIES:
+            raise MemoryError("no array can hold that many entries")
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+    except MemoryError as exc:
+        # A size flag numpy cannot allocate (coeffs --order 10**15).
+        flag = f"{size[1]} {size[0]} is too large: " if size is not None else ""
+        print(f"h2star: error: {flag}{exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OverflowError, OSError) as exc:
         # ValueError covers every H2StarError.  OverflowError is what Python's
         # float arithmetic raises past the float range; the library turns the
         # overflows it knows of into DomainError, and this keeps any other one
-        # from printing a traceback.  MemoryError is a size flag numpy cannot
-        # allocate (coeffs --order 10**15).  OSError is an unwritable --out.
+        # from printing a traceback.  OSError is an unwritable --out.
         print(f"h2star: error: {exc}", file=sys.stderr)
         return 1
 

@@ -74,19 +74,22 @@ def coeffs_from_moments(alpha: Alpha, moments) -> CoefficientVector:
     return CoefficientVector(coeff_rows(alpha, p[None, :])[0])
 
 
-def coeff_rows(alpha: Alpha, moments) -> np.ndarray:
+def coeff_rows(alpha, moments) -> np.ndarray:
     """The recurrence of coeffs_from_moments on each row of an (R, N-1) moment array.
 
-    Returns the (R, N) array of rows a_1..a_N.  Every row is bit-equal to
-    what np.dot gives one row at a time: each sum is a stacked product of
-    contiguous rows, which numpy hands to the same BLAS dot, and the one-term
-    sum for a_2 is a plain complex product, as np.dot forms it.
+    ``alpha`` is one Alpha for every row, or an (R,) array holding the value
+    of each row's Alpha.  Returns the (R, N) array of rows a_1..a_N.  Every
+    row is bit-equal to what np.dot gives one row at a time: each sum is a
+    stacked product of contiguous rows, which numpy hands to the same BLAS
+    dot, and the one-term sum for a_2 is a plain complex product, as np.dot
+    forms it.  A row's factor s = 1 - alpha is the same IEEE operation
+    whether alpha comes as an Alpha or as an array entry.
     """
     p = np.ascontiguousarray(moments, dtype=complex)
     rows, m = p.shape
     a = np.zeros((rows, m + 1), dtype=complex)
     a[:, 0] = 1.0
-    s = 1.0 - alpha.value
+    s = 1.0 - (alpha.value if isinstance(alpha, Alpha) else np.asarray(alpha, dtype=float))
     for n in range(2, m + 2):
         if n == 2:
             total = a[:, 0] * p[:, 0]

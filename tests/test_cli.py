@@ -231,12 +231,14 @@ class TestModuleEntryPoint:
 
 def test_reproduce_bound_table_script():
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_bound_table.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--steps", "1", "--methods", "phi"],
-        capture_output=True, env=src_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert b"worst gap" in proc.stdout
+    for method in ("phi", "herglotz"):
+        proc = subprocess.run(
+            [sys.executable, str(script), "--steps", "1", "--methods", method],
+            capture_output=True, env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert b"worst gap" in proc.stdout
+        assert f"method = {method}".encode() in proc.stdout
 
 
 class TestExitCodes:
@@ -342,6 +344,36 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("h2star: error: ")
+        assert err.count("\n") == 1
+
+    # 10**15 fails to allocate; 10**20 is more entries than any array holds.
+    @pytest.mark.parametrize("value", ["1000000000000000", "100000000000000000000"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["coeffs", "--alpha", "0", "--atoms", "1:0"], "--order"),
+            (["extremal", "--alpha", "0"], "--order"),
+            (["sweep", "--alpha-start", "0", "--alpha-end", "0.5", "--method", "phi"],
+             "--steps"),
+            (["sweep", "--alpha-start", "0", "--alpha-end", "0.5", "--method", "herglotz"],
+             "--steps"),
+            (["search", "--alpha", "0.1", "--method", "phi"], "--grid-p"),
+            (["search", "--alpha", "0.1", "--method", "phi"], "--grid-t"),
+            (["search", "--alpha", "0.1", "--method", "lemma"], "--grid-p"),
+            (["search", "--alpha", "0.1", "--method", "lemma"], "--grid-ymod"),
+            (["search", "--alpha", "0.1", "--method", "lemma"], "--grid-yarg"),
+            (["search", "--alpha", "0.1", "--method", "lemma"], "--grid-zarg"),
+            (["search", "--alpha", "0.1", "--method", "herglotz"], "--restarts"),
+            (["sweep", "--alpha-start", "0", "--alpha-end", "0.5", "--steps", "9",
+              "--method", "herglotz"], "--restarts"),
+            (["sweep", "--alpha-start", "0", "--alpha-end", "0.5", "--steps", "9",
+              "--method", "lemma"], "--grid-zarg"),
+        ],
+    )
+    def test_oversized_size_flag_is_named(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"h2star: error: {flag} {value} is too large: ")
         assert err.count("\n") == 1
 
     def test_unwritable_out_is_an_error_not_a_traceback(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from h2star import (
     sharp_bound,
     sweep_alpha,
 )
-from h2star import hankel, search
-from h2star.search import TIE_TOL, SearchOutcome, run_method
+from h2star import cli, hankel, search
+from h2star.search import TIE_TOL, SearchOutcome, SweepRow, run_method
 
 EXTREMAL_ATOMS = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
 
@@ -444,6 +445,24 @@ class TestHerglotzRowKernel:
         assert singles.tobytes() == via_api.tobytes()
 
 
+class TestHerglotzRowKernelPerRowAlpha:
+    """_h2_rows with one alpha per row, bit-equal to one call per alpha."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_mixed_alphas(self, k):
+        rng = np.random.default_rng(50 + k)
+        values = np.concatenate([[0.0, 0.5, 0.9999], rng.uniform(0.0, 1.0, size=297)])
+        rng.shuffle(values)
+        w = rng.dirichlet(np.ones(k), size=values.size)
+        t = rng.uniform(0.0, 2.0 * math.pi, size=(values.size, k))
+        batch = search._h2_rows(values, w, t)
+        for r in range(values.size):
+            alpha = Alpha(float(values[r]))
+            one = search._h2_rows(alpha, w[r : r + 1], t[r : r + 1])
+            assert batch[r : r + 1].tobytes() == one.tobytes()
+            assert batch[r] == _scalar_h2(alpha, w[r], t[r])
+
+
 class TestLockStepRestarts:
     """Restarts in lock-step give the record of restarts run one after another.
 
@@ -479,6 +498,134 @@ class TestLockStepRestarts:
         for a in (0.3, 0.7):
             want = _herglotz_one_at_a_time(Alpha(a), **kwargs).to_json()
             assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
+
+
+def _sweep_one_alpha_at_a_time(alpha_start, alpha_end, steps, seed=0, **kwargs):
+    """sweep_alpha's herglotz rows from one maximize_herglotz call per alpha."""
+    rows = []
+    for a in np.linspace(alpha_start, alpha_end, steps + 1):
+        alpha = Alpha(float(a))
+        outcome = maximize_herglotz(alpha, seed=seed, **kwargs)
+        bound = sharp_bound(alpha)
+        rows.append(SweepRow(float(a), float(outcome.value), float(bound),
+                             abs(float(outcome.value) - float(bound)),
+                             search._summarize_argmax(outcome)))
+    return rows
+
+
+def _row_bits(rows):
+    return [(r.alpha.hex(), r.searched_max.hex(), r.sharp_bound.hex(), r.abs_gap.hex(),
+             r.argmax_summary) for r in rows]
+
+
+class TestHerglotzSweepBatch:
+    """A herglotz sweep refines all its alphas together, and each row is what
+    maximize_herglotz gives at that alpha alone."""
+
+    # (atom_count, local_steps, restarts, steps, seed): every value of each
+    # axis appears at least once; the CLI test below runs the defaults.
+    CASES = [
+        (1, 0, 1, 1, 0),
+        (1, 60, 100, 9, 7),
+        (2, 3, 7, 9, 1),
+        (3, 60, 7, 1, 7),
+        (3, 0, 100, 9, 1),
+        (4, 3, 100, 1, 0),
+        (4, 60, 1, 1, 1),
+    ]
+
+    @staticmethod
+    def caps(restarts):
+        # Default; one alpha per batch; three alphas per batch, which splits
+        # ten alphas 3 + 3 + 3 + 1.
+        return [search._HERGLOTZ_BATCH_ROWS, 1, 3 * restarts]
+
+    @pytest.mark.parametrize("atom_count, local_steps, restarts, steps, seed", CASES)
+    def test_rows_equal_per_alpha_search(self, monkeypatch, atom_count, local_steps,
+                                         restarts, steps, seed):
+        kwargs = dict(atom_count=atom_count, local_steps=local_steps, restarts=restarts)
+        want = _row_bits(_sweep_one_alpha_at_a_time(0.0, 0.9, steps, seed=seed, **kwargs))
+        for cap in self.caps(restarts):
+            monkeypatch.setattr(search, "_HERGLOTZ_BATCH_ROWS", cap)
+            got = sweep_alpha(0.0, 0.9, steps, "herglotz", seed=seed, **kwargs)
+            assert _row_bits(got) == want, cap
+
+    @pytest.mark.parametrize(
+        "steps, seed, flags, kwargs",
+        [
+            (9, 7, [], {}),
+            (1, 0, ["--atom-count", "3", "--restarts", "7", "--local-steps", "3"],
+             dict(atom_count=3, restarts=7, local_steps=3)),
+            (9, 1, ["--atom-count", "4", "--restarts", "1", "--local-steps", "0"],
+             dict(atom_count=4, restarts=1, local_steps=0)),
+        ],
+    )
+    def test_cli_csv_equals_per_alpha_search(self, monkeypatch, capsys, steps, seed, flags,
+                                             kwargs):
+        want = cli.sweep_csv(_sweep_one_alpha_at_a_time(0.0, 0.9, steps, seed=seed, **kwargs))
+        for cap in self.caps(kwargs.get("restarts", 100)):
+            monkeypatch.setattr(search, "_HERGLOTZ_BATCH_ROWS", cap)
+            code = cli.main(["sweep", "--alpha-start", "0", "--alpha-end", "0.9",
+                             "--steps", str(steps), "--method", "herglotz",
+                             "--seed", str(seed), "--workers", "2", *flags])
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            assert out == want, cap
+
+    @pytest.mark.parametrize("restarts", [0, 5])
+    def test_outcomes_with_seed_atoms(self, monkeypatch, restarts):
+        # The full records, evaluations included, with the seed_atoms value
+        # evaluated for all alphas of a batch at once.
+        alphas = [Alpha(a) for a in (0.0, 0.3, 0.55, 0.7, 0.95)]
+        kwargs = dict(atom_count=3, restarts=restarts, local_steps=8, seed=9,
+                      seed_atoms=HerglotzAtoms((0.2, 0.3, 0.5), (1.0, 2.0, 3.0)))
+        want = [maximize_herglotz(alpha, **kwargs).to_json() for alpha in alphas]
+        for cap in self.caps(restarts) + [2]:
+            monkeypatch.setattr(search, "_HERGLOTZ_BATCH_ROWS", cap)
+            got = [o.to_json() for o in search._herglotz_outcomes(alphas, **kwargs)]
+            assert got == want, cap
+
+    def test_outcomes_equal_per_alpha_records(self, monkeypatch):
+        # With 60 sweeps the restarts stop at different sweeps, so the
+        # evaluation counts differ from alpha to alpha.
+        alphas = [Alpha(a) for a in (0.0, 0.3, 0.55, 0.9)]
+        kwargs = dict(atom_count=2, restarts=7, local_steps=60, seed=1)
+        want = [maximize_herglotz(alpha, **kwargs).to_json() for alpha in alphas]
+        for cap in self.caps(7):
+            monkeypatch.setattr(search, "_HERGLOTZ_BATCH_ROWS", cap)
+            got = [o.to_json() for o in search._herglotz_outcomes(alphas, **kwargs)]
+            assert got == want, cap
+
+    @pytest.mark.parametrize("cap", [None, 250])
+    def test_batches_stay_under_the_cap(self, monkeypatch, cap):
+        # 100 alphas x 100 restarts = 10,000 rows; no kernel call sees more
+        # than a batch of them.
+        if cap is not None:
+            monkeypatch.setattr(search, "_HERGLOTZ_BATCH_ROWS", cap)
+        limit = search._HERGLOTZ_BATCH_ROWS
+        seen = []
+        kernel = search._h2_rows
+
+        def counting(alpha, weights, angles):
+            seen.append(weights.shape[0])
+            return kernel(alpha, weights, angles)
+
+        monkeypatch.setattr(search, "_h2_rows", counting)
+        code = cli.main(["sweep", "--alpha-start", "0", "--alpha-end", "0.99",
+                         "--steps", "99", "--method", "herglotz", "--local-steps", "3",
+                         "--out", os.devnull])
+        assert code == 0
+        assert max(seen) <= limit
+        assert max(seen) > limit // 2
+        assert sum(seen) == 10_000 * 25  # one start and 24 probes per row
+
+    def test_rejects_like_maximize_herglotz(self):
+        with pytest.raises(DomainError, match="atom_count"):
+            sweep_alpha(0.0, 0.5, 2, "herglotz", atom_count=5)
+        with pytest.raises(DomainError, match="workers"):
+            sweep_alpha(0.0, 0.5, 2, "herglotz", workers=0)
+        with pytest.raises(TypeError):
+            sweep_alpha(0.0, 0.5, 2, "herglotz", grid_p=3)
 
 
 class TestSafetyAcrossMethods:

@@ -101,6 +101,37 @@ class TestCoeffRows:
             assert rows[r].tobytes() == _dot_recurrence(alpha, p[r]).tobytes()
 
 
+class TestCoeffRowsPerRowAlpha:
+    """coeff_rows with one alpha per row, bit-equal to one call per alpha."""
+
+    ALPHAS = (0.0, 0.39, 0.5, 0.9999)
+
+    @staticmethod
+    def _assert_per_alpha(values, p):
+        rows = coeff_rows(values, p)
+        for a in np.unique(values):
+            mask = values == a
+            alpha = Alpha(float(a))
+            assert rows[mask].tobytes() == coeff_rows(alpha, p[mask]).tobytes()
+            for r in np.flatnonzero(mask):
+                assert rows[r].tobytes() == _dot_recurrence(alpha, p[r]).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11])
+    def test_random_moments(self, m):
+        rng = np.random.default_rng(70 + m)
+        values = np.concatenate([self.ALPHAS, rng.uniform(0.0, 1.0, size=296)])
+        rng.shuffle(values)
+        p = rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
+        self._assert_per_alpha(values, p)
+
+    def test_signed_zeros_and_negative_parts(self):
+        parts = [0.0, -0.0, 1.5, -1.5, 2.0]
+        values = [complex(x, y) for x in parts for y in parts]
+        p = np.array(list(itertools.product(values, repeat=2)), dtype=complex)
+        alphas = np.resize(np.array(self.ALPHAS), p.shape[0])
+        self._assert_per_alpha(alphas, p)
+
+
 class TestClosedForm:
     def test_koebe_values(self):
         a2, a3, a4 = closed_form_a234(Alpha(0.0), MomentTriple(2, 2, 2))
