@@ -44,9 +44,10 @@ PSD_TOL = 1e-9
 # coefficient vanishes and zeta cannot be recovered.
 Y_BOUNDARY_TOL = 1e-9
 
-# Rows per block of _lemma_row_blocks, about 8 doubles each.  Of 256..2048,
-# 1024 ran the two 100,000-row checks fastest while their peak RSS stayed
-# within 2% of the one-point loops; 4096 already adds about 4 MiB.
+# Rows per block of _lemma_row_blocks.  The two 100,000-row checks took about
+# 0.21 s at 256 rows, 0.12 s at 1024 and 0.10 s at 2048 and 4096; their peak
+# RSS is flat up to 1024 rows and grows 0.25 MiB at 2048 and 0.9 MiB at 4096
+# (2-vCPU box).
 LEMMA_BLOCK_ROWS = 1024
 
 
@@ -136,7 +137,7 @@ def _require(ok, value, error, template):
 def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
     """Moments p_1..p_m of the atom measure: p_n = 2 sum_k w_k e^{i n t_k}."""
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise DomainError(f"need m >= 1, got {m}")
     w = np.asarray(atoms.weights)
     t = np.asarray(atoms.angles)
     n = np.arange(1, m + 1)
@@ -165,7 +166,7 @@ def lemma_inverse(m: MomentTriple):
     """
     p1 = m.p1
     if abs(p1.imag) > 1e-9 or p1.real < 0.0:
-        raise ValueError(
+        raise DomainError(
             f"p1 must be normalized real nonnegative (use normalize_rotation), got {p1}"
         )
     p = p1.real
@@ -193,12 +194,8 @@ def toeplitz_psd(moments) -> tuple:
     entry (j, k) = p_{j-k} below the diagonal, and returns
     (min eigenvalue, min eigenvalue >= -1e-9).
     """
-    p = np.atleast_1d(np.asarray(moments, dtype=complex))
+    p = _moment_array(moments)
     m = p.size
-    if m < 1:
-        raise ValueError("need at least one moment")
-    if not np.isfinite(p).all():
-        raise DomainError(f"moments must be finite, got {p.tolist()}")
     # entries c_{-m}..c_m with c_0 = 2, c_n = p_n, c_{-n} = conj(p_n)
     full = np.concatenate((np.conj(p[::-1]), [2.0 + 0.0j], p))
     idx = np.subtract.outer(np.arange(m + 1), np.arange(m + 1))
@@ -208,6 +205,17 @@ def toeplitz_psd(moments) -> tuple:
     return min_eig, min_eig >= -PSD_TOL
 
 
+def _moment_array(moments) -> np.ndarray:
+    """The moments as a 1-d complex array; DomainError if there are none or
+    one is not finite."""
+    p = np.atleast_1d(np.asarray(moments, dtype=complex))
+    if p.size < 1:
+        raise DomainError("need at least one moment")
+    if not np.isfinite(p).all():
+        raise DomainError(f"moments must be finite, got {p.tolist()}")
+    return p
+
+
 def normalize_rotation(moments) -> tuple:
     """Rotate moments so p1 becomes real and nonnegative.
 
@@ -215,9 +223,7 @@ def normalize_rotation(moments) -> tuple:
     p1 = 0.  Rotation conjugates the Toeplitz matrix by a diagonal unitary,
     so admissibility is preserved.
     """
-    p = np.atleast_1d(np.asarray(moments, dtype=complex))
-    if p.size < 1:
-        raise ValueError("need at least one moment")
+    p = _moment_array(moments)
     theta = 0.0 if p[0] == 0 else -float(np.angle(p[0]))
     n = np.arange(1, p.size + 1)
     return p * np.exp(1j * theta * n), theta
@@ -257,85 +263,36 @@ def random_lemma_point(rng: np.random.Generator) -> LemmaPoint:
     return LemmaPoint(rng.uniform(0.0, 2.0), random_disk_point(rng), random_disk_point(rng))
 
 
+def _disk_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points uniform on the closed unit disk, by rejection from the square.
+
+    Each round draws twice the shortfall, so one round nearly always suffices.
+    """
+    z = np.empty(0, dtype=complex)
+    while z.size < n:
+        x, y = rng.uniform(-1.0, 1.0, (2, 2 * (n - z.size)))
+        w = x + 1j * y
+        z = np.concatenate((z, w[np.abs(w) <= 1.0]))
+    return z[:n]
+
+
 def _lemma_row_blocks(rng: np.random.Generator, count: int, block: int = LEMMA_BLOCK_ROWS):
     """Yield arrays (alpha, p, y, zeta) of up to ``block`` rows, ``count`` rows in all.
 
-    Row for row, and bit for bit, these are the draws of the scalar loop
-
-        alpha = rng.random(); pt = random_lemma_point(rng)
-
-    run ``count`` times.  Each row of that loop takes one double for alpha,
-    one for p and two for every attempt at y and then at zeta, and
-    ``rng.uniform(low, high)`` maps a double U to ``low + (high - low) * U``.
-    So the sampler reads a buffer of doubles, marks at every offset whether
-    the pair starting there passes the disk test, finds for every offset the
-    next accepted pair of the same parity, and walks the chain of row starts.
-    The unused tail of the buffer, from the first row it could not finish,
-    starts the next buffer; a row longer than the whole buffer doubles it.
-
-    The sampler reads ahead of the rows it returns, so the generator is left
-    at a later state than the scalar loop leaves it: nothing may draw from
-    ``rng`` after it.  Every block is checked against the domains of
+    alpha is uniform on [0, 1); p, y and zeta have the distributions
+    random_lemma_point draws: p uniform on [0, 2], y and zeta uniform on the
+    closed unit disk.  Every block is checked against the domains of
     ``Alpha`` and ``LemmaPoint`` and raises their errors.
     """
     if block < 1:
         raise ValueError(f"need block >= 1, got {block}")
-    tail = np.empty(0)
-    done = 0
-    grow = 0
-    while done < count:
-        want = min(block, count - done)
-        # a row takes 2 + 4 / (pi / 4) ~ 7.1 doubles on average
-        size = 8 * want + 16 + grow
-        u = np.concatenate((tail, rng.random(max(size - tail.size, 0))))
-        rows, used = _replay_rows(u, want)
-        tail = u[used:]
-        if rows is None:
-            grow += u.size  # the first row runs past the buffer: double it
-            continue
-        grow = 0
-        alpha, p, y, zeta = rows
+    for done in range(0, count, block):
+        n = min(block, count - done)
+        alpha = rng.random(n)
+        p = rng.uniform(0.0, 2.0, n)
+        y = _disk_points(rng, n)
+        zeta = _disk_points(rng, n)
         _require((alpha >= 0.0) & (alpha < 1.0), alpha, DomainError,
                  "alpha must lie in [0, 1), got {}")
         _check_lemma_box(p, y, zeta)
-        done += alpha.size
-        yield rows
-
-
-def _replay_rows(u: np.ndarray, want: int):
-    """Up to ``want`` rows (alpha, p, y, zeta) of the scalar loop drawn from the
-    doubles ``u``, and the offset of the first double they leave unused.
-
-    The rows are None, and the offset 0, when the first row does not fit in ``u``.
-    Kept apart from _lemma_row_blocks so that its offset arrays are freed
-    before a block is handed out.
-    """
-    x = -1.0 + 2.0 * u  # rng.uniform(-1.0, 1.0)
-    n = u.size - 1
-    # at[i]: the first offset j >= i of the same parity whose pair
-    # (x[j], x[j + 1]) lies on the disk, or n when there is none.
-    at = np.full(n + 4, n)
-    hits = np.flatnonzero(np.hypot(x[:-1], x[1:]) <= 1.0)
-    at[hits] = hits
-    for parity in (0, 1):
-        at[parity:n:2] = np.minimum.accumulate(at[parity:n:2][::-1])[::-1]
-    # A row starting at s takes y from the pair at[s + 2] and zeta from the
-    # pair at[y + 2]; the next row starts after zeta.
-    at_view = memoryview(at)  # indexes to Python ints, without a list of all n
-    starts = []
-    s = 0
-    while len(starts) < want:
-        z_at = at_view[at_view[s + 2] + 2]
-        if z_at >= n:
-            break
-        starts.append(s)
-        s = z_at + 2
-    if not starts:
-        return None, 0
-    starts = np.array(starts)
-    y_at = at[starts + 2]
-    z_at = at[y_at + 2]
-    p = 2.0 * u[starts + 1]  # rng.uniform(0.0, 2.0)
-    y = x[y_at] + 1j * x[y_at + 1]
-    zeta = x[z_at] + 1j * x[z_at + 1]
-    return (u[starts], p, y, zeta), s
+        yield alpha, p, y, zeta

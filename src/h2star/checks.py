@@ -179,11 +179,8 @@ def check_algebra_reconciliation() -> CheckResult:
 
     1,000 scalar draws compare the moment form with a2 a4 - a3^2 from the
     closed forms.  Then 100,000 draws of (alpha, p, y, zeta) from the same
-    generator compare the five-term form with the moment form of the
-    substituted moments.  Those are the rows of the scalar loop
-    ``alpha = rng.random(); pt = random_lemma_point(rng)``, evaluated in
-    blocks of rows from _lemma_row_blocks.  The sampler reads ahead of its
-    rows, so it must be the last to draw: the 1,000-row loop runs first.
+    generator, in blocks of rows from _lemma_row_blocks, compare the
+    five-term form with the moment form of the substituted moments.
     """
 
     def body():
@@ -216,9 +213,8 @@ def check_algebra_reconciliation() -> CheckResult:
 def check_proof_step_properties() -> CheckResult:
     """Domination |Psi| <= phi, monotonicity of phi in t, profile identity and bound.
 
-    Domination is sampled at 100,000 draws of (alpha, p, y, zeta), the rows
-    of the scalar loop ``alpha = rng.random(); pt = random_lemma_point(rng)``,
-    evaluated in blocks of rows from _lemma_row_blocks.
+    Domination is sampled at 100,000 draws of (alpha, p, y, zeta), in blocks
+    of rows from _lemma_row_blocks.
     """
 
     def body():

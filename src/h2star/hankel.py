@@ -43,10 +43,17 @@ class HankelSpec:
     n: int
 
     def __post_init__(self):
-        if int(self.q) < 1 or int(self.n) < 1:
+        for name in ("q", "n"):
+            value = getattr(self, name)
+            try:
+                whole = int(value) == value
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole:
+                raise DomainError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.q < 1 or self.n < 1:
             raise DomainError(f"need q >= 1 and n >= 1, got q={self.q}, n={self.n}")
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "n", int(self.n))
 
     @property
     def max_index(self) -> int:

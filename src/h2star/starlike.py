@@ -38,11 +38,11 @@ class CoefficientVector:
     def __init__(self, coeffs):
         a = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
         if a.ndim != 1 or a.size < 1:
-            raise ValueError("coefficients must form a non-empty 1-d sequence")
+            raise DomainError("coefficients must form a non-empty 1-d sequence")
         if not np.isfinite(a).all():
             raise DomainError(f"coefficients must be finite, got {a.tolist()}")
         if a[0] != 1:
-            raise ValueError(f"a_1 must equal 1 exactly, got {a[0]}")
+            raise DomainError(f"a_1 must equal 1 exactly, got {a[0]}")
         a.setflags(write=False)
         self._a = a
 

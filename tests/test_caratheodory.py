@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from h2star import (
+    CoefficientVector,
     DegenerateP1,
     DomainError,
+    HankelSpec,
     HerglotzAtoms,
     InadmissibleMoments,
     InvalidAtoms,
@@ -365,3 +367,28 @@ def test_random_lemma_point_stays_in_box():
         assert 0.0 <= pt.p <= 2.0
         assert abs(pt.y) <= 1.0
         assert abs(pt.zeta) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: HankelSpec(math.inf, 2),
+        lambda: HankelSpec(math.nan, 2),
+        lambda: HankelSpec(2.7, 2),
+        lambda: HankelSpec(2, 1.5),
+        lambda: normalize_rotation([math.nan]),
+        lambda: normalize_rotation([0.5, complex(0.0, math.inf)]),
+        lambda: normalize_rotation([]),
+        lambda: toeplitz_psd([]),
+        lambda: lemma_inverse(MomentTriple(1.0j, 0.0, 0.0)),
+        lambda: moments_from_atoms(HALF_HALF_0_PI, 0),
+        lambda: CoefficientVector([]),
+        lambda: CoefficientVector([2.0, 1.0]),
+    ],
+    ids=["spec-inf", "spec-nan", "spec-fraction", "spec-n-fraction", "rotate-nan",
+         "rotate-inf", "rotate-empty", "toeplitz-empty", "inverse-unrotated",
+         "moments-m0", "coeffs-empty", "coeffs-a1"],
+)
+def test_public_rejections_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

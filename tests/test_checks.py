@@ -1,9 +1,12 @@
 """The blocked 100,000-sample acceptance checks against their one-point loops.
 
-``_lemma_row_blocks`` must replay the scalar draws bit for bit, and the array
-kernels the checks evaluate must agree with the scalar functions the checks
-called one point at a time.  The scalar loops below are the reference.
+``_lemma_row_blocks`` must draw its rows from the distributions of
+``alpha = rng.random(); pt = random_lemma_point(rng)``, and the array kernels
+the checks evaluate must agree with the scalar functions the checks called
+one point at a time.  The scalar functions below are the reference.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -25,81 +28,67 @@ from h2star.hankel import (
     phi,
 )
 
-# The checks draw 100,000 rows; the first 20,000 span 20 blocks of 999 rows
-# and a partial one, which is enough to exercise the tail carry.
-ROWS = 20_000
 
-
-def _check_rng(seed):
-    """The generator of a check as it reaches its 100,000-row loop."""
-    rng = np.random.default_rng(seed)
-    if seed == 11:
-        # algebra-reconciliation first draws 1,000 alphas and moment triples
-        for _ in range(1000):
-            rng.random()
-            for _ in range(3):
-                random_disk_point(rng, 2.0)
-    return rng
-
-
-def _scalar_rows(rng, count):
-    """Rows (alpha, p, y, zeta) of the scalar loop, as a (count, 4) complex array."""
-    rows = np.empty((count, 4), dtype=complex)
-    for i in range(count):
-        alpha = rng.random()
-        pt = random_lemma_point(rng)
-        rows[i] = alpha, pt.p, pt.y, pt.zeta
-    return rows
-
-
-def _blocked_rows(rng, count, block):
+def _rows(rng, count, block=1024):
+    """The blocks of _lemma_row_blocks, checked for size, as one (count, 4) array."""
     blocks = list(_lemma_row_blocks(rng, count, block))
-    assert all(1 <= b[0].size <= block for b in blocks)
+    assert [b[0].size for b in blocks] == [min(block, count - s) for s in range(0, count, block)]
+    assert all(col.size == b[0].size for b in blocks for col in b)
     return np.column_stack([np.concatenate(col) for col in zip(*blocks)]).astype(complex)
 
 
-@pytest.fixture(scope="module", params=[12, 11], ids=["seed12", "seed11-after-moments"])
-def stream(request):
-    return request.param, _scalar_rows(_check_rng(request.param), ROWS)
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_rows_are_seeded_and_sized(block):
+    rows = _rows(np.random.default_rng(12), 2000, block)
+    assert rows.shape == (2000, 4)
+    again = _rows(np.random.default_rng(12), 2000, block)
+    assert np.array_equal(rows.view(np.uint64), again.view(np.uint64))
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-@pytest.mark.parametrize("block, count", [(1, 2000), (7, 2000), (1024, ROWS), (999, ROWS)])
-def test_blocks_replay_the_scalar_draws(stream, block, count):
-    seed, ref = stream
-    assert _same_bits(_blocked_rows(_check_rng(seed), count, block), ref[:count])
+def test_rows_follow_the_lemma_distributions():
+    # Each statistic is a mean of 100,000 independent draws; at 5 standard
+    # errors a seed fails by chance about once in 1.7 million.
+    rows = _rows(np.random.default_rng(12), 100_000)
+    alpha, p, y, zeta = rows.T
+    n = rows.shape[0]
+    assert np.all(alpha.imag == 0) and np.all(p.imag == 0)
+    # alpha uniform on [0, 1): mean 1/2, variance 1/12; p = 2 U
+    assert abs(alpha.real.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / n)
+    assert abs(p.real.mean() - 1.0) <= 5 * math.sqrt(4 / 12 / n)
+    # uniform on the disk: P(|z| <= r) = r^2, so 1/2 at r = 1/sqrt(2)
+    for z in (y, zeta):
+        share = np.mean(np.abs(z) <= 1 / math.sqrt(2))
+        assert abs(share - 0.5) <= 5 * math.sqrt(0.25 / n)
 
 
 def test_zero_rows():
     assert list(_lemma_row_blocks(np.random.default_rng(0), 0)) == []
 
 
-class _Doubles:
+class _Draws:
     """Stands in for a Generator: hands out ``head``, then 0.5s, as its doubles."""
 
     def __init__(self, head):
         self.head = list(head)
 
-    def random(self, k=None):
-        n = 1 if k is None else k
+    def random(self, size):
+        n = int(np.prod(size))
         out, self.head = (self.head + [0.5] * n)[:n], self.head[n:]
-        return out[0] if k is None else np.array(out)
+        return np.reshape(out, size)
 
-    def uniform(self, low, high):
-        return low + (high - low) * self.random()
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size)
 
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_rows_longer_than_the_buffer(block):
-    # 1.0 maps to the corner (1, 1) of the square, which the disk test
-    # rejects, so these rows need far more doubles than a block reads.
-    head = [0.25, 0.5] + [1.0] * 60 + [0.3, 0.4] + [1.0] * 200 + [0.5] * 6 + [0.9, 0.8]
-    count = 6
-    assert _same_bits(_blocked_rows(_Doubles(head), count, block),
-                      _scalar_rows(_Doubles(head), count))
+    # After the first block's alphas and ps, the first two rounds of its y
+    # sampler draw 1.0s, the corner (1, 1) of the square, outside the disk:
+    # its rows need more draws than one round reads, and the shortfall is
+    # redrawn twice before the 0.5s put every y and zeta at 0.
+    head = [0.5] * (2 * block) + [1.0] * (8 * block)
+    rows = _rows(_Draws(head), 10, block)
+    assert np.array_equal(rows[:, 2:], np.zeros((10, 2)))
 
 
 @pytest.mark.parametrize(
@@ -107,36 +96,22 @@ def test_rows_longer_than_the_buffer(block):
     [
         ([1.0], DomainError, "alpha"),
         ([float("nan")], DomainError, "alpha"),
-        ([0.5, 1.5], InvalidLemmaPoint, "p must"),
-        ([0.5, float("nan")], InvalidLemmaPoint, "p must"),
+        ([0.5] * 10 + [1.5], InvalidLemmaPoint, "p must"),
+        ([0.5] * 10 + [float("nan")], InvalidLemmaPoint, "p must"),
     ],
 )
 def test_blocks_validate_their_domain(head, error, match):
     # a double of 0.5 maps to 0 on [-1, 1], so every disk attempt succeeds
     with pytest.raises(error, match=match):
-        list(_lemma_row_blocks(_Doubles(head), 10))
-
-
-def _scalar_quantities(rng, count):
-    """Per row, what the two checks computed one point at a time."""
-    out = []
-    for _ in range(count):
-        alpha = Alpha(rng.random())
-        pt = random_lemma_point(rng)
-        m = lemma_forward(pt)
-        psi = functional_param_form(alpha, pt)
-        form = functional_moment_form(alpha, m)
-        major = phi(alpha, pt.p, abs(pt.y))
-        out.append((m.p1, m.p2, m.p3, psi, form, abs(psi - form), major, abs(psi) - major))
-    return np.array(out)
+        list(_lemma_row_blocks(_Draws(head), 10))
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_blocked_quantities_match_the_scalar_loop(seed):
-    count = 5000
-    ref = _scalar_quantities(np.random.default_rng(seed), count)
-    got = []
-    for alpha, p, y, zeta in _lemma_row_blocks(np.random.default_rng(seed), count):
+    # The scalar functions the two checks called one point at a time, fed
+    # the sampler's own rows.
+    got, ref = [], []
+    for alpha, p, y, zeta in _lemma_row_blocks(np.random.default_rng(seed), 5000):
         p1, p2, p3 = _lemma_forward_raw(p, y, zeta)
         psi = _param_form_raw(alpha, p, y, zeta)
         form = _moment_form_raw(alpha, p1, p2, p3)
@@ -144,8 +119,18 @@ def test_blocked_quantities_match_the_scalar_loop(seed):
         got.append(np.column_stack(
             (p1, p2, p3, psi, form, np.abs(psi - form), major, np.abs(psi) - major)
         ))
+        for row in zip(alpha, p, y, zeta):
+            a = Alpha(row[0])
+            pt = LemmaPoint(*row[1:])
+            m = lemma_forward(pt)
+            psi = functional_param_form(a, pt)
+            form = functional_moment_form(a, m)
+            major = phi(a, pt.p, abs(pt.y))
+            ref.append((m.p1, m.p2, m.p3, psi, form, abs(psi - form), major,
+                        abs(psi) - major))
     got = np.concatenate(got)
-    assert got.shape == ref.shape
+    ref = np.array(ref)
+    assert got.shape == ref.shape == (5000, 8)
     err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
     names = ("p1", "p2", "p3", "psi", "moment form", "difference", "phi", "slack")
     worst = dict(zip(names, err.max(axis=0)))

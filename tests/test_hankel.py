@@ -169,8 +169,8 @@ class TestParamForm:
             c = 3.0 - 8.0 * a + 4.0 * a * a
             assert value == pytest.approx(-(1.0 - a) ** 2 * c / 48.0, abs=1e-16)
 
-    # The next two tests draw the rows of the scalar loop
-    # ``alpha = Alpha(rng.random()); pt = random_lemma_point(rng)`` in blocks.
+    # The next two tests draw (alpha, p, y, zeta) in blocks from the
+    # distributions of ``alpha = Alpha(rng.random()); pt = random_lemma_point(rng)``.
 
     def test_substitution_identity(self):
         rows = 0

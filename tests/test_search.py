@@ -9,7 +9,6 @@ from h2star import (
     DomainError,
     HankelSpec,
     HerglotzAtoms,
-    InvalidAtoms,
     LemmaPoint,
     coeffs_from_moments,
     functional_param_form,
@@ -285,19 +284,34 @@ class TestWorkers:
             call(workers)
 
 
+def _h2_at_extremal(alpha):
+    """The atom search's objective at the extremal atoms (0.5, 0.5), (0, pi)."""
+    weights = np.array([EXTREMAL_ATOMS.weights])
+    angles = np.array([EXTREMAL_ATOMS.angles])
+    return search._h2_rows(alpha, weights, angles)[0]
+
+
 class TestMaximizeHerglotz:
     def test_seeded_at_extremal_evaluation_only(self):
         for a in (0.0, 0.25, 0.8):
-            outcome = maximize_herglotz(
-                Alpha(a), atom_count=2, restarts=0, seed_atoms=EXTREMAL_ATOMS
-            )
-            assert outcome.value == sharp_bound(Alpha(a))
+            assert _h2_at_extremal(Alpha(a)) == sharp_bound(Alpha(a))
 
     def test_quarter_alpha_seeded(self):
-        outcome = maximize_herglotz(
-            Alpha(0.25), atom_count=2, restarts=0, seed_atoms=EXTREMAL_ATOMS
-        )
-        assert outcome.value == pytest.approx(9.0 / 16.0, abs=1e-10)
+        assert _h2_at_extremal(Alpha(0.25)) == pytest.approx(9.0 / 16.0, abs=1e-10)
+
+    def test_first_of_tied_restarts(self, monkeypatch):
+        # Every restart ends at the same value: the first restart is reported.
+        def tied(alphas, weights, angles, sweeps):
+            rows = len(alphas)
+            return np.ones(rows), weights, angles, np.ones(rows, dtype=np.int64)
+
+        monkeypatch.setattr(search, "_refine_rows", tied)
+        outcome = maximize_herglotz(Alpha(0.3), restarts=5, seed=2)
+        rng = np.random.default_rng(2)
+        first = {"weights": list(rng.dirichlet(np.ones(2))),
+                 "angles": list(rng.uniform(0.0, 2.0 * math.pi, 2))}
+        assert outcome.argmax == first
+        assert (outcome.value, outcome.evaluations) == (1.0, 5)
 
     def test_single_atom_koebe(self):
         outcome = maximize_herglotz(Alpha(0.0), atom_count=1, restarts=5, seed=3)
@@ -326,11 +340,6 @@ class TestMaximizeHerglotz:
             maximize_herglotz(Alpha(0.1), atom_count=5)
         with pytest.raises(DomainError):
             maximize_herglotz(Alpha(0.1), restarts=0)
-
-    @pytest.mark.parametrize("weights, angles", [((math.nan,), (0.0,)), ((1.0,), (math.inf,))])
-    def test_non_finite_seed_atoms_rejected(self, weights, angles):
-        with pytest.raises(InvalidAtoms):
-            maximize_herglotz(Alpha(0.1), restarts=0, seed_atoms=HerglotzAtoms(weights, angles))
 
 
 def _scalar_h2(alpha, w, t):
@@ -385,8 +394,7 @@ def _refine_atoms(objective, weights, angles, sweeps):
     return best, w, t, evals
 
 
-def _herglotz_one_at_a_time(alpha, atom_count=2, restarts=100, local_steps=60, seed=0,
-                            seed_atoms=None):
+def _herglotz_one_at_a_time(alpha, atom_count=2, restarts=100, local_steps=60, seed=0):
     """maximize_herglotz with each restart drawn and refined before the next."""
     rng = np.random.default_rng(seed)
 
@@ -396,11 +404,6 @@ def _herglotz_one_at_a_time(alpha, atom_count=2, restarts=100, local_steps=60, s
     evaluations = 0
     best_val = -math.inf
     best_w = best_t = None
-    if seed_atoms is not None:
-        best_w = np.asarray(seed_atoms.weights, dtype=float)
-        best_t = np.asarray(seed_atoms.angles, dtype=float)
-        best_val = objective(best_w, best_t)
-        evaluations += 1
     for _ in range(restarts):
         w0 = rng.dirichlet(np.ones(atom_count))
         t0 = rng.uniform(0.0, 2.0 * math.pi, atom_count)
@@ -487,18 +490,6 @@ class TestLockStepRestarts:
         want = _herglotz_one_at_a_time(Alpha(a), **kwargs).to_json()
         assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
 
-    @pytest.mark.parametrize("restarts", [0, 5])
-    @pytest.mark.parametrize(
-        "seed_atoms",
-        [EXTREMAL_ATOMS, HerglotzAtoms((0.2, 0.3, 0.5), (1.0, 2.0, 3.0))],
-    )
-    def test_seed_atoms(self, seed_atoms, restarts):
-        kwargs = dict(atom_count=2, restarts=restarts, local_steps=8, seed=9,
-                      seed_atoms=seed_atoms)
-        for a in (0.3, 0.7):
-            want = _herglotz_one_at_a_time(Alpha(a), **kwargs).to_json()
-            assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
-
 
 def _sweep_one_alpha_at_a_time(alpha_start, alpha_end, steps, seed=0, **kwargs):
     """sweep_alpha's herglotz rows from one maximize_herglotz call per alpha."""
@@ -571,19 +562,6 @@ class TestHerglotzSweepBatch:
             out, err = capsys.readouterr()
             assert code == 0, err
             assert out == want, cap
-
-    @pytest.mark.parametrize("restarts", [0, 5])
-    def test_outcomes_with_seed_atoms(self, monkeypatch, restarts):
-        # The full records, evaluations included, with the seed_atoms value
-        # evaluated for all alphas of a batch at once.
-        alphas = [Alpha(a) for a in (0.0, 0.3, 0.55, 0.7, 0.95)]
-        kwargs = dict(atom_count=3, restarts=restarts, local_steps=8, seed=9,
-                      seed_atoms=HerglotzAtoms((0.2, 0.3, 0.5), (1.0, 2.0, 3.0)))
-        want = [maximize_herglotz(alpha, **kwargs).to_json() for alpha in alphas]
-        for cap in self.caps(restarts) + [2]:
-            monkeypatch.setattr(search, "_HERGLOTZ_BATCH_ROWS", cap)
-            got = [o.to_json() for o in search._herglotz_outcomes(alphas, **kwargs)]
-            assert got == want, cap
 
     def test_outcomes_equal_per_alpha_records(self, monkeypatch):
         # With 60 sweeps the restarts stop at different sweeps, so the
