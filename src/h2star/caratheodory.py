@@ -32,6 +32,8 @@ from .errors import (
     InadmissibleMoments,
     InvalidAtoms,
     InvalidLemmaPoint,
+    finite,
+    whole_number,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -106,7 +108,10 @@ class LemmaPoint:
         p = float(self.p)
         y = complex(self.y)
         zeta = complex(self.zeta)
-        _check_lemma_box(p, y, zeta)
+        try:
+            _check_lemma_box(p, y, zeta)
+        except OverflowError:  # abs() of a finite y or zeta past the float range
+            raise InvalidLemmaPoint(f"|y| and |zeta| must be <= 1, got {y} and {zeta}") from None
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "zeta", zeta)
@@ -135,9 +140,9 @@ def _require(ok, value, error, template):
 
 
 def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
-    """Moments p_1..p_m of the atom measure: p_n = 2 sum_k w_k e^{i n t_k}."""
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
+    """Moments p_1..p_m of the atom measure: p_n = 2 sum_k w_k e^{i n t_k}.
+    ``m`` is a whole number of at least 1, else DomainError."""
+    m = whole_number("m", m, 1)
     w = np.asarray(atoms.weights)
     t = np.asarray(atoms.angles)
     n = np.arange(1, m + 1)
@@ -173,15 +178,14 @@ def lemma_inverse(m: MomentTriple):
     if p >= 2.0 - 1e-12:
         raise DegenerateP1(f"p1 = {p} is at the boundary; moments are forced to (2, 2, 2)")
     q = 4.0 - p * p
-    y = (2.0 * m.p2 - p * p) / q
+    y = finite((2.0 * m.p2 - p * p) / q, "recovered y")
     ay = abs(y)
     if ay > 1.0 + PSD_TOL:
         raise InadmissibleMoments(f"recovered |y| = {ay} exceeds 1")
     if ay >= 1.0 - Y_BOUNDARY_TOL:
         return y, None
-    zeta = (4.0 * m.p3 - p**3 - 2.0 * q * p * y + p * q * y * y) / (
-        2.0 * q * (1.0 - ay * ay)
-    )
+    zeta = finite((4.0 * m.p3 - p**3 - 2.0 * q * p * y + p * q * y * y)
+                  / (2.0 * q * (1.0 - ay * ay)), "recovered zeta")
     if abs(zeta) > 1.0 + PSD_TOL:
         raise InadmissibleMoments(f"recovered |zeta| = {abs(zeta)} exceeds 1")
     return y, zeta
@@ -192,7 +196,8 @@ def toeplitz_psd(moments) -> tuple:
 
     Builds the (m+1) x (m+1) Hermitian Toeplitz matrix with diagonal 2 and
     entry (j, k) = p_{j-k} below the diagonal, and returns
-    (min eigenvalue, min eigenvalue >= -1e-9).
+    (min eigenvalue, min eigenvalue >= -1e-9).  Moments so large that an
+    eigenvalue overflows raise DomainError.
     """
     p = _moment_array(moments)
     m = p.size
@@ -201,7 +206,7 @@ def toeplitz_psd(moments) -> tuple:
     idx = np.subtract.outer(np.arange(m + 1), np.arange(m + 1))
     t = full[m + idx]
     eigs = np.linalg.eigvalsh(t)
-    min_eig = float(eigs[0])
+    min_eig = finite(float(eigs[0]), "least Toeplitz eigenvalue")
     return min_eig, min_eig >= -PSD_TOL
 
 
@@ -221,12 +226,17 @@ def normalize_rotation(moments) -> tuple:
 
     Returns (rotated moments q_n = e^{i n theta} p_n, theta); theta = 0 when
     p1 = 0.  Rotation conjugates the Toeplitz matrix by a diagonal unitary,
-    so admissibility is preserved.
+    so admissibility is preserved.  Moments so large that a rotated moment
+    overflows raise DomainError.
     """
     p = _moment_array(moments)
     theta = 0.0 if p[0] == 0 else -float(np.angle(p[0]))
     n = np.arange(1, p.size + 1)
-    return p * np.exp(1j * theta * n), theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        rotated = p * np.exp(1j * theta * n)
+    if not np.isfinite(rotated).all():
+        raise DomainError("rotated moments are not finite: the moments are too large")
+    return rotated, theta
 
 
 def atom_pairs_from_text(text: str) -> tuple:
@@ -284,8 +294,7 @@ def _lemma_row_blocks(rng: np.random.Generator, count: int, block: int = LEMMA_B
     closed unit disk.  Every block is checked against the domains of
     ``Alpha`` and ``LemmaPoint`` and raises their errors.
     """
-    if block < 1:
-        raise ValueError(f"need block >= 1, got {block}")
+    block = whole_number("block", block, 1)
     for done in range(0, count, block):
         n = min(block, count - done)
         alpha = rng.random(n)

@@ -21,7 +21,7 @@ from .caratheodory import (
     atom_pairs_from_text,
     moments_from_atoms,
 )
-from .errors import H2StarError
+from .errors import MAX_ENTRIES, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import (
     HankelSpec,
@@ -45,9 +45,6 @@ _COMPLEX_FLAGS = ("--p1", "--p2", "--p3", "--y", "--zeta")
 # Flags that set an array length, by argparse dest.
 _SIZE_FLAGS = ("order", "steps", "restarts", "grid_p", "grid_t", "grid_ymod", "grid_yarg",
                "grid_zarg")
-# No 64-bit address space spans more than 2^57 bytes (x86-64 maps 2^57 with
-# five-level paging), so no array holds more entries than this.
-_MAX_ENTRIES = 1 << 57
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,9 +119,7 @@ def _print_doc(doc: dict, as_json: bool, text_lines):
 
 def _cmd_coeffs(args) -> int:
     alpha = Alpha(args.alpha)
-    order = args.order
-    if order < 2:
-        raise H2StarError(f"need order >= 2, got {order}")
+    order = whole_number("order", args.order, 2)
     moments = moments_from_atoms(HerglotzAtoms(*args.atoms), order - 1)
     f = coeffs_from_moments(alpha, moments)
     doc = {
@@ -426,7 +421,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     size = _largest_size_flag(args)
     try:
-        if size is not None and size[0] > _MAX_ENTRIES:
+        if size is not None and size[0] > MAX_ENTRIES:
             raise MemoryError("no array can hold that many entries")
         return args.handler(args)
     except SystemExit as exc:

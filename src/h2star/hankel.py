@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import LemmaPoint, MomentTriple, _require
-from .errors import DomainError, InsufficientCoefficients, UnsupportedOrder
+from .errors import DomainError, InsufficientCoefficients, UnsupportedOrder, finite, whole_number
 from .starlike import Alpha, CoefficientVector
 
 MAX_DET_ORDER = 6
@@ -37,23 +37,15 @@ _PIVOT_TOL = 1e-14
 
 @dataclass(frozen=True)
 class HankelSpec:
-    """Order q and starting index n of a Hankel determinant."""
+    """Order q and starting index n of a Hankel determinant: whole numbers of
+    at least 1 (3.0 is stored as 3), or DomainError."""
 
     q: int
     n: int
 
     def __post_init__(self):
         for name in ("q", "n"):
-            value = getattr(self, name)
-            try:
-                whole = int(value) == value
-            except (TypeError, ValueError, OverflowError):
-                whole = False
-            if not whole:
-                raise DomainError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.q < 1 or self.n < 1:
-            raise DomainError(f"need q >= 1 and n >= 1, got q={self.q}, n={self.n}")
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), 1))
 
     @property
     def max_index(self) -> int:
@@ -78,7 +70,7 @@ def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         det = _expand_det(f.coeffs[n - 1 : spec.max_index], q)
-    return _finite(det, "Hankel determinant")
+    return finite(det, "Hankel determinant")
 
 
 def _expand_det(a, q: int) -> complex:
@@ -95,17 +87,6 @@ def _expand_det(a, q: int) -> complex:
             + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
         )
     return _det_partial_pivot(m)
-
-
-def _finite(value: complex, what: str) -> complex:
-    """value, or DomainError when the inputs overflowed it or its modulus to inf or NaN.
-
-    math.hypot is the modulus abs() takes, but returns inf where abs() raises
-    OverflowError, so a finite value with an unrepresentable modulus fails here.
-    """
-    if not math.isfinite(math.hypot(value.real, value.imag)):
-        raise DomainError(f"{what} or its modulus is not finite: the inputs are too large")
-    return value
 
 
 def det2(a, d, b, c):
@@ -147,7 +128,7 @@ def functional_moment_form(alpha: Alpha, m: MomentTriple) -> complex:
         value = complex(_moment_form_raw(alpha.value, m.p1, m.p2, m.p3))
     except OverflowError:  # from Python's complex power
         value = complex(math.inf)
-    return _finite(value, "moment form")
+    return finite(value, "moment form")
 
 
 def _moment_form_raw(alpha_value, p1, p2, p3):
@@ -173,7 +154,7 @@ def _param_form_raw(alpha_value: float, p, y, zeta):
 
 def functional_param_form(alpha: Alpha, pt: LemmaPoint) -> complex:
     """a2 a4 - a3^2 evaluated through the (p, y, zeta) parameterization."""
-    return _finite(complex(_param_form_raw(alpha.value, pt.p, pt.y, pt.zeta)), "five-term form")
+    return finite(complex(_param_form_raw(alpha.value, pt.p, pt.y, pt.zeta)), "five-term form")
 
 
 def phi(alpha: Alpha, p, t):

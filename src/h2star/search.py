@@ -30,7 +30,7 @@ import numpy as np
 
 from . import hankel
 from .caratheodory import LemmaPoint
-from .errors import DomainError
+from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import det2, sharp_bound
 from .starlike import Alpha, coeff_rows
@@ -91,11 +91,6 @@ class SweepRow:
     argmax_summary: str
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
-
-
 def _first_tied_index(vals: np.ndarray, vmax: float) -> tuple:
     """C-order first index of ``vals`` within TIE_TOL of ``vmax``.
 
@@ -140,9 +135,9 @@ def maximize_phi(
     Ties are broken toward smallest p, then smallest t; the refinement only
     replaces the grid argmax if it improves by more than TIE_TOL.
     """
-    if grid_p < 2 or grid_t < 2:
-        raise DomainError(f"grids must have at least 2 points, got {grid_p} x {grid_t}")
-    _check_workers(workers)
+    grid_p = whole_number("grid_p", grid_p, 2)
+    grid_t = whole_number("grid_t", grid_t, 2)
+    whole_number("workers", workers, 1)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
     vals = hankel.phi(alpha, ps[:, None], ts[None, :])
@@ -204,11 +199,11 @@ def maximize_param(
     decided, evaluated or excluded by the bound:
     grid_p * grid_ymod * grid_yarg * grid_zarg.
     """
-    for name, g in (("grid_p", grid_p), ("grid_ymod", grid_ymod),
-                    ("grid_yarg", grid_yarg), ("grid_zarg", grid_zarg)):
-        if g < 2:
-            raise DomainError(f"{name} must have at least 2 points, got {g}")
-    _check_workers(workers)
+    grid_p = whole_number("grid_p", grid_p, 2)
+    grid_ymod = whole_number("grid_ymod", grid_ymod, 2)
+    grid_yarg = whole_number("grid_yarg", grid_yarg, 2)
+    grid_zarg = whole_number("grid_zarg", grid_zarg, 2)
+    whole_number("workers", workers, 1)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_ymod)
     e_mu = np.exp(1j * np.arange(grid_yarg) * (_TWO_PI / grid_yarg))
@@ -366,12 +361,10 @@ def _herglotz_outcomes(
     is reduced as maximize_herglotz describes.  Rows do not interact, so
     every outcome is bit-for-bit that of a search at its alpha alone.
     """
-    if not 1 <= atom_count <= 4:
-        raise DomainError(f"atom_count must lie in 1..4, got {atom_count}")
-    if restarts < 1 or local_steps < 0:
-        raise DomainError(
-            f"need restarts >= 1 and local_steps >= 0, got {restarts} and {local_steps}"
-        )
+    atom_count = whole_number("atom_count", atom_count, 1, 4)
+    restarts = whole_number("restarts", restarts, 1)
+    local_steps = whole_number("local_steps", local_steps, 0)
+    seed = whole_number("seed", seed, 0, math.inf)
     rng = np.random.default_rng(seed)
     w0 = np.empty((restarts, atom_count))
     t0 = np.empty((restarts, atom_count))
@@ -439,7 +432,7 @@ def _summarize_argmax(outcome: SearchOutcome) -> str:
 
 def run_method(method: str, alpha: Alpha, workers: int = 1, seed: int = 0, **kwargs) -> SearchOutcome:
     """Dispatch one search by method name with default resolutions."""
-    _check_workers(workers)
+    whole_number("workers", workers, 1)
     if method == "phi":
         return maximize_phi(alpha, workers=workers, seed=seed, **kwargs)
     if method == "lemma":
@@ -460,8 +453,9 @@ def sweep_alpha(
 ):
     """Search at steps+1 equispaced alpha values and tabulate gaps to the bound.
 
-    The herglotz method refines the restarts of all alphas together (see
-    _herglotz_outcomes); each row is still bit-for-bit what
+    ``steps`` and ``workers`` are whole numbers of at least 1, else
+    DomainError.  The herglotz method refines the restarts of all alphas
+    together (see _herglotz_outcomes); each row is still bit-for-bit what
     maximize_herglotz gives at its alpha.  Other methods search one alpha
     after another.
     """
@@ -469,11 +463,10 @@ def sweep_alpha(
         raise DomainError(
             f"need 0 <= alpha_start < alpha_end < 1, got [{alpha_start}, {alpha_end}]"
         )
-    if steps < 1:
-        raise DomainError(f"need steps >= 1, got {steps}")
+    steps = whole_number("steps", steps, 1)
+    whole_number("workers", workers, 1)
     alphas = [Alpha(float(a)) for a in np.linspace(alpha_start, alpha_end, steps + 1)]
     if method == "herglotz":
-        _check_workers(workers)
         outcomes = _herglotz_outcomes(alphas, seed=seed, **method_kwargs)
     else:
         outcomes = (run_method(method, alpha, workers=workers, seed=seed, **method_kwargs)
@@ -498,8 +491,8 @@ def monotonicity_scan(alpha: Alpha, grid_p: int = 101, grid_t: int = 101):
 
     Returns (violations, worst observed drop clipped at 0).
     """
-    if grid_p < 3 or grid_t < 3:
-        raise DomainError(f"grids must have at least 3 points, got {grid_p} x {grid_t}")
+    grid_p = whole_number("grid_p", grid_p, 3)
+    grid_t = whole_number("grid_t", grid_t, 3)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
     vals = hankel.phi(alpha, ps[:, None], ts[None, :])

@@ -9,12 +9,13 @@ z (1 - z^2)^(alpha - 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .caratheodory import MomentTriple
-from .errors import DomainError
+from .errors import DomainError, finite, whole_number
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,10 @@ class Alpha:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
+        try:
+            v = float(self.value)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"alpha must be a real number, got {self.value!r}") from exc
         if not 0.0 <= v < 1.0:
             raise DomainError(f"alpha must lie in [0, 1), got {v}")
         object.__setattr__(self, "value", v)
@@ -69,9 +73,14 @@ def coeffs_from_moments(alpha: Alpha, moments) -> CoefficientVector:
     Equating coefficients in z f' = [alpha + (1 - alpha) p] f gives
 
         a_n = (1 - alpha) / (n - 1) * sum_{k=1..n-1} a_{n-k} p_k,   a_1 = 1.
+
+    Moments so large that a coefficient overflows raise DomainError.
     """
     p = np.atleast_1d(np.asarray(moments, dtype=complex))
-    return CoefficientVector(coeff_rows(alpha, p[None, :])[0])
+    # CoefficientVector rejects overflowed coefficients; numpy must not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = coeff_rows(alpha, p[None, :])[0]
+    return CoefficientVector(a)
 
 
 def coeff_rows(alpha, moments) -> np.ndarray:
@@ -102,13 +111,17 @@ def coeff_rows(alpha, moments) -> np.ndarray:
 
 
 def closed_form_a234(alpha: Alpha, m: MomentTriple) -> tuple:
-    """The closed forms of a2, a3, a4 in terms of (p1, p2, p3)."""
+    """The closed forms of a2, a3, a4 in terms of (p1, p2, p3); DomainError
+    when the moments are so large that a value or its modulus overflows."""
     al = alpha.value
     p1, p2, p3 = m.p1, m.p2, m.p3
     a2 = (1.0 - al) * p1
     a3 = 0.25 * (2.0 * (1.0 - al) ** 2 * p1 * p1 + 2.0 * p2 - 2.0 * al * p2)
-    a4 = (1.0 - al) / 6.0 * ((1.0 - al) ** 2 * p1**3 + 3.0 * (1.0 - al) * p1 * p2 + 2.0 * p3)
-    return a2, a3, a4
+    try:
+        a4 = (1.0 - al) / 6.0 * ((1.0 - al) ** 2 * p1**3 + 3.0 * (1.0 - al) * p1 * p2 + 2.0 * p3)
+    except OverflowError:  # from Python's complex power
+        a4 = complex(math.inf)
+    return finite(a2, "a2"), finite(a3, "a3"), finite(a4, "a4")
 
 
 def extremal_coeffs(alpha: Alpha, order: int) -> CoefficientVector:
@@ -117,9 +130,9 @@ def extremal_coeffs(alpha: Alpha, order: int) -> CoefficientVector:
     Even coefficients vanish; a_{2k+1} is the rising factorial
     (1 - alpha)(2 - alpha)...(k - alpha) divided by k!.  Same function as
     coeffs_from_moments applied to the moment pattern p_n = 1 + (-1)^n.
+    ``order`` is a whole number of at least 4, else DomainError.
     """
-    if order < 4:
-        raise DomainError(f"need order >= 4, got {order}")
+    order = whole_number("order", order, 4)
     a = np.zeros(order, dtype=complex)
     a[0] = 1.0
     coef = 1.0

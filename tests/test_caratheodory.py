@@ -1,12 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2star import (
+    Alpha,
     CoefficientVector,
     DegenerateP1,
     DomainError,
+    H2StarError,
     HankelSpec,
     HerglotzAtoms,
     InadmissibleMoments,
@@ -14,20 +19,35 @@ from h2star import (
     InvalidLemmaPoint,
     LemmaPoint,
     MomentTriple,
+    bound_profile,
+    closed_form_a234,
+    coeffs_from_moments,
+    extremal_coeffs,
+    functional_moment_form,
+    functional_param_form,
     lemma_forward,
     lemma_inverse,
+    maximize_herglotz,
+    maximize_param,
+    maximize_phi,
     moments_from_atoms,
+    monotonicity_scan,
     normalize_rotation,
+    phi,
+    sweep_alpha,
     toeplitz_psd,
 )
 from h2star.caratheodory import (
+    _lemma_row_blocks,
     atom_pairs_from_text,
     random_atoms,
     random_disk_point,
     random_lemma_point,
 )
+from h2star.errors import MAX_ENTRIES
 
 HALF_HALF_0_PI = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
+A = Alpha(0.1)
 DISK_POINTS = (0.3, -0.4j, 0.2 + 0.25j, -0.45 + 0.1j)
 
 
@@ -182,6 +202,8 @@ class TestLemmaForward:
             (1.0, complex(0.0, math.nan), 0.0),
             (1.0, 0.0, math.nan),
             (1.0, 0.0, complex(math.nan, math.inf)),
+            # finite, but abs() of it overflows
+            (1.0, complex(1.5e308, 1.5e308), 0.0),
         ],
     )
     def test_rejects_non_finite(self, p, y, zeta):
@@ -384,11 +406,134 @@ def test_random_lemma_point_stays_in_box():
         lambda: moments_from_atoms(HALF_HALF_0_PI, 0),
         lambda: CoefficientVector([]),
         lambda: CoefficientVector([2.0, 1.0]),
+        lambda: maximize_phi(A, 2.5, 3),
+        lambda: maximize_param(A, math.nan, 3, 3, 3),
+        lambda: monotonicity_scan(A, math.nan, 5),
+        lambda: sweep_alpha(0.0, 0.5, math.nan, "phi"),
+        lambda: maximize_herglotz(A, restarts=2.5),
+        lambda: extremal_coeffs(A, math.nan),
+        lambda: moments_from_atoms(HALF_HALF_0_PI, 2.5),
+        lambda: maximize_phi(A, workers=math.nan),
+        lambda: maximize_herglotz(A, restarts=1, seed=2.5),
+        lambda: maximize_phi(A, 2**60, 3),
+        lambda: next(_lemma_row_blocks(np.random.default_rng(0), 1, 0)),
+        lambda: closed_form_a234(A, MomentTriple(1e308, 0.0, 0.0)),
+        lambda: closed_form_a234(A, MomentTriple(1.0, 1.0, 1e308)),
+        lambda: coeffs_from_moments(A, [1e308, 1.0, 1.0]),
+        lambda: toeplitz_psd([1e308 + 1e308j, -1e308, 1.7e308]),
+        lambda: normalize_rotation([1.7e308 + 1.7e308j, 1.7e308]),
+        lambda: lemma_inverse(MomentTriple(1.0, 1.5e308 + 1.5e308j, 0.0)),
+        lambda: Alpha("x"),
     ],
     ids=["spec-inf", "spec-nan", "spec-fraction", "spec-n-fraction", "rotate-nan",
          "rotate-inf", "rotate-empty", "toeplitz-empty", "inverse-unrotated",
-         "moments-m0", "coeffs-empty", "coeffs-a1"],
+         "moments-m0", "coeffs-empty", "coeffs-a1", "phi-grid-fraction", "param-grid-nan",
+         "scan-grid-nan", "sweep-steps-nan", "herglotz-restarts-fraction",
+         "extremal-order-nan", "moments-m-fraction", "phi-workers-nan",
+         "herglotz-seed-fraction", "phi-grid-2^60", "row-blocks-block0",
+         "closed-form-power-overflow", "closed-form-a4-inf", "coeffs-overflow-warning",
+         "toeplitz-eigenvalue-inf", "rotate-overflow", "inverse-y-nan", "alpha-string"],
 )
 def test_public_rejections_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+_REALS = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+_COMPLEX = st.builds(complex, _REALS, _REALS)
+_TRIPLES = st.builds(MomentTriple, _COMPLEX, _COMPLEX, _COMPLEX)
+_POINTS = st.builds(LemmaPoint, _REALS, _COMPLEX, _COMPLEX)
+_MOMENT_LISTS = st.lists(_COMPLEX, max_size=4)
+_ALPHAS = st.floats(0.0, 1.0, exclude_max=True).map(Alpha)
+
+# Each exported function that takes real or complex numbers, with the
+# strategies of its arguments.  A strategy that builds a MomentTriple or a
+# LemmaPoint may raise, which the property counts as a rejection.
+_NUMERIC_CALLS = {
+    "Alpha": (Alpha, [_REALS]),
+    "LemmaPoint": (LemmaPoint, [_REALS, _COMPLEX, _COMPLEX]),
+    "MomentTriple": (MomentTriple, [_COMPLEX, _COMPLEX, _COMPLEX]),
+    "phi": (phi, [_ALPHAS, _REALS, _REALS]),
+    "bound_profile": (bound_profile, [_ALPHAS, _REALS]),
+    "closed_form_a234": (closed_form_a234, [_ALPHAS, _TRIPLES]),
+    "functional_moment_form": (functional_moment_form, [_ALPHAS, _TRIPLES]),
+    "functional_param_form": (functional_param_form, [_ALPHAS, _POINTS]),
+    "coeffs_from_moments": (coeffs_from_moments, [_ALPHAS, _MOMENT_LISTS]),
+    "toeplitz_psd": (toeplitz_psd, [_MOMENT_LISTS]),
+    "normalize_rotation": (normalize_rotation, [_MOMENT_LISTS]),
+    "lemma_inverse": (lemma_inverse, [_TRIPLES]),
+}
+
+
+def _numbers(result) -> list:
+    """Every number in a result, flattened; None entries are left out."""
+    if isinstance(result, CoefficientVector):
+        result = result.coeffs
+    elif dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    if isinstance(result, tuple):
+        return [x for item in result if item is not None for x in _numbers(item)]
+    return list(np.ravel(result))
+
+
+@pytest.mark.parametrize("name", list(_NUMERIC_CALLS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_numeric_exports_return_finite_values_or_raise(name, data):
+    """Finite, huge (1e308), NaN and infinite inputs give finite values or an H2StarError."""
+    fn, strategies = _NUMERIC_CALLS[name]
+    try:
+        args = [data.draw(s) for s in strategies]
+        result = fn(*args)
+    except H2StarError:
+        return
+    assert np.isfinite(np.asarray(_numbers(result), dtype=complex)).all(), (args, result)
+
+
+_NON_INTEGRAL = st.floats().filter(lambda x: not x.is_integer())
+_COUNTS = st.one_of(
+    _NON_INTEGRAL,
+    st.integers(min_value=MAX_ENTRIES + 1),
+    st.floats(min_value=float(MAX_ENTRIES), exclude_min=True),
+)
+
+# Each count argument of the exported functions.  A seed is any whole number
+# of at least 0, so only non-integral seeds are drawn.
+_COUNT_CALLS = {
+    "HankelSpec.q": (lambda c: HankelSpec(c, 2), _COUNTS),
+    "HankelSpec.n": (lambda c: HankelSpec(2, c), _COUNTS),
+    "moments_from_atoms.m": (lambda c: moments_from_atoms(HALF_HALF_0_PI, c), _COUNTS),
+    "extremal_coeffs.order": (lambda c: extremal_coeffs(A, c), _COUNTS),
+    "maximize_phi.grid_p": (lambda c: maximize_phi(A, c, 3), _COUNTS),
+    "maximize_phi.grid_t": (lambda c: maximize_phi(A, 3, c), _COUNTS),
+    "maximize_phi.workers": (lambda c: maximize_phi(A, 3, 3, workers=c), _COUNTS),
+    "maximize_param.grid_p": (lambda c: maximize_param(A, c, 2, 2, 2), _COUNTS),
+    "maximize_param.grid_ymod": (lambda c: maximize_param(A, 2, c, 2, 2), _COUNTS),
+    "maximize_param.grid_yarg": (lambda c: maximize_param(A, 2, 2, c, 2), _COUNTS),
+    "maximize_param.grid_zarg": (lambda c: maximize_param(A, 2, 2, 2, c), _COUNTS),
+    "maximize_param.workers": (lambda c: maximize_param(A, 2, 2, 2, 2, workers=c), _COUNTS),
+    "monotonicity_scan.grid_p": (lambda c: monotonicity_scan(A, c, 3), _COUNTS),
+    "monotonicity_scan.grid_t": (lambda c: monotonicity_scan(A, 3, c), _COUNTS),
+    "sweep_alpha.steps": (lambda c: sweep_alpha(0.0, 0.5, c, "phi"), _COUNTS),
+    "sweep_alpha.workers": (lambda c: sweep_alpha(0.0, 0.5, 1, "herglotz", workers=c),
+                            _COUNTS),
+    "maximize_herglotz.atom_count": (lambda c: maximize_herglotz(A, c, 1), _COUNTS),
+    "maximize_herglotz.restarts": (lambda c: maximize_herglotz(A, restarts=c), _COUNTS),
+    "maximize_herglotz.local_steps": (lambda c: maximize_herglotz(A, restarts=1, local_steps=c),
+                                      _COUNTS),
+    "maximize_herglotz.seed": (lambda c: maximize_herglotz(A, restarts=1, seed=c),
+                               _NON_INTEGRAL),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_CALLS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_count_arguments_reject_non_integral_and_oversized_values(name, data):
+    call, counts = _COUNT_CALLS[name]
+    count = data.draw(counts)
+    with pytest.raises(DomainError, match=name.split(".")[1]):
+        call(count)
