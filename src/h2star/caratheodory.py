@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .errors import (
     InvalidAtoms,
     InvalidLemmaPoint,
     finite,
+    numeric,
     whole_number,
 )
 
@@ -51,6 +53,8 @@ Y_BOUNDARY_TOL = 1e-9
 # RSS is flat up to 1024 rows and grows 0.25 MiB at 2048 and 0.9 MiB at 4096
 # (2-vCPU box).
 LEMMA_BLOCK_ROWS = 1024
+
+_complex_array = partial(np.asarray, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class MomentTriple:
     p3: complex
 
     def __post_init__(self):
-        p = (complex(self.p1), complex(self.p2), complex(self.p3))
+        p = tuple(numeric(name, getattr(self, name), complex) for name in ("p1", "p2", "p3"))
         if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in p):
             raise DomainError(f"moments must be finite, got {p}")
         object.__setattr__(self, "p1", p[0])
@@ -105,9 +109,9 @@ class LemmaPoint:
     zeta: complex
 
     def __post_init__(self):
-        p = float(self.p)
-        y = complex(self.y)
-        zeta = complex(self.zeta)
+        p = numeric("p", self.p, float)
+        y = numeric("y", self.y, complex)
+        zeta = numeric("zeta", self.zeta, complex)
         try:
             _check_lemma_box(p, y, zeta)
         except OverflowError:  # abs() of a finite y or zeta past the float range
@@ -213,7 +217,7 @@ def toeplitz_psd(moments) -> tuple:
 def _moment_array(moments) -> np.ndarray:
     """The moments as a 1-d complex array; DomainError if there are none or
     one is not finite."""
-    p = np.atleast_1d(np.asarray(moments, dtype=complex))
+    p = np.atleast_1d(numeric("moments", moments, _complex_array))
     if p.size < 1:
         raise DomainError("need at least one moment")
     if not np.isfinite(p).all():

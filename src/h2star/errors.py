@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the two rules every module
-applies with them: counts are whole numbers, and results are finite.
+"""Exception types shared across the toolkit, and the three rules every module
+applies with them: inputs are numbers, counts are whole numbers, and results
+are finite.
 
 Everything derives from ``H2StarError`` (itself a ``ValueError``) so the CLI
 can map any domain failure to a single exit code.
@@ -42,6 +43,19 @@ class InsufficientCoefficients(H2StarError):
 
 class UnsupportedOrder(H2StarError):
     """Hankel determinant order above the supported maximum."""
+
+
+def numeric(name: str, value, convert):
+    """convert(value), or DomainError naming ``name`` when convert rejects it.
+
+    ``convert`` is float, complex or an array conversion such as
+    ``functools.partial(np.asarray, dtype=complex)``; each raises TypeError,
+    ValueError or OverflowError on input that is not a number of its kind.
+    """
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be numeric: {exc}") from exc
 
 
 def whole_number(name: str, value, least: int, most=MAX_ENTRIES) -> int:

@@ -24,15 +24,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .caratheodory import LemmaPoint, MomentTriple, _require
-from .errors import DomainError, InsufficientCoefficients, UnsupportedOrder, finite, whole_number
+from .errors import (
+    DomainError,
+    InsufficientCoefficients,
+    UnsupportedOrder,
+    finite,
+    numeric,
+    whole_number,
+)
 from .starlike import Alpha, CoefficientVector
 
 MAX_DET_ORDER = 6
 _PIVOT_TOL = 1e-14
+
+_float_array = partial(np.asarray, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -169,8 +179,8 @@ def phi(alpha: Alpha, p, t):
 
 def _phi_raw(alpha_value, p, t):
     """The array value of phi; alpha_value may be an array broadcast with p and t."""
-    p_arr = np.asarray(p, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
+    p_arr = numeric("p", p, _float_array)
+    t_arr = numeric("t", t, _float_array)
     _require((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError, "p must lie in [0, 2], got {}")
     _require((t_arr >= 0.0) & (t_arr <= 1.0), t_arr, DomainError, "t must lie in [0, 1], got {}")
     s2 = (1.0 - alpha_value) ** 2
@@ -192,7 +202,7 @@ def bound_profile(alpha: Alpha, p):
     Its maximum over p in [0, 2] is the sharp bound; the absolute value on c
     folds the two sign cases of 3 - 8 alpha + 4 alpha^2 into one formula.
     """
-    p_arr = np.asarray(p, dtype=float)
+    p_arr = numeric("p", p, _float_array)
     _require((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError, "p must lie in [0, 2], got {}")
     s2 = (1.0 - alpha.value) ** 2
     c = abs(3.0 - 8.0 * alpha.value + 4.0 * alpha.value**2)

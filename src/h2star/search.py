@@ -18,6 +18,8 @@ is that of the full grid, bit for bit.  The atom search refines its
 restarts in lock-step as one batch, and a sweep refines the restarts of all
 its alphas together, in batches of at most _HERGLOTZ_BATCH_ROWS rows; both
 give, bit for bit, the restarts run one after another at one alpha at a time.
+Each row keeps the moment kernels e^{i n t} of its angles between probes
+and recomputes only the column of the angle a probe moves.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import hankel
 from .caratheodory import LemmaPoint
-from .errors import DomainError, whole_number
+from .errors import DomainError, numeric, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import det2, sharp_bound
 from .starlike import Alpha, coeff_rows
@@ -270,15 +272,24 @@ def maximize_param(
 _MOMENT_ORDERS = np.array([1.0, 2.0, 3.0])
 
 
-def _h2_rows(alpha, weights: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """|a2 a4 - a3^2| of each row of an (R, k) batch of atom weights and angles.
+def _kernels(angles: np.ndarray) -> np.ndarray:
+    """The (R, 3, k) moment kernels e^{i n t} of an (R, k) batch of atom angles, n = 1..3.
 
-    ``alpha`` is one Alpha for every row or the (R,) array of each row's
-    alpha value (see coeff_rows).  Three stages: the moments p_1..p_3, the
-    coefficient recurrence, and the 2 x 2 Hankel determinant.  Each row is
-    bit-equal to abs(hankel_det(coeffs_from_moments(...))) on that row alone.
+    exp acts elementwise, so a column of this array is bit-equal to the
+    kernels of that column alone.
     """
-    kernels = np.exp(1j * (angles[:, None, :] * _MOMENT_ORDERS[:, None]))
+    return np.exp(1j * (angles[:, None, :] * _MOMENT_ORDERS[:, None]))
+
+
+def _h2_rows(alpha, weights: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """|a2 a4 - a3^2| of each row of an (R, k) batch of atom weights and its kernels.
+
+    ``kernels`` is _kernels of the rows' angles.  ``alpha`` is one Alpha for
+    every row or the (R,) array of each row's alpha value (see coeff_rows).
+    Three stages: the moments p_1..p_3, the coefficient recurrence, and the
+    2 x 2 Hankel determinant.  Each row is bit-equal to
+    abs(hankel_det(coeffs_from_moments(...))) on that row alone.
+    """
     moments = 2.0 * (kernels @ np.ascontiguousarray(weights)[:, :, None])[:, :, 0]
     a = coeff_rows(alpha, moments)
     re, im = det2(a[:, 1], a[:, 3], a[:, 2], a[:, 2])
@@ -298,12 +309,17 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
     row that improves nowhere in a sweep halves both steps and stops once
     both are below 1e-12.  No row's path depends on the other rows.
 
+    Each row keeps the moment kernels of its angles between probes: a weight
+    probe reuses them, and an angle probe recomputes only the column of the
+    angle it moves; a row that keeps the moved angle keeps that column too.
+
     Returns the per-row best values, weights, angles and evaluation counts.
     """
     w = weights.copy()
     t = angles.copy()
+    kern = _kernels(t)
     rows, k = w.shape
-    best = _h2_rows(alphas, w, t)
+    best = _h2_rows(alphas, w, kern)
     evals = np.ones(rows, dtype=np.int64)
     step_w = np.full(rows, 0.15)
     step_t = np.full(rows, 0.4)
@@ -317,6 +333,7 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
         best[hit] = val[better]
         target[hit] = trial[better]
         improved[hit] = True
+        return better
 
     for _ in range(sweeps):
         if live.size == 0:
@@ -331,12 +348,15 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
                 total = trial.sum(axis=1)
                 ok = total > 0.0
                 idx, trial = live[ok], trial[ok] / total[ok, None]
-                keep(idx, _h2_rows(live_alphas[ok], trial, t[idx]), trial, w)
+                keep(idx, _h2_rows(live_alphas[ok], trial, kern[idx]), trial, w)
         for i in range(k):
             for sign in (1.0, -1.0):
                 trial = t[live]
                 trial[:, i] = (trial[:, i] + sign * step_t[live]) % _TWO_PI
-                keep(live, _h2_rows(live_alphas, w[live], trial), trial, t)
+                trial_kern = kern[live]
+                trial_kern[:, :, i] = _kernels(trial[:, i : i + 1])[:, :, 0]
+                better = keep(live, _h2_rows(live_alphas, w[live], trial_kern), trial, t)
+                kern[live[better]] = trial_kern[better]
         stalled = live[~improved[live]]
         step_w[stalled] *= 0.5
         step_t[stalled] *= 0.5
@@ -459,6 +479,8 @@ def sweep_alpha(
     maximize_herglotz gives at its alpha.  Other methods search one alpha
     after another.
     """
+    alpha_start = numeric("alpha_start", alpha_start, float)
+    alpha_end = numeric("alpha_end", alpha_end, float)
     if not 0.0 <= alpha_start < alpha_end < 1.0:
         raise DomainError(
             f"need 0 <= alpha_start < alpha_end < 1, got [{alpha_start}, {alpha_end}]"

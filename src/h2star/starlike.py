@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caratheodory import MomentTriple
-from .errors import DomainError, finite, whole_number
+from .caratheodory import MomentTriple, _complex_array
+from .errors import DomainError, finite, numeric, whole_number
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,7 @@ class Alpha:
     value: float
 
     def __post_init__(self):
-        try:
-            v = float(self.value)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"alpha must be a real number, got {self.value!r}") from exc
+        v = numeric("alpha", self.value, float)
         if not 0.0 <= v < 1.0:
             raise DomainError(f"alpha must lie in [0, 1), got {v}")
         object.__setattr__(self, "value", v)
@@ -40,7 +37,7 @@ class CoefficientVector:
     __slots__ = ("_a",)
 
     def __init__(self, coeffs):
-        a = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
+        a = np.atleast_1d(numeric("coefficients", coeffs, _complex_array)).copy()
         if a.ndim != 1 or a.size < 1:
             raise DomainError("coefficients must form a non-empty 1-d sequence")
         if not np.isfinite(a).all():
@@ -76,7 +73,7 @@ def coeffs_from_moments(alpha: Alpha, moments) -> CoefficientVector:
 
     Moments so large that a coefficient overflows raise DomainError.
     """
-    p = np.atleast_1d(np.asarray(moments, dtype=complex))
+    p = np.atleast_1d(numeric("moments", moments, _complex_array))
     # CoefficientVector rejects overflowed coefficients; numpy must not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
         a = coeff_rows(alpha, p[None, :])[0]

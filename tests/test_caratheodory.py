@@ -424,6 +424,17 @@ def test_random_lemma_point_stays_in_box():
         lambda: normalize_rotation([1.7e308 + 1.7e308j, 1.7e308]),
         lambda: lemma_inverse(MomentTriple(1.0, 1.5e308 + 1.5e308j, 0.0)),
         lambda: Alpha("x"),
+        lambda: MomentTriple("x", 0, 0),
+        lambda: LemmaPoint("x", 0, 0),
+        lambda: LemmaPoint(1.0, "x", 0),
+        lambda: LemmaPoint(1.0, 0, "x"),
+        lambda: phi(A, "x", 0.5),
+        lambda: bound_profile(A, "x"),
+        lambda: coeffs_from_moments(A, ["x", 0, 0]),
+        lambda: toeplitz_psd(["x", 0, 0]),
+        lambda: normalize_rotation(["x", 0, 0]),
+        lambda: CoefficientVector(["x", 0, 0]),
+        lambda: sweep_alpha("x", 0.5, 1, "phi"),
     ],
     ids=["spec-inf", "spec-nan", "spec-fraction", "spec-n-fraction", "rotate-nan",
          "rotate-inf", "rotate-empty", "toeplitz-empty", "inverse-unrotated",
@@ -432,7 +443,10 @@ def test_random_lemma_point_stays_in_box():
          "extremal-order-nan", "moments-m-fraction", "phi-workers-nan",
          "herglotz-seed-fraction", "phi-grid-2^60", "row-blocks-block0",
          "closed-form-power-overflow", "closed-form-a4-inf", "coeffs-overflow-warning",
-         "toeplitz-eigenvalue-inf", "rotate-overflow", "inverse-y-nan", "alpha-string"],
+         "toeplitz-eigenvalue-inf", "rotate-overflow", "inverse-y-nan", "alpha-string",
+         "moments-string", "lemma-p-string", "lemma-y-string", "lemma-zeta-string",
+         "phi-p-string", "profile-p-string", "coeffs-moment-string", "toeplitz-string",
+         "rotate-string", "coeffvector-string", "sweep-alpha-string"],
 )
 def test_public_rejections_raise_domain_error(call):
     with pytest.raises(DomainError):

@@ -288,7 +288,7 @@ def _h2_at_extremal(alpha):
     """The atom search's objective at the extremal atoms (0.5, 0.5), (0, pi)."""
     weights = np.array([EXTREMAL_ATOMS.weights])
     angles = np.array([EXTREMAL_ATOMS.angles])
-    return search._h2_rows(alpha, weights, angles)[0]
+    return search._h2_rows(alpha, weights, search._kernels(angles))[0]
 
 
 class TestMaximizeHerglotz:
@@ -439,9 +439,10 @@ class TestHerglotzRowKernel:
             for r in range(self.ROWS)
         ])
         one_point = np.array([_scalar_h2(alpha, w[r], t[r]) for r in range(self.ROWS)])
-        batch = search._h2_rows(alpha, w, t)
+        batch = search._h2_rows(alpha, w, search._kernels(t))
         singles = np.concatenate(
-            [search._h2_rows(alpha, w[r : r + 1], t[r : r + 1]) for r in range(self.ROWS)]
+            [search._h2_rows(alpha, w[r : r + 1], search._kernels(t[r : r + 1]))
+             for r in range(self.ROWS)]
         )
         assert via_api.tobytes() == one_point.tobytes()
         assert batch.tobytes() == via_api.tobytes()
@@ -458,12 +459,77 @@ class TestHerglotzRowKernelPerRowAlpha:
         rng.shuffle(values)
         w = rng.dirichlet(np.ones(k), size=values.size)
         t = rng.uniform(0.0, 2.0 * math.pi, size=(values.size, k))
-        batch = search._h2_rows(values, w, t)
+        batch = search._h2_rows(values, w, search._kernels(t))
         for r in range(values.size):
             alpha = Alpha(float(values[r]))
-            one = search._h2_rows(alpha, w[r : r + 1], t[r : r + 1])
+            one = search._h2_rows(alpha, w[r : r + 1], search._kernels(t[r : r + 1]))
             assert batch[r : r + 1].tobytes() == one.tobytes()
             assert batch[r] == _scalar_h2(alpha, w[r], t[r])
+
+
+class TestKernelCache:
+    """_refine_rows keeps each row's kernels and recomputes one column per angle probe."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_column_equals_kernels_of_that_column(self, k):
+        rng = np.random.default_rng(60 + k)
+        two_pi = search._TWO_PI
+        special = np.concatenate([
+            [0.0, np.nextafter(two_pi, 0.0)],
+            # Just past a wrap, as an angle probe's (t + step) % 2 pi leaves them.
+            (np.nextafter(two_pi, 0.0) + np.array([1e-15, 1e-12, 1e-6, 0.4])) % two_pi,
+        ])
+        t = rng.uniform(0.0, two_pi, size=(200, k))
+        for i in range(k):
+            t[i : i + special.size, i] = special
+        whole = search._kernels(t)
+        for i in range(k):
+            column = search._kernels(t[:, i : i + 1])[:, :, 0]
+            assert whole[:, :, i].tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_cache_follows_the_angles(self, monkeypatch, k):
+        # No row stops within these sweeps and every weight probe is counted,
+        # so each sweep's first weight probe passes the whole cache.
+        rng = np.random.default_rng(70 + k)
+        rows, sweeps = 50, 5
+        alphas = rng.uniform(0.0, 1.0, rows)
+        w = rng.dirichlet(np.ones(k), size=rows)
+        t = rng.uniform(0.0, search._TWO_PI, size=(rows, k))
+        angles_after = [search._refine_rows(alphas, w, t, s)[2] for s in range(sweeps)]
+        seen = []
+        kernel = search._h2_rows
+
+        def spy(alpha, weights, kernels):
+            seen.append(kernels.copy())
+            return kernel(alpha, weights, kernels)
+
+        monkeypatch.setattr(search, "_h2_rows", spy)
+        search._refine_rows(alphas, w, t, sweeps)
+        assert len(seen) == 1 + sweeps * 4 * k
+        for s, angles in enumerate(angles_after):
+            cached = seen[1 + s * 4 * k]
+            assert cached.tobytes() == search._kernels(angles).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_exp_only_on_the_moved_column(self, monkeypatch, k):
+        # One exp of the start angles, then one column per angle probe and
+        # none per weight probe.
+        rng = np.random.default_rng(80 + k)
+        rows, sweeps = 50, 5
+        alphas = rng.uniform(0.0, 1.0, rows)
+        w = rng.dirichlet(np.ones(k), size=rows)
+        t = rng.uniform(0.0, search._TWO_PI, size=(rows, k))
+        shapes = []
+        exp = np.exp
+
+        def spy(x):
+            shapes.append(x.shape)
+            return exp(x)
+
+        monkeypatch.setattr(np, "exp", spy)
+        search._refine_rows(alphas, w, t, sweeps)
+        assert shapes == [(rows, 3, k)] + [(rows, 3, 1)] * (sweeps * 2 * k)
 
 
 class TestLockStepRestarts:
