@@ -7,12 +7,15 @@ the full parameter-box grid, and the atom-measure search.
 
     python3 scripts/reproduce_bound_table.py
     python3 scripts/reproduce_bound_table.py --steps 18 --methods phi lemma
+
+Input outside a search's domain prints one error line on stderr and exits 1.
 """
 
 import argparse
 import sys
 import time
 
+from h2star import H2StarError
 from h2star.search import METHODS, sweep_alpha
 
 
@@ -27,9 +30,13 @@ def main() -> int:
 
     for method in args.methods:
         t0 = time.perf_counter()
-        rows = sweep_alpha(
-            args.alpha_start, args.alpha_end, args.steps, method, seed=args.seed
-        )
+        try:
+            rows = sweep_alpha(
+                args.alpha_start, args.alpha_end, args.steps, method, seed=args.seed
+            )
+        except H2StarError as exc:
+            print(f"reproduce_bound_table: error: {exc}", file=sys.stderr)
+            return 1
         elapsed = time.perf_counter() - t0
         print(f"\nmethod = {method}  ({elapsed:.1f}s)")
         print(f"{'alpha':>8} {'searched_max':>20} {'sharp_bound':>20} {'abs_gap':>12}")

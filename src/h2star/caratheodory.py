@@ -34,6 +34,7 @@ from .errors import (
     InvalidAtoms,
     InvalidLemmaPoint,
     finite,
+    instance,
     numeric,
     whole_number,
 )
@@ -146,6 +147,7 @@ def _require(ok, value, error, template):
 def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
     """Moments p_1..p_m of the atom measure: p_n = 2 sum_k w_k e^{i n t_k}.
     ``m`` is a whole number of at least 1, else DomainError."""
+    instance("atoms", atoms, HerglotzAtoms)
     m = whole_number("m", m, 1)
     w = np.asarray(atoms.weights)
     t = np.asarray(atoms.angles)
@@ -155,6 +157,7 @@ def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
 
 def lemma_forward(pt: LemmaPoint) -> MomentTriple:
     """Moments (p1, p2, p3) generated by a parameterization point."""
+    instance("pt", pt, LemmaPoint)
     return MomentTriple(*_lemma_forward_raw(pt.p, pt.y, pt.zeta))
 
 
@@ -173,6 +176,7 @@ def lemma_inverse(m: MomentTriple):
     Returns ``(y, zeta)``; ``zeta`` is ``None`` when |y| is at the unit circle,
     where its coefficient vanishes and any zeta is consistent.
     """
+    instance("m", m, MomentTriple)
     p1 = m.p1
     if abs(p1.imag) > 1e-9 or p1.real < 0.0:
         raise DomainError(

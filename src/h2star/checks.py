@@ -42,7 +42,7 @@ from .hankel import (
     sharp_bound,
 )
 from .search import maximize_herglotz, maximize_param, maximize_phi, monotonicity_scan
-from .starlike import Alpha, closed_form_a234, coeffs_from_moments, extremal_coeffs
+from .starlike import closed_form_a234, coeffs_from_moments, extremal_coeffs
 
 ALPHA_GRID = [0.05 * k for k in range(20)]
 ALPHA_SPOT = [0.0, 0.25, 0.5, 0.75]
@@ -81,12 +81,11 @@ def check_sharp_bound_reproduction():
     worst_gap = 0.0
     worst_time = 0.0
     for a in ALPHA_GRID:
-        alpha = Alpha(a)
         t0 = time.perf_counter()
-        outcome = maximize_phi(alpha)
+        outcome = maximize_phi(a)
         dt = time.perf_counter() - t0
         worst_time = max(worst_time, dt)
-        worst_gap = max(worst_gap, abs(outcome.value - sharp_bound(alpha)))
+        worst_gap = max(worst_gap, abs(outcome.value - sharp_bound(a)))
     ok = worst_gap <= 1e-9 and worst_time < 1.0
     return ok, f"worst |value - bound| = {worst_gap:.3e}, worst time = {worst_time:.3f}s"
 
@@ -97,10 +96,9 @@ def check_sharpness_attainment():
     spec = HankelSpec(q=2, n=2)
     worst = 0.0
     for a in ALPHA_GRID:
-        alpha = Alpha(a)
-        f = extremal_coeffs(alpha, 8)
+        f = extremal_coeffs(a, 8)
         det = hankel_det(f, spec)
-        target = sharp_bound(alpha)
+        target = sharp_bound(a)
         worst = max(
             worst,
             abs(f.coeff(2)),
@@ -120,11 +118,10 @@ def check_full_param_search():
     p_cell = 2.0 / (201 - 1)
     t_cell = 1.0 / (101 - 1)
     for a in ALPHA_SPOT:
-        alpha = Alpha(a)
         t0 = time.perf_counter()
-        outcome = maximize_param(alpha)
+        outcome = maximize_param(a)
         dt = time.perf_counter() - t0
-        bound = sharp_bound(alpha)
+        bound = sharp_bound(a)
         p_at = float(outcome.argmax["p"])
         y_mod = abs(outcome.argmax["y"])
         here = (
@@ -146,9 +143,8 @@ def check_herglotz_search():
     ok = True
     msgs = []
     for a in ALPHA_SPOT:
-        alpha = Alpha(a)
-        outcome = maximize_herglotz(alpha, atom_count=2, restarts=100, seed=20240817)
-        bound = sharp_bound(alpha)
+        outcome = maximize_herglotz(a, atom_count=2, restarts=100, seed=20240817)
+        bound = sharp_bound(a)
         here = bound - 1e-2 <= outcome.value <= bound + 1e-9
         ok = ok and here
         msgs.append(f"a={a}: gap={bound - outcome.value:.2e}")
@@ -158,13 +154,13 @@ def check_herglotz_search():
 @_check("prior-result-anchors")
 def check_prior_result_anchors():
     """alpha = 0 gives the classical bound 1 (Koebe attains it); alpha = 1/2 gives 1/4."""
-    koebe = coeffs_from_moments(Alpha(0.0), [2.0, 2.0, 2.0])
+    koebe = coeffs_from_moments(0.0, [2.0, 2.0, 2.0])
     det = hankel_det(koebe, HankelSpec(q=2, n=2))
-    gap0 = abs(maximize_phi(Alpha(0.0)).value - 1.0)
-    gap_half = abs(maximize_phi(Alpha(0.5)).value - 0.25)
+    gap0 = abs(maximize_phi(0.0).value - 1.0)
+    gap_half = abs(maximize_phi(0.5).value - 0.25)
     ok = (
-        sharp_bound(Alpha(0.0)) == 1.0
-        and sharp_bound(Alpha(0.5)) == 0.25
+        sharp_bound(0.0) == 1.0
+        and sharp_bound(0.5) == 0.25
         and list(koebe.coeffs) == [1, 2, 3, 4]
         and abs(det) == 1.0
         and gap0 <= 1e-9
@@ -188,7 +184,7 @@ def check_algebra_reconciliation():
     rng = np.random.default_rng(11)
     worst_rel = 0.0
     for _ in range(1000):
-        alpha = Alpha(rng.random())
+        alpha = rng.random()
         m = MomentTriple(
             random_disk_point(rng, 2.0),
             random_disk_point(rng, 2.0),
@@ -225,8 +221,7 @@ def check_proof_step_properties():
     worst_ident = 0.0
     worst_excess = -np.inf
     ps = np.linspace(0.0, 2.0, 101)
-    for a in np.linspace(0.0, 0.95, 20):
-        alpha = Alpha(float(a))
+    for alpha in np.linspace(0.0, 0.95, 20):
         v, _ = monotonicity_scan(alpha, 101, 101)
         violations += v
         prof = bound_profile(alpha, ps)

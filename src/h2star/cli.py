@@ -33,7 +33,7 @@ from .hankel import (
     sharp_bound,
 )
 from .search import METHODS, _summarize_argmax, run_method, sweep_alpha
-from .starlike import Alpha, CoefficientVector, coeffs_from_moments, extremal_coeffs
+from .starlike import CoefficientVector, alpha_value, coeffs_from_moments, extremal_coeffs
 
 _METHOD_FLAGS = {
     "phi": ("grid_p", "grid_t"),
@@ -118,12 +118,12 @@ def _print_doc(doc: dict, as_json: bool, text_lines):
 
 
 def _cmd_coeffs(args) -> int:
-    alpha = Alpha(args.alpha)
+    alpha = alpha_value(args.alpha)  # a bad --alpha fails before any moment is built
     order = whole_number("order", args.order, 2)
     moments = moments_from_atoms(HerglotzAtoms(*args.atoms), order - 1)
     f = coeffs_from_moments(alpha, moments)
     doc = {
-        "alpha": alpha.value,
+        "alpha": alpha,
         "order": order,
         "coefficients": f.coeffs,
     }
@@ -133,11 +133,10 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    alpha = Alpha(args.alpha)
-    f = extremal_coeffs(alpha, args.order)
+    f = extremal_coeffs(args.alpha, args.order)
     det = hankel_det(f, HankelSpec(q=2, n=2))
     doc = {
-        "alpha": alpha.value,
+        "alpha": args.alpha,
         "order": args.order,
         "coefficients": f.coeffs,
         "hankel_det": det,
@@ -158,11 +157,10 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_functional(args) -> int:
-    alpha = Alpha(args.alpha)
     m = MomentTriple(args.p1, args.p2, args.p3)
-    value = functional_moment_form(alpha, m)
+    value = functional_moment_form(args.alpha, m)
     doc = {
-        "alpha": alpha.value,
+        "alpha": args.alpha,
         "p1": m.p1,
         "p2": m.p2,
         "p3": m.p3,
@@ -174,12 +172,11 @@ def _cmd_functional(args) -> int:
 
 
 def _cmd_param(args) -> int:
-    alpha = Alpha(args.alpha)
     pt = LemmaPoint(args.p, args.y, args.zeta)
-    value = functional_param_form(alpha, pt)
-    majorant = phi(alpha, pt.p, min(abs(pt.y), 1.0))
+    value = functional_param_form(args.alpha, pt)
+    majorant = phi(args.alpha, pt.p, min(abs(pt.y), 1.0))
     doc = {
-        "alpha": alpha.value,
+        "alpha": args.alpha,
         "p": pt.p,
         "y": pt.y,
         "zeta": pt.zeta,
@@ -197,18 +194,16 @@ def _cmd_param(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    alpha = Alpha(args.alpha)
-    value = phi(alpha, args.p, args.t)
-    doc = {"alpha": alpha.value, "p": args.p, "t": args.t, "value": value}
+    value = phi(args.alpha, args.p, args.t)
+    doc = {"alpha": args.alpha, "p": args.p, "t": args.t, "value": value}
     _print_doc(doc, args.json, [f"value = {fmt_float(value)}"])
     return 0
 
 
 def _cmd_bound(args) -> int:
-    alpha = Alpha(args.alpha)
-    bound = sharp_bound(alpha)
-    profile_max = float(np.max(bound_profile(alpha, np.linspace(0.0, 2.0, 201))))
-    doc = {"alpha": alpha.value, "sharp_bound": bound, "profile_max": profile_max}
+    bound = sharp_bound(args.alpha)
+    profile_max = float(np.max(bound_profile(args.alpha, np.linspace(0.0, 2.0, 201))))
+    doc = {"alpha": args.alpha, "sharp_bound": bound, "profile_max": profile_max}
     text = [f"sharp_bound = {fmt_float(bound)}", f"profile_max = {fmt_float(profile_max)}"]
     _print_doc(doc, args.json, text)
     return 0
@@ -233,16 +228,16 @@ def _method_kwargs(args) -> dict:
 
 
 def _cmd_search(args) -> int:
-    alpha = Alpha(args.alpha)
+    bound = sharp_bound(args.alpha)  # a bad --alpha exits 1 before _method_kwargs can exit 2
     kwargs = _method_kwargs(args)
-    outcome = run_method(args.method, alpha, workers=args.workers, seed=args.seed, **kwargs)
+    outcome = run_method(args.method, args.alpha, workers=args.workers, seed=args.seed, **kwargs)
     doc = outcome.to_dict()
     text = [
         f"value = {fmt_float(outcome.value)}",
         f"method = {outcome.method}",
         f"argmax: {_summarize_argmax(outcome)}",
         f"evaluations = {outcome.evaluations}",
-        f"sharp_bound = {fmt_float(sharp_bound(alpha))}",
+        f"sharp_bound = {fmt_float(bound)}",
     ]
     _print_doc(doc, args.json, text)
     return 0

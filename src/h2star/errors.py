@@ -1,6 +1,6 @@
-"""Exception types shared across the toolkit, and the three rules every module
-applies with them: inputs are numbers, counts are whole numbers, and results
-are finite.
+"""Exception types shared across the toolkit, and the four rules every module
+applies with them: inputs are numbers, typed inputs are of their type, counts
+are whole numbers, and results are finite.
 
 Everything derives from ``H2StarError`` (itself a ``ValueError``) so the CLI
 can map any domain failure to a single exit code.
@@ -56,6 +56,12 @@ def numeric(name: str, value, convert):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be numeric: {exc}") from exc
+
+
+def instance(name: str, value, cls) -> None:
+    """DomainError naming ``name`` and ``cls`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def whole_number(name: str, value, least: int, most=MAX_ENTRIES) -> int:

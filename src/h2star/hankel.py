@@ -34,10 +34,11 @@ from .errors import (
     InsufficientCoefficients,
     UnsupportedOrder,
     finite,
+    instance,
     numeric,
     whole_number,
 )
-from .starlike import Alpha, CoefficientVector
+from .starlike import Alpha, CoefficientVector, alpha_value
 
 MAX_DET_ORDER = 6
 _PIVOT_TOL = 1e-14
@@ -71,6 +72,8 @@ def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
     Coefficients so large that the determinant or its modulus overflows raise
     DomainError.
     """
+    instance("f", f, CoefficientVector)
+    instance("spec", spec, HankelSpec)
     q, n = spec.q, spec.n
     if q > MAX_DET_ORDER:
         raise UnsupportedOrder(f"q = {q} exceeds the supported maximum {MAX_DET_ORDER}")
@@ -129,13 +132,15 @@ def _det_partial_pivot(m: np.ndarray) -> complex:
     return complex(det)
 
 
-def functional_moment_form(alpha: Alpha, m: MomentTriple) -> complex:
+def functional_moment_form(alpha: Alpha | float, m: MomentTriple) -> complex:
     """a2 a4 - a3^2 written directly in the moments (p1, p2, p3).
 
     Moments so large that the value or its modulus overflows raise DomainError.
     """
+    al = alpha_value(alpha)
+    instance("m", m, MomentTriple)
     try:
-        value = complex(_moment_form_raw(alpha.value, m.p1, m.p2, m.p3))
+        value = complex(_moment_form_raw(al, m.p1, m.p2, m.p3))
     except OverflowError:  # from Python's complex power
         value = complex(math.inf)
     return finite(value, "moment form")
@@ -162,18 +167,20 @@ def _param_form_raw(alpha_value: float, p, y, zeta):
     )
 
 
-def functional_param_form(alpha: Alpha, pt: LemmaPoint) -> complex:
+def functional_param_form(alpha: Alpha | float, pt: LemmaPoint) -> complex:
     """a2 a4 - a3^2 evaluated through the (p, y, zeta) parameterization."""
-    return finite(complex(_param_form_raw(alpha.value, pt.p, pt.y, pt.zeta)), "five-term form")
+    al = alpha_value(alpha)
+    instance("pt", pt, LemmaPoint)
+    return finite(complex(_param_form_raw(al, pt.p, pt.y, pt.zeta)), "five-term form")
 
 
-def phi(alpha: Alpha, p, t):
+def phi(alpha: Alpha | float, p, t):
     """Triangle-inequality majorant of |a2 a4 - a3^2| in (p, t = |y|).
 
     Accepts scalars or broadcastable numpy arrays with p in [0, 2] and
     t in [0, 1]; nonnegative on its domain and nondecreasing in t.
     """
-    val = _phi_raw(alpha.value, p, t)
+    val = _phi_raw(alpha_value(alpha), p, t)
     return float(val) if val.ndim == 0 else val
 
 
@@ -196,20 +203,21 @@ def _phi_raw(alpha_value, p, t):
     return val
 
 
-def bound_profile(alpha: Alpha, p):
+def bound_profile(alpha: Alpha | float, p):
     """The majorant at t = 1, simplified: s2 * (1 - p^4/16 + |c| p^4/48).
 
     Its maximum over p in [0, 2] is the sharp bound; the absolute value on c
     folds the two sign cases of 3 - 8 alpha + 4 alpha^2 into one formula.
     """
+    al = alpha_value(alpha)
     p_arr = numeric("p", p, _float_array)
     _require((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError, "p must lie in [0, 2], got {}")
-    s2 = (1.0 - alpha.value) ** 2
-    c = abs(3.0 - 8.0 * alpha.value + 4.0 * alpha.value**2)
+    s2 = (1.0 - al) ** 2
+    c = abs(3.0 - 8.0 * al + 4.0 * al**2)
     val = s2 * (1.0 - p_arr**4 / 16.0 + p_arr**4 * c / 48.0)
     return float(val) if val.ndim == 0 else val
 
 
-def sharp_bound(alpha: Alpha) -> float:
+def sharp_bound(alpha: Alpha | float) -> float:
     """The sharp bound (1 - alpha)^2 on |a2 a4 - a3^2| over the class."""
-    return (1.0 - alpha.value) ** 2
+    return (1.0 - alpha_value(alpha)) ** 2

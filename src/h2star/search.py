@@ -32,10 +32,10 @@ import numpy as np
 
 from . import hankel
 from .caratheodory import LemmaPoint
-from .errors import DomainError, numeric, whole_number
+from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import det2, sharp_bound
-from .starlike import Alpha, coeff_rows
+from .starlike import Alpha, alpha_value, coeff_rows
 
 TIE_TOL = 1e-12
 # Slack on the bound |A| + |B| of the lemma grid search.  On the default
@@ -126,7 +126,7 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10, max_iter: 
 
 
 def maximize_phi(
-    alpha: Alpha,
+    alpha: Alpha | float,
     grid_p: int = DEFAULT_GRID_P,
     grid_t: int = DEFAULT_GRID_T,
     workers: int = 1,
@@ -135,22 +135,26 @@ def maximize_phi(
     """Grid maximum of the majorant phi, plus one golden-section pass in p at t = 1.
 
     Ties are broken toward smallest p, then smallest t; the refinement only
-    replaces the grid argmax if it improves by more than TIE_TOL.
+    replaces the grid argmax if it improves by more than TIE_TOL.  ``seed``
+    is recorded only; it is None or a whole number of at least 0.
     """
+    al = alpha_value(alpha)
     grid_p = whole_number("grid_p", grid_p, 2)
     grid_t = whole_number("grid_t", grid_t, 2)
     whole_number("workers", workers, 1)
+    if seed is not None:
+        seed = whole_number("seed", seed, 0, math.inf)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
-    vals = hankel.phi(alpha, ps[:, None], ts[None, :])
+    vals = hankel.phi(al, ps[:, None], ts[None, :])
     pi, ti = _first_tied_index(vals, vals.max())
     evaluations = grid_p * grid_t
 
     best_p, best_t = float(ps[pi]), float(ts[ti])
-    value = hankel.phi(alpha, best_p, best_t)
+    value = hankel.phi(al, best_p, best_t)
     lo = float(ps[max(pi - 1, 0)])
     hi = float(ps[min(pi + 1, grid_p - 1)])
-    x, fx, g_evals = _golden_section_max(lambda p: hankel.phi(alpha, p, 1.0), lo, hi)
+    x, fx, g_evals = _golden_section_max(lambda p: hankel.phi(al, p, 1.0), lo, hi)
     evaluations += g_evals
     if fx > value + TIE_TOL:
         best_p, best_t, value = float(x), 1.0, float(fx)
@@ -178,7 +182,7 @@ def _cell_bound(alpha_value: float, p, y) -> np.ndarray:
 
 
 def maximize_param(
-    alpha: Alpha,
+    alpha: Alpha | float,
     grid_p: int = DEFAULT_GRID_P,
     grid_ymod: int = DEFAULT_GRID_T,
     grid_yarg: int = DEFAULT_GRID_YARG,
@@ -199,13 +203,17 @@ def maximize_param(
     below that skips all of them.  Otherwise the zeta axis of the slice's
     top-U cell first raises lb.  ``evaluations`` counts the grid points
     decided, evaluated or excluded by the bound:
-    grid_p * grid_ymod * grid_yarg * grid_zarg.
+    grid_p * grid_ymod * grid_yarg * grid_zarg.  ``seed`` is recorded only,
+    as in maximize_phi.
     """
+    al = alpha_value(alpha)
     grid_p = whole_number("grid_p", grid_p, 2)
     grid_ymod = whole_number("grid_ymod", grid_ymod, 2)
     grid_yarg = whole_number("grid_yarg", grid_yarg, 2)
     grid_zarg = whole_number("grid_zarg", grid_zarg, 2)
     whole_number("workers", workers, 1)
+    if seed is not None:
+        seed = whole_number("seed", seed, 0, math.inf)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_ymod)
     e_mu = np.exp(1j * np.arange(grid_yarg) * (_TWO_PI / grid_yarg))
@@ -213,8 +221,7 @@ def maximize_param(
     y_cells = (ts[:, None] * e_mu[None, :]).ravel()
 
     def eval_cells(i, cells):
-        return np.abs(hankel._param_form_raw(alpha.value, ps[i], y_cells[cells, None],
-                                             e_nu[None, :]))
+        return np.abs(hankel._param_form_raw(al, ps[i], y_cells[cells, None], e_nu[None, :]))
 
     block = max(1, _ZETA_BLOCK_POINTS // grid_zarg)
 
@@ -234,7 +241,7 @@ def maximize_param(
     lb = -np.inf
     slice_max = np.full(grid_p, -np.inf)
     for i in range(grid_p):
-        u = _cell_bound(alpha.value, ps[i], y_cells)
+        u = _cell_bound(al, ps[i], y_cells)
         top = int(u.argmax())
         if u[top] >= lb - slack:
             lb = max(lb, eval_cells(i, [top]).max())
@@ -245,14 +252,13 @@ def maximize_param(
         del u
     gmax = slice_max.max()
     (pi,) = _first_tied_index(slice_max, gmax)
-    for cells, vals in pruned_blocks(pi, _cell_bound(alpha.value, ps[pi], y_cells),
-                                     gmax - slack):
+    for cells, vals in pruned_blocks(pi, _cell_bound(al, ps[pi], y_cells), gmax - slack):
         if vals.max() >= gmax - TIE_TOL:
             break
     k, ni = _first_tied_index(vals, gmax)
     ti, mi = divmod(int(cells[k]), grid_yarg)
     pt = LemmaPoint(float(ps[pi]), complex(ts[ti] * e_mu[mi]), complex(e_nu[ni]))
-    value = abs(hankel.functional_param_form(alpha, pt))
+    value = abs(hankel.functional_param_form(al, pt))
 
     return SearchOutcome(
         value=float(value),
@@ -284,8 +290,8 @@ def _kernels(angles: np.ndarray) -> np.ndarray:
 def _h2_rows(alpha, weights: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """|a2 a4 - a3^2| of each row of an (R, k) batch of atom weights and its kernels.
 
-    ``kernels`` is _kernels of the rows' angles.  ``alpha`` is one Alpha for
-    every row or the (R,) array of each row's alpha value (see coeff_rows).
+    ``kernels`` is _kernels of the rows' angles.  ``alpha`` is one alpha
+    value for every row or the (R,) array of each row's value (see coeff_rows).
     Three stages: the moments p_1..p_3, the coefficient recurrence, and the
     2 x 2 Hankel determinant.  Each row is bit-equal to
     abs(hankel_det(coeffs_from_moments(...))) on that row alone.
@@ -372,7 +378,7 @@ def _herglotz_outcomes(
     local_steps: int = 60,
     seed: int = 0,
 ):
-    """maximize_herglotz at each Alpha of ``alphas``, yielded in order.
+    """maximize_herglotz at each alpha of ``alphas``, yielded in order.
 
     Every alpha uses the same seed, so the restart start points are drawn
     once and tiled across the alphas.  The restarts of a group of alphas
@@ -381,6 +387,7 @@ def _herglotz_outcomes(
     is reduced as maximize_herglotz describes.  Rows do not interact, so
     every outcome is bit-for-bit that of a search at its alpha alone.
     """
+    values = [alpha_value(alpha) for alpha in alphas]
     atom_count = whole_number("atom_count", atom_count, 1, 4)
     restarts = whole_number("restarts", restarts, 1)
     local_steps = whole_number("local_steps", local_steps, 0)
@@ -395,10 +402,9 @@ def _herglotz_outcomes(
                  "local_steps": local_steps, "seed": seed}
 
     per_batch = max(1, _HERGLOTZ_BATCH_ROWS // restarts)
-    for start in range(0, len(alphas), per_batch):
-        group = alphas[start : start + per_batch]
-        values = np.array([alpha.value for alpha in group])
-        vals, ws, ts, evals = _refine_rows(np.repeat(values, restarts),
+    for start in range(0, len(values), per_batch):
+        group = np.array(values[start : start + per_batch])
+        vals, ws, ts, evals = _refine_rows(np.repeat(group, restarts),
                                            np.tile(w0, (len(group), 1)),
                                            np.tile(t0, (len(group), 1)), local_steps)
         for j in range(len(group)):
@@ -417,7 +423,7 @@ def _herglotz_outcomes(
 
 
 def maximize_herglotz(
-    alpha: Alpha,
+    alpha: Alpha | float,
     atom_count: int = 2,
     restarts: int = 100,
     local_steps: int = 60,
@@ -450,7 +456,8 @@ def _summarize_argmax(outcome: SearchOutcome) -> str:
     return ";".join(parts)
 
 
-def run_method(method: str, alpha: Alpha, workers: int = 1, seed: int = 0, **kwargs) -> SearchOutcome:
+def run_method(method: str, alpha: Alpha | float, workers: int = 1, seed: int = 0,
+               **kwargs) -> SearchOutcome:
     """Dispatch one search by method name with default resolutions."""
     whole_number("workers", workers, 1)
     if method == "phi":
@@ -473,21 +480,19 @@ def sweep_alpha(
 ):
     """Search at steps+1 equispaced alpha values and tabulate gaps to the bound.
 
+    ``alpha_start`` < ``alpha_end`` are alphas (see alpha_value), and
     ``steps`` and ``workers`` are whole numbers of at least 1, else
     DomainError.  The herglotz method refines the restarts of all alphas
     together (see _herglotz_outcomes); each row is still bit-for-bit what
     maximize_herglotz gives at its alpha.  Other methods search one alpha
     after another.
     """
-    alpha_start = numeric("alpha_start", alpha_start, float)
-    alpha_end = numeric("alpha_end", alpha_end, float)
-    if not 0.0 <= alpha_start < alpha_end < 1.0:
-        raise DomainError(
-            f"need 0 <= alpha_start < alpha_end < 1, got [{alpha_start}, {alpha_end}]"
-        )
+    alpha_start, alpha_end = alpha_value(alpha_start), alpha_value(alpha_end)
+    if not alpha_start < alpha_end:
+        raise DomainError(f"need alpha_start < alpha_end, got [{alpha_start}, {alpha_end}]")
     steps = whole_number("steps", steps, 1)
     whole_number("workers", workers, 1)
-    alphas = [Alpha(float(a)) for a in np.linspace(alpha_start, alpha_end, steps + 1)]
+    alphas = np.linspace(alpha_start, alpha_end, steps + 1).tolist()
     if method == "herglotz":
         outcomes = _herglotz_outcomes(alphas, seed=seed, **method_kwargs)
     else:
@@ -498,7 +503,7 @@ def sweep_alpha(
         bound = sharp_bound(alpha)
         rows.append(
             SweepRow(
-                alpha=alpha.value,
+                alpha=alpha,
                 searched_max=float(outcome.value),
                 sharp_bound=float(bound),
                 abs_gap=abs(float(outcome.value) - float(bound)),
@@ -508,16 +513,17 @@ def sweep_alpha(
     return rows
 
 
-def monotonicity_scan(alpha: Alpha, grid_p: int = 101, grid_t: int = 101):
+def monotonicity_scan(alpha: Alpha | float, grid_p: int = 101, grid_t: int = 101):
     """Count adjacent t-grid drops of phi beyond 1e-12; contract is zero.
 
     Returns (violations, worst observed drop clipped at 0).
     """
+    al = alpha_value(alpha)
     grid_p = whole_number("grid_p", grid_p, 3)
     grid_t = whole_number("grid_t", grid_t, 3)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
-    vals = hankel.phi(alpha, ps[:, None], ts[None, :])
+    vals = hankel.phi(al, ps[:, None], ts[None, :])
     drops = vals[:, :-1] - vals[:, 1:]
     violations = int(np.sum(drops > 1e-12))
     worst = float(max(float(drops.max()), 0.0))

@@ -4,7 +4,8 @@ Such f satisfy z f'(z) = [alpha + (1 - alpha) p(z)] f(z) for some p in the
 Caratheodory class, which pins every Taylor coefficient of f to the moments
 of p.  This module maps moment data to coefficient vectors, provides the
 closed forms for a2, a3, a4 and the coefficients of the extremal odd function
-z (1 - z^2)^(alpha - 1).
+z (1 - z^2)^(alpha - 1).  Every export that takes alpha, here and in the other
+modules, takes an Alpha or a real number in [0, 1), read by alpha_value.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import MomentTriple, _complex_array
-from .errors import DomainError, finite, numeric, whole_number
+from .errors import DomainError, finite, instance, numeric, whole_number
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,11 @@ class Alpha:
         if not 0.0 <= v < 1.0:
             raise DomainError(f"alpha must lie in [0, 1), got {v}")
         object.__setattr__(self, "value", v)
+
+
+def alpha_value(alpha) -> float:
+    """alpha.value for an Alpha, else Alpha(alpha).value: a float in [0, 1), or DomainError."""
+    return (alpha if isinstance(alpha, Alpha) else Alpha(alpha)).value
 
 
 class CoefficientVector:
@@ -64,7 +70,7 @@ class CoefficientVector:
         return f"CoefficientVector({self._a.tolist()!r})"
 
 
-def coeffs_from_moments(alpha: Alpha, moments) -> CoefficientVector:
+def coeffs_from_moments(alpha: Alpha | float, moments) -> CoefficientVector:
     """Coefficients a_1..a_N of f from moments p_1..p_{N-1}.
 
     Equating coefficients in z f' = [alpha + (1 - alpha) p] f gives
@@ -73,29 +79,29 @@ def coeffs_from_moments(alpha: Alpha, moments) -> CoefficientVector:
 
     Moments so large that a coefficient overflows raise DomainError.
     """
+    al = alpha_value(alpha)
     p = np.atleast_1d(numeric("moments", moments, _complex_array))
     # CoefficientVector rejects overflowed coefficients; numpy must not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
-        a = coeff_rows(alpha, p[None, :])[0]
+        a = coeff_rows(al, p[None, :])[0]
     return CoefficientVector(a)
 
 
 def coeff_rows(alpha, moments) -> np.ndarray:
     """The recurrence of coeffs_from_moments on each row of an (R, N-1) moment array.
 
-    ``alpha`` is one Alpha for every row, or an (R,) array holding the value
-    of each row's Alpha.  Returns the (R, N) array of rows a_1..a_N.  Every
-    row is bit-equal to what np.dot gives one row at a time: each sum is a
-    stacked product of contiguous rows, which numpy hands to the same BLAS
-    dot, and the one-term sum for a_2 is a plain complex product, as np.dot
-    forms it.  A row's factor s = 1 - alpha is the same IEEE operation
-    whether alpha comes as an Alpha or as an array entry.
+    ``alpha`` is one alpha value (a float) for every row, or the (R,) array
+    of each row's value; callers validate it.  Returns the (R, N) array of
+    rows a_1..a_N.  Every row is bit-equal to what np.dot gives one row at a
+    time: each sum is a stacked product of contiguous rows, which numpy hands
+    to the same BLAS dot, and the one-term sum for a_2 is a plain complex
+    product, as np.dot forms it.
     """
     p = np.ascontiguousarray(moments, dtype=complex)
     rows, m = p.shape
     a = np.zeros((rows, m + 1), dtype=complex)
     a[:, 0] = 1.0
-    s = 1.0 - (alpha.value if isinstance(alpha, Alpha) else np.asarray(alpha, dtype=float))
+    s = 1.0 - alpha
     for n in range(2, m + 2):
         if n == 2:
             total = a[:, 0] * p[:, 0]
@@ -107,10 +113,11 @@ def coeff_rows(alpha, moments) -> np.ndarray:
     return a
 
 
-def closed_form_a234(alpha: Alpha, m: MomentTriple) -> tuple:
+def closed_form_a234(alpha: Alpha | float, m: MomentTriple) -> tuple:
     """The closed forms of a2, a3, a4 in terms of (p1, p2, p3); DomainError
     when the moments are so large that a value or its modulus overflows."""
-    al = alpha.value
+    al = alpha_value(alpha)
+    instance("m", m, MomentTriple)
     p1, p2, p3 = m.p1, m.p2, m.p3
     a2 = (1.0 - al) * p1
     a3 = 0.25 * (2.0 * (1.0 - al) ** 2 * p1 * p1 + 2.0 * p2 - 2.0 * al * p2)
@@ -121,7 +128,7 @@ def closed_form_a234(alpha: Alpha, m: MomentTriple) -> tuple:
     return finite(a2, "a2"), finite(a3, "a3"), finite(a4, "a4")
 
 
-def extremal_coeffs(alpha: Alpha, order: int) -> CoefficientVector:
+def extremal_coeffs(alpha: Alpha | float, order: int) -> CoefficientVector:
     """Coefficients of the extremal odd function z * (1 - z^2)^(alpha - 1).
 
     Even coefficients vanish; a_{2k+1} is the rising factorial
@@ -129,13 +136,12 @@ def extremal_coeffs(alpha: Alpha, order: int) -> CoefficientVector:
     coeffs_from_moments applied to the moment pattern p_n = 1 + (-1)^n.
     ``order`` is a whole number of at least 4, else DomainError.
     """
+    al = alpha_value(alpha)
     order = whole_number("order", order, 4)
     a = np.zeros(order, dtype=complex)
     a[0] = 1.0
     coef = 1.0
-    k = 1
-    while 2 * k < order:
-        coef *= (1.0 - alpha.value + (k - 1)) / k
+    for k in range(1, (order + 1) // 2):
+        coef *= (1.0 - al + (k - 1)) / k
         a[2 * k] = coef
-        k += 1
     return CoefficientVector(a)

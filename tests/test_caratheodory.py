@@ -25,6 +25,7 @@ from h2star import (
     extremal_coeffs,
     functional_moment_form,
     functional_param_form,
+    hankel_det,
     lemma_forward,
     lemma_inverse,
     maximize_herglotz,
@@ -34,6 +35,7 @@ from h2star import (
     monotonicity_scan,
     normalize_rotation,
     phi,
+    sharp_bound,
     sweep_alpha,
     toeplitz_psd,
 )
@@ -45,6 +47,7 @@ from h2star.caratheodory import (
     random_lemma_point,
 )
 from h2star.errors import MAX_ENTRIES
+from h2star.search import SearchOutcome
 
 HALF_HALF_0_PI = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
 A = Alpha(0.1)
@@ -435,6 +438,22 @@ def test_random_lemma_point_stays_in_box():
         lambda: normalize_rotation(["x", 0, 0]),
         lambda: CoefficientVector(["x", 0, 0]),
         lambda: sweep_alpha("x", 0.5, 1, "phi"),
+        lambda: coeffs_from_moments(1.5, [1, 0, 0]),
+        lambda: coeffs_from_moments(-3, [1, 0, 0]),
+        lambda: phi(1.5, 1, 0.5),
+        lambda: maximize_phi(1.5),
+        lambda: sharp_bound(-0.25),
+        lambda: extremal_coeffs(1.0, 5),
+        lambda: closed_form_a234(math.nan, MomentTriple(1, 0, 0)),
+        lambda: functional_moment_form(A, (1, 0, 0)),
+        lambda: closed_form_a234(A, (1, 0, 0)),
+        lambda: lemma_inverse((1, 0, 0)),
+        lambda: functional_param_form(A, (1, 0, 0)),
+        lambda: lemma_forward((1, 0, 0)),
+        lambda: moments_from_atoms((1,), 3),
+        lambda: hankel_det([1, 2, 3, 4], HankelSpec(2, 2)),
+        lambda: hankel_det(CoefficientVector([1, 2, 3, 4]), (2, 2)),
+        lambda: maximize_param(A, 2, 2, 2, 2, seed=object()),
     ],
     ids=["spec-inf", "spec-nan", "spec-fraction", "spec-n-fraction", "rotate-nan",
          "rotate-inf", "rotate-empty", "toeplitz-empty", "inverse-unrotated",
@@ -446,7 +465,11 @@ def test_random_lemma_point_stays_in_box():
          "toeplitz-eigenvalue-inf", "rotate-overflow", "inverse-y-nan", "alpha-string",
          "moments-string", "lemma-p-string", "lemma-y-string", "lemma-zeta-string",
          "phi-p-string", "profile-p-string", "coeffs-moment-string", "toeplitz-string",
-         "rotate-string", "coeffvector-string", "sweep-alpha-string"],
+         "rotate-string", "coeffvector-string", "sweep-alpha-string", "coeffs-alpha-1.5",
+         "coeffs-alpha-int-3", "phi-alpha-1.5", "phi-search-alpha-1.5", "bound-alpha-negative",
+         "extremal-alpha-1", "closed-form-alpha-nan", "moment-form-tuple", "closed-form-tuple",
+         "inverse-tuple", "param-form-tuple", "forward-tuple", "moments-atoms-tuple",
+         "hankel-list", "hankel-spec-tuple", "param-search-seed-object"],
 )
 def test_public_rejections_raise_domain_error(call):
     with pytest.raises(DomainError):
@@ -458,19 +481,25 @@ _REALS = st.one_of(
     st.floats(),
 )
 _COMPLEX = st.builds(complex, _REALS, _REALS)
-_TRIPLES = st.builds(MomentTriple, _COMPLEX, _COMPLEX, _COMPLEX)
-_POINTS = st.builds(LemmaPoint, _REALS, _COMPLEX, _COMPLEX)
+_TRIPLES = st.one_of(st.builds(MomentTriple, _COMPLEX, _COMPLEX, _COMPLEX),
+                     st.tuples(_COMPLEX, _COMPLEX, _COMPLEX))
+_POINTS = st.one_of(st.builds(LemmaPoint, _REALS, _COMPLEX, _COMPLEX),
+                    st.tuples(_REALS, _COMPLEX, _COMPLEX))
 _MOMENT_LISTS = st.lists(_COMPLEX, max_size=4)
-_ALPHAS = st.floats(0.0, 1.0, exclude_max=True).map(Alpha)
+_ALPHAS = st.one_of(st.floats(0.0, 1.0, exclude_max=True).map(Alpha), _REALS)
 
 # Each exported function that takes real or complex numbers, with the
 # strategies of its arguments.  A strategy that builds a MomentTriple or a
-# LemmaPoint may raise, which the property counts as a rejection.
+# LemmaPoint may raise, which the property counts as a rejection; a plain
+# tuple in their place must be rejected too.  Alpha is drawn as an Alpha or
+# as any real number.
 _NUMERIC_CALLS = {
     "Alpha": (Alpha, [_REALS]),
     "LemmaPoint": (LemmaPoint, [_REALS, _COMPLEX, _COMPLEX]),
     "MomentTriple": (MomentTriple, [_COMPLEX, _COMPLEX, _COMPLEX]),
     "phi": (phi, [_ALPHAS, _REALS, _REALS]),
+    "sharp_bound": (sharp_bound, [_ALPHAS]),
+    "extremal_coeffs": (extremal_coeffs, [_ALPHAS, st.integers(4, 12)]),
     "bound_profile": (bound_profile, [_ALPHAS, _REALS]),
     "closed_form_a234": (closed_form_a234, [_ALPHAS, _TRIPLES]),
     "functional_moment_form": (functional_moment_form, [_ALPHAS, _TRIPLES]),
@@ -479,6 +508,7 @@ _NUMERIC_CALLS = {
     "toeplitz_psd": (toeplitz_psd, [_MOMENT_LISTS]),
     "normalize_rotation": (normalize_rotation, [_MOMENT_LISTS]),
     "lemma_inverse": (lemma_inverse, [_TRIPLES]),
+    "lemma_forward": (lemma_forward, [_POINTS]),
 }
 
 
@@ -540,6 +570,8 @@ _COUNT_CALLS = {
                                       _COUNTS),
     "maximize_herglotz.seed": (lambda c: maximize_herglotz(A, restarts=1, seed=c),
                                _NON_INTEGRAL),
+    "maximize_phi.seed": (lambda c: maximize_phi(A, 3, 3, seed=c), _NON_INTEGRAL),
+    "maximize_param.seed": (lambda c: maximize_param(A, 2, 2, 2, 2, seed=c), _NON_INTEGRAL),
 }
 
 
@@ -551,3 +583,60 @@ def test_count_arguments_reject_non_integral_and_oversized_values(name, data):
     count = data.draw(counts)
     with pytest.raises(DomainError, match=name.split(".")[1]):
         call(count)
+
+
+_MOMENTS = MomentTriple(1.5, 0.3 + 0.2j, -1.0 + 0.5j)
+
+# Each exported function that takes alpha, called at one alpha.
+_ALPHA_CALLS = {
+    "coeffs_from_moments": lambda a: coeffs_from_moments(a, [1.5, 0.3 + 0.2j, -1.0 + 0.5j, 0.1]),
+    "closed_form_a234": lambda a: closed_form_a234(a, _MOMENTS),
+    "extremal_coeffs": lambda a: extremal_coeffs(a, 9),
+    "functional_moment_form": lambda a: functional_moment_form(a, _MOMENTS),
+    "functional_param_form": lambda a: functional_param_form(a, LemmaPoint(1.2, 0.3 - 0.4j, 0.6j)),
+    "phi": lambda a: phi(a, np.linspace(0.0, 2.0, 5)[:, None], np.linspace(0.0, 1.0, 3)),
+    "bound_profile": lambda a: bound_profile(a, np.linspace(0.0, 2.0, 7)),
+    "sharp_bound": sharp_bound,
+    "maximize_phi": maximize_phi,
+    "maximize_param": maximize_param,
+    "maximize_herglotz": maximize_herglotz,
+    "monotonicity_scan": monotonicity_scan,
+}
+
+
+def _bits(result):
+    if isinstance(result, SearchOutcome):
+        return result.to_json()
+    if isinstance(result, CoefficientVector):
+        result = result.coeffs
+    return np.asarray(result).tobytes()
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.75])
+@pytest.mark.parametrize("name", list(_ALPHA_CALLS))
+def test_float_alpha_gives_the_alpha_result_bit_for_bit(name, a):
+    call = _ALPHA_CALLS[name]
+    assert _bits(call(a)) == _bits(call(Alpha(a)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coeffs_from_moments(2.0, ["x"]),
+        lambda: extremal_coeffs(2.0, 0),
+        lambda: bound_profile(2.0, "x"),
+        lambda: phi(2.0, "x", 0.5),
+        lambda: maximize_phi(2.0, 0),
+        lambda: maximize_param(2.0, 0),
+        lambda: maximize_herglotz(2.0, restarts=0),
+        lambda: monotonicity_scan(2.0, 0),
+        lambda: functional_moment_form(2.0, (1, 0, 0)),
+        lambda: functional_param_form(2.0, (1, 0, 0)),
+        lambda: closed_form_a234(2.0, (1, 0, 0)),
+    ],
+    ids=["coeffs", "extremal", "profile", "phi", "phi-search", "param-search", "herglotz",
+         "scan", "moment-form", "param-form", "closed-form"],
+)
+def test_alpha_is_checked_before_the_other_arguments(call):
+    with pytest.raises(DomainError, match="alpha"):
+        call()

@@ -239,6 +239,14 @@ def test_reproduce_bound_table_script():
         assert proc.returncode == 0, proc.stderr
         assert b"worst gap" in proc.stdout
         assert f"method = {method}".encode() in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, str(script), "--alpha-end", "2", "--methods", "phi"],
+        capture_output=True, env=src_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode().splitlines() == [
+        "reproduce_bound_table: error: alpha must lie in [0, 1), got 2.0"
+    ]
 
 
 class TestExitCodes:
@@ -278,6 +286,14 @@ class TestExitCodes:
         )
         assert code == 2
         assert "does not apply" in err
+
+    @pytest.mark.parametrize("method", ["phi", "lemma"])
+    def test_negative_seed_is_domain_error(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "search", "--alpha", "0.1", "--method", method, "--seed", "-3"
+        )
+        assert (code, out) == (1, "")
+        assert "seed" in err
 
     def test_domain_error_from_alpha(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--alpha", "1.5")

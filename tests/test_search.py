@@ -294,10 +294,10 @@ def _h2_at_extremal(alpha):
 class TestMaximizeHerglotz:
     def test_seeded_at_extremal_evaluation_only(self):
         for a in (0.0, 0.25, 0.8):
-            assert _h2_at_extremal(Alpha(a)) == sharp_bound(Alpha(a))
+            assert _h2_at_extremal(a) == sharp_bound(Alpha(a))
 
     def test_quarter_alpha_seeded(self):
-        assert _h2_at_extremal(Alpha(0.25)) == pytest.approx(9.0 / 16.0, abs=1e-10)
+        assert _h2_at_extremal(0.25) == pytest.approx(9.0 / 16.0, abs=1e-10)
 
     def test_first_of_tied_restarts(self, monkeypatch):
         # Every restart ends at the same value: the first restart is reported.
@@ -343,7 +343,8 @@ class TestMaximizeHerglotz:
 
 
 def _scalar_h2(alpha, w, t):
-    """|a2 a4 - a3^2| of one atom measure, by the one-point route.
+    """|a2 a4 - a3^2| of one atom measure at the alpha value ``alpha``, by the
+    one-point route.
 
     Moments from one matrix-vector product, the recurrence through np.dot,
     the determinant from products of complex scalars: the reference for the
@@ -353,7 +354,7 @@ def _scalar_h2(alpha, w, t):
     a = np.zeros(4, dtype=complex)
     a[0] = 1.0
     for n in range(2, 5):
-        a[n - 1] = (1.0 - alpha.value) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
+        a[n - 1] = (1.0 - alpha) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
     return abs(complex(a[1] * a[3] - a[2] * a[2]))
 
 
@@ -429,13 +430,13 @@ class TestHerglotzRowKernel:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_bit_equal_at_every_batch_size(self, k):
         rng = np.random.default_rng(40 + k)
-        alpha = Alpha(float(rng.uniform(0.0, 1.0)))
+        alpha = float(rng.uniform(0.0, 1.0))
         w = rng.dirichlet(np.ones(k), size=self.ROWS)
         t = rng.uniform(0.0, 2.0 * math.pi, size=(self.ROWS, k))
         spec = HankelSpec(2, 2)
         via_api = np.array([
             abs(hankel_det(coeffs_from_moments(
-                alpha, 2.0 * (np.exp(1j * np.outer([1.0, 2.0, 3.0], t[r])) @ w[r])), spec))
+                Alpha(alpha), 2.0 * (np.exp(1j * np.outer([1.0, 2.0, 3.0], t[r])) @ w[r])), spec))
             for r in range(self.ROWS)
         ])
         one_point = np.array([_scalar_h2(alpha, w[r], t[r]) for r in range(self.ROWS)])
@@ -461,7 +462,7 @@ class TestHerglotzRowKernelPerRowAlpha:
         t = rng.uniform(0.0, 2.0 * math.pi, size=(values.size, k))
         batch = search._h2_rows(values, w, search._kernels(t))
         for r in range(values.size):
-            alpha = Alpha(float(values[r]))
+            alpha = float(values[r])
             one = search._h2_rows(alpha, w[r : r + 1], search._kernels(t[r : r + 1]))
             assert batch[r : r + 1].tobytes() == one.tobytes()
             assert batch[r] == _scalar_h2(alpha, w[r], t[r])
@@ -545,7 +546,7 @@ class TestLockStepRestarts:
     def test_short_refinement(self, atom_count, a, local_steps):
         kwargs = dict(atom_count=atom_count, restarts=12, local_steps=local_steps,
                       seed=10 * atom_count + local_steps)
-        want = _herglotz_one_at_a_time(Alpha(a), **kwargs).to_json()
+        want = _herglotz_one_at_a_time(a, **kwargs).to_json()
         assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
 
     @pytest.mark.parametrize("atom_count, a", [(1, 0.3), (2, 0.55), (3, 0.45)])
@@ -553,7 +554,7 @@ class TestLockStepRestarts:
         # With 60 sweeps most one- and two-atom restarts halve their steps
         # below 1e-12 and stop early, each at its own sweep.
         kwargs = dict(atom_count=atom_count, restarts=6, seed=5)
-        want = _herglotz_one_at_a_time(Alpha(a), **kwargs).to_json()
+        want = _herglotz_one_at_a_time(a, **kwargs).to_json()
         assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
 
 

@@ -68,11 +68,11 @@ class TestCoeffsFromMoments:
 
 
 def _dot_recurrence(alpha, p):
-    """The recurrence one coefficient at a time through np.dot."""
+    """The recurrence at the alpha value ``alpha``, one coefficient at a time through np.dot."""
     a = np.zeros(len(p) + 1, dtype=complex)
     a[0] = 1.0
     for n in range(2, len(p) + 2):
-        a[n - 1] = (1.0 - alpha.value) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
+        a[n - 1] = (1.0 - alpha) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
     return a
 
 
@@ -82,12 +82,12 @@ class TestCoeffRows:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11])
     def test_random_moments(self, m):
         rng = np.random.default_rng(60 + m)
-        alpha = Alpha(float(rng.uniform(0.0, 1.0)))
+        alpha = float(rng.uniform(0.0, 1.0))
         p = rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
         rows = coeff_rows(alpha, p)
         for r in range(p.shape[0]):
             want = _dot_recurrence(alpha, p[r]).tobytes()
-            assert coeffs_from_moments(alpha, p[r]).coeffs.tobytes() == want
+            assert coeffs_from_moments(Alpha(alpha), p[r]).coeffs.tobytes() == want
             assert rows[r].tobytes() == want
 
     def test_signed_zeros_and_negative_parts(self):
@@ -95,7 +95,7 @@ class TestCoeffRows:
         parts = [0.0, -0.0, 1.5, -1.5, 2.0]
         values = [complex(x, y) for x in parts for y in parts]
         p = np.array(list(itertools.product(values, repeat=2)), dtype=complex)
-        alpha = Alpha(0.39)
+        alpha = 0.39
         rows = coeff_rows(alpha, p)
         for r in range(p.shape[0]):
             assert rows[r].tobytes() == _dot_recurrence(alpha, p[r]).tobytes()
@@ -111,7 +111,7 @@ class TestCoeffRowsPerRowAlpha:
         rows = coeff_rows(values, p)
         for a in np.unique(values):
             mask = values == a
-            alpha = Alpha(float(a))
+            alpha = float(a)
             assert rows[mask].tobytes() == coeff_rows(alpha, p[mask]).tobytes()
             for r in np.flatnonzero(mask):
                 assert rows[r].tobytes() == _dot_recurrence(alpha, p[r]).tobytes()
