@@ -67,10 +67,10 @@ class HerglotzAtoms:
 
     def __post_init__(self):
         try:
-            w = tuple(float(x) for x in self.weights)
-            t = tuple(float(x) for x in self.angles)
-        except (TypeError, ValueError) as exc:
-            raise InvalidAtoms(f"weights/angles must be real numbers: {exc}") from exc
+            w = tuple(numeric("weights", x, float) for x in self.weights)
+            t = tuple(numeric("angles", x, float) for x in self.angles)
+        except TypeError as exc:  # weights or angles not iterable
+            raise InvalidAtoms(f"weights and angles must be sequences: {exc}") from exc
         if not w or len(w) != len(t):
             raise InvalidAtoms("need at least one atom and matching weights/angles")
         if not all(math.isfinite(x) for x in w + t):
@@ -218,10 +218,19 @@ def toeplitz_psd(moments) -> tuple:
     return min_eig, min_eig >= -PSD_TOL
 
 
-def _moment_array(moments) -> np.ndarray:
-    """The moments as a 1-d complex array; DomainError if there are none or
-    one is not finite."""
+def _moment_vector(moments) -> np.ndarray:
+    """The moments as a 1-d complex array; DomainError if they are not
+    numbers or have more than one dimension."""
     p = np.atleast_1d(numeric("moments", moments, _complex_array))
+    if p.ndim > 1:
+        raise DomainError(f"moments must form a 1-d sequence, got shape {p.shape}")
+    return p
+
+
+def _moment_array(moments) -> np.ndarray:
+    """The moments as by _moment_vector; DomainError also if there are none
+    or one is not finite."""
+    p = _moment_vector(moments)
     if p.size < 1:
         raise DomainError("need at least one moment")
     if not np.isfinite(p).all():

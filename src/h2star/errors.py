@@ -8,9 +8,15 @@ can map any domain failure to a single exit code.
 
 import math
 
+import numpy as np
+
 # No 64-bit address space spans more than 2^57 bytes (x86-64 maps 2^57 with
 # five-level paging), so no array holds more entries than this.
 MAX_ENTRIES = 1 << 57
+
+# Text and truth values, which float(), complex(), int() and numpy turn into
+# numbers, but which no rule here accepts as one.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
 
 class H2StarError(ValueError):
@@ -46,16 +52,23 @@ class UnsupportedOrder(H2StarError):
 
 
 def numeric(name: str, value, convert):
-    """convert(value), or DomainError naming ``name`` when convert rejects it.
+    """convert(value), or DomainError naming ``name`` when convert rejects it
+    or ``value`` is text or a truth value.
 
     ``convert`` is float, complex or an array conversion such as
     ``functools.partial(np.asarray, dtype=complex)``; each raises TypeError,
     ValueError or OverflowError on input that is not a number of its kind.
+    An array conversion is also refused text or truth-value entries.
     """
     try:
-        return convert(value)
+        if isinstance(value, _NOT_NUMBERS):
+            raise TypeError(f"got {type(value).__name__} {value!r}")
+        converted = convert(value)
+        if type(converted) is np.ndarray and np.asarray(value).dtype.kind in "bSU":
+            raise TypeError("got text or truth-value entries")
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be numeric: {exc}") from exc
+    return converted
 
 
 def instance(name: str, value, cls) -> None:
@@ -65,11 +78,12 @@ def instance(name: str, value, cls) -> None:
 
 
 def whole_number(name: str, value, least: int, most=MAX_ENTRIES) -> int:
-    """``value`` as an int when it equals its int (3.0 gives 3) and lies in
-    [least, most]; otherwise DomainError naming ``name``."""
+    """``value`` as an int when it equals its int (3.0 gives 3), lies in
+    [least, most] and is not text or a truth value; otherwise DomainError
+    naming ``name``."""
     try:
         whole = int(value)
-        ok = whole == value and least <= whole <= most
+        ok = not isinstance(value, _NOT_NUMBERS) and whole == value and least <= whole <= most
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:

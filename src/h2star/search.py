@@ -10,11 +10,11 @@ smallest tied grid index, so the result does not depend on evaluation order.
 Grids are evaluated on one thread; ``workers`` is accepted and validated but
 does not affect the computation.  zeta is searched on the unit circle only;
 the functional is affine in zeta, so the modulus over the closed disk is
-maximized on the boundary.  The same affinity bounds |Psi| on a whole
-(p, y) cell by |A| + |B|, and the lemma grid, in one pass over its p slices,
-evaluates the zeta axis only on cells whose bound comes within
-TIE_TOL + _BOUND_MARGIN of the largest grid value found so far; its result
-is that of the full grid, bit for bit.  The atom search refines its
+maximized on the boundary.  The lemma grid is pruned by the majorant:
+|Psi(p, y, zeta)| <= phi(p, |y|), so one phi value bounds a whole (p, t)
+row of the grid, and only the rows whose bound comes within
+TIE_TOL + _BOUND_MARGIN of a grid value are evaluated; the result is that
+of the full grid, bit for bit.  The atom search refines its
 restarts in lock-step as one batch, and a sweep refines the restarts of all
 its alphas together, in batches of at most _HERGLOTZ_BATCH_ROWS rows; both
 give, bit for bit, the restarts run one after another at one alpha at a time.
@@ -38,16 +38,10 @@ from .hankel import det2, sharp_bound
 from .starlike import Alpha, alpha_value, coeff_rows
 
 TIE_TOL = 1e-12
-# Slack on the bound |A| + |B| of the lemma grid search.  On the default
-# grid at alpha 0, 0.25, 0.5, 0.75 and 0.99 the computed |Psi| exceeds the
-# computed bound by at most 2.2e-16, about 1/4,500 of this margin.
+# Slack on the bound phi of the lemma grid search.  On the default grid at
+# 12 alphas in [0, 0.99] the computed |Psi| exceeds the computed phi by at
+# most 3.3e-16, about 1/3,000 of this margin.
 _BOUND_MARGIN = 1e-12
-# Grid points per evaluation of the lemma grid's surviving zeta axes.  At
-# alpha = 0 all 6,464 cells of the p = 2 slice survive the bound.  Default
-# grid searches at alpha 0, 0.25 and 0.75 raised peak RSS over the import by
-# 14.4 MiB with a whole slice per evaluation, 4.3 MiB at 2^16 points and
-# 2.1 MiB at 2^14 points, which ran 5% slower (2-vCPU box).
-_ZETA_BLOCK_POINTS = 1 << 16
 
 # Rows (restarts times alphas) per lock-step batch of a Herglotz sweep.  A
 # default 100-alpha sweep (alpha 0 to 0.99, 10,000 rows) took 3.1 s at 1,024
@@ -168,19 +162,6 @@ def maximize_phi(
     )
 
 
-def _cell_bound(alpha_value: float, p, y) -> np.ndarray:
-    """|A| + |B| at each y, where the five-term form is Psi = A + B zeta.
-
-    A and B come from the form itself at zeta = 0 and zeta = 1, so the bound
-    follows whatever hankel._param_form_raw computes.  |Psi| <= |A| + |B| on
-    the closed unit disk; in floating point the computed |Psi| exceeds the
-    computed bound by at most a few ulps (see _BOUND_MARGIN).
-    """
-    a = hankel._param_form_raw(alpha_value, p, y, 0.0)
-    b = hankel._param_form_raw(alpha_value, p, y, 1.0) - a
-    return np.abs(a) + np.abs(b)
-
-
 def maximize_param(
     alpha: Alpha | float,
     grid_p: int = DEFAULT_GRID_P,
@@ -192,17 +173,18 @@ def maximize_param(
 ) -> SearchOutcome:
     """Maximum of |five-term form| over p in [0,2], y = t e^{i mu}, zeta = e^{i nu}.
 
-    The result is that of evaluating every grid point, bit for bit, but the
-    zeta axis is evaluated only where it can matter.  Psi is affine in zeta,
-    so U = |A| + |B| bounds |Psi| on every zeta of a (p, y) cell.  One pass
-    over the p slices computes U once per slice and keeps lb, the largest
-    grid value found so far, so lb <= the grid maximum.  A cell with
-    U < lb - TIE_TOL - _BOUND_MARGIN holds no value within TIE_TOL of the
-    maximum, so it can neither be the maximum nor take part in the
-    tie-break, and its zeta axis is skipped; a slice whose largest U is
-    below that skips all of them.  Otherwise the zeta axis of the slice's
-    top-U cell first raises lb.  ``evaluations`` counts the grid points
-    decided, evaluated or excluded by the bound:
+    The result is that of evaluating every grid point, bit for bit, but only
+    the (p, t) rows that can matter are evaluated.  The search relies on the
+    triangle-inequality majorant |Psi(p, y, zeta)| <= phi(p, |y|), step 3 of
+    the proof, which the proof-step-properties check samples: phi(p, t)
+    bounds |Psi| on the whole (arg y, zeta) grid of row (p, t).  The row of
+    largest phi gives a grid value m, so m <= the grid maximum, and a row
+    with phi < m - TIE_TOL - _BOUND_MARGIN holds no value within TIE_TOL of
+    the maximum: it can neither be the maximum nor take part in the
+    tie-break.  The other rows are evaluated in C order, the first one
+    holding a value tied with the maximum is evaluated once more, and its
+    first tied (arg y, zeta) index is the argmax.  ``evaluations`` counts
+    the grid points decided, evaluated or excluded by the bound:
     grid_p * grid_ymod * grid_yarg * grid_zarg.  ``seed`` is recorded only,
     as in maximize_phi.
     """
@@ -218,45 +200,20 @@ def maximize_param(
     ts = np.linspace(0.0, 1.0, grid_ymod)
     e_mu = np.exp(1j * np.arange(grid_yarg) * (_TWO_PI / grid_yarg))
     e_nu = np.exp(1j * np.arange(grid_zarg) * (_TWO_PI / grid_zarg))
-    y_cells = (ts[:, None] * e_mu[None, :]).ravel()
 
-    def eval_cells(i, cells):
-        return np.abs(hankel._param_form_raw(al, ps[i], y_cells[cells, None], e_nu[None, :]))
+    def row(i, ti):
+        """|Psi| on the (arg y, zeta) grid of row (p_i, t_ti)."""
+        return np.abs(hankel._param_form_raw(al, ps[i], (ts[ti] * e_mu)[:, None], e_nu[None, :]))
 
-    block = max(1, _ZETA_BLOCK_POINTS // grid_zarg)
-
-    def pruned_blocks(i, u, floor):
-        """Cells of slice i whose bound u reaches floor, in C order and in
-        blocks, each with |Psi| on its zeta axis."""
-        cells = np.flatnonzero(u >= floor)
-        for start in range(0, cells.size, block):
-            part = cells[start : start + block]
-            yield part, eval_cells(i, part)
-
-    # lb is the largest grid value seen so far, never above the grid maximum,
-    # so a cell whose bound stays below lb - slack holds no tied value.  Find
-    # the first slice holding a tied value from the slice maxima, then
-    # evaluate that slice once more, up to its first block holding a tied value.
-    slack = TIE_TOL + _BOUND_MARGIN
-    lb = -np.inf
-    slice_max = np.full(grid_p, -np.inf)
-    for i in range(grid_p):
-        u = _cell_bound(al, ps[i], y_cells)
-        top = int(u.argmax())
-        if u[top] >= lb - slack:
-            lb = max(lb, eval_cells(i, [top]).max())
-            slice_max[i] = max(vals.max() for _, vals in pruned_blocks(i, u, lb - slack))
-            lb = max(lb, slice_max[i])
-        # Holding this bound while the next slice's is computed ran default
-        # grids at alpha 0.25, 0.75 and 0.99 about 10-20% slower (2-vCPU box).
-        del u
-    gmax = slice_max.max()
-    (pi,) = _first_tied_index(slice_max, gmax)
-    for cells, vals in pruned_blocks(pi, _cell_bound(al, ps[pi], y_cells), gmax - slack):
-        if vals.max() >= gmax - TIE_TOL:
-            break
-    k, ni = _first_tied_index(vals, gmax)
-    ti, mi = divmod(int(cells[k]), grid_yarg)
+    bound = hankel.phi(al, ps[:, None], ts[None, :])
+    top = np.unravel_index(int(bound.argmax()), bound.shape)
+    floor = row(*top).max() - TIE_TOL - _BOUND_MARGIN
+    rows = np.argwhere(bound >= floor)
+    row_max = np.array([row(i, ti).max() for i, ti in rows])
+    gmax = row_max.max()
+    (k,) = _first_tied_index(row_max, gmax)
+    pi, ti = rows[k]
+    mi, ni = _first_tied_index(row(pi, ti), gmax)
     pt = LemmaPoint(float(ps[pi]), complex(ts[ti] * e_mu[mi]), complex(e_nu[ni]))
     value = abs(hankel.functional_param_form(al, pt))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caratheodory import MomentTriple, _complex_array
+from .caratheodory import MomentTriple, _complex_array, _moment_vector
 from .errors import DomainError, finite, instance, numeric, whole_number
 
 
@@ -80,7 +80,7 @@ def coeffs_from_moments(alpha: Alpha | float, moments) -> CoefficientVector:
     Moments so large that a coefficient overflows raise DomainError.
     """
     al = alpha_value(alpha)
-    p = np.atleast_1d(numeric("moments", moments, _complex_array))
+    p = _moment_vector(moments)
     # CoefficientVector rejects overflowed coefficients; numpy must not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
         a = coeff_rows(al, p[None, :])[0]

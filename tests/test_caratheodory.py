@@ -46,7 +46,7 @@ from h2star.caratheodory import (
     random_disk_point,
     random_lemma_point,
 )
-from h2star.errors import MAX_ENTRIES
+from h2star.errors import MAX_ENTRIES, whole_number
 from h2star.search import SearchOutcome
 
 HALF_HALF_0_PI = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
@@ -454,6 +454,23 @@ def test_random_lemma_point_stays_in_box():
         lambda: hankel_det([1, 2, 3, 4], HankelSpec(2, 2)),
         lambda: hankel_det(CoefficientVector([1, 2, 3, 4]), (2, 2)),
         lambda: maximize_param(A, 2, 2, 2, 2, seed=object()),
+        lambda: coeffs_from_moments(A, [[1, 2], [3, 4]]),
+        lambda: toeplitz_psd([[1, 2], [3, 4]]),
+        lambda: normalize_rotation([[1, 2], [3, 4]]),
+        lambda: Alpha("0.5"),
+        lambda: Alpha(b"0.5"),
+        lambda: Alpha(False),
+        lambda: Alpha(np.bool_(False)),
+        lambda: HerglotzAtoms(("0.5", "0.5"), (0, 1)),
+        lambda: HerglotzAtoms((0.5, 0.5), (0, True)),
+        lambda: MomentTriple("1", 0, 0),
+        lambda: LemmaPoint(True, 0, 0),
+        lambda: whole_number("seed", True, 0),
+        lambda: whole_number("seed", np.bool_(True), 0),
+        lambda: maximize_phi(A, 3, 3, seed=True),
+        lambda: phi(A, ["0.5"], 0.5),
+        lambda: phi(A, 1.0, np.array([True, False])),
+        lambda: coeffs_from_moments(A, ["1", "0"]),
     ],
     ids=["spec-inf", "spec-nan", "spec-fraction", "spec-n-fraction", "rotate-nan",
          "rotate-inf", "rotate-empty", "toeplitz-empty", "inverse-unrotated",
@@ -469,7 +486,12 @@ def test_random_lemma_point_stays_in_box():
          "coeffs-alpha-int-3", "phi-alpha-1.5", "phi-search-alpha-1.5", "bound-alpha-negative",
          "extremal-alpha-1", "closed-form-alpha-nan", "moment-form-tuple", "closed-form-tuple",
          "inverse-tuple", "param-form-tuple", "forward-tuple", "moments-atoms-tuple",
-         "hankel-list", "hankel-spec-tuple", "param-search-seed-object"],
+         "hankel-list", "hankel-spec-tuple", "param-search-seed-object", "coeffs-moments-2d",
+         "toeplitz-2d", "rotate-2d", "alpha-numeric-string", "alpha-bytes", "alpha-false",
+         "alpha-numpy-bool", "atoms-numeric-strings", "atoms-bool-angle",
+         "moments-numeric-string", "lemma-p-bool", "whole-number-true",
+         "whole-number-numpy-true", "phi-search-seed-true", "phi-p-string-list",
+         "phi-t-bool-array", "coeffs-moment-string-list"],
 )
 def test_public_rejections_raise_domain_error(call):
     with pytest.raises(DomainError):

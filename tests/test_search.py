@@ -146,10 +146,13 @@ class TestReferenceTieBreak:
     def test_param_tie_across_slices(self, monkeypatch):
         # The exact maximum lies in the last p slice; every value of the
         # p = 0 slice is within TIE_TOL of it, so the p = 0 slice must win.
+        # The bound phi no longer matches the fake form, so it is replaced
+        # by a constant above the form's maximum.
         def form(alpha_value, p, y, zeta):
             return (1.0 + 0.4 * TIE_TOL * p) * np.ones_like(y * zeta)
 
         monkeypatch.setattr(hankel, "_param_form_raw", form)
+        monkeypatch.setattr(hankel, "phi", _constant_bound(2.0))
         self._check_param(form, 0.3)
 
     @pytest.mark.parametrize("a", ALPHAS)
@@ -160,6 +163,11 @@ class TestReferenceTieBreak:
         pi, ti = self._oracle(phi(Alpha(a), ps[:, None], ts[None, :]))
         outcome = maximize_phi(Alpha(a), *grid)
         assert outcome.argmax == {"p": ps[pi], "t": ts[ti]}
+
+
+def _constant_bound(value):
+    """A stand-in for hankel.phi: ``value`` on the broadcast (p, t) grid."""
+    return lambda alpha, p, t: np.full(np.broadcast(p, t).shape, value)
 
 
 def _maximize_param_full(alpha, grid_p, grid_ymod, grid_yarg, grid_zarg):
@@ -198,19 +206,18 @@ def _maximize_param_full(alpha, grid_p, grid_ymod, grid_yarg, grid_zarg):
 
 
 class TestBoundPruning:
-    """The bound-pruned lemma grid against the full-slice reference, byte for byte.
+    """The phi-pruned lemma grid against the full-slice reference, byte for byte.
 
     Alpha = 0 has massive ties; 0.45, 0.5 and 0.55 sit at and around the
-    sign change of c = 3 - 8 alpha + 4 alpha^2.
+    sign change of c = 3 - 8 alpha + 4 alpha^2.  At 0, 1e-12, 1e-9 and 0.999
+    many (p, t) rows survive the bound.
     """
 
     ALPHAS = [0.0, 0.45, 0.5, 0.55, 0.01, 0.123, 0.2, 0.25, 0.3, 0.333, 0.4, 0.48,
-              0.52, 0.6, 0.65, 0.7, 0.75, 0.8, 0.875, 0.9, 0.95, 0.99]
+              0.52, 0.6, 0.65, 0.7, 0.75, 0.8, 0.875, 0.9, 0.95, 0.99, 1e-12, 1e-9, 0.999]
 
-    @pytest.mark.parametrize("block_points", [search._ZETA_BLOCK_POINTS, 1])
     @pytest.mark.parametrize("grid", [(9, 5, 4, 2), (17, 9, 7, 3), (41, 21, 16, 8)])
-    def test_small_grids(self, grid, block_points, monkeypatch):
-        monkeypatch.setattr(search, "_ZETA_BLOCK_POINTS", block_points)
+    def test_small_grids(self, grid):
         for a in self.ALPHAS:
             want = _maximize_param_full(Alpha(a), *grid).to_json()
             assert maximize_param(Alpha(a), *grid).to_json() == want, a
@@ -221,34 +228,51 @@ class TestBoundPruning:
         want = _maximize_param_full(Alpha(0.0), *grid).to_json()
         assert maximize_param(Alpha(0.0)).to_json() == want
 
-    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75, 0.99])
+    @pytest.mark.parametrize("a", [0.0, 0.01, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5, 0.55, 0.75,
+                                   0.9, 0.99])
     def test_bound_covers_every_zeta(self, a):
-        # The computed |Psi| may exceed the computed |A| + |B| only by
+        # The computed |Psi| may exceed the computed phi(p, |y|) only by
         # rounding, far below the margin the search leaves.
         ps = np.linspace(0.0, 2.0, 51)
         ts = np.linspace(0.0, 1.0, 26)
-        y = (ts[:, None] * np.exp(2j * math.pi * np.arange(16) / 16)[None, :]).ravel()
-        e_nu = np.exp(2j * math.pi * np.arange(16) / 16)
+        bound = phi(a, ps[:, None], ts[None, :])
+        y = ts[:, None, None] * np.exp(2j * math.pi * np.arange(16) / 16)[None, :, None]
+        e_nu = np.exp(2j * math.pi * np.arange(16) / 16)[None, None, :]
         worst = max(
-            float(np.max(np.abs(hankel._param_form_raw(a, p, y[:, None], e_nu[None, :]))
-                         - search._cell_bound(a, p, y)[:, None]))
-            for p in ps
+            float(np.max(np.abs(hankel._param_form_raw(a, p, y, e_nu)).max(axis=(1, 2))
+                         - bound[i]))
+            for i, p in enumerate(ps)
         )
         assert worst <= search._BOUND_MARGIN / 1000
 
-    @pytest.mark.parametrize("block_points", [1, 20, search._ZETA_BLOCK_POINTS])
-    def test_tie_in_a_later_block(self, monkeypatch, block_points):
-        # Every cell's bound is 1, so every cell survives, but only the cells
-        # with |y| = 1 reach 1 on the zeta grid: with small blocks the first
-        # tied value of the p = 0 slice lies in a later block.
+    def test_tie_in_a_later_row(self, monkeypatch):
+        # The constant bound lets every (p, t) row survive, but only the rows
+        # with |y| = 1 reach 1 on the zeta grid: the first tied value of the
+        # p = 0 slice lies in its last row.
         def form(alpha_value, p, y, zeta):
             w = np.where(np.abs(y) < 1.0, np.exp(0.1j), 1.0)
             return 0.5 + 0.5 * w * zeta * np.ones_like(p)
 
         monkeypatch.setattr(hankel, "_param_form_raw", form)
-        monkeypatch.setattr(search, "_ZETA_BLOCK_POINTS", block_points)
+        monkeypatch.setattr(hankel, "phi", _constant_bound(1.0))
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert abs(want.argmax["y"]) == 1.0
+        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+
+    def test_tied_row_below_the_top_bound_survives(self, monkeypatch):
+        # The bound falls short of the form by half the margin, as rounding
+        # might leave it.  The top row is the last p slice, and the first p
+        # slice, 0.8 * TIE_TOL lower, is tied with it and must win.
+        def form(alpha_value, p, y, zeta):
+            return (1.0 + 0.4 * TIE_TOL * p) * np.ones_like(y * zeta)
+
+        def bound(alpha, p, t):
+            return (1.0 + 0.4 * TIE_TOL * p - search._BOUND_MARGIN / 2) * np.ones_like(p * t)
+
+        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        monkeypatch.setattr(hankel, "phi", bound)
+        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
+        assert want.argmax["p"] == 0.0
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
 
     def test_zeta_axis_skipped_below_the_bound(self, monkeypatch):
