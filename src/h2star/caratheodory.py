@@ -33,7 +33,6 @@ from .errors import (
     InadmissibleMoments,
     InvalidAtoms,
     InvalidLemmaPoint,
-    finite,
     instance,
     numeric,
     whole_number,
@@ -48,6 +47,8 @@ PSD_TOL = 1e-9
 # |y| at or above this is treated as the boundary case, where the zeta
 # coefficient vanishes and zeta cannot be recovered.
 Y_BOUNDARY_TOL = 1e-9
+
+_NOT_FINITE_MOMENTS = "moments must be finite, got {}"
 
 # Rows per block of _lemma_row_blocks.  The two 100,000-row checks took about
 # 0.21 s at 256 rows, 0.12 s at 1024 and 0.10 s at 2048 and 4096; their peak
@@ -73,15 +74,38 @@ class HerglotzAtoms:
             raise InvalidAtoms(f"weights and angles must be sequences: {exc}") from exc
         if not w or len(w) != len(t):
             raise InvalidAtoms("need at least one atom and matching weights/angles")
-        if not all(math.isfinite(x) for x in w + t):
-            raise InvalidAtoms(f"weights and angles must be finite, got {w} and {t}")
-        t = tuple(x % _TWO_PI for x in t)
-        if any(x < 0.0 for x in w):
-            raise InvalidAtoms(f"weights must be nonnegative, got {w}")
-        if abs(sum(w) - 1.0) > _WEIGHT_TOL:
-            raise InvalidAtoms(f"weights must sum to 1, got {sum(w)!r}")
+        t = _atom_arrays(np.array([w]), np.array([t]))[0]
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "angles", t)
+        object.__setattr__(self, "angles", tuple(t.tolist()))
+
+
+def _atom_arrays(weights, angles) -> np.ndarray:
+    """The angles of (N, K) rows of atom weights and angles, wrapped into
+    [0, 2 pi), after checking each row by the rules of HerglotzAtoms.
+
+    A row is an atom set: weights and angles finite, weights nonnegative
+    and summing to 1.  The first row that breaks a rule raises InvalidAtoms
+    with the text HerglotzAtoms gives that row.  Zero weights pad a row of
+    fewer atoms.
+    """
+    # left to right, as sum() adds floats up to Python 3.11
+    total = np.zeros(weights.shape[0])
+    for column in weights.T:
+        total = total + column
+    failure = _first_failure(
+        np.isfinite(weights).all(axis=1) & np.isfinite(angles).all(axis=1),
+        (weights >= 0.0).all(axis=1),
+        np.abs(total - 1.0) <= _WEIGHT_TOL,
+    )
+    if failure is not None:
+        rule, (i,) = failure
+        w, t = tuple(weights[i].tolist()), tuple(angles[i].tolist())
+        raise InvalidAtoms((
+            f"weights and angles must be finite, got {w} and {t}",
+            f"weights must be nonnegative, got {w}",
+            f"weights must sum to 1, got {float(total[i])!r}",
+        )[rule])
+    return np.mod(angles, _TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -128,20 +152,50 @@ def _check_lemma_box(p, y, zeta):
     Takes scalars or equal-shape arrays.  Every comparison is false for NaN,
     and the box is bounded, so non-finite input is rejected too.
     """
-    for ok, value, template in (
-        ((p >= 0.0) & (p <= 2.0), p, "p must lie in [0, 2], got {}"),
-        (abs(y) <= 1.0 + _DISK_TOL, abs(y), "|y| must be <= 1, got {}"),
-        (abs(zeta) <= 1.0 + _DISK_TOL, abs(zeta), "|zeta| must be <= 1, got {}"),
-    ):
-        _require(ok, value, InvalidLemmaPoint, template)
+    ay, az = abs(y), abs(zeta)
+    _require(
+        ((p >= 0.0) & (p <= 2.0), p, InvalidLemmaPoint, "p must lie in [0, 2], got {}"),
+        (ay <= 1.0 + _DISK_TOL, ay, InvalidLemmaPoint, "|y| must be <= 1, got {}"),
+        (az <= 1.0 + _DISK_TOL, az, InvalidLemmaPoint, "|zeta| must be <= 1, got {}"),
+    )
 
 
-def _require(ok, value, error, template):
-    """Raise error(template.format(v)) for the first v of value where ok is false."""
-    # A plain True skips numpy, which would triple the cost of one LemmaPoint.
-    if ok is not True and not np.all(ok):
-        bad = np.asarray(value)[np.logical_not(ok)]
-        raise error(template.format(bad.flat[0]))
+def _require(*rules):
+    """Raise error(template.format(v)) for the first of the rules
+    (ok, value, error, template) that fails at the first entry where any fails.
+
+    ``ok`` is a truth value or an array of them, of one shape across the
+    rules; v is the entry of ``value`` there, a number or, when ``value``
+    has more dimensions than ``ok``, a row, as a Python number or list.
+    """
+    # Plain Trues skip numpy, which would triple the cost of one LemmaPoint.
+    for ok, *_ in rules:
+        if ok is not True and not np.all(ok):
+            break
+    else:
+        return
+    rule, where = _first_failure(*(ok for ok, *_ in rules))
+    _, value, error, template = rules[rule]
+    raise error(template.format(np.asarray(value)[where].tolist()))
+
+
+def _first_failure(*oks):
+    """(rule, index) of the first false entry of ``oks``, equal-shape arrays
+    of truth values, taking entries in index order and, at one entry, the
+    arrays in order; None when every entry is true."""
+    failing = np.logical_not(np.stack(np.broadcast_arrays(*oks)))
+    flat = failing.reshape(len(oks), -1)
+    anywhere = flat.any(axis=0)
+    if not anywhere.any():
+        return None
+    at = int(np.argmax(anywhere))
+    return int(np.argmax(flat[:, at])), np.unravel_index(at, failing.shape[1:])
+
+
+def _modulus_finite(z) -> np.ndarray:
+    """Where |z| is finite: the rule of errors.finite, entry by entry."""
+    with np.errstate(over="ignore"):
+        return np.isfinite(np.abs(z))
 
 
 def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
@@ -149,10 +203,20 @@ def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
     ``m`` is a whole number of at least 1, else DomainError."""
     instance("atoms", atoms, HerglotzAtoms)
     m = whole_number("m", m, 1)
-    w = np.asarray(atoms.weights)
-    t = np.asarray(atoms.angles)
+    return _atom_moment_rows(np.array([atoms.weights]), np.array([atoms.angles]), m)[0]
+
+
+def _atom_moment_rows(weights, angles, m: int) -> np.ndarray:
+    """The (N, m) moments of moments_from_atoms for (N, K) rows of atom
+    weights and angles, each row checked as by HerglotzAtoms.  A zero-weight
+    pad adds exact zeros, so a row's moments are those of its atoms alone."""
+    angles = _atom_arrays(weights, angles)
     n = np.arange(1, m + 1)
-    return 2.0 * (w[None, :] * np.exp(1j * np.outer(n, t))).sum(axis=1)
+    moments = np.empty((weights.shape[0], m), dtype=complex)
+    # one order at a time keeps every temporary at the (N, K) of the atoms
+    for j in range(m):
+        moments[:, j] = 2.0 * (weights * np.exp(1j * (n[j] * angles))).sum(axis=1)
+    return moments
 
 
 def lemma_forward(pt: LemmaPoint) -> MomentTriple:
@@ -177,26 +241,40 @@ def lemma_inverse(m: MomentTriple):
     where its coefficient vanishes and any zeta is consistent.
     """
     instance("m", m, MomentTriple)
-    p1 = m.p1
-    if abs(p1.imag) > 1e-9 or p1.real < 0.0:
-        raise DomainError(
-            f"p1 must be normalized real nonnegative (use normalize_rotation), got {p1}"
-        )
+    y, zeta, edge = _lemma_inverse_rows(*(np.array([x]) for x in (m.p1, m.p2, m.p3)))
+    return complex(y[0]), None if edge[0] else complex(zeta[0])
+
+
+def _lemma_inverse_rows(p1, p2, p3):
+    """lemma_inverse of each entry of the (N,) complex arrays p1, p2 and p3.
+
+    Returns ``(y, zeta, edge)``: ``edge`` marks the entries where |y| is at
+    the unit circle, whose ``zeta`` means nothing.  The first entry that
+    lemma_inverse would refuse raises its error and text.
+    """
     p = p1.real
-    if p >= 2.0 - 1e-12:
-        raise DegenerateP1(f"p1 = {p} is at the boundary; moments are forced to (2, 2, 2)")
-    q = 4.0 - p * p
-    y = finite((2.0 * m.p2 - p * p) / q, "recovered y")
-    ay = abs(y)
-    if ay > 1.0 + PSD_TOL:
-        raise InadmissibleMoments(f"recovered |y| = {ay} exceeds 1")
-    if ay >= 1.0 - Y_BOUNDARY_TOL:
-        return y, None
-    zeta = finite((4.0 * m.p3 - p**3 - 2.0 * q * p * y + p * q * y * y)
-                  / (2.0 * q * (1.0 - ay * ay)), "recovered zeta")
-    if abs(zeta) > 1.0 + PSD_TOL:
-        raise InadmissibleMoments(f"recovered |zeta| = {abs(zeta)} exceeds 1")
-    return y, zeta
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = 4.0 - p * p
+        y = (2.0 * p2 - p * p) / q
+        ay = np.abs(y)
+        edge = ay >= 1.0 - Y_BOUNDARY_TOL
+        zeta = ((4.0 * p3 - p**3 - 2.0 * q * p * y + p * q * y * y)
+                / (2.0 * q * (1.0 - ay * ay)))
+        az = np.abs(zeta)
+    _require(
+        (~((np.abs(p1.imag) > 1e-9) | (p < 0.0)), p1, DomainError,
+         "p1 must be normalized real nonnegative (use normalize_rotation), got {}"),
+        (~(p >= 2.0 - 1e-12), p, DegenerateP1,
+         "p1 = {} is at the boundary; moments are forced to (2, 2, 2)"),
+        (_modulus_finite(y), y, DomainError,
+         "recovered y or its modulus is not finite: the inputs are too large"),
+        (~(ay > 1.0 + PSD_TOL), ay, InadmissibleMoments, "recovered |y| = {} exceeds 1"),
+        (edge | _modulus_finite(zeta), zeta, DomainError,
+         "recovered zeta or its modulus is not finite: the inputs are too large"),
+        (edge | ~(az > 1.0 + PSD_TOL), az, InadmissibleMoments,
+         "recovered |zeta| = {} exceeds 1"),
+    )
+    return y, zeta, edge
 
 
 def toeplitz_psd(moments) -> tuple:
@@ -207,15 +285,29 @@ def toeplitz_psd(moments) -> tuple:
     (min eigenvalue, min eigenvalue >= -1e-9).  Moments so large that an
     eigenvalue overflows raise DomainError.
     """
-    p = _moment_array(moments)
-    m = p.size
-    # entries c_{-m}..c_m with c_0 = 2, c_n = p_n, c_{-n} = conj(p_n)
-    full = np.concatenate((np.conj(p[::-1]), [2.0 + 0.0j], p))
-    idx = np.subtract.outer(np.arange(m + 1), np.arange(m + 1))
-    t = full[m + idx]
-    eigs = np.linalg.eigvalsh(t)
-    min_eig = finite(float(eigs[0]), "least Toeplitz eigenvalue")
+    min_eig = float(_toeplitz_min_eig_rows(_moment_array(moments)[None, :])[0])
     return min_eig, min_eig >= -PSD_TOL
+
+
+def _toeplitz_min_eig_rows(moments) -> np.ndarray:
+    """The least eigenvalue of toeplitz_psd's matrix for each row of an
+    (N, m) moment array, by one stacked eigen-solve; the first row that
+    toeplitz_psd would refuse raises its error and text."""
+    finite = np.isfinite(moments).all(axis=1)
+    p = np.where(finite[:, None], moments, 0.0)
+    rows, m = p.shape
+    # entries c_{-m}..c_m with c_0 = 2, c_n = p_n, c_{-n} = conj(p_n)
+    full = np.concatenate((np.conj(p[:, ::-1]), np.full((rows, 1), 2.0 + 0.0j), p), axis=1)
+    # entry (j, k) is c_{j-k}, so row j is window m - j of the reversed
+    # entries: the stacked matrices are a strided view, not an (N, m+1, m+1) copy
+    windows = np.lib.stride_tricks.sliding_window_view(full[:, ::-1], m + 1, axis=1)
+    min_eig = np.linalg.eigvalsh(windows[:, ::-1])[:, 0]
+    _require(
+        (finite, moments, DomainError, _NOT_FINITE_MOMENTS),
+        (np.isfinite(min_eig), min_eig, DomainError,
+         "least Toeplitz eigenvalue or its modulus is not finite: the inputs are too large"),
+    )
+    return min_eig
 
 
 def _moment_vector(moments) -> np.ndarray:
@@ -228,13 +320,10 @@ def _moment_vector(moments) -> np.ndarray:
 
 
 def _moment_array(moments) -> np.ndarray:
-    """The moments as by _moment_vector; DomainError also if there are none
-    or one is not finite."""
+    """The moments as by _moment_vector; DomainError also if there are none."""
     p = _moment_vector(moments)
     if p.size < 1:
         raise DomainError("need at least one moment")
-    if not np.isfinite(p).all():
-        raise DomainError(f"moments must be finite, got {p.tolist()}")
     return p
 
 
@@ -246,13 +335,23 @@ def normalize_rotation(moments) -> tuple:
     so admissibility is preserved.  Moments so large that a rotated moment
     overflows raise DomainError.
     """
-    p = _moment_array(moments)
-    theta = 0.0 if p[0] == 0 else -float(np.angle(p[0]))
-    n = np.arange(1, p.size + 1)
+    rotated, theta = _rotation_rows(_moment_array(moments)[None, :])
+    return rotated[0], float(theta[0])
+
+
+def _rotation_rows(p):
+    """normalize_rotation of each row of an (N, m) moment array: the rotated
+    rows and the (N,) angles theta.  The first row that normalize_rotation
+    would refuse raises its error and text."""
+    theta = np.where(p[:, 0] == 0, 0.0, -np.angle(p[:, 0]))
+    n = np.arange(1, p.shape[1] + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        rotated = p * np.exp(1j * theta * n)
-    if not np.isfinite(rotated).all():
-        raise DomainError("rotated moments are not finite: the moments are too large")
+        rotated = p * np.exp(1j * theta[:, None] * n)
+    _require(
+        (np.isfinite(p).all(axis=1), p, DomainError, _NOT_FINITE_MOMENTS),
+        (np.isfinite(rotated).all(axis=1), rotated, DomainError,
+         "rotated moments are not finite: the moments are too large"),
+    )
     return rotated, theta
 
 
@@ -269,12 +368,21 @@ def atom_pairs_from_text(text: str) -> tuple:
     return tuple(weights), tuple(angles)
 
 
-def random_atoms(rng: np.random.Generator, max_atoms: int = 5) -> HerglotzAtoms:
-    """Random measure: Dirichlet weights, uniform angles, 1..max_atoms atoms."""
-    k = int(rng.integers(1, max_atoms + 1))
-    w = rng.dirichlet(np.ones(k))
-    t = rng.uniform(0.0, _TWO_PI, k)
-    return HerglotzAtoms(tuple(w), tuple(t))
+def _atom_rows(rng: np.random.Generator, count: int, max_atoms: int = 5):
+    """Weights and angles of ``count`` random atom sets, as (count, max_atoms) arrays.
+
+    Each row draws, with these generator calls in this order, its number of
+    atoms k uniform on 1..max_atoms, Dirichlet(1, ..., 1) weights and angles
+    uniform on [0, 2 pi); its other max_atoms - k entries are zero weights
+    at angle 0.  _atom_moment_rows checks the rows.
+    """
+    weights = np.zeros((count, max_atoms))
+    angles = np.zeros((count, max_atoms))
+    for row in range(count):
+        k = int(rng.integers(1, max_atoms + 1))
+        weights[row, :k] = rng.dirichlet(np.ones(k))
+        angles[row, :k] = rng.uniform(0.0, _TWO_PI, k)
+    return weights, angles
 
 
 def random_disk_point(rng: np.random.Generator, radius: float = 1.0) -> complex:
@@ -318,7 +426,27 @@ def _lemma_row_blocks(rng: np.random.Generator, count: int, block: int = LEMMA_B
         p = rng.uniform(0.0, 2.0, n)
         y = _disk_points(rng, n)
         zeta = _disk_points(rng, n)
-        _require((alpha >= 0.0) & (alpha < 1.0), alpha, DomainError,
-                 "alpha must lie in [0, 1), got {}")
+        _check_alpha_rows(alpha)
         _check_lemma_box(p, y, zeta)
         yield alpha, p, y, zeta
+
+
+def _triple_rows(rng: np.random.Generator, count: int):
+    """Arrays (alpha, p1, p2, p3) of ``count`` rows, drawn one row at a time
+    as ``rng.random()`` and then three ``random_disk_point(rng, 2.0)``.
+
+    alpha is uniform on [0, 1), checked against the domain of ``Alpha``;
+    each moment is uniform on the closed disk of radius 2.
+    """
+    rows = np.empty((count, 4), dtype=complex)
+    for row in range(count):
+        rows[row] = (rng.random(), *(random_disk_point(rng, 2.0) for _ in range(3)))
+    alpha = rows[:, 0].real
+    _check_alpha_rows(alpha)
+    return alpha, rows[:, 1], rows[:, 2], rows[:, 3]
+
+
+def _check_alpha_rows(alpha):
+    """DomainError, with Alpha's text, for the first alpha outside [0, 1)."""
+    _require(((alpha >= 0.0) & (alpha < 1.0), alpha, DomainError,
+              "alpha must lie in [0, 1), got {}"))

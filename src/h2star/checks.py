@@ -19,16 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import (
-    MomentTriple,
+    PSD_TOL,
+    _atom_moment_rows,
+    _atom_rows,
+    _check_lemma_box,
     _lemma_forward_raw,
+    _lemma_inverse_rows,
     _lemma_row_blocks,
-    lemma_forward,
-    lemma_inverse,
-    moments_from_atoms,
-    normalize_rotation,
-    random_atoms,
-    random_disk_point,
-    LemmaPoint,
+    _rotation_rows,
+    _toeplitz_min_eig_rows,
+    _triple_rows,
 )
 from .hankel import (
     HankelSpec,
@@ -36,13 +36,12 @@ from .hankel import (
     _param_form_raw,
     _phi_raw,
     bound_profile,
-    functional_moment_form,
     hankel_det,
     phi,
     sharp_bound,
 )
 from .search import maximize_herglotz, maximize_param, maximize_phi, monotonicity_scan
-from .starlike import closed_form_a234, coeffs_from_moments, extremal_coeffs
+from .starlike import _closed_form_rows, coeffs_from_moments, extremal_coeffs
 
 ALPHA_GRID = [0.05 * k for k in range(20)]
 ALPHA_SPOT = [0.0, 0.25, 0.5, 0.75]
@@ -176,24 +175,14 @@ def check_prior_result_anchors():
 def check_algebra_reconciliation():
     """Moment form matches the closed-form route; parameterized form matches both.
 
-    1,000 scalar draws compare the moment form with a2 a4 - a3^2 from the
-    closed forms.  Then 100,000 draws of (alpha, p, y, zeta) from the same
-    generator, in blocks of rows from _lemma_row_blocks, compare the
-    five-term form with the moment form of the substituted moments.
+    1,000 draws of (alpha, p1, p2, p3) from _triple_rows compare the moment
+    form with a2 a4 - a3^2 from the closed forms.  Then 100,000 draws of
+    (alpha, p, y, zeta) from the same generator, in blocks of rows from
+    _lemma_row_blocks, compare the five-term form with the moment form of
+    the substituted moments.
     """
     rng = np.random.default_rng(11)
-    worst_rel = 0.0
-    for _ in range(1000):
-        alpha = rng.random()
-        m = MomentTriple(
-            random_disk_point(rng, 2.0),
-            random_disk_point(rng, 2.0),
-            random_disk_point(rng, 2.0),
-        )
-        a2, a3, a4 = closed_form_a234(alpha, m)
-        direct = a2 * a4 - a3 * a3
-        diff = abs(functional_moment_form(alpha, m) - direct)
-        worst_rel = max(worst_rel, diff / max(1.0, abs(direct)))
+    worst_rel = float(_closed_form_gaps(*_triple_rows(rng, 1000)).max())
     worst_sub = 0.0
     for alpha, p, y, zeta in _lemma_row_blocks(rng, 100_000):
         diff = np.abs(
@@ -203,6 +192,13 @@ def check_algebra_reconciliation():
         worst_sub = max(worst_sub, float(diff.max()))
     ok = worst_rel <= 1e-12 and worst_sub <= 1e-12
     return ok, f"worst relative = {worst_rel:.3e}, worst substitution = {worst_sub:.3e}"
+
+
+def _closed_form_gaps(alpha, p1, p2, p3) -> np.ndarray:
+    """|moment form - (a2 a4 - a3^2)| / max(1, |a2 a4 - a3^2|) for each row."""
+    a2, a3, a4 = _closed_form_rows(alpha, p1, p2, p3)
+    direct = a2 * a4 - a3 * a3
+    return np.abs(_moment_form_raw(alpha, p1, p2, p3) - direct) / np.maximum(1.0, np.abs(direct))
 
 
 @_check("proof-step-properties")
@@ -241,44 +237,48 @@ def check_proof_step_properties():
 
 @_check("caratheodory-admissibility")
 def check_caratheodory_admissibility():
-    """Random atom moments pass the Toeplitz oracle; the moment round-trip holds."""
-    from .caratheodory import toeplitz_psd
+    """Random atom moments pass the Toeplitz oracle; the moment round-trip holds.
 
+    The 1,000 atom sets of _atom_rows run through the row kernels: one
+    stacked Toeplitz eigen-solve, then rotation, inversion and the forward
+    map on the rows that reach the round trip.
+    """
     rng = np.random.default_rng(13)
-    worst_eig = np.inf
-    worst_rt = 0.0
-    round_trips = 0
-    for _ in range(1000):
-        atoms = random_atoms(rng)
-        moments = moments_from_atoms(atoms, 3)
-        min_eig, admissible = toeplitz_psd(moments)
-        worst_eig = min(worst_eig, min_eig)
-        if not admissible:
-            return False, f"inadmissible atom measure found, min eig = {min_eig:.3e}"
-        rotated, _ = normalize_rotation(moments)
-        m = MomentTriple(*rotated)
-        p = m.p1.real
-        if p >= 2.0 - 1e-3:
-            continue
-        y, zeta = lemma_inverse(m)
-        if zeta is None or abs(y) >= 1.0 - 1e-6:
-            continue
-        # rounding can park the recovered zeta marginally outside the disk
-        if abs(zeta) > 1.0:
-            zeta = zeta / abs(zeta)
-        back = lemma_forward(LemmaPoint(p, y, zeta))
-        worst_rt = max(
-            worst_rt,
-            abs(back.p1 - m.p1),
-            abs(back.p2 - m.p2),
-            abs(back.p3 - m.p3),
-        )
-        round_trips += 1
+    moments = _atom_moment_rows(*_atom_rows(rng, 1000), 3)
+    min_eig = _toeplitz_min_eig_rows(moments)
+    inadmissible = ~(min_eig >= -PSD_TOL)
+    if inadmissible.any():
+        first = min_eig[np.argmax(inadmissible)]
+        return False, f"inadmissible atom measure found, min eig = {first:.3e}"
+    worst_eig = float(min_eig.min())
+    errors = _round_trip_errors(moments)
+    worst_rt = float(errors.max(initial=0.0))
+    round_trips = errors.size
     ok = worst_eig >= -1e-9 and worst_rt <= 1e-10 and round_trips > 0
     return ok, (
         f"min eigenvalue = {worst_eig:.3e}, round trips = {round_trips}, "
         f"worst round-trip error = {worst_rt:.3e}"
     )
+
+
+def _round_trip_errors(moments) -> np.ndarray:
+    """The round-trip error of each (N, 3) moment row that reaches the trip.
+
+    Each row is rotated so p1 is real, inverted to (y, zeta) and mapped
+    forward again; the error is the largest |difference| of the three
+    moments.  Rows with p1 >= 2 - 1e-3 or |y| >= 1 - 1e-6 are left out, in
+    row order.
+    """
+    rotated, _ = _rotation_rows(moments)
+    rotated = rotated[rotated[:, 0].real < 2.0 - 1e-3]
+    y, zeta, edge = _lemma_inverse_rows(*rotated.T)
+    trip = ~edge & (np.abs(y) < 1.0 - 1e-6)
+    m, p, y, zeta = rotated[trip], rotated[trip, 0].real, y[trip], zeta[trip]
+    # rounding can park the recovered zeta marginally outside the disk
+    zeta = zeta / np.maximum(np.abs(zeta), 1.0)
+    _check_lemma_box(p, y, zeta)
+    back = np.column_stack(_lemma_forward_raw(p, y, zeta))
+    return np.abs(back - m).max(axis=1, initial=0.0)
 
 
 @_check("sweep-determinism")

@@ -58,17 +58,28 @@ def numeric(name: str, value, convert):
     ``convert`` is float, complex or an array conversion such as
     ``functools.partial(np.asarray, dtype=complex)``; each raises TypeError,
     ValueError or OverflowError on input that is not a number of its kind.
-    An array conversion is also refused text or truth-value entries.
+    An array conversion is also refused text or truth-value entries, among
+    numbers too: numpy would read True as 1.
     """
     try:
         if isinstance(value, _NOT_NUMBERS):
             raise TypeError(f"got {type(value).__name__} {value!r}")
+        if isinstance(value, (list, tuple)) and _holds_non_number(value):
+            raise TypeError("got text or truth-value entries")
         converted = convert(value)
         if type(converted) is np.ndarray and np.asarray(value).dtype.kind in "bSU":
             raise TypeError("got text or truth-value entries")
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be numeric: {exc}") from exc
     return converted
+
+
+def _holds_non_number(entries) -> bool:
+    """Whether a list or tuple holds text or a truth value, at any depth."""
+    return any(
+        isinstance(x, _NOT_NUMBERS) or (isinstance(x, (list, tuple)) and _holds_non_number(x))
+        for x in entries
+    )
 
 
 def instance(name: str, value, cls) -> None:

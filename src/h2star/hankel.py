@@ -188,8 +188,10 @@ def _phi_raw(alpha_value, p, t):
     """The array value of phi; alpha_value may be an array broadcast with p and t."""
     p_arr = numeric("p", p, _float_array)
     t_arr = numeric("t", t, _float_array)
-    _require((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError, "p must lie in [0, 2], got {}")
-    _require((t_arr >= 0.0) & (t_arr <= 1.0), t_arr, DomainError, "t must lie in [0, 1], got {}")
+    _require(((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError,
+              "p must lie in [0, 2], got {}"))
+    _require(((t_arr >= 0.0) & (t_arr <= 1.0), t_arr, DomainError,
+              "t must lie in [0, 1], got {}"))
     s2 = (1.0 - alpha_value) ** 2
     c = abs(3.0 - 8.0 * alpha_value + 4.0 * alpha_value**2)
     q = 4.0 - p_arr * p_arr
@@ -211,7 +213,8 @@ def bound_profile(alpha: Alpha | float, p):
     """
     al = alpha_value(alpha)
     p_arr = numeric("p", p, _float_array)
-    _require((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError, "p must lie in [0, 2], got {}")
+    _require(((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError,
+              "p must lie in [0, 2], got {}"))
     s2 = (1.0 - al) ** 2
     c = abs(3.0 - 8.0 * al + 4.0 * al**2)
     val = s2 * (1.0 - p_arr**4 / 16.0 + p_arr**4 * c / 48.0)

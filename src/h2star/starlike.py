@@ -10,13 +10,18 @@ modules, takes an Alpha or a real number in [0, 1), read by alpha_value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .caratheodory import MomentTriple, _complex_array, _moment_vector
-from .errors import DomainError, finite, instance, numeric, whole_number
+from .caratheodory import (
+    MomentTriple,
+    _complex_array,
+    _modulus_finite,
+    _moment_vector,
+    _require,
+)
+from .errors import DomainError, instance, numeric, whole_number
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,26 @@ def closed_form_a234(alpha: Alpha | float, m: MomentTriple) -> tuple:
     when the moments are so large that a value or its modulus overflows."""
     al = alpha_value(alpha)
     instance("m", m, MomentTriple)
-    p1, p2, p3 = m.p1, m.p2, m.p3
-    a2 = (1.0 - al) * p1
-    a3 = 0.25 * (2.0 * (1.0 - al) ** 2 * p1 * p1 + 2.0 * p2 - 2.0 * al * p2)
-    try:
-        a4 = (1.0 - al) / 6.0 * ((1.0 - al) ** 2 * p1**3 + 3.0 * (1.0 - al) * p1 * p2 + 2.0 * p3)
-    except OverflowError:  # from Python's complex power
-        a4 = complex(math.inf)
-    return finite(a2, "a2"), finite(a3, "a3"), finite(a4, "a4")
+    a = _closed_form_rows(al, *(np.array([x]) for x in (m.p1, m.p2, m.p3)))
+    return tuple(complex(x[0]) for x in a)
+
+
+def _closed_form_rows(alpha, p1, p2, p3):
+    """(a2, a3, a4) of closed_form_a234 for equal-shape arrays of moments.
+
+    ``alpha`` is one alpha value (a float) or an array of each entry's
+    value; callers validate it.  The first entry whose value closed_form_a234
+    would refuse raises its error and text.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = (1.0 - alpha) * p1
+        a3 = 0.25 * (2.0 * (1.0 - alpha) ** 2 * p1 * p1 + 2.0 * p2 - 2.0 * alpha * p2)
+        a4 = (1.0 - alpha) / 6.0 * ((1.0 - alpha) ** 2 * p1**3
+                                    + 3.0 * (1.0 - alpha) * p1 * p2 + 2.0 * p3)
+    _require(*((_modulus_finite(a), a, DomainError,
+                f"{name} or its modulus is not finite: the inputs are too large")
+               for name, a in (("a2", a2), ("a3", a3), ("a4", a4))))
+    return a2, a3, a4
 
 
 def extremal_coeffs(alpha: Alpha | float, order: int) -> CoefficientVector:

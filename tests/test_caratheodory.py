@@ -40,9 +40,10 @@ from h2star import (
     toeplitz_psd,
 )
 from h2star.caratheodory import (
+    _atom_moment_rows,
+    _atom_rows,
     _lemma_row_blocks,
     atom_pairs_from_text,
-    random_atoms,
     random_disk_point,
     random_lemma_point,
 )
@@ -52,6 +53,11 @@ from h2star.search import SearchOutcome
 HALF_HALF_0_PI = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
 A = Alpha(0.1)
 DISK_POINTS = (0.3, -0.4j, 0.2 + 0.25j, -0.45 + 0.1j)
+
+
+def _atom_sets(rng, count):
+    """The rows of _atom_rows as HerglotzAtoms, zero-weight pads included."""
+    return [HerglotzAtoms(tuple(w), tuple(t)) for w, t in zip(*_atom_rows(rng, count))]
 
 
 class TestAtoms:
@@ -104,6 +110,28 @@ class TestAtoms:
             atom_pairs_from_text("0.5;0")
 
 
+class TestAtomRows:
+    def test_rows_are_atom_sets_of_one_to_five_atoms(self):
+        weights, angles = _atom_rows(np.random.default_rng(5), 2000)
+        assert weights.shape == angles.shape == (2000, 5)
+        k = np.count_nonzero(weights, axis=1)
+        assert set(k.tolist()) == {1, 2, 3, 4, 5}
+        pad = np.arange(5) >= k[:, None]
+        assert np.all(weights[pad] == 0.0) and np.all(angles[pad] == 0.0)
+        assert np.all(weights >= 0.0)
+        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.all((angles >= 0.0) & (angles < 2 * math.pi))
+
+    def test_rows_are_seeded(self):
+        first = _atom_rows(np.random.default_rng(5), 50)
+        again = _atom_rows(np.random.default_rng(5), 50)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_zero_rows(self):
+        weights, angles = _atom_rows(np.random.default_rng(5), 0)
+        assert weights.shape == angles.shape == (0, 5)
+
+
 class TestMoments:
     def test_single_atom_at_zero(self):
         atoms = HerglotzAtoms((1.0,), (0.0,))
@@ -125,10 +153,8 @@ class TestMoments:
         np.testing.assert_allclose(moments_from_atoms(atoms, 2), [-2.0, 2.0], atol=1e-14)
 
     def test_moment_bound(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            p = moments_from_atoms(random_atoms(rng), 6)
-            assert np.max(np.abs(p)) <= 2.0 + 1e-14
+        p = _atom_moment_rows(*_atom_rows(np.random.default_rng(5), 300), 6)
+        assert np.max(np.abs(p)) <= 2.0 + 1e-14
 
     def test_rejects_zero_m(self):
         with pytest.raises(ValueError):
@@ -162,9 +188,7 @@ class TestSeriesFromAtoms:
             )
 
     def test_matches_moments(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            atoms = random_atoms(rng)
+        for atoms in _atom_sets(np.random.default_rng(6), 20):
             e = np.exp(1j * np.asarray(atoms.angles))
             w = np.asarray(atoms.weights)
             for z in DISK_POINTS:
@@ -295,9 +319,8 @@ class TestToeplitzPsd:
             toeplitz_psd([bad, 2.0, 0.0])
 
     def test_atom_measures_always_admissible(self):
-        rng = np.random.default_rng(8)
-        for _ in range(300):
-            min_eig, admissible = toeplitz_psd(moments_from_atoms(random_atoms(rng), 3))
+        for atoms in _atom_sets(np.random.default_rng(8), 300):
+            min_eig, admissible = toeplitz_psd(moments_from_atoms(atoms, 3))
             assert admissible, min_eig
 
     def test_parameterized_moments_admissible_in_bulk(self):
@@ -353,9 +376,8 @@ class TestNormalizeRotation:
         np.testing.assert_allclose(q, [0.0, 2.0, 0.0], atol=0)
 
     def test_preserves_admissibility(self):
-        rng = np.random.default_rng(10)
-        for _ in range(200):
-            p = moments_from_atoms(random_atoms(rng), 3)
+        for atoms in _atom_sets(np.random.default_rng(10), 200):
+            p = moments_from_atoms(atoms, 3)
             before, _ = toeplitz_psd(p)
             rotated, _ = normalize_rotation(p)
             after, _ = toeplitz_psd(rotated)
@@ -365,10 +387,8 @@ class TestNormalizeRotation:
 
 
 def test_moment_round_trip_through_atoms():
-    rng = np.random.default_rng(14)
     round_trips = 0
-    for _ in range(500):
-        atoms = random_atoms(rng)
+    for atoms in _atom_sets(np.random.default_rng(14), 500):
         rotated, _ = normalize_rotation(moments_from_atoms(atoms, 3))
         m = MomentTriple(*rotated)
         if m.p1.real >= 2.0 - 1e-3:
@@ -471,6 +491,10 @@ def test_random_lemma_point_stays_in_box():
         lambda: phi(A, ["0.5"], 0.5),
         lambda: phi(A, 1.0, np.array([True, False])),
         lambda: coeffs_from_moments(A, ["1", "0"]),
+        lambda: phi(0.1, [True, 0.5], 0.5),
+        lambda: toeplitz_psd([0.5, True]),
+        lambda: normalize_rotation([0.5, True, 1]),
+        lambda: coeffs_from_moments(0.1, [True, 1.0]),
     ],
     ids=["spec-inf", "spec-nan", "spec-fraction", "spec-n-fraction", "rotate-nan",
          "rotate-inf", "rotate-empty", "toeplitz-empty", "inverse-unrotated",
@@ -491,7 +515,9 @@ def test_random_lemma_point_stays_in_box():
          "alpha-numpy-bool", "atoms-numeric-strings", "atoms-bool-angle",
          "moments-numeric-string", "lemma-p-bool", "whole-number-true",
          "whole-number-numpy-true", "phi-search-seed-true", "phi-p-string-list",
-         "phi-t-bool-array", "coeffs-moment-string-list"],
+         "phi-t-bool-array", "coeffs-moment-string-list", "phi-p-bool-among-numbers",
+         "toeplitz-bool-among-numbers", "rotate-bool-among-numbers",
+         "coeffs-bool-among-numbers"],
 )
 def test_public_rejections_raise_domain_error(call):
     with pytest.raises(DomainError):
@@ -507,7 +533,12 @@ _TRIPLES = st.one_of(st.builds(MomentTriple, _COMPLEX, _COMPLEX, _COMPLEX),
                      st.tuples(_COMPLEX, _COMPLEX, _COMPLEX))
 _POINTS = st.one_of(st.builds(LemmaPoint, _REALS, _COMPLEX, _COMPLEX),
                     st.tuples(_REALS, _COMPLEX, _COMPLEX))
-_MOMENT_LISTS = st.lists(_COMPLEX, max_size=4)
+# Half the lists mix truth values in among the numbers.
+_MOMENT_LISTS = st.one_of(
+    st.lists(_COMPLEX, max_size=4),
+    st.lists(st.one_of(_COMPLEX, st.booleans()), min_size=1, max_size=4),
+)
+_REAL_ARGS = st.one_of(_REALS, st.lists(st.one_of(_REALS, st.booleans()), min_size=1, max_size=3))
 _ALPHAS = st.one_of(st.floats(0.0, 1.0, exclude_max=True).map(Alpha), _REALS)
 
 # Each exported function that takes real or complex numbers, with the
@@ -519,7 +550,7 @@ _NUMERIC_CALLS = {
     "Alpha": (Alpha, [_REALS]),
     "LemmaPoint": (LemmaPoint, [_REALS, _COMPLEX, _COMPLEX]),
     "MomentTriple": (MomentTriple, [_COMPLEX, _COMPLEX, _COMPLEX]),
-    "phi": (phi, [_ALPHAS, _REALS, _REALS]),
+    "phi": (phi, [_ALPHAS, _REAL_ARGS, _REALS]),
     "sharp_bound": (sharp_bound, [_ALPHAS]),
     "extremal_coeffs": (extremal_coeffs, [_ALPHAS, st.integers(4, 12)]),
     "bound_profile": (bound_profile, [_ALPHAS, _REALS]),
@@ -557,6 +588,29 @@ def test_numeric_exports_return_finite_values_or_raise(name, data):
     except H2StarError:
         return
     assert np.isfinite(np.asarray(_numbers(result), dtype=complex)).all(), (args, result)
+
+
+# Each exported function that takes a sequence of numbers, called with one.
+_SEQUENCE_CALLS = {
+    "phi": lambda entries: phi(0.1, entries, 0.5),
+    "toeplitz_psd": toeplitz_psd,
+    "normalize_rotation": normalize_rotation,
+    "coeffs_from_moments": lambda entries: coeffs_from_moments(0.1, entries),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEQUENCE_CALLS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    numbers=st.lists(st.floats(0.0, 1.0), max_size=3),
+    truth=st.one_of(st.booleans(), st.sampled_from([np.True_, np.False_])),
+    at=st.integers(0, 3),
+    kind=st.sampled_from([list, tuple]),
+)
+def test_truth_values_among_numbers_are_rejected(name, numbers, truth, at, kind):
+    entries = kind(numbers[:at] + [truth] + numbers[at:])
+    with pytest.raises(DomainError, match="truth-value"):
+        _SEQUENCE_CALLS[name](entries)
 
 
 _NON_INTEGRAL = st.floats().filter(lambda x: not x.is_integer())

@@ -1,20 +1,45 @@
-"""The blocked 100,000-sample acceptance checks against their one-point loops.
+"""The blocked and row-kernel acceptance checks against their one-point loops.
 
 ``_lemma_row_blocks`` must draw its rows from the distributions of
-``alpha = rng.random(); pt = random_lemma_point(rng)``, and the array kernels
-the checks evaluate must agree with the scalar functions the checks called
-one point at a time.  The scalar functions below are the reference.
+``alpha = rng.random(); pt = random_lemma_point(rng)``, the atom sets and
+moment triples of ``caratheodory-admissibility`` and ``algebra-reconciliation``
+must be the ones their one-at-a-time loops drew, and the array kernels the
+checks evaluate must agree with the scalar functions the checks called one
+point at a time.  The scalar functions below are the reference.
 """
-
 import math
 
 import numpy as np
 import pytest
 
-from h2star import Alpha, DomainError, InvalidLemmaPoint, LemmaPoint, MomentTriple
+from h2star import (
+    Alpha,
+    DegenerateP1,
+    DomainError,
+    H2StarError,
+    HerglotzAtoms,
+    InadmissibleMoments,
+    InvalidAtoms,
+    InvalidLemmaPoint,
+    LemmaPoint,
+    MomentTriple,
+    checks,
+    closed_form_a234,
+    lemma_inverse,
+    moments_from_atoms,
+    normalize_rotation,
+    toeplitz_psd,
+)
 from h2star.caratheodory import (
+    _atom_moment_rows,
+    _atom_rows,
+    _check_lemma_box,
     _lemma_forward_raw,
+    _lemma_inverse_rows,
     _lemma_row_blocks,
+    _rotation_rows,
+    _toeplitz_min_eig_rows,
+    _triple_rows,
     lemma_forward,
     random_disk_point,
     random_lemma_point,
@@ -27,6 +52,7 @@ from h2star.hankel import (
     functional_param_form,
     phi,
 )
+from h2star.starlike import _closed_form_rows
 
 
 def _rows(rng, count, block=1024):
@@ -137,6 +163,185 @@ def test_blocked_quantities_match_the_scalar_loop(seed):
     assert all(e <= 1e-15 for e in worst.values()), worst
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def _reference_atoms(rng, max_atoms=5):
+    """One random atom set, drawn as caratheodory-admissibility drew them one at a time."""
+    k = int(rng.integers(1, max_atoms + 1))
+    w = rng.dirichlet(np.ones(k))
+    t = rng.uniform(0.0, 2.0 * math.pi, k)
+    return HerglotzAtoms(tuple(w), tuple(t))
+
+
+def test_atom_rows_match_the_scalar_loop():
+    # caratheodory-admissibility as it ran, one atom set at a time.
+    weights, angles = _atom_rows(np.random.default_rng(13), 1000)
+    moments = _atom_moment_rows(weights, angles, 3)
+    min_eig = _toeplitz_min_eig_rows(moments)
+    errors = checks._round_trip_errors(moments)
+    rng = np.random.default_rng(13)
+    ref_eig, ref_errors = [], []
+    for i in range(1000):
+        atoms = _reference_atoms(rng)
+        k = len(atoms.weights)
+        assert _bits(weights[i]) == _bits(atoms.weights + (0.0,) * (5 - k))
+        assert _bits(angles[i]) == _bits(atoms.angles + (0.0,) * (5 - k))
+        p = moments_from_atoms(atoms, 3)
+        assert _bits(moments[i]) == _bits(p) == _bits(_reference_moments(atoms, 3))
+        if i % 10 == 0:
+            assert _bits(moments_from_atoms(atoms, 9)) == _bits(_reference_moments(atoms, 9))
+        ref_eig.append(toeplitz_psd(p)[0])
+        assert ref_eig[-1] == _reference_min_eig(p)
+        rotated, _ = normalize_rotation(p)
+        m = MomentTriple(*rotated)
+        if m.p1.real >= 2.0 - 1e-3:
+            continue
+        y, zeta = lemma_inverse(m)
+        if zeta is None or abs(y) >= 1.0 - 1e-6:
+            continue
+        if abs(zeta) > 1.0:
+            zeta = zeta / abs(zeta)
+        back = lemma_forward(LemmaPoint(m.p1.real, y, zeta))
+        ref_errors.append(max(abs(back.p1 - m.p1), abs(back.p2 - m.p2), abs(back.p3 - m.p3)))
+    assert _bits(min_eig) == _bits(ref_eig)
+    assert float(min_eig.min()) == pytest.approx(-2.657e-15, rel=1e-3)
+    assert errors.size == len(ref_errors) == 601
+    assert np.max(np.abs(errors - ref_errors)) <= 1e-15
+
+
+def test_triple_rows_match_the_scalar_loop():
+    # algebra-reconciliation's 1,000 closed-form draws as it ran them one at
+    # a time; the generator must be left where the loop left it, for the
+    # 100,000-row blocks that follow.
+    rng = np.random.default_rng(11)
+    alpha, p1, p2, p3 = _triple_rows(rng, 1000)
+    gaps = checks._closed_form_gaps(alpha, p1, p2, p3)
+    ref_rng = np.random.default_rng(11)
+    ref_gaps = []
+    for i in range(1000):
+        a = ref_rng.random()
+        m = MomentTriple(*(random_disk_point(ref_rng, 2.0) for _ in range(3)))
+        assert _bits((alpha[i], p1[i], p2[i], p3[i])) == _bits((a, m.p1, m.p2, m.p3))
+        a2, a3, a4 = closed_form_a234(a, m)
+        direct = a2 * a4 - a3 * a3
+        ref_gaps.append(abs(functional_moment_form(a, m) - direct) / max(1.0, abs(direct)))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.max(np.abs(gaps - ref_gaps)) <= 1e-15
+
+
+def test_inadmissible_atoms_end_the_check_at_the_first_such_row(monkeypatch):
+    moments = _atom_moment_rows(*_atom_rows(np.random.default_rng(13), 6), 3)
+    moments[2] = (2.5, 0.0, 0.0)
+    moments[4] = (0.0, 3.0, 0.0)
+    monkeypatch.setattr(checks, "_atom_moment_rows", lambda *args: moments)
+    passed, detail = checks.check_caratheodory_admissibility.__wrapped__()
+    assert not passed
+    first = toeplitz_psd(moments[2])[0]
+    assert first < -1e-9
+    assert detail == f"inadmissible atom measure found, min eig = {first:.3e}"
+
+
+def _error(call):
+    """(class, text) of the H2StarError that call raises."""
+    with pytest.raises(H2StarError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+_GOOD_ATOMS = ((1.0, 0.0, 0.0), (0.3, 0.0, 0.0))
+_GOOD_MOMENTS = (1.0, 0.5, 0.25)
+
+
+@pytest.mark.parametrize(
+    "weights, angles, error",
+    [
+        ((math.nan, 1.0, 0.0), (0.0, 0.0, 0.0), "finite"),
+        ((1.0, 0.0, 0.0), (0.0, math.inf, 0.0), "finite"),
+        ((1.5, -0.5, 0.0), (0.0, 1.0, 0.0), "nonnegative"),
+        ((0.5, 0.4, 0.0), (0.0, 1.0, 0.0), "sum to 1"),
+    ],
+)
+def test_atom_rows_raise_the_error_of_their_first_bad_row(weights, angles, error):
+    # Row 3 breaks an earlier rule than row 2 may; row 2 is reported.
+    w = np.array([_GOOD_ATOMS[0], _GOOD_ATOMS[0], weights, (math.nan, 0.0, 0.0), _GOOD_ATOMS[0]])
+    t = np.array([_GOOD_ATOMS[1]] * 5)
+    t[2] = angles
+    got = _error(lambda: _atom_moment_rows(w, t, 3))
+    assert got == _error(lambda: HerglotzAtoms(weights, angles)) and got[0] is InvalidAtoms
+    assert error in got[1]
+
+
+def _moment_batch(bad):
+    rows = np.array([_GOOD_MOMENTS] * 5, dtype=complex)
+    rows[2] = bad
+    rows[3] = (math.nan, 0.0, 0.0)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(math.nan, 2.0, 0.0), (1e308 + 1e308j, -1e308, 1.7e308)],
+    ids=["non-finite", "eigenvalue-overflow"],
+)
+def test_toeplitz_rows_raise_the_error_of_their_first_bad_row(bad):
+    got = _error(lambda: _toeplitz_min_eig_rows(_moment_batch(bad)))
+    assert got == _error(lambda: toeplitz_psd(bad))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0.5, complex(0.0, math.inf), 0.0), (1.7e308 + 1.7e308j, 1.7e308, 0.0)],
+    ids=["non-finite", "rotation-overflow"],
+)
+def test_rotation_rows_raise_the_error_of_their_first_bad_row(bad):
+    got = _error(lambda: _rotation_rows(_moment_batch(bad)))
+    assert got == _error(lambda: normalize_rotation(bad))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ((1.0j, 0.0, 0.0), DomainError),
+        ((-0.5, 0.0, 0.0), DomainError),
+        ((2.0, 2.0, 2.0), DegenerateP1),
+        ((1.0, 1.5e308 + 1.5e308j, 0.0), DomainError),
+        ((0.0, 2.5, 0.0), InadmissibleMoments),
+        ((1.0, 0.5, 1e308), DomainError),
+        ((1.0, 0.5, 3.0), InadmissibleMoments),
+    ],
+    ids=["unrotated", "negative", "degenerate", "y-overflow", "y-outside", "zeta-overflow",
+         "zeta-outside"],
+)
+def test_inverse_rows_raise_the_error_of_their_first_bad_row(bad, error):
+    # Row 3 has p1 = NaN, which fails at the recovered y.
+    got = _error(lambda: _lemma_inverse_rows(*_moment_batch(bad).T))
+    assert got == _error(lambda: lemma_inverse(MomentTriple(*bad))) and got[0] is error
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(1e308, 0.0, 0.0), (1.0, 1.0, 1e308), (1e200, 1e200, 0.0)],
+    ids=["a3-overflow", "a4-overflow", "power-overflow"],
+)
+def test_closed_form_rows_raise_the_error_of_their_first_bad_row(bad):
+    rows = _moment_batch(bad)
+    rows[3] = (1e308, 1e308, 1e308)
+    got = _error(lambda: _closed_form_rows(0.1, *rows.T))
+    assert got == _error(lambda: closed_form_a234(0.1, MomentTriple(*bad)))
+
+
+@pytest.mark.parametrize(
+    "bad", [(2.5, 0.0, 0.0), (1.0, 2.0, 0.0), (1.0, 0.0, math.nan)], ids=["p", "y", "zeta"]
+)
+def test_lemma_box_rows_raise_the_error_of_their_first_bad_row(bad):
+    p, y, zeta = (np.array([good, good, b, math.nan, good], dtype=type(good))
+                  for good, b in zip((1.0, 0.5j, 0.5), bad))
+    got = _error(lambda: _check_lemma_box(p, y, zeta))
+    assert got == _error(lambda: LemmaPoint(*bad))
+
+
 # The scalar formulas as they stood before the array kernels existed.
 def _reference_lemma_forward(p, y, zeta):
     q = 4.0 - p * p
@@ -144,6 +349,20 @@ def _reference_lemma_forward(p, y, zeta):
     p3 = 0.25 * (p**3 + 2.0 * q * p * y - p * q * y * y
                  + 2.0 * q * (1.0 - abs(y) ** 2) * zeta)
     return complex(p), complex(p2), complex(p3)
+
+
+def _reference_moments(atoms, m):
+    w = np.asarray(atoms.weights)
+    t = np.asarray(atoms.angles)
+    n = np.arange(1, m + 1)
+    return 2.0 * (w[None, :] * np.exp(1j * np.outer(n, t))).sum(axis=1)
+
+
+def _reference_min_eig(p):
+    m = p.size
+    full = np.concatenate((np.conj(p[::-1]), [2.0 + 0.0j], p))
+    idx = np.subtract.outer(np.arange(m + 1), np.arange(m + 1))
+    return float(np.linalg.eigvalsh(full[m + idx])[0])
 
 
 def _reference_moment_form(a, m):
