@@ -188,6 +188,12 @@ def _phi_raw(alpha_value, p, t):
     """The array value of phi; alpha_value may be an array broadcast with p and t."""
     p_arr = numeric("p", p, _float_array)
     t_arr = numeric("t", t, _float_array)
+    if p_arr.shape != t_arr.shape:
+        try:
+            np.broadcast_shapes(p_arr.shape, t_arr.shape)
+        except ValueError:
+            raise DomainError(f"p and t must broadcast together, got shapes {p_arr.shape} "
+                              f"and {t_arr.shape}") from None
     _require(((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError,
               "p must lie in [0, 2], got {}"))
     _require(((t_arr >= 0.0) & (t_arr <= 1.0), t_arr, DomainError,

@@ -14,12 +14,12 @@ maximized on the boundary.  The lemma grid is pruned by the majorant:
 |Psi(p, y, zeta)| <= phi(p, |y|), so one phi value bounds a whole (p, t)
 row of the grid, and only the rows whose bound comes within
 TIE_TOL + _BOUND_MARGIN of a grid value are evaluated; the result is that
-of the full grid, bit for bit.  The atom search refines its
-restarts in lock-step as one batch, and a sweep refines the restarts of all
-its alphas together, in batches of at most _HERGLOTZ_BATCH_ROWS rows; both
-give, bit for bit, the restarts run one after another at one alpha at a time.
-Each row keeps the moment kernels e^{i n t} of its angles between probes
-and recomputes only the column of the angle a probe moves.
+of the full grid, bit for bit.  The atom search refines its restarts in
+lock-step as one batch, and a sweep refines all its alphas' restarts
+together, in batches of at most _HERGLOTZ_BATCH_ROWS rows; both give, bit
+for bit, the restarts run one after another at one alpha at a time.  A
+batch holds its live rows only, each with the moment kernels e^{i n t} of
+its angles; a row that stops is written out and dropped after its sweep.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ TIE_TOL = 1e-12
 _BOUND_MARGIN = 1e-12
 
 # Rows (restarts times alphas) per lock-step batch of a Herglotz sweep.  A
-# default 100-alpha sweep (alpha 0 to 0.99, 10,000 rows) took 3.1 s at 1,024
-# rows per batch, 3.2 s at 2,048 and 4,096, 3.4 s at 512 and 6.6 s at 100
-# (one alpha per batch); peak RSS over the import rose 0.6 MiB at 1,024,
-# 0.9 MiB at 2,048, 2.1 MiB at 4,096 and 5.3 MiB in one batch (2-vCPU box).
+# default 100-alpha sweep (alpha 0 to 0.99, 10,000 rows) took a median 1.82 s
+# at 1,024 rows per batch, 1.88 s at 2,048, 1.81 s at 4,096, 2.43 s at 512 and
+# 5.1 s at 100 (one alpha per batch); peak RSS over the import read 8.2, 8.4,
+# 9.9, 7.5 and 7.2 MiB, and 13.6 MiB in one batch (2-vCPU box, one BLAS thread).
 _HERGLOTZ_BATCH_ROWS = 1 << 10
 
 _TWO_PI = 2.0 * math.pi
@@ -265,67 +265,64 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
     Each row is one restart, at the alpha value ``alphas`` gives it, with
     its own steps and its own stop rule.  Every sweep probes each weight by
     +-step_w, then each angle by +-step_t, and a probe evaluates all live
-    rows at once.  Weights stay on the simplex by clipping at 0 and
-    renormalizing (a probe whose total is not positive is skipped and not
-    counted); angles wrap mod 2 pi.  A probe is kept only if strictly
-    better, so no row's value decreases and every path is deterministic.  A
-    row that improves nowhere in a sweep halves both steps and stops once
-    both are below 1e-12.  No row's path depends on the other rows.
+    rows at once.  Weights are clipped at 0 and renormalized, so they stay
+    on the simplex, and angles wrap mod 2 pi.  A weight probe moves one
+    weight of a row summing to 1 by at most step_w <= 0.15, so its total is
+    positive: every probe is evaluated and counted.  A probe is kept only if
+    strictly better, so no row's value decreases and every path is
+    deterministic.  A row that improves nowhere in a sweep halves both steps
+    and stops once both are below 1e-12.  Rows do not interact.
 
-    Each row keeps the moment kernels of its angles between probes: a weight
-    probe reuses them, and an angle probe recomputes only the column of the
-    angle it moves; a row that keeps the moved angle keeps that column too.
+    The state holds the live rows only.  Each row keeps the moment kernels
+    of its angles between probes, and an angle probe recomputes only the
+    column of the angle it moves.  At the end of a sweep the rows that
+    stopped are written out at their row ids and dropped from the state.
 
     Returns the per-row best values, weights, angles and evaluation counts.
     """
-    w = weights.copy()
-    t = angles.copy()
+    rows, k = weights.shape
+    ids = np.arange(rows)
+    w, t = weights.copy(), angles.copy()
     kern = _kernels(t)
-    rows, k = w.shape
     best = _h2_rows(alphas, w, kern)
     evals = np.ones(rows, dtype=np.int64)
-    step_w = np.full(rows, 0.15)
-    step_t = np.full(rows, 0.4)
-    live = np.arange(rows)
-    improved = np.zeros(rows, dtype=bool)
-
-    def keep(idx, val, trial, target):
-        evals[idx] += 1
-        better = val > best[idx]
-        hit = idx[better]
-        best[hit] = val[better]
-        target[hit] = trial[better]
-        improved[hit] = True
-        return better
-
-    for _ in range(sweeps):
-        if live.size == 0:
-            break
-        improved[:] = False
-        live_alphas = alphas[live]
+    results = best.copy(), w.copy(), t.copy(), evals.copy()
+    step_w, step_t = np.full(rows, 0.15), np.full(rows, 0.4)
+    for sweep in range(1, sweeps + 1):
+        improved = np.zeros(ids.size, dtype=bool)
         for i in range(k):
             for sign in (1.0, -1.0):
-                trial = w[live]
-                x = trial[:, i] + sign * step_w[live]
+                trial = w.copy()
+                x = trial[:, i] + sign * step_w
                 trial[:, i] = np.where(x > 0.0, x, 0.0)
-                total = trial.sum(axis=1)
-                ok = total > 0.0
-                idx, trial = live[ok], trial[ok] / total[ok, None]
-                keep(idx, _h2_rows(live_alphas[ok], trial, kern[idx]), trial, w)
+                trial /= trial.sum(axis=1)[:, None]
+                val = _h2_rows(alphas, trial, kern)
+                hit = np.flatnonzero(val > best)
+                best[hit], w[hit], improved[hit] = val[hit], trial[hit], True
         for i in range(k):
             for sign in (1.0, -1.0):
-                trial = t[live]
-                trial[:, i] = (trial[:, i] + sign * step_t[live]) % _TWO_PI
-                trial_kern = kern[live]
-                trial_kern[:, :, i] = _kernels(trial[:, i : i + 1])[:, :, 0]
-                better = keep(live, _h2_rows(live_alphas, w[live], trial_kern), trial, t)
-                kern[live[better]] = trial_kern[better]
-        stalled = live[~improved[live]]
-        step_w[stalled] *= 0.5
-        step_t[stalled] *= 0.5
-        done = (step_w < 1e-12) & (step_t < 1e-12)
-        live = live[~done[live]]
-    return best, w, t, evals
+                col = (t[:, i] + sign * step_t) % _TWO_PI
+                # A row keeps the new column only if it keeps the new angle.
+                kept = kern[:, :, i].copy()
+                kern[:, :, i] = _kernels(col[:, None])[:, :, 0]
+                val = _h2_rows(alphas, w, kern)
+                hit = np.flatnonzero(val > best)
+                best[hit], t[hit, i], kept[hit], improved[hit] = (
+                    val[hit], col[hit], kern[hit, :, i], True)
+                kern[:, :, i] = kept
+        evals += 4 * k
+        step_w[~improved] *= 0.5
+        step_t[~improved] *= 0.5
+        # The last sweep retires every row that is still live.
+        done = (step_w < 1e-12) & (step_t < 1e-12) | (sweep == sweeps)
+        if done.any():
+            for out, now in zip(results, (best, w, t, evals)):
+                out[ids[done]] = now[done]
+            ids, alphas, w, t, kern, best, evals, step_w, step_t = (
+                a[~done] for a in (ids, alphas, w, t, kern, best, evals, step_w, step_t))
+            if not ids.size:
+                break
+    return results
 
 
 def _herglotz_outcomes(

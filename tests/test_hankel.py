@@ -210,6 +210,11 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(Alpha(0.1), 1.0, -0.1)
 
+    def test_rejects_shapes_that_do_not_broadcast(self):
+        with pytest.raises(DomainError, match=r"p and t .* \(2,\) and \(3,\)"):
+            phi(0.1, [0.5, 1.0], [0.1, 0.2, 0.3])
+        assert phi(0.1, [[0.5], [1.0]], [0.1, 0.2, 0.3]).shape == (2, 3)
+
     @pytest.mark.parametrize("p, t", [(np.nan, 0.5), (1.0, np.nan), ([0.5, np.inf], 0.5)])
     def test_rejects_non_finite(self, p, t):
         with pytest.raises(DomainError):

@@ -1,8 +1,11 @@
+import functools
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2star import (
     Alpha,
@@ -555,6 +558,53 @@ class TestKernelCache:
         monkeypatch.setattr(np, "exp", spy)
         search._refine_rows(alphas, w, t, sweeps)
         assert shapes == [(rows, 3, k)] + [(rows, 3, 1)] * (sweeps * 2 * k)
+
+
+class TestLiveRowRetirement:
+    """_refine_rows writes each row out at its own row id when the row stops."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_row_equals_its_restart_alone(self, k):
+        rng = np.random.default_rng(90 + k)
+        restarts, sweeps = 7, 60
+        w0 = rng.dirichlet(np.ones(k), size=restarts)
+        t0 = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, k))
+        alphas = np.repeat([0.0, 0.45, 0.9], restarts)
+        w, t = np.tile(w0, (3, 1)), np.tile(t0, (3, 1))
+        best, ws, ts, evals = search._refine_rows(alphas, w, t, sweeps)
+        # Rows stop at different sweeps, so some leave the batch before others.
+        assert np.unique(evals).size > 1
+        for r, alpha in enumerate(alphas):
+            objective = functools.partial(_scalar_h2, float(alpha))
+            val, w_r, t_r, evals_r = _refine_atoms(objective, w[r], t[r], sweeps)
+            assert best[r] == val, r
+            assert ws[r].tobytes() == w_r.tobytes(), r
+            assert ts[r].tobytes() == t_r.tobytes(), r
+            assert evals[r] == evals_r, r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 4),
+    concentration=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    step_w=st.floats(0.0, 0.15, exclude_min=True),
+)
+def test_weight_probe_totals_are_positive(k, concentration, seed, step_w):
+    """Why _refine_rows evaluates every weight probe: on the simplex, each
+    +-step_w probe of a weight, clipped at 0, leaves a total of at least
+    1 - step_w, and renormalized it is on the simplex again."""
+    dirichlet = np.random.default_rng(seed).dirichlet(np.full(k, concentration))
+    for w in (dirichlet, np.eye(k)[seed % k]):
+        for i in range(k):
+            for sign in (1.0, -1.0):
+                trial = w.copy()
+                trial[i] = max(0.0, trial[i] + sign * step_w)
+                total = trial.sum()
+                assert total >= 1.0 - step_w - 1e-12
+                trial /= total
+                assert trial.min() >= 0.0
+                assert abs(trial.sum() - 1.0) <= 1e-12
 
 
 class TestLockStepRestarts:
