@@ -381,15 +381,25 @@ def _atom_rows(rng: np.random.Generator, count: int, max_atoms: int = 5):
     for row in range(count):
         k = int(rng.integers(1, max_atoms + 1))
         weights[row, :k] = rng.dirichlet(np.ones(k))
-        angles[row, :k] = rng.uniform(0.0, _TWO_PI, k)
+        angles[row, :k] = _TWO_PI * rng.random(k)
     return weights, angles
 
 
 def random_disk_point(rng: np.random.Generator, radius: float = 1.0) -> complex:
-    """Uniform point on the closed disk, by rejection from the square."""
+    """Uniform point on the closed disk, by rejection from the square.
+
+    ``radius`` is a number of at least 0 for which 2 radius is finite, else
+    DomainError.  Each try draws x, then y, as -radius + 2 radius *
+    rng.random(), numpy's own formula for rng.uniform(-radius, radius): the
+    same doubles and generator state, without uniform's per-call overhead.
+    """
+    r = numeric("radius", radius, float)
+    side = r - -r
+    if not (r >= 0.0 and math.isfinite(side)):
+        raise DomainError(f"radius must be at least 0 and 2 * radius finite, got {radius!r}")
     while True:
-        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if abs(z) <= radius:
+        z = complex(-r + side * rng.random(), -r + side * rng.random())
+        if abs(z) <= r:
             return z
 
 

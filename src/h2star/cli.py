@@ -8,6 +8,7 @@ library, overflow, allocation or file error, 2 flag or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -407,8 +408,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser's parser, built on the first call and reused by every
+    later one.  Parsing leaves a parser unchanged: each parse fills a new
+    namespace, and ``--only`` appends to a new list."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(_glue_complex_values(parser, argv))

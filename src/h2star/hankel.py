@@ -178,14 +178,11 @@ def phi(alpha: Alpha | float, p, t):
     """Triangle-inequality majorant of |a2 a4 - a3^2| in (p, t = |y|).
 
     Accepts scalars or broadcastable numpy arrays with p in [0, 2] and
-    t in [0, 1]; nonnegative on its domain and nondecreasing in t.
+    t in [0, 1]; nonnegative on its domain and nondecreasing in t.  This
+    export checks the inputs (numbers, shapes that broadcast, the box) and
+    then evaluates _phi_raw.
     """
-    val = _phi_raw(alpha_value(alpha), p, t)
-    return float(val) if val.ndim == 0 else val
-
-
-def _phi_raw(alpha_value, p, t):
-    """The array value of phi; alpha_value may be an array broadcast with p and t."""
+    al = alpha_value(alpha)
     p_arr = numeric("p", p, _float_array)
     t_arr = numeric("t", t, _float_array)
     if p_arr.shape != t_arr.shape:
@@ -198,17 +195,28 @@ def _phi_raw(alpha_value, p, t):
               "p must lie in [0, 2], got {}"))
     _require(((t_arr >= 0.0) & (t_arr <= 1.0), t_arr, DomainError,
               "t must lie in [0, 1], got {}"))
-    s2 = (1.0 - alpha_value) ** 2
-    c = abs(3.0 - 8.0 * alpha_value + 4.0 * alpha_value**2)
-    q = 4.0 - p_arr * p_arr
-    val = s2 * (
-        c * p_arr**4 / 48.0
-        + p_arr**2 * q * t_arr / 24.0
-        + p_arr**2 * q * t_arr**2 / 12.0
-        + q * q * t_arr**2 / 16.0
-        + p_arr * q * (1.0 - t_arr**2) / 6.0
+    val = _phi_raw(al, p_arr, t_arr)
+    return float(val) if val.ndim == 0 else val
+
+
+def _phi_raw(alpha_value, p, t):
+    """The polynomial phi, with no checks: the caller owns the domain.
+
+    alpha_value, p and t are numbers of one kind (floats, numpy arrays that
+    broadcast together, Fractions) with p in [0, 2] and t in [0, 1].  The
+    constants are integers, so exact types stay exact.  A float p should be
+    a 0-d numpy array: numpy's p**4 may differ from Python's in the last bit.
+    """
+    s2 = (1 - alpha_value) ** 2
+    c = abs(3 - 8 * alpha_value + 4 * alpha_value**2)
+    q = 4 - p * p
+    return s2 * (
+        c * p**4 / 48
+        + p**2 * q * t / 24
+        + p**2 * q * t**2 / 12
+        + q * q * t**2 / 16
+        + p * q * (1 - t**2) / 6
     )
-    return val
 
 
 def bound_profile(alpha: Alpha | float, p):

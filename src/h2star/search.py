@@ -10,7 +10,10 @@ smallest tied grid index, so the result does not depend on evaluation order.
 Grids are evaluated on one thread; ``workers`` is accepted and validated but
 does not affect the computation.  zeta is searched on the unit circle only;
 the functional is affine in zeta, so the modulus over the closed disk is
-maximized on the boundary.  The lemma grid is pruned by the majorant:
+maximized on the boundary.  maximize_phi and monotonicity_scan evaluate
+the unchecked kernel hankel._phi_raw on points they build inside phi's
+box: grids, grid points as 0-d arrays and golden-section steps between two
+grid points.  The lemma grid is pruned by the majorant:
 |Psi(p, y, zeta)| <= phi(p, |y|), so one phi value bounds a whole (p, t)
 row of the grid, and only the rows whose bound comes within
 TIE_TOL + _BOUND_MARGIN of a grid value are evaluated; the result is that
@@ -34,7 +37,7 @@ from . import hankel
 from .caratheodory import LemmaPoint
 from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
-from .hankel import det2, sharp_bound
+from .hankel import _phi_raw, det2, sharp_bound
 from .starlike import Alpha, alpha_value, coeff_rows
 
 TIE_TOL = 1e-12
@@ -140,15 +143,16 @@ def maximize_phi(
         seed = whole_number("seed", seed, 0, math.inf)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
-    vals = hankel.phi(al, ps[:, None], ts[None, :])
+    vals = _phi_raw(al, ps[:, None], ts[None, :])
     pi, ti = _first_tied_index(vals, vals.max())
     evaluations = grid_p * grid_t
 
     best_p, best_t = float(ps[pi]), float(ts[ti])
-    value = hankel.phi(al, best_p, best_t)
+    value = _phi_raw(al, np.asarray(best_p), np.asarray(best_t))
     lo = float(ps[max(pi - 1, 0)])
     hi = float(ps[min(pi + 1, grid_p - 1)])
-    x, fx, g_evals = _golden_section_max(lambda p: hankel.phi(al, p, 1.0), lo, hi)
+    # Golden-section steps stay inside [lo, hi], a part of [0, 2].
+    x, fx, g_evals = _golden_section_max(lambda p: _phi_raw(al, np.asarray(p), 1.0), lo, hi)
     evaluations += g_evals
     if fx > value + TIE_TOL:
         best_p, best_t, value = float(x), 1.0, float(fx)
@@ -477,7 +481,7 @@ def monotonicity_scan(alpha: Alpha | float, grid_p: int = 101, grid_t: int = 101
     grid_t = whole_number("grid_t", grid_t, 3)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
-    vals = hankel.phi(al, ps[:, None], ts[None, :])
+    vals = _phi_raw(al, ps[:, None], ts[None, :])
     drops = vals[:, :-1] - vals[:, 1:]
     violations = int(np.sum(drops > 1e-12))
     worst = float(max(float(drops.max()), 0.0))

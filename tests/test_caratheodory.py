@@ -405,6 +405,26 @@ def test_moment_round_trip_through_atoms():
     assert round_trips > 100
 
 
+class TestRandomDiskPoint:
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf, 1e308, True, "1"])
+    def test_rejects_bad_radius(self, radius):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="^radius must"):
+            random_disk_point(rng, radius)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("radius", [0, 0.0])
+    def test_zero_radius_is_the_origin(self, radius):
+        z = random_disk_point(np.random.default_rng(3), radius)
+        assert z == 0j and repr(z) == "0j"
+
+    def test_points_lie_in_the_disk(self):
+        rng = np.random.default_rng(4)
+        for radius in (1e-300, 0.3, 1, 8.9e307):
+            assert all(abs(random_disk_point(rng, radius)) <= radius for _ in range(50))
+
+
 def test_random_lemma_point_stays_in_box():
     rng = np.random.default_rng(15)
     for _ in range(200):

@@ -222,7 +222,7 @@ def test_triple_rows_match_the_scalar_loop():
     ref_gaps = []
     for i in range(1000):
         a = ref_rng.random()
-        m = MomentTriple(*(random_disk_point(ref_rng, 2.0) for _ in range(3)))
+        m = MomentTriple(*(_reference_disk_point(ref_rng, 2.0) for _ in range(3)))
         assert _bits((alpha[i], p1[i], p2[i], p3[i])) == _bits((a, m.p1, m.p2, m.p3))
         a2, a3, a4 = closed_form_a234(a, m)
         direct = a2 * a4 - a3 * a3
@@ -343,6 +343,13 @@ def test_lemma_box_rows_raise_the_error_of_their_first_bad_row(bad):
 
 
 # The scalar formulas as they stood before the array kernels existed.
+def _reference_disk_point(rng, radius=1.0):
+    while True:
+        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+        if abs(z) <= radius:
+            return z
+
+
 def _reference_lemma_forward(p, y, zeta):
     q = 4.0 - p * p
     p2 = 0.5 * (p * p + y * q)
@@ -405,6 +412,15 @@ def test_scalar_functions_unchanged():
     for a in (0.0, 0.3, 0.5, 0.95):
         got = phi(Alpha(a), ps, ts)
         assert np.array_equal(got.view(np.uint64), _reference_phi(a, ps, ts).view(np.uint64))
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0, 0.3])
+def test_disk_points_are_the_uniform_draws(radius):
+    for seed in range(40):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [random_disk_point(rng, radius) for _ in range(25)]
+        assert _bits(got) == _bits([_reference_disk_point(ref_rng, radius) for _ in range(25)])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_lemma_point_box_message_unchanged():

@@ -155,6 +155,11 @@ class TestSweep:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == path.read_bytes()
 
+    def test_repeated_sweeps_write_the_same_bytes(self, capsys):
+        outs = [run_cli(capsys, *self.GOLDEN_ARGS) for _ in range(3)]
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1] == outs[2]
+
     def test_stdout_emission(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -169,6 +174,29 @@ class TestSweep:
         assert lines[0] == "alpha,searched_max,sharp_bound,abs_gap,argmax"
         assert lines[1].startswith("0,1,1,0,")
         assert lines[2].startswith("0.5,0.25,0.25,0,")
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        for argv in (["bound", "--alpha", "0"], ["phi", "--alpha", "0", "--p", "1", "--t", "0.5"],
+                     ["search", "--alpha", "0.25", "--method", "phi"], ["bound", "--alpha", "x"]):
+            run_cli(capsys, *argv)
+        assert builds == [1]
+
+    def test_only_does_not_carry_over(self, capsys):
+        first = run_cli(capsys, "check", "--only", "prior-result-anchors")
+        second = run_cli(capsys, "check", "--only", "sharp-bound-reproduction")
+        assert first[0] == second[0] == 0
+        assert [line.split()[1] for line in second[1].splitlines()] == ["sharp-bound-reproduction"]
 
 
 class TestComplexFlags:

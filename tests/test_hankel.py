@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -219,6 +220,33 @@ class TestPhi:
     def test_rejects_non_finite(self, p, t):
         with pytest.raises(DomainError):
             phi(Alpha(0.1), p, t)
+
+    @pytest.mark.parametrize("p, t, text", [
+        (2.1, 0.5, "p must lie in [0, 2], got 2.1"),
+        (1.0, -0.1, "t must lie in [0, 1], got -0.1"),
+        (np.nan, 0.5, "p must lie in [0, 2], got nan"),
+        (1.0, np.nan, "t must lie in [0, 1], got nan"),
+        ([0.5, np.inf], 0.5, "p must lie in [0, 2], got inf"),
+        ([[0.5, 2.5]], [[0.3], [1.5]], "p must lie in [0, 2], got 2.5"),
+        ("x", 0.5, "p must be numeric: got str 'x'"),
+        (1.0, np.array([True, False]), "t must be numeric: got text or truth-value entries"),
+        ([0.5, 1.0], [0.1, 0.2, 0.3],
+         "p and t must broadcast together, got shapes (2,) and (3,)"),
+    ])
+    def test_rejection_texts(self, p, t, text):
+        with pytest.raises(DomainError) as info:
+            phi(0.1, p, t)
+        assert str(info.value) == text
+
+    def test_raw_kernel_is_exact_on_fractions(self):
+        # At t = 1 the majorant collapses to the profile s2 (1 - p^4/16 + |c| p^4/48).
+        for a in (Fraction(k, 40) for k in range(40)):
+            s2 = (1 - a) ** 2
+            c = abs(3 - 8 * a + 4 * a**2)
+            for p in (Fraction(k, 12) for k in range(25)):
+                got = _phi_raw(a, p, 1)
+                assert type(got) is Fraction
+                assert got == s2 * (1 - p**4 / 16 + c * p**4 / 48)
 
     def test_t_derivative_sign_factor(self):
         # phi' in t equals s2 * (4 - p^2) * [p^2 + t (p-2)(p-6)] / 24, which is

@@ -69,6 +69,74 @@ class TestMaximizePhi:
         assert outcome.evaluations > 11 * 7  # grid plus refinement
 
 
+def _maximize_phi_checked(alpha, grid_p, grid_t):
+    """maximize_phi as it was when every evaluation went through the checked hankel.phi."""
+    ps = np.linspace(0.0, 2.0, grid_p)
+    ts = np.linspace(0.0, 1.0, grid_t)
+    vals = phi(alpha, ps[:, None], ts[None, :])
+    pi, ti = search._first_tied_index(vals, vals.max())
+    best_p, best_t = float(ps[pi]), float(ts[ti])
+    value = phi(alpha, best_p, best_t)
+    lo = float(ps[max(pi - 1, 0)])
+    hi = float(ps[min(pi + 1, grid_p - 1)])
+    x, fx, g_evals = search._golden_section_max(lambda p: phi(alpha, p, 1.0), lo, hi)
+    if fx > value + TIE_TOL:
+        best_p, best_t, value = float(x), 1.0, float(fx)
+    return SearchOutcome(
+        value=float(value),
+        argmax={"p": best_p, "t": best_t},
+        method="phi",
+        grid_spec={"grid_p": grid_p, "grid_t": grid_t, "seed": None},
+        evaluations=grid_p * grid_t + g_evals,
+    )
+
+
+def _monotonicity_scan_checked(alpha, grid_p, grid_t):
+    """monotonicity_scan as it was when it evaluated the checked hankel.phi."""
+    vals = phi(alpha, np.linspace(0.0, 2.0, grid_p)[:, None], np.linspace(0.0, 1.0, grid_t)[None, :])
+    drops = vals[:, :-1] - vals[:, 1:]
+    return int(np.sum(drops > 1e-12)), float(max(float(drops.max()), 0.0))
+
+
+class TestUncheckedPhiKernel:
+    """maximize_phi and monotonicity_scan evaluate hankel._phi_raw on their own
+    points; their results must be those of the checked export, bit for bit."""
+
+    # 40 equispaced alphas from 0, the sign change of c at 0.5 and its
+    # neighbours, 1/3, an alpha near 1 and 6 random ones.
+    ALPHAS = [*np.linspace(0.0, 0.99, 40).tolist(), 0.5, 0.45, 0.55, 1 / 3, 0.999999,
+              *np.random.default_rng(15).random(6).tolist()]
+
+    @pytest.mark.parametrize("grid", [(201, 101), (7, 5), (2, 2)])
+    def test_maximize_phi_records(self, grid, monkeypatch):
+        # The golden-section pass rarely beats the grid, so each of its steps
+        # is compared too.
+        steps = []
+        golden = search._golden_section_max
+
+        def recorded(fn, lo, hi):
+            steps.append([])
+            return golden(lambda p: steps[-1].append(float(fn(p)).hex()) or fn(p), lo, hi)
+
+        monkeypatch.setattr(search, "_golden_section_max", recorded)
+        for a in self.ALPHAS:
+            assert maximize_phi(a, *grid).to_json() == _maximize_phi_checked(a, *grid).to_json()
+            assert steps[-2] == steps[-1]
+
+    @pytest.mark.parametrize("grid", [(201, 101), (101, 101), (7, 5), (3, 3)])
+    def test_monotonicity_scan(self, grid):
+        for a in self.ALPHAS:
+            assert monotonicity_scan(a, *grid) == _monotonicity_scan_checked(a, *grid)
+
+    def test_searches_skip_the_checked_export(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hankel.phi called")
+
+        monkeypatch.setattr(hankel, "phi", refuse)
+        maximize_phi(0.3, 7, 5)
+        monotonicity_scan(0.3, 7, 5)
+
+
 class TestMaximizeParam:
     def test_upper_bound_any_resolution(self):
         for a in (0.0, 0.3, 0.7):
