@@ -93,7 +93,9 @@ def _maximize_phi_checked(alpha, grid_p, grid_t):
 
 def _monotonicity_scan_checked(alpha, grid_p, grid_t):
     """monotonicity_scan as it was when it evaluated the checked hankel.phi."""
-    vals = phi(alpha, np.linspace(0.0, 2.0, grid_p)[:, None], np.linspace(0.0, 1.0, grid_t)[None, :])
+    ps = np.linspace(0.0, 2.0, grid_p)
+    ts = np.linspace(0.0, 1.0, grid_t)
+    vals = phi(alpha, ps[:, None], ts[None, :])
     drops = vals[:, :-1] - vals[:, 1:]
     return int(np.sum(drops > 1e-12)), float(max(float(drops.max()), 0.0))
 
@@ -115,8 +117,13 @@ class TestUncheckedPhiKernel:
         golden = search._golden_section_max
 
         def recorded(fn, lo, hi):
+            def step(p):
+                value = fn(p)
+                steps[-1].append(float(value).hex())
+                return value
+
             steps.append([])
-            return golden(lambda p: steps[-1].append(float(fn(p)).hex()) or fn(p), lo, hi)
+            return golden(step, lo, hi)
 
         monkeypatch.setattr(search, "_golden_section_max", recorded)
         for a in self.ALPHAS:
