@@ -239,6 +239,15 @@ def lemma_inverse(m: MomentTriple):
 
     Returns ``(y, zeta)``; ``zeta`` is ``None`` when |y| is at the unit circle,
     where its coefficient vanishes and any zeta is consistent.
+
+    Admissibility is decided in moment units.  A recovered |y| or |zeta|
+    past 1 is refused only when bringing it back onto the unit circle would
+    move a moment by more than PSD_TOL: p2 by q (|y| - 1) / 2, or p3 by
+    q (1 - |y|^2) (|zeta| - 1) / 2, with q = 4 - p^2.  Otherwise it is
+    scaled back onto the circle, so both lie in the closed unit disk.  An
+    earlier rule refused |y| or |zeta| past 1 + PSD_TOL, and so raised
+    InadmissibleMoments on the moments of some three-atom measures, whose
+    true |zeta| is exactly 1, for rounding alone; these now return.
     """
     instance("m", m, MomentTriple)
     y, zeta, edge = _lemma_inverse_rows(*(np.array([x]) for x in (m.p1, m.p2, m.p3)))
@@ -261,6 +270,9 @@ def _lemma_inverse_rows(p1, p2, p3):
         zeta = ((4.0 * p3 - p**3 - 2.0 * q * p * y + p * q * y * y)
                 / (2.0 * q * (1.0 - ay * ay)))
         az = np.abs(zeta)
+        # the changes of p2 and p3 that bring y and zeta onto the circle
+        p2_shift = q * (ay - 1.0) / 2.0
+        p3_shift = q * (1.0 - ay * ay) * (az - 1.0) / 2.0
     _require(
         (~((np.abs(p1.imag) > 1e-9) | (p < 0.0)), p1, DomainError,
          "p1 must be normalized real nonnegative (use normalize_rotation), got {}"),
@@ -268,13 +280,14 @@ def _lemma_inverse_rows(p1, p2, p3):
          "p1 = {} is at the boundary; moments are forced to (2, 2, 2)"),
         (_modulus_finite(y), y, DomainError,
          "recovered y or its modulus is not finite: the inputs are too large"),
-        (~(ay > 1.0 + PSD_TOL), ay, InadmissibleMoments, "recovered |y| = {} exceeds 1"),
+        (~(p2_shift > PSD_TOL), ay, InadmissibleMoments, "recovered |y| = {} exceeds 1"),
         (edge | _modulus_finite(zeta), zeta, DomainError,
          "recovered zeta or its modulus is not finite: the inputs are too large"),
-        (edge | ~(az > 1.0 + PSD_TOL), az, InadmissibleMoments,
+        (edge | ~(p3_shift > PSD_TOL), az, InadmissibleMoments,
          "recovered |zeta| = {} exceeds 1"),
     )
-    return y, zeta, edge
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ay > 1.0, y / ay, y), np.where(az > 1.0, zeta / az, zeta), edge
 
 
 def toeplitz_psd(moments) -> tuple:
@@ -446,14 +459,51 @@ def _triple_rows(rng: np.random.Generator, count: int):
     as ``rng.random()`` and then three ``random_disk_point(rng, 2.0)``.
 
     alpha is uniform on [0, 1), checked against the domain of ``Alpha``;
-    each moment is uniform on the closed disk of radius 2.
+    each moment is uniform on the closed disk of radius 2.  The draws are
+    read from one buffer of ``rng.random`` doubles: alpha, then (x, y)
+    pairs until three land in the disk, for each row.  A pair is tested
+    with np.hypot, the libm hypot of abs(complex).  The generator is then
+    put back and advanced by a redraw of exactly the doubles read, so it
+    ends where the one-row-at-a-time draws leave it.
     """
-    rows = np.empty((count, 4), dtype=complex)
-    for row in range(count):
-        rows[row] = (rng.random(), *(random_disk_point(rng, 2.0) for _ in range(3)))
-    alpha = rows[:, 0].real
+    start = rng.bit_generator.state
+    size = 10 * count + 16
+    while True:
+        buf = rng.random(size)
+        xy = -2.0 + 4.0 * buf
+        picks = _triple_picks(xy, count)
+        rng.bit_generator.state = start
+        if picks is not None:
+            break
+        size *= 2
+    at, used = picks
+    rng.random(used)
+    alpha = buf[at[:, 0]]
+    moments = np.empty((count, 3), dtype=complex)
+    moments.real, moments.imag = xy[at[:, 1:]], xy[at[:, 1:] + 1]
     _check_alpha_rows(alpha)
-    return alpha, rows[:, 1], rows[:, 2], rows[:, 3]
+    return alpha, moments[:, 0], moments[:, 1], moments[:, 2]
+
+
+def _triple_picks(xy: np.ndarray, count: int):
+    """(at, used) for _triple_rows, given its doubles mapped to [-2, 2]:
+    the (count, 4) positions of each row's alpha and of the x of its three
+    accepted pairs, and the number of doubles read; None when ``xy`` runs
+    out first."""
+    inside = (np.hypot(xy[:-1], xy[1:]) <= 2.0).tobytes()
+    at = np.empty((count, 4), dtype=np.intp)
+    pos, last = 0, len(inside)
+    for row in range(count):
+        at[row, 0] = pos
+        pos += 1
+        for m in range(1, 4):
+            while pos < last and not inside[pos]:
+                pos += 2
+            if pos >= last:
+                return None
+            at[row, m] = pos
+            pos += 2
+    return at, pos
 
 
 def _check_alpha_rows(alpha):

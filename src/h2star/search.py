@@ -13,16 +13,18 @@ the functional is affine in zeta, so the modulus over the closed disk is
 maximized on the boundary.  maximize_phi and monotonicity_scan evaluate
 the unchecked kernel hankel._phi_raw on points they build inside phi's
 box: grids, grid points as 0-d arrays and golden-section steps between two
-grid points.  The lemma grid is pruned by the majorant:
-|Psi(p, y, zeta)| <= phi(p, |y|), so one phi value bounds a whole (p, t)
-row of the grid, and only the rows whose bound comes within
-TIE_TOL + _BOUND_MARGIN of a grid value are evaluated; the result is that
-of the full grid, bit for bit.  The atom search refines its restarts in
-lock-step as one batch, and a sweep refines all its alphas' restarts
-together, in batches of at most _HERGLOTZ_BATCH_ROWS rows; both give, bit
-for bit, the restarts run one after another at one alpha at a time.  A
-batch holds its live rows only, each with the moment kernels e^{i n t} of
-its angles; a row that stops is written out and dropped after its sweep.
+grid points.  The lemma grid is pruned at two levels by the triangle
+inequality: phi(p, |y|) bounds |Psi| on a whole (p, t) row of the grid,
+and, as Psi = A + B zeta is affine in zeta, |A| + |B| bounds it on one
+(p, t, arg y) line.  The zeta axis is evaluated only on the lines whose
+row and line bounds both come within TIE_TOL + _BOUND_MARGIN of a grid
+value; the result is that of the full grid, bit for bit.  The atom search
+refines its restarts in lock-step as one batch, and a sweep refines all
+its alphas' restarts together, in batches of at most _HERGLOTZ_BATCH_ROWS
+rows; both give, bit for bit, the restarts run one after another at one
+alpha at a time.  A batch holds its live rows only, each with the moment
+kernels e^{i n t} of its angles; a row that stops is written out and
+dropped after its sweep.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ from .hankel import _phi_raw, det2, sharp_bound
 from .starlike import Alpha, alpha_value, coeff_rows
 
 TIE_TOL = 1e-12
-# Slack on the bound phi of the lemma grid search.  On the default grid at
-# 12 alphas in [0, 0.99] the computed |Psi| exceeds the computed phi by at
-# most 3.3e-16, about 1/3,000 of this margin.
+# Slack on the bounds of the lemma grid search, phi on a row and |A| + |B|
+# on a line.  On the default grid at 12 alphas in [0, 0.99] the computed
+# |Psi| exceeds the computed phi, and the computed |A| + |B|, by at most
+# 3.3e-16, about 1/3,000 of this margin.
 _BOUND_MARGIN = 1e-12
 
 # Rows (restarts times alphas) per lock-step batch of a Herglotz sweep.  A
@@ -177,20 +180,28 @@ def maximize_param(
 ) -> SearchOutcome:
     """Maximum of |five-term form| over p in [0,2], y = t e^{i mu}, zeta = e^{i nu}.
 
-    The result is that of evaluating every grid point, bit for bit, but only
-    the (p, t) rows that can matter are evaluated.  The search relies on the
-    triangle-inequality majorant |Psi(p, y, zeta)| <= phi(p, |y|), step 3 of
-    the proof, which the proof-step-properties check samples: phi(p, t)
-    bounds |Psi| on the whole (arg y, zeta) grid of row (p, t).  The row of
-    largest phi gives a grid value m, so m <= the grid maximum, and a row
-    with phi < m - TIE_TOL - _BOUND_MARGIN holds no value within TIE_TOL of
-    the maximum: it can neither be the maximum nor take part in the
-    tie-break.  The other rows are evaluated in C order, the first one
-    holding a value tied with the maximum is evaluated once more, and its
-    first tied (arg y, zeta) index is the argmax.  ``evaluations`` counts
-    the grid points decided, evaluated or excluded by the bound:
-    grid_p * grid_ymod * grid_yarg * grid_zarg.  ``seed`` is recorded only,
-    as in maximize_phi.
+    The result is that of evaluating every grid point, bit for bit, but the
+    zeta axis is evaluated only on the (p, t, arg y) lines that can matter.
+    The search prunes by the triangle inequality at two levels:
+
+    - rows: the majorant |Psi(p, y, zeta)| <= phi(p, |y|), step 3 of the
+      proof, which the proof-step-properties check samples, bounds |Psi| on
+      the whole (arg y, zeta) grid of row (p, t);
+    - lines: Psi = A + B zeta is affine in zeta, with A = Psi(zeta = 0) and
+      B = Psi(1) - Psi(0), so |A| + |B| bounds |Psi| on the whole zeta
+      circle of one arg y line of a surviving row.
+
+    The row of largest phi gives a grid value m, so m <= the grid maximum,
+    and a row or line whose bound is below m - TIE_TOL - _BOUND_MARGIN holds
+    no value within TIE_TOL of the maximum: it can neither be the maximum
+    nor take part in the tie-break.  The kept lines of each surviving row
+    are evaluated in C order (a row with none has maximum -inf), the first
+    row holding a value tied with the maximum is evaluated once more on its
+    kept lines, and its first tied (arg y, zeta) index is the argmax.
+    Every value is computed as on the full grid: one call per row, with the
+    row's p as a scalar.  ``evaluations`` counts the grid points decided,
+    evaluated or excluded by a bound: grid_p * grid_ymod * grid_yarg *
+    grid_zarg.  ``seed`` is recorded only, as in maximize_phi.
     """
     al = alpha_value(alpha)
     grid_p = whole_number("grid_p", grid_p, 2)
@@ -205,19 +216,33 @@ def maximize_param(
     e_mu = np.exp(1j * np.arange(grid_yarg) * (_TWO_PI / grid_yarg))
     e_nu = np.exp(1j * np.arange(grid_zarg) * (_TWO_PI / grid_zarg))
 
-    def row(i, ti):
-        """|Psi| on the (arg y, zeta) grid of row (p_i, t_ti)."""
-        return np.abs(hankel._param_form_raw(al, ps[i], (ts[ti] * e_mu)[:, None], e_nu[None, :]))
+    def row(i, ti, lines=slice(None)):
+        """|Psi| on the (arg y, zeta) grid of row (p_i, t_ti), on the given arg y lines."""
+        y = (ts[ti] * e_mu[lines])[:, None]
+        return np.abs(hankel._param_form_raw(al, ps[i], y, e_nu[None, :]))
+
+    def line_bounds(rows):
+        """|A| + |B| on each arg y line of the given rows, where Psi = A + B zeta."""
+        p, y = ps[rows[:, :1]], ts[rows[:, 1:]] * e_mu
+        a = hankel._param_form_raw(al, p, y, 0.0)
+        return np.abs(a) + np.abs(hankel._param_form_raw(al, p, y, 1.0) - a)
 
     bound = hankel.phi(al, ps[:, None], ts[None, :])
     top = np.unravel_index(int(bound.argmax()), bound.shape)
     floor = row(*top).max() - TIE_TOL - _BOUND_MARGIN
     rows = np.argwhere(bound >= floor)
-    row_max = np.array([row(i, ti).max() for i, ti in rows])
+    # 16 rows at a time keep the bound's temporaries small: peak RSS stays flat.
+    kept = np.empty((len(rows), grid_yarg), dtype=bool)
+    for s in range(0, len(rows), 16):
+        kept[s:s + 16] = line_bounds(rows[s:s + 16]) >= floor
+    row_max = np.full(len(rows), -np.inf)
+    for k in np.flatnonzero(kept.any(axis=1)):
+        row_max[k] = row(*rows[k], kept[k]).max()
     gmax = row_max.max()
     (k,) = _first_tied_index(row_max, gmax)
     pi, ti = rows[k]
-    mi, ni = _first_tied_index(row(pi, ti), gmax)
+    mi, ni = _first_tied_index(row(pi, ti, kept[k]), gmax)
+    mi = np.flatnonzero(kept[k])[mi]
     pt = LemmaPoint(float(ps[pi]), complex(ts[ti] * e_mu[mi]), complex(e_nu[ni]))
     value = abs(hankel.functional_param_form(al, pt))
 

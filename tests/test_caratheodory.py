@@ -285,6 +285,41 @@ class TestLemmaInverse:
                 worst = max(worst, abs(zeta - pt.zeta))
         assert worst <= 1e-10, worst
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        weights=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1e-12, 1.0)),
+        angles=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+        gap=st.one_of(st.floats(-1e-3, 1e-3), st.floats(0.0, 2 * math.pi)),
+    )
+    def test_accepts_three_atom_measures(self, weights, angles, gap):
+        # Three atoms make the 4 x 4 Toeplitz matrix singular, so the true
+        # |zeta| is 1; near a two-atom measure (a tiny weight, or two close
+        # angles) |y| nears 1 and rounding pushes the recovered |zeta| past it.
+        total = sum(weights)
+        atoms = HerglotzAtoms(tuple(w / total for w in weights), (*angles, angles[1] + gap))
+        rotated, _ = normalize_rotation(moments_from_atoms(atoms, 3))
+        try:
+            y, zeta = lemma_inverse(MomentTriple(*rotated))
+        except DegenerateP1:  # one atom carries nearly all the weight
+            assert rotated[0].real >= 2.0 - 1e-12
+            return
+        # on the closed disk, up to the rounding of the scaling onto the circle
+        assert abs(y) <= 1.0 + 1e-15
+        assert zeta is None or abs(zeta) <= 1.0 + 1e-15
+
+    def test_refuses_zeta_past_the_moment_rule(self):
+        # p = 1, y = 0.9: q (1 - |y|^2) / 2 = 0.285, so |zeta| = 1 + 1e-8
+        # moves p3 by 2.85e-9 > PSD_TOL, and |zeta| = 1 + 1e-9 by 2.85e-10.
+        m = lemma_forward(LemmaPoint(1.0, 0.9, 1.0))
+        for excess, refused in ((1e-8, True), (1e-9, False)):
+            p3 = m.p3 + 3.0 * (1.0 - 0.81) * excess / 2.0
+            if refused:
+                with pytest.raises(InadmissibleMoments, match="zeta"):
+                    lemma_inverse(MomentTriple(m.p1, m.p2, p3))
+            else:
+                y, zeta = lemma_inverse(MomentTriple(m.p1, m.p2, p3))
+                assert zeta == pytest.approx(1.0, abs=1e-12) and abs(zeta) <= 1.0
+
 
 class TestToeplitzPsd:
     def test_rank_one_extreme(self):

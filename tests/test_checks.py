@@ -23,6 +23,7 @@ from h2star import (
     InvalidLemmaPoint,
     LemmaPoint,
     MomentTriple,
+    caratheodory,
     checks,
     closed_form_a234,
     lemma_inverse,
@@ -211,14 +212,15 @@ def test_atom_rows_match_the_scalar_loop():
     assert np.max(np.abs(errors - ref_errors)) <= 1e-15
 
 
-def test_triple_rows_match_the_scalar_loop():
-    # algebra-reconciliation's 1,000 closed-form draws as it ran them one at
-    # a time; the generator must be left where the loop left it, for the
-    # 100,000-row blocks that follow.
-    rng = np.random.default_rng(11)
+@pytest.mark.parametrize("seed", range(40))
+def test_triple_rows_match_the_scalar_loop(seed):
+    # algebra-reconciliation's 1,000 closed-form draws (its seed is 11) as
+    # it ran them one at a time; the generator must be left where the loop
+    # left it, for the 100,000-row blocks that follow.
+    rng = np.random.default_rng(seed)
     alpha, p1, p2, p3 = _triple_rows(rng, 1000)
     gaps = checks._closed_form_gaps(alpha, p1, p2, p3)
-    ref_rng = np.random.default_rng(11)
+    ref_rng = np.random.default_rng(seed)
     ref_gaps = []
     for i in range(1000):
         a = ref_rng.random()
@@ -229,6 +231,35 @@ def test_triple_rows_match_the_scalar_loop():
         ref_gaps.append(abs(functional_moment_form(a, m) - direct) / max(1.0, abs(direct)))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.max(np.abs(gaps - ref_gaps)) <= 1e-15
+
+
+def test_triple_rows_redraw_a_larger_buffer_when_one_runs_out(monkeypatch):
+    # The first buffer is cut short; the rows and the end state must not change.
+    want_rng = np.random.default_rng(11)
+    want = _triple_rows(want_rng, 50)
+    picks = caratheodory._triple_picks
+    sizes = []
+
+    def short_first(xy, count):
+        sizes.append(xy.size)
+        return picks(xy[:100] if len(sizes) == 1 else xy, count)
+
+    monkeypatch.setattr(caratheodory, "_triple_picks", short_first)
+    rng = np.random.default_rng(11)
+    got = _triple_rows(rng, 50)
+    assert sizes == [516, 1032]
+    assert _bits(got) == _bits(want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_caratheodory_admissibility_gives_a_verdict_at_every_seed(monkeypatch, seed):
+    # Three-atom moments whose recovered |zeta| rounds past 1 are accepted and
+    # scaled back onto the circle, so no seed ends the check with an error.
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda _: default_rng(seed))
+    passed, detail = checks.check_caratheodory_admissibility.__wrapped__()
+    assert passed, detail
 
 
 def test_inadmissible_atoms_end_the_check_at_the_first_such_row(monkeypatch):

@@ -370,6 +370,45 @@ class TestBoundPruning:
         assert 0 < sum(zeta_points) < outcome.evaluations // 10
 
 
+class TestLineBound:
+    """The second level of pruning: |A| + |B| on each (p, t, arg y) line,
+    where Psi = A + B zeta."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.01, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5, 0.55, 0.75,
+                                   0.9, 0.99])
+    def test_bound_covers_every_zeta(self, a):
+        # The computed |Psi| may exceed the computed |A| + |B| only by
+        # rounding, far below the margin the search leaves.
+        ps = np.linspace(0.0, 2.0, 51)
+        ts = np.linspace(0.0, 1.0, 26)
+        y = ts[:, None] * np.exp(2j * math.pi * np.arange(16) / 16)[None, :]
+        e_nu = np.exp(2j * math.pi * np.arange(16) / 16)
+        worst = -np.inf
+        for p in ps:
+            base = hankel._param_form_raw(a, np.full((ts.size, 1), p), y, 0.0)
+            slope = hankel._param_form_raw(a, np.full((ts.size, 1), p), y, 1.0) - base
+            vals = np.abs(hankel._param_form_raw(a, p, y[:, :, None], e_nu))
+            worst = max(worst, float(np.max(vals.max(axis=2) - np.abs(base) - np.abs(slope))))
+        assert worst <= search._BOUND_MARGIN / 1000
+
+    def test_default_grid_alpha_zero_computes_under_half(self, monkeypatch):
+        # Evaluating every line of each row that survives phi computes 303
+        # rows of 64 x 64 zeta points at alpha = 0: the top row, the 301
+        # surviving rows and the tied row once more.
+        form = hankel._param_form_raw
+        zeta_points = []
+
+        def counting(alpha_value, p, y, zeta):
+            out = form(alpha_value, p, y, zeta)
+            if np.ndim(zeta):
+                zeta_points.append(out.size)
+            return out
+
+        monkeypatch.setattr(hankel, "_param_form_raw", counting)
+        maximize_param(Alpha(0.0))
+        assert 0 < sum(zeta_points) < 303 * 64 * 64 // 2
+
+
 class TestWorkers:
     @pytest.mark.parametrize(
         "call",
