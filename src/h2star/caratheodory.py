@@ -384,17 +384,16 @@ def atom_pairs_from_text(text: str) -> tuple:
 def _atom_rows(rng: np.random.Generator, count: int, max_atoms: int = 5):
     """Weights and angles of ``count`` random atom sets, as (count, max_atoms) arrays.
 
-    Each row draws, with these generator calls in this order, its number of
-    atoms k uniform on 1..max_atoms, Dirichlet(1, ..., 1) weights and angles
-    uniform on [0, 2 pi); its other max_atoms - k entries are zero weights
-    at angle 0.  _atom_moment_rows checks the rows.
+    A row has k atoms, k uniform on 1..max_atoms, with Dirichlet(1, ..., 1)
+    weights and angles uniform on [0, 2 pi); its other max_atoms - k entries
+    are zero weights at angle 0.  _atom_moment_rows checks the rows.
     """
-    weights = np.zeros((count, max_atoms))
-    angles = np.zeros((count, max_atoms))
-    for row in range(count):
-        k = int(rng.integers(1, max_atoms + 1))
-        weights[row, :k] = rng.dirichlet(np.ones(k))
-        angles[row, :k] = _TWO_PI * rng.random(k)
+    k = rng.integers(1, max_atoms + 1, count)
+    live = np.arange(max_atoms) < k[:, None]
+    # standard exponentials normalized per row are Dirichlet(1, ..., 1)
+    weights = np.where(live, rng.standard_exponential((count, max_atoms)), 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
+    angles = np.where(live, _TWO_PI * rng.random((count, max_atoms)), 0.0)
     return weights, angles
 
 
@@ -455,55 +454,15 @@ def _lemma_row_blocks(rng: np.random.Generator, count: int, block: int = LEMMA_B
 
 
 def _triple_rows(rng: np.random.Generator, count: int):
-    """Arrays (alpha, p1, p2, p3) of ``count`` rows, drawn one row at a time
-    as ``rng.random()`` and then three ``random_disk_point(rng, 2.0)``.
+    """Arrays (alpha, p1, p2, p3) of ``count`` rows.
 
     alpha is uniform on [0, 1), checked against the domain of ``Alpha``;
-    each moment is uniform on the closed disk of radius 2.  The draws are
-    read from one buffer of ``rng.random`` doubles: alpha, then (x, y)
-    pairs until three land in the disk, for each row.  A pair is tested
-    with np.hypot, the libm hypot of abs(complex).  The generator is then
-    put back and advanced by a redraw of exactly the doubles read, so it
-    ends where the one-row-at-a-time draws leave it.
+    each moment is uniform on the closed disk of radius 2.
     """
-    start = rng.bit_generator.state
-    size = 10 * count + 16
-    while True:
-        buf = rng.random(size)
-        xy = -2.0 + 4.0 * buf
-        picks = _triple_picks(xy, count)
-        rng.bit_generator.state = start
-        if picks is not None:
-            break
-        size *= 2
-    at, used = picks
-    rng.random(used)
-    alpha = buf[at[:, 0]]
-    moments = np.empty((count, 3), dtype=complex)
-    moments.real, moments.imag = xy[at[:, 1:]], xy[at[:, 1:] + 1]
+    alpha = rng.random(count)
     _check_alpha_rows(alpha)
-    return alpha, moments[:, 0], moments[:, 1], moments[:, 2]
-
-
-def _triple_picks(xy: np.ndarray, count: int):
-    """(at, used) for _triple_rows, given its doubles mapped to [-2, 2]:
-    the (count, 4) positions of each row's alpha and of the x of its three
-    accepted pairs, and the number of doubles read; None when ``xy`` runs
-    out first."""
-    inside = (np.hypot(xy[:-1], xy[1:]) <= 2.0).tobytes()
-    at = np.empty((count, 4), dtype=np.intp)
-    pos, last = 0, len(inside)
-    for row in range(count):
-        at[row, 0] = pos
-        pos += 1
-        for m in range(1, 4):
-            while pos < last and not inside[pos]:
-                pos += 2
-            if pos >= last:
-                return None
-            at[row, m] = pos
-            pos += 2
-    return at, pos
+    p1, p2, p3 = 2.0 * _disk_points(rng, 3 * count).reshape(3, count)
+    return alpha, p1, p2, p3
 
 
 def _check_alpha_rows(alpha):

@@ -179,11 +179,12 @@ def check_prior_result_anchors():
 def check_algebra_reconciliation():
     """Moment form matches the closed-form route; parameterized form matches both.
 
-    1,000 draws of (alpha, p1, p2, p3) from _triple_rows compare the moment
-    form with a2 a4 - a3^2 from the closed forms.  Then 100,000 draws of
-    (alpha, p, y, zeta) from the same generator, in blocks of rows from
-    _lemma_row_blocks, compare the five-term form with the moment form of
-    the substituted moments.
+    1,000 rows of (alpha, p1, p2, p3) from _triple_rows, alpha uniform on
+    [0, 1) and each moment uniform on the closed disk of radius 2, compare
+    the moment form with a2 a4 - a3^2 from the closed forms.  Then 100,000
+    draws of (alpha, p, y, zeta) from the same generator, in blocks of rows
+    from _lemma_row_blocks, compare the five-term form with the moment form
+    of the substituted moments.
     """
     rng = np.random.default_rng(11)
     worst_rel = float(_closed_form_gaps(*_triple_rows(rng, 1000)).max())
@@ -243,9 +244,11 @@ def check_proof_step_properties():
 def check_caratheodory_admissibility():
     """Random atom moments pass the Toeplitz oracle; the moment round-trip holds.
 
-    The 1,000 atom sets of _atom_rows run through the row kernels: one
-    stacked Toeplitz eigen-solve, then rotation, inversion and the forward
-    map on the rows that reach the round trip.
+    The 1,000 atom sets of _atom_rows, each of k atoms with k uniform on
+    1..5, Dirichlet(1, ..., 1) weights and angles uniform on [0, 2 pi), run
+    through the row kernels: one stacked Toeplitz eigen-solve, then
+    rotation, inversion and the forward map on the rows that reach the
+    round trip.
     """
     rng = np.random.default_rng(13)
     moments = _atom_moment_rows(*_atom_rows(rng, 1000), 3)

@@ -33,15 +33,10 @@ from .hankel import (
     phi,
     sharp_bound,
 )
-from .search import METHODS, _summarize_argmax, run_method, sweep_alpha
+from .search import METHOD_OPTIONS, METHODS, _summarize_argmax, run_method, sweep_alpha
 from .starlike import CoefficientVector, alpha_value, coeffs_from_moments, extremal_coeffs
 
-_METHOD_FLAGS = {
-    "phi": ("grid_p", "grid_t"),
-    "lemma": ("grid_p", "grid_ymod", "grid_yarg", "grid_zarg"),
-    "herglotz": ("atom_count", "restarts", "local_steps"),
-}
-_ALL_METHOD_FLAGS = sorted({f for flags in _METHOD_FLAGS.values() for f in flags})
+_ALL_METHOD_FLAGS = sorted({f for flags in METHOD_OPTIONS.values() for f in flags})
 _COMPLEX_FLAGS = ("--p1", "--p2", "--p3", "--y", "--zeta")
 # Flags that set an array length, by argparse dest.
 _SIZE_FLAGS = ("order", "steps", "restarts", "grid_p", "grid_t", "grid_ymod", "grid_yarg",
@@ -212,7 +207,7 @@ def _cmd_bound(args) -> int:
 
 def _method_kwargs(args) -> dict:
     """Collect grid flags for the chosen method; reject flags of other methods."""
-    applicable = _METHOD_FLAGS[args.method]
+    applicable = METHOD_OPTIONS[args.method]
     for flag in _ALL_METHOD_FLAGS:
         if flag not in applicable and getattr(args, flag) is not None:
             print(

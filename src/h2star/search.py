@@ -64,7 +64,13 @@ DEFAULT_GRID_T = 101
 DEFAULT_GRID_YARG = 64
 DEFAULT_GRID_ZARG = 64
 
-METHODS = ("phi", "lemma", "herglotz")
+# The options each search method takes besides alpha, workers and seed.
+METHOD_OPTIONS = {
+    "phi": ("grid_p", "grid_t"),
+    "lemma": ("grid_p", "grid_ymod", "grid_yarg", "grid_zarg"),
+    "herglotz": ("atom_count", "restarts", "local_steps"),
+}
+METHODS = tuple(METHOD_OPTIONS)
 
 
 @dataclass(frozen=True)
@@ -441,15 +447,27 @@ def _summarize_argmax(outcome: SearchOutcome) -> str:
 
 def run_method(method: str, alpha: Alpha | float, workers: int = 1, seed: int = 0,
                **kwargs) -> SearchOutcome:
-    """Dispatch one search by method name with default resolutions."""
+    """Dispatch one search by method name with default resolutions.
+
+    ``kwargs`` are options of METHOD_OPTIONS[method]; an unknown method or
+    an option of another method raises DomainError.
+    """
     whole_number("workers", workers, 1)
+    _check_method_options(method, kwargs)
     if method == "phi":
         return maximize_phi(alpha, workers=workers, seed=seed, **kwargs)
     if method == "lemma":
         return maximize_param(alpha, workers=workers, seed=seed, **kwargs)
-    if method == "herglotz":
-        return maximize_herglotz(alpha, seed=seed, **kwargs)
-    raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
+    return maximize_herglotz(alpha, seed=seed, **kwargs)
+
+
+def _check_method_options(method: str, options) -> None:
+    """DomainError unless ``method`` is one of METHODS and takes every name in ``options``."""
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
+    for name in options:
+        if name not in METHOD_OPTIONS[method]:
+            raise DomainError(f"option {name!r} does not apply to method {method!r}")
 
 
 def sweep_alpha(
@@ -463,8 +481,9 @@ def sweep_alpha(
 ):
     """Search at steps+1 equispaced alpha values and tabulate gaps to the bound.
 
-    ``alpha_start`` < ``alpha_end`` are alphas (see alpha_value), and
-    ``steps`` and ``workers`` are whole numbers of at least 1, else
+    ``alpha_start`` < ``alpha_end`` are alphas (see alpha_value),
+    ``steps`` and ``workers`` are whole numbers of at least 1, and
+    ``method_kwargs`` are options of METHOD_OPTIONS[method], else
     DomainError.  The herglotz method refines the restarts of all alphas
     together (see _herglotz_outcomes); each row is still bit-for-bit what
     maximize_herglotz gives at its alpha.  Other methods search one alpha
@@ -475,6 +494,7 @@ def sweep_alpha(
         raise DomainError(f"need alpha_start < alpha_end, got [{alpha_start}, {alpha_end}]")
     steps = whole_number("steps", steps, 1)
     whole_number("workers", workers, 1)
+    _check_method_options(method, method_kwargs)
     alphas = np.linspace(alpha_start, alpha_end, steps + 1).tolist()
     if method == "herglotz":
         outcomes = _herglotz_outcomes(alphas, seed=seed, **method_kwargs)

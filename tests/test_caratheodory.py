@@ -48,7 +48,7 @@ from h2star.caratheodory import (
     random_lemma_point,
 )
 from h2star.errors import MAX_ENTRIES, whole_number
-from h2star.search import SearchOutcome
+from h2star.search import SearchOutcome, run_method
 
 HALF_HALF_0_PI = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
 A = Alpha(0.1)
@@ -550,6 +550,8 @@ def test_random_lemma_point_stays_in_box():
         lambda: toeplitz_psd([0.5, True]),
         lambda: normalize_rotation([0.5, True, 1]),
         lambda: coeffs_from_moments(0.1, [True, 1.0]),
+        lambda: sweep_alpha(0.0, 0.5, 1, "herglotz", grid_p=3),
+        lambda: run_method("phi", 0.5, restarts=3),
     ],
     ids=["spec-inf", "spec-nan", "spec-fraction", "spec-n-fraction", "rotate-nan",
          "rotate-inf", "rotate-empty", "toeplitz-empty", "inverse-unrotated",
@@ -572,7 +574,8 @@ def test_random_lemma_point_stays_in_box():
          "whole-number-numpy-true", "phi-search-seed-true", "phi-p-string-list",
          "phi-t-bool-array", "coeffs-moment-string-list", "phi-p-bool-among-numbers",
          "toeplitz-bool-among-numbers", "rotate-bool-among-numbers",
-         "coeffs-bool-among-numbers"],
+         "coeffs-bool-among-numbers", "sweep-option-of-another-method",
+         "run-option-of-another-method"],
 )
 def test_public_rejections_raise_domain_error(call):
     with pytest.raises(DomainError):

@@ -1,11 +1,11 @@
 """The blocked and row-kernel acceptance checks against their one-point loops.
 
 ``_lemma_row_blocks`` must draw its rows from the distributions of
-``alpha = rng.random(); pt = random_lemma_point(rng)``, the atom sets and
+``alpha = rng.random(); pt = random_lemma_point(rng)``, and the atom sets and
 moment triples of ``caratheodory-admissibility`` and ``algebra-reconciliation``
-must be the ones their one-at-a-time loops drew, and the array kernels the
-checks evaluate must agree with the scalar functions the checks called one
-point at a time.  The scalar functions below are the reference.
+from theirs, and the array kernels the checks evaluate must agree, row by
+row, with the scalar functions the checks called one point at a time.  The
+scalar functions below are the reference.
 """
 import math
 
@@ -23,7 +23,6 @@ from h2star import (
     InvalidLemmaPoint,
     LemmaPoint,
     MomentTriple,
-    caratheodory,
     checks,
     closed_form_a234,
     lemma_inverse,
@@ -72,20 +71,58 @@ def test_rows_are_seeded_and_sized(block):
     assert np.array_equal(rows.view(np.uint64), again.view(np.uint64))
 
 
+# Each statistic below is a mean of n independent draws; at 5 standard
+# errors a seed fails by chance about once in 1.7 million.
+def _assert_uniform_alpha_and_disks(alpha, disks, radius):
+    """alpha uniform on [0, 1) and each of ``disks`` uniform on the closed
+    disk of ``radius``, at 5 standard errors."""
+    n = alpha.size
+    assert np.all(alpha.imag == 0)
+    # alpha uniform on [0, 1): mean 1/2, variance 1/12
+    assert abs(alpha.real.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / n)
+    # uniform on the disk: P(|z| <= r) = (r / radius)^2, so 1/2 at r = radius/sqrt(2)
+    for z in disks:
+        assert np.all(np.abs(z) <= radius)
+        share = np.mean(np.abs(z) <= radius / math.sqrt(2))
+        assert abs(share - 0.5) <= 5 * math.sqrt(0.25 / n)
+
+
 def test_rows_follow_the_lemma_distributions():
-    # Each statistic is a mean of 100,000 independent draws; at 5 standard
-    # errors a seed fails by chance about once in 1.7 million.
     rows = _rows(np.random.default_rng(12), 100_000)
     alpha, p, y, zeta = rows.T
     n = rows.shape[0]
-    assert np.all(alpha.imag == 0) and np.all(p.imag == 0)
-    # alpha uniform on [0, 1): mean 1/2, variance 1/12; p = 2 U
-    assert abs(alpha.real.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / n)
+    _assert_uniform_alpha_and_disks(alpha, (y, zeta), 1.0)
+    # p = 2 U
+    assert np.all(p.imag == 0)
     assert abs(p.real.mean() - 1.0) <= 5 * math.sqrt(4 / 12 / n)
-    # uniform on the disk: P(|z| <= r) = r^2, so 1/2 at r = 1/sqrt(2)
-    for z in (y, zeta):
-        share = np.mean(np.abs(z) <= 1 / math.sqrt(2))
-        assert abs(share - 0.5) <= 5 * math.sqrt(0.25 / n)
+
+
+def test_triple_rows_follow_their_distributions():
+    alpha, *moments = _triple_rows(np.random.default_rng(11), 100_000)
+    assert alpha.size == 100_000 and all(m.shape == (100_000,) for m in moments)
+    _assert_uniform_alpha_and_disks(alpha, moments, 2.0)
+
+
+def test_atom_rows_follow_their_distributions():
+    weights, angles = _atom_rows(np.random.default_rng(13), 100_000)
+    n = weights.shape[0]
+    k = np.count_nonzero(weights, axis=1)
+    live = np.arange(5) < k[:, None]
+    # k uniform on 1..5
+    for j in range(1, 6):
+        assert abs(np.mean(k == j) - 0.2) <= 5 * math.sqrt(0.2 * 0.8 / n)
+    # Dirichlet(1, ..., 1) on k atoms: each weight is Beta(1, k - 1), whose
+    # m-th moment is m! (k - 1)! / (m + k - 1)!: mean 1/k, then 2 / (k (k + 1))
+    for j in range(1, 6):
+        rows = weights[k == j, :j]
+        moment = [math.factorial(m) * math.factorial(j - 1) / math.factorial(m + j - 1)
+                  for m in range(5)]
+        for m in (1, 2):
+            sd = math.sqrt((moment[2 * m] - moment[m] ** 2) / rows.shape[0])
+            assert np.all(np.abs((rows**m).mean(axis=0) - moment[m]) <= 5 * sd + 1e-15)
+    # angles uniform on [0, 2 pi): mean pi, variance pi^2 / 3
+    t = angles[live]
+    assert abs(t.mean() - math.pi) <= 5 * math.sqrt(math.pi**2 / 3 / t.size)
 
 
 def test_zero_rows():
@@ -168,27 +205,17 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=complex).tobytes()
 
 
-def _reference_atoms(rng, max_atoms=5):
-    """One random atom set, drawn as caratheodory-admissibility drew them one at a time."""
-    k = int(rng.integers(1, max_atoms + 1))
-    w = rng.dirichlet(np.ones(k))
-    t = rng.uniform(0.0, 2.0 * math.pi, k)
-    return HerglotzAtoms(tuple(w), tuple(t))
-
-
 def test_atom_rows_match_the_scalar_loop():
     # caratheodory-admissibility as it ran, one atom set at a time.
     weights, angles = _atom_rows(np.random.default_rng(13), 1000)
     moments = _atom_moment_rows(weights, angles, 3)
     min_eig = _toeplitz_min_eig_rows(moments)
     errors = checks._round_trip_errors(moments)
-    rng = np.random.default_rng(13)
     ref_eig, ref_errors = [], []
     for i in range(1000):
-        atoms = _reference_atoms(rng)
-        k = len(atoms.weights)
-        assert _bits(weights[i]) == _bits(atoms.weights + (0.0,) * (5 - k))
-        assert _bits(angles[i]) == _bits(atoms.angles + (0.0,) * (5 - k))
+        k = np.count_nonzero(weights[i])
+        assert not weights[i, k:].any() and not angles[i, k:].any()
+        atoms = HerglotzAtoms(tuple(weights[i, :k]), tuple(angles[i, :k]))
         p = moments_from_atoms(atoms, 3)
         assert _bits(moments[i]) == _bits(p) == _bits(_reference_moments(atoms, 3))
         if i % 10 == 0:
@@ -207,58 +234,39 @@ def test_atom_rows_match_the_scalar_loop():
         back = lemma_forward(LemmaPoint(m.p1.real, y, zeta))
         ref_errors.append(max(abs(back.p1 - m.p1), abs(back.p2 - m.p2), abs(back.p3 - m.p3)))
     assert _bits(min_eig) == _bits(ref_eig)
-    assert float(min_eig.min()) == pytest.approx(-2.657e-15, rel=1e-3)
-    assert errors.size == len(ref_errors) == 601
+    assert float(min_eig.min()) == pytest.approx(-2.749e-15, rel=1e-3)
+    assert errors.size == len(ref_errors) == 591
     assert np.max(np.abs(errors - ref_errors)) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_triple_rows_match_the_scalar_loop(seed):
-    # algebra-reconciliation's 1,000 closed-form draws (its seed is 11) as
-    # it ran them one at a time; the generator must be left where the loop
-    # left it, for the 100,000-row blocks that follow.
-    rng = np.random.default_rng(seed)
-    alpha, p1, p2, p3 = _triple_rows(rng, 1000)
+    # algebra-reconciliation's 1,000 closed-form draws (its seed is 11),
+    # each row through the scalar functions it called one at a time.  Each
+    # gap is itself a rounding error of up to about 7 eps (the check's worst
+    # is 1.5e-15), rounded by numpy's complex arithmetic on one side and by
+    # Python's on the other, so the two are compared within 8 eps.
+    alpha, p1, p2, p3 = _triple_rows(np.random.default_rng(seed), 1000)
     gaps = checks._closed_form_gaps(alpha, p1, p2, p3)
-    ref_rng = np.random.default_rng(seed)
     ref_gaps = []
-    for i in range(1000):
-        a = ref_rng.random()
-        m = MomentTriple(*(_reference_disk_point(ref_rng, 2.0) for _ in range(3)))
-        assert _bits((alpha[i], p1[i], p2[i], p3[i])) == _bits((a, m.p1, m.p2, m.p3))
+    for row in zip(alpha, p1, p2, p3):
+        a = float(row[0])
+        m = MomentTriple(*row[1:])
         a2, a3, a4 = closed_form_a234(a, m)
         direct = a2 * a4 - a3 * a3
         ref_gaps.append(abs(functional_moment_form(a, m) - direct) / max(1.0, abs(direct)))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert np.max(np.abs(gaps - ref_gaps)) <= 1e-15
-
-
-def test_triple_rows_redraw_a_larger_buffer_when_one_runs_out(monkeypatch):
-    # The first buffer is cut short; the rows and the end state must not change.
-    want_rng = np.random.default_rng(11)
-    want = _triple_rows(want_rng, 50)
-    picks = caratheodory._triple_picks
-    sizes = []
-
-    def short_first(xy, count):
-        sizes.append(xy.size)
-        return picks(xy[:100] if len(sizes) == 1 else xy, count)
-
-    monkeypatch.setattr(caratheodory, "_triple_picks", short_first)
-    rng = np.random.default_rng(11)
-    got = _triple_rows(rng, 50)
-    assert sizes == [516, 1032]
-    assert _bits(got) == _bits(want)
-    assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.max(np.abs(gaps - ref_gaps)) <= 8 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_caratheodory_admissibility_gives_a_verdict_at_every_seed(monkeypatch, seed):
-    # Three-atom moments whose recovered |zeta| rounds past 1 are accepted and
-    # scaled back onto the circle, so no seed ends the check with an error.
+@pytest.mark.parametrize("name", ["algebra-reconciliation", "caratheodory-admissibility"])
+def test_sampled_checks_give_a_verdict_at_every_seed(monkeypatch, name, seed):
+    # In caratheodory-admissibility, three-atom moments whose recovered |zeta|
+    # rounds past 1 are accepted and scaled back onto the circle, so no seed
+    # ends the check with an error.
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda _: default_rng(seed))
-    passed, detail = checks.check_caratheodory_admissibility.__wrapped__()
+    passed, detail = checks.CHECKS_BY_NAME[name].__wrapped__()
     assert passed, detail
 
 

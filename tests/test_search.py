@@ -857,7 +857,7 @@ class TestHerglotzSweepBatch:
             sweep_alpha(0.0, 0.5, 2, "herglotz", atom_count=5)
         with pytest.raises(DomainError, match="workers"):
             sweep_alpha(0.0, 0.5, 2, "herglotz", workers=0)
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError, match="'grid_p' does not apply to method 'herglotz'"):
             sweep_alpha(0.0, 0.5, 2, "herglotz", grid_p=3)
 
 
