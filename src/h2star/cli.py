@@ -33,7 +33,8 @@ from .hankel import (
     phi,
     sharp_bound,
 )
-from .search import METHOD_OPTIONS, METHODS, _summarize_argmax, run_method, sweep_alpha
+from .search import (METHOD_OPTIONS, METHODS, _foreign_option, _summarize_argmax, run_method,
+                     sweep_alpha)
 from .starlike import CoefficientVector, alpha_value, coeffs_from_moments, extremal_coeffs
 
 _ALL_METHOD_FLAGS = sorted({f for flags in METHOD_OPTIONS.values() for f in flags})
@@ -206,21 +207,18 @@ def _cmd_bound(args) -> int:
 
 
 def _method_kwargs(args) -> dict:
-    """Collect grid flags for the chosen method; reject flags of other methods."""
-    applicable = METHOD_OPTIONS[args.method]
-    for flag in _ALL_METHOD_FLAGS:
-        if flag not in applicable and getattr(args, flag) is not None:
-            print(
-                f"h2star {args.command}: error: --{flag.replace('_', '-')} does not "
-                f"apply to method {args.method!r}",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-    return {
-        flag: getattr(args, flag)
-        for flag in applicable
-        if getattr(args, flag) is not None
-    }
+    """Collect the grid flags given; exit 2 on a flag of another method."""
+    kwargs = {flag: getattr(args, flag) for flag in _ALL_METHOD_FLAGS
+              if getattr(args, flag) is not None}
+    flag = _foreign_option(args.method, kwargs)
+    if flag is not None:
+        print(
+            f"h2star {args.command}: error: --{flag.replace('_', '-')} does not "
+            f"apply to method {args.method!r}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    return kwargs
 
 
 def _cmd_search(args) -> int:

@@ -465,9 +465,14 @@ def _check_method_options(method: str, options) -> None:
     """DomainError unless ``method`` is one of METHODS and takes every name in ``options``."""
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
-    for name in options:
-        if name not in METHOD_OPTIONS[method]:
-            raise DomainError(f"option {name!r} does not apply to method {method!r}")
+    name = _foreign_option(method, options)
+    if name is not None:
+        raise DomainError(f"option {name!r} does not apply to method {method!r}")
+
+
+def _foreign_option(method: str, options):
+    """The first name in ``options`` that ``method`` does not take, or None."""
+    return next((name for name in options if name not in METHOD_OPTIONS[method]), None)
 
 
 def sweep_alpha(

@@ -242,20 +242,24 @@ def test_atom_rows_match_the_scalar_loop():
 @pytest.mark.parametrize("seed", range(40))
 def test_triple_rows_match_the_scalar_loop(seed):
     # algebra-reconciliation's 1,000 closed-form draws (its seed is 11),
-    # each row through the scalar functions it called one at a time.  Each
-    # gap is itself a rounding error of up to about 7 eps (the check's worst
-    # is 1.5e-15), rounded by numpy's complex arithmetic on one side and by
-    # Python's on the other, so the two are compared within 8 eps.
+    # each row through the scalar functions it called one at a time.  The
+    # gap is a rounding error of both sides' own arithmetic, so it is checked
+    # as the assembly of the kernel values, and those against the scalar ones.
     alpha, p1, p2, p3 = _triple_rows(np.random.default_rng(seed), 1000)
-    gaps = checks._closed_form_gaps(alpha, p1, p2, p3)
-    ref_gaps = []
+    a2, a3, a4 = _closed_form_rows(alpha, p1, p2, p3)
+    form = _moment_form_raw(alpha, p1, p2, p3)
+    ref = []
     for row in zip(alpha, p1, p2, p3):
         a = float(row[0])
         m = MomentTriple(*row[1:])
-        a2, a3, a4 = closed_form_a234(a, m)
-        direct = a2 * a4 - a3 * a3
-        ref_gaps.append(abs(functional_moment_form(a, m) - direct) / max(1.0, abs(direct)))
-    assert np.max(np.abs(gaps - ref_gaps)) <= 8 * np.finfo(float).eps
+        ref.append((*closed_form_a234(a, m), functional_moment_form(a, m)))
+    ref = np.array(ref)
+    err = np.abs(np.column_stack((a2, a3, a4, form)) - ref) / np.maximum(1.0, np.abs(ref))
+    worst = dict(zip(("a2", "a3", "a4", "moment form"), err.max(axis=0)))
+    assert all(e <= 1e-15 for e in worst.values()), worst
+    direct = a2 * a4 - a3 * a3
+    want = np.abs(form - direct) / np.maximum(1.0, np.abs(direct))
+    assert _bits(checks._closed_form_gaps(alpha, p1, p2, p3)) == _bits(want)
 
 
 @pytest.mark.parametrize("seed", range(40))
