@@ -157,14 +157,22 @@ def _param_form_raw(alpha_value: float, p, y, zeta):
     s2 = (1.0 - alpha_value) ** 2
     c = 3.0 - 8.0 * alpha_value + 4.0 * alpha_value * alpha_value
     q = 4.0 - p * p
-    y_sq_mod = np.abs(y) ** 2
     return s2 * (
         -c * p**4 / 48.0
         + p * p * q * y / 24.0
         - p * p * q * y * y / 12.0
         - q * q * y * y / 16.0
-        + p * q * (1.0 - y_sq_mod) * zeta / 6.0
+        + _zeta_coefficient(p, y) * zeta / 6.0
     )
+
+
+def _zeta_coefficient(p, y):
+    """p q (1 - |y|^2), the zeta coefficient of _param_form_raw before s2 / 6.
+
+    Where it is exactly 0, the zeta term is a signed zero, so |Psi| is the
+    same double at every zeta.  Broadcast-safe over numpy arrays.
+    """
+    return p * (4.0 - p * p) * (1.0 - np.abs(y) ** 2)
 
 
 def functional_param_form(alpha: Alpha | float, pt: LemmaPoint) -> complex:

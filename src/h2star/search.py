@@ -18,13 +18,14 @@ inequality: phi(p, |y|) bounds |Psi| on a whole (p, t) row of the grid,
 and, as Psi = A + B zeta is affine in zeta, |A| + |B| bounds it on one
 (p, t, arg y) line.  The zeta axis is evaluated only on the lines whose
 row and line bounds both come within TIE_TOL + _BOUND_MARGIN of a grid
-value; the result is that of the full grid, bit for bit.  The atom search
-refines its restarts in lock-step as one batch, and a sweep refines all
-its alphas' restarts together, in batches of at most _HERGLOTZ_BATCH_ROWS
-rows; both give, bit for bit, the restarts run one after another at one
-alpha at a time.  A batch holds its live rows only, each with the moment
-kernels e^{i n t} of its angles; a row that stops is written out and
-dropped after its sweep.
+value, and at one zeta on a row whose zeta coefficient p q (1 - |y|^2) is
+exactly 0 on every such line; the result is that of the full grid, bit for
+bit.  The atom search refines its restarts in lock-step as one batch, and a
+sweep refines all its alphas' restarts together, in batches of at most
+_HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
+after another at one alpha at a time.  A batch holds its live rows only,
+each with the moment kernels e^{i n t} of its angles; a row that stops is
+written out and dropped after its sweep.
 """
 
 from __future__ import annotations
@@ -204,6 +205,19 @@ def maximize_param(
     are evaluated in C order (a row with none has maximum -inf), the first
     row holding a value tied with the maximum is evaluated once more on its
     kept lines, and its first tied (arg y, zeta) index is the argmax.
+
+    A third rule skips the zeta axis where it cannot matter: B is s2 / 6
+    times the coefficient p q (1 - |y|^2), with q = 4 - p^2, and where the
+    computed coefficient (hankel._zeta_coefficient) is exactly 0, the zeta
+    term is a signed zero and |Psi| is the same double at every zeta.  A
+    row with a zero coefficient on every line it evaluates is evaluated at
+    the first zeta only, which holds the line's maximum and its first tied
+    zeta index.  These are the rows at p = 0 and p = 2, and rows at |y| = 1
+    whose kept lines all have a computed |y| of exactly 1 (199 rows at
+    alpha = 0).  On the default grid the search computes 10,887 zeta points
+    at alpha = 0 (438,720 without this rule) and 192 at alpha = 0.25 and
+    0.75 (12,288).
+
     Every value is computed as on the full grid: one call per row, with the
     row's p as a scalar.  ``evaluations`` counts the grid points decided,
     evaluated or excluded by a bound: grid_p * grid_ymod * grid_yarg *
@@ -223,9 +237,14 @@ def maximize_param(
     e_nu = np.exp(1j * np.arange(grid_zarg) * (_TWO_PI / grid_zarg))
 
     def row(i, ti, lines=slice(None)):
-        """|Psi| on the (arg y, zeta) grid of row (p_i, t_ti), on the given arg y lines."""
+        """|Psi| on the (arg y, zeta) grid of row (p_i, t_ti), on the given arg y lines.
+
+        Where Psi's zeta coefficient is exactly 0 on every line, |Psi| is one
+        double along each line, and the first zeta alone is evaluated.
+        """
         y = (ts[ti] * e_mu[lines])[:, None]
-        return np.abs(hankel._param_form_raw(al, ps[i], y, e_nu[None, :]))
+        zeta = e_nu if hankel._zeta_coefficient(ps[i], y).any() else e_nu[:1]
+        return np.abs(hankel._param_form_raw(al, ps[i], y, zeta[None, :]))
 
     def line_bounds(rows):
         """|A| + |B| on each arg y line of the given rows, where Psi = A + B zeta."""

@@ -1,0 +1,59 @@
+"""The statistics and the claim rule of scripts/bench_pairs.py, on made-up runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+PARENT = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0, 1.0]
+
+
+def _claim(parent, change, lower=True, target=None):
+    row = bench_pairs.compare(parent, change, "s", lower)
+    return row, bench_pairs.claim_rule(row, parent, change, lower, target)
+
+
+def test_seed_list():
+    assert bench_pairs.seed_list("1801-1804") == [1801, 1802, 1803, 1804]
+    assert bench_pairs.seed_list("7,3,9") == [7, 3, 9]
+
+
+def test_summary_uses_inclusive_quartiles():
+    got = bench_pairs.summary([4.0, 1.0, 3.0, 2.0])
+    assert got == {"median": 2.5, "quartiles": [1.75, 3.25], "runs": [4.0, 1.0, 3.0, 2.0]}
+
+
+def test_pairs_compare_in_order_and_ties_count_for_neither():
+    row = bench_pairs.compare([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "s", True)
+    assert (row["change_better_pairs"], row["change_worse_pairs"]) == (1, 1)
+    row = bench_pairs.compare([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "1/s", False)
+    assert (row["change_better_pairs"], row["change_worse_pairs"]) == (1, 1)
+    assert row["change_vs_parent_median"] == 0.0
+
+
+def test_claim_met_at_nine_of_ten():
+    change = [0.8] * 9 + [1.5]
+    row, claim = _claim(PARENT, change, target=0.15)
+    assert row["change_better_pairs"] == 9
+    assert claim["met"]
+    assert claim["change_vs_parent_median"] == -0.2
+
+
+@pytest.mark.parametrize("change, target", [
+    ([0.8] * 8 + [1.5] * 2, None),  # 8 of 10 pairs better
+    ([0.99] * 10, None),  # medians 0.01 apart, inside the parent's quartiles
+    ([0.9] * 10, 0.15),  # 10% short of a 15% target
+    ([1.2] * 10, None),  # worse in every pair
+])
+def test_claim_not_met(change, target):
+    assert not _claim(PARENT, change, target=target)[1]["met"]
+
+
+def test_claim_when_higher_is_better():
+    assert _claim(PARENT, [1.3] * 10, lower=False, target=0.15)[1]["met"]
+    assert not _claim(PARENT, [0.7] * 10, lower=False)[1]["met"]

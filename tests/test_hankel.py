@@ -193,6 +193,39 @@ class TestParamForm:
         assert rows == 20_000
 
 
+    def test_bit_equal_to_the_inline_zeta_term(self):
+        # _param_form_raw takes its zeta term from _zeta_coefficient; this is
+        # the expression it had with the term written inline.
+        def inline(alpha_value, p, y, zeta):
+            s2 = (1.0 - alpha_value) ** 2
+            c = 3.0 - 8.0 * alpha_value + 4.0 * alpha_value * alpha_value
+            q = 4.0 - p * p
+            y_sq_mod = np.abs(y) ** 2
+            return s2 * (
+                -c * p**4 / 48.0
+                + p * p * q * y / 24.0
+                - p * p * q * y * y / 12.0
+                - q * q * y * y / 16.0
+                + p * q * (1.0 - y_sq_mod) * zeta / 6.0
+            )
+
+        rng = np.random.default_rng(36)
+        for alpha, p, y, zeta in _lemma_row_blocks(rng, 20_000):
+            got, want = _param_form_raw(alpha, p, y, zeta), inline(alpha, p, y, zeta)
+            assert got.tobytes() == want.tobytes()
+        e_mu = np.exp(2j * np.pi * np.arange(64) / 64)
+        for a in (0.0, 0.25, 0.5, 0.75, 0.99):
+            for p in (0.0, 0.02, 1.0, 2.0):
+                for t in (0.0, 0.5, 1.0):
+                    args = (a, p, (t * e_mu)[:, None], e_mu[None, :])
+                    assert _param_form_raw(*args).tobytes() == inline(*args).tobytes()
+                    for y, zeta in zip(t * e_mu[:8], e_mu[::8]):
+                        pt = LemmaPoint(p, complex(y), complex(zeta))
+                        value = functional_param_form(Alpha(a), pt)
+                        assert np.array(value).tobytes() == np.array(
+                            complex(inline(a, p, complex(y), complex(zeta)))).tobytes()
+
+
 class TestPhi:
     def test_corner_value(self):
         for a in (0.0, 0.3, 0.9):

@@ -391,10 +391,14 @@ class TestLineBound:
             worst = max(worst, float(np.max(vals.max(axis=2) - np.abs(base) - np.abs(slope))))
         assert worst <= search._BOUND_MARGIN / 1000
 
-    def test_default_grid_alpha_zero_computes_under_half(self, monkeypatch):
+    @pytest.mark.parametrize("a, points", [(0.0, 10_887), (0.25, 192), (0.75, 192)])
+    def test_default_grid_zeta_points(self, monkeypatch, a, points):
         # Evaluating every line of each row that survives phi computes 303
         # rows of 64 x 64 zeta points at alpha = 0: the top row, the 301
-        # surviving rows and the tied row once more.
+        # surviving rows and the tied row once more.  The line bound keeps
+        # 6,727 lines of the 301 rows, and each row whose zeta coefficient
+        # is 0 on all its kept lines evaluates one zeta per line; the top
+        # row, whose coefficient is 0 on only some of its lines, all 64.
         form = hankel._param_form_raw
         zeta_points = []
 
@@ -405,8 +409,53 @@ class TestLineBound:
             return out
 
         monkeypatch.setattr(hankel, "_param_form_raw", counting)
-        maximize_param(Alpha(0.0))
-        assert 0 < sum(zeta_points) < 303 * 64 * 64 // 2
+        maximize_param(Alpha(a))
+        assert sum(zeta_points) == points
+
+
+class TestZetaFreeLines:
+    """A row whose zeta coefficient p q (1 - |y|^2) is exactly 0 on every
+    line evaluates one zeta: there |Psi| is one double along each line.
+
+    At alpha = 0.5, c = 0: the quartic term is -0.0 and the p = 2 rows are 0.
+    """
+
+    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75, 0.99])
+    def test_modulus_constant_along_the_line(self, a):
+        ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
+        ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
+        e_mu = np.exp(1j * np.arange(search.DEFAULT_GRID_YARG)
+                      * (2.0 * math.pi / search.DEFAULT_GRID_YARG))
+        e_nu = np.exp(1j * np.arange(search.DEFAULT_GRID_ZARG)
+                      * (2.0 * math.pi / search.DEFAULT_GRID_ZARG))
+        rows = [(0, ti) for ti in range(ts.size)] + [(ps.size - 1, ti) for ti in range(ts.size)]
+        rows += [(i, ts.size - 1) for i in range(ps.size)]
+        zero_lines = 0
+        for i, ti in rows:
+            y = (ts[ti] * e_mu)[:, None]
+            flat = hankel._zeta_coefficient(ps[i], y)[:, 0] == 0.0
+            vals = np.abs(hankel._param_form_raw(a, ps[i], y[flat], e_nu[None, :]))
+            assert vals.tobytes() == np.repeat(vals[:, :1], e_nu.size, axis=1).tobytes()
+            zero_lines += int(flat.sum())
+        # Every line of the p = 0 and p = 2 rows, and some of the |y| = 1 lines.
+        assert zero_lines > 2 * ts.size * e_mu.size
+        if a == 0.5:
+            assert not np.abs(hankel._param_form_raw(a, 2.0, ts[:, None] * e_mu, 1.0)).any()
+
+    def test_maximum_off_the_first_zeta(self, monkeypatch):
+        # A form with the real zeta coefficient, largest at zeta index 3 of 8
+        # on the row p = 1.15, t = 0: a row with a nonzero coefficient must
+        # evaluate the whole zeta axis.
+        coefficient = hankel._zeta_coefficient
+
+        def form(alpha_value, p, y, zeta):
+            return 0.5 + coefficient(p, y) * zeta * np.exp(-0.75j * math.pi)
+
+        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        monkeypatch.setattr(hankel, "phi", _constant_bound(10.0))
+        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
+        assert want.argmax["zeta"] == np.exp(0.75j * math.pi)
+        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
 
 
 class TestWorkers:
