@@ -37,16 +37,16 @@ from .errors import (
     numeric,
     whole_number,
 )
+from .tolerances import (
+    DISK_TOL,
+    P1_DEGENERATE_GAP,
+    P1_IMAG_TOL,
+    PSD_TOL,
+    WEIGHT_SUM_TOL,
+    Y_BOUNDARY_TOL,
+)
 
 _TWO_PI = 2.0 * math.pi
-_WEIGHT_TOL = 1e-12
-_DISK_TOL = 1e-12
-
-PSD_TOL = 1e-9
-
-# |y| at or above this is treated as the boundary case, where the zeta
-# coefficient vanishes and zeta cannot be recovered.
-Y_BOUNDARY_TOL = 1e-9
 
 _NOT_FINITE_MOMENTS = "moments must be finite, got {}"
 
@@ -55,6 +55,9 @@ _NOT_FINITE_MOMENTS = "moments must be finite, got {}"
 # RSS is flat up to 1024 rows and grows 0.25 MiB at 2048 and 0.9 MiB at 4096
 # (2-vCPU box).
 LEMMA_BLOCK_ROWS = 1024
+
+# Atoms of one random atom set of _atom_rows, at most.
+MAX_ATOMS = 5
 
 _complex_array = partial(np.asarray, dtype=complex)
 
@@ -95,7 +98,7 @@ def _atom_arrays(weights, angles) -> np.ndarray:
     failure = _first_failure(
         np.isfinite(weights).all(axis=1) & np.isfinite(angles).all(axis=1),
         (weights >= 0.0).all(axis=1),
-        np.abs(total - 1.0) <= _WEIGHT_TOL,
+        np.abs(total - 1.0) <= WEIGHT_SUM_TOL,
     )
     if failure is not None:
         rule, (i,) = failure
@@ -155,8 +158,8 @@ def _check_lemma_box(p, y, zeta):
     ay, az = abs(y), abs(zeta)
     _require(
         ((p >= 0.0) & (p <= 2.0), p, InvalidLemmaPoint, "p must lie in [0, 2], got {}"),
-        (ay <= 1.0 + _DISK_TOL, ay, InvalidLemmaPoint, "|y| must be <= 1, got {}"),
-        (az <= 1.0 + _DISK_TOL, az, InvalidLemmaPoint, "|zeta| must be <= 1, got {}"),
+        (ay <= 1.0 + DISK_TOL, ay, InvalidLemmaPoint, "|y| must be <= 1, got {}"),
+        (az <= 1.0 + DISK_TOL, az, InvalidLemmaPoint, "|zeta| must be <= 1, got {}"),
     )
 
 
@@ -244,10 +247,7 @@ def lemma_inverse(m: MomentTriple):
     past 1 is refused only when bringing it back onto the unit circle would
     move a moment by more than PSD_TOL: p2 by q (|y| - 1) / 2, or p3 by
     q (1 - |y|^2) (|zeta| - 1) / 2, with q = 4 - p^2.  Otherwise it is
-    scaled back onto the circle, so both lie in the closed unit disk.  An
-    earlier rule refused |y| or |zeta| past 1 + PSD_TOL, and so raised
-    InadmissibleMoments on the moments of some three-atom measures, whose
-    true |zeta| is exactly 1, for rounding alone; these now return.
+    scaled back onto the circle, so both lie in the closed unit disk.
     """
     instance("m", m, MomentTriple)
     y, zeta, edge = _lemma_inverse_rows(*(np.array([x]) for x in (m.p1, m.p2, m.p3)))
@@ -263,20 +263,13 @@ def _lemma_inverse_rows(p1, p2, p3):
     """
     p = p1.real
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = 4.0 - p * p
-        y = (2.0 * p2 - p * p) / q
-        ay = np.abs(y)
+        y, zeta, p2_shift, p3_shift = _lemma_inverse_raw(p, p2, p3)
+        ay, az = np.abs(y), np.abs(zeta)
         edge = ay >= 1.0 - Y_BOUNDARY_TOL
-        zeta = ((4.0 * p3 - p**3 - 2.0 * q * p * y + p * q * y * y)
-                / (2.0 * q * (1.0 - ay * ay)))
-        az = np.abs(zeta)
-        # the changes of p2 and p3 that bring y and zeta onto the circle
-        p2_shift = q * (ay - 1.0) / 2.0
-        p3_shift = q * (1.0 - ay * ay) * (az - 1.0) / 2.0
     _require(
-        (~((np.abs(p1.imag) > 1e-9) | (p < 0.0)), p1, DomainError,
+        (~((np.abs(p1.imag) > P1_IMAG_TOL) | (p < 0.0)), p1, DomainError,
          "p1 must be normalized real nonnegative (use normalize_rotation), got {}"),
-        (~(p >= 2.0 - 1e-12), p, DegenerateP1,
+        (~(p >= 2.0 - P1_DEGENERATE_GAP), p, DegenerateP1,
          "p1 = {} is at the boundary; moments are forced to (2, 2, 2)"),
         (_modulus_finite(y), y, DomainError,
          "recovered y or its modulus is not finite: the inputs are too large"),
@@ -290,12 +283,25 @@ def _lemma_inverse_rows(p1, p2, p3):
         return np.where(ay > 1.0, y / ay, y), np.where(az > 1.0, zeta / az, zeta), edge
 
 
+def _lemma_inverse_raw(p, p2, p3):
+    """(y, zeta, p2_shift, p3_shift) of the moments (p, p2, p3), p1 = p real:
+    the recovered parameters, and the changes of p2 and p3 that bring y and
+    zeta onto the unit circle.  Broadcast-safe over numpy arrays, and as
+    exact as the number type (tests measure PSD_TOL with mpmath numbers)."""
+    q = 4.0 - p * p
+    y = (2.0 * p2 - p * p) / q
+    ay = abs(y)
+    zeta = ((4.0 * p3 - p**3 - 2.0 * q * p * y + p * q * y * y)
+            / (2.0 * q * (1.0 - ay * ay)))
+    return y, zeta, q * (ay - 1.0) / 2.0, q * (1.0 - ay * ay) * (abs(zeta) - 1.0) / 2.0
+
+
 def toeplitz_psd(moments) -> tuple:
     """Caratheodory-Toeplitz admissibility of moments p_1..p_m.
 
     Builds the (m+1) x (m+1) Hermitian Toeplitz matrix with diagonal 2 and
     entry (j, k) = p_{j-k} below the diagonal, and returns
-    (min eigenvalue, min eigenvalue >= -1e-9).  Moments so large that an
+    (min eigenvalue, min eigenvalue >= -PSD_TOL).  Moments so large that an
     eigenvalue overflows raise DomainError.
     """
     min_eig = float(_toeplitz_min_eig_rows(_moment_array(moments)[None, :])[0])
@@ -381,19 +387,19 @@ def atom_pairs_from_text(text: str) -> tuple:
     return tuple(weights), tuple(angles)
 
 
-def _atom_rows(rng: np.random.Generator, count: int, max_atoms: int = 5):
-    """Weights and angles of ``count`` random atom sets, as (count, max_atoms) arrays.
+def _atom_rows(rng: np.random.Generator, count: int):
+    """Weights and angles of ``count`` random atom sets, as (count, MAX_ATOMS) arrays.
 
-    A row has k atoms, k uniform on 1..max_atoms, with Dirichlet(1, ..., 1)
-    weights and angles uniform on [0, 2 pi); its other max_atoms - k entries
+    A row has k atoms, k uniform on 1..MAX_ATOMS, with Dirichlet(1, ..., 1)
+    weights and angles uniform on [0, 2 pi); its other MAX_ATOMS - k entries
     are zero weights at angle 0.  _atom_moment_rows checks the rows.
     """
-    k = rng.integers(1, max_atoms + 1, count)
-    live = np.arange(max_atoms) < k[:, None]
+    k = rng.integers(1, MAX_ATOMS + 1, count)
+    live = np.arange(MAX_ATOMS) < k[:, None]
     # standard exponentials normalized per row are Dirichlet(1, ..., 1)
-    weights = np.where(live, rng.standard_exponential((count, max_atoms)), 0.0)
+    weights = np.where(live, rng.standard_exponential((count, MAX_ATOMS)), 0.0)
     weights /= weights.sum(axis=1, keepdims=True)
-    angles = np.where(live, _TWO_PI * rng.random((count, max_atoms)), 0.0)
+    angles = np.where(live, _TWO_PI * rng.random((count, MAX_ATOMS)), 0.0)
     return weights, angles
 
 
@@ -433,17 +439,16 @@ def _disk_points(rng: np.random.Generator, n: int) -> np.ndarray:
     return z[:n]
 
 
-def _lemma_row_blocks(rng: np.random.Generator, count: int, block: int = LEMMA_BLOCK_ROWS):
-    """Yield arrays (alpha, p, y, zeta) of up to ``block`` rows, ``count`` rows in all.
+def _lemma_row_blocks(rng: np.random.Generator, count: int):
+    """Yield arrays (alpha, p, y, zeta) of up to LEMMA_BLOCK_ROWS rows, ``count`` rows in all.
 
     alpha is uniform on [0, 1); p, y and zeta have the distributions
     random_lemma_point draws: p uniform on [0, 2], y and zeta uniform on the
     closed unit disk.  Every block is checked against the domains of
     ``Alpha`` and ``LemmaPoint`` and raises their errors.
     """
-    block = whole_number("block", block, 1)
-    for done in range(0, count, block):
-        n = min(block, count - done)
+    for done in range(0, count, LEMMA_BLOCK_ROWS):
+        n = min(LEMMA_BLOCK_ROWS, count - done)
         alpha = rng.random(n)
         p = rng.uniform(0.0, 2.0, n)
         y = _disk_points(rng, n)

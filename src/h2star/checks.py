@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import (
-    PSD_TOL,
     _atom_moment_rows,
     _atom_rows,
     _check_lemma_box,
@@ -42,6 +41,19 @@ from .hankel import (
 )
 from .search import _herglotz_outcomes, maximize_param, maximize_phi, monotonicity_scan
 from .starlike import _closed_form_rows, coeffs_from_moments, extremal_coeffs
+from .tolerances import (
+    ATTAINMENT_TOL,
+    BOUND_GAP_TOL,
+    GRID_CELL_SLACK,
+    HERGLOTZ_SHORTFALL,
+    LEMMA_GRID_SHORTFALL,
+    PROOF_SLACK,
+    PSD_TOL,
+    ROUND_TRIP_P1_CUT,
+    ROUND_TRIP_TOL,
+    ROUND_TRIP_Y_CUT,
+    ROUTE_TOL,
+)
 
 ALPHA_GRID = [0.05 * k for k in range(20)]
 ALPHA_SPOT = [0.0, 0.25, 0.5, 0.75]
@@ -76,7 +88,7 @@ def _check(name):
 
 @_check("sharp-bound-reproduction")
 def check_sharp_bound_reproduction():
-    """Majorant search returns (1 - alpha)^2 within 1e-9 in under 1 s per alpha."""
+    """Majorant search returns (1 - alpha)^2 within BOUND_GAP_TOL in under 1 s per alpha."""
     worst_gap = 0.0
     worst_time = 0.0
     for a in ALPHA_GRID:
@@ -85,13 +97,14 @@ def check_sharp_bound_reproduction():
         dt = time.perf_counter() - t0
         worst_time = max(worst_time, dt)
         worst_gap = max(worst_gap, abs(outcome.value - sharp_bound(a)))
-    ok = worst_gap <= 1e-9 and worst_time < 1.0
+    ok = worst_gap <= BOUND_GAP_TOL and worst_time < 1.0
     return ok, f"worst |value - bound| = {worst_gap:.3e}, worst time = {worst_time:.3f}s"
 
 
 @_check("sharpness-attainment")
 def check_sharpness_attainment():
-    """The extremal odd function attains the bound: a2 = a4 = 0, a3 = 1 - alpha."""
+    """The extremal odd function attains the bound: a2 = a4 = 0, a3 = 1 - alpha,
+    within ATTAINMENT_TOL."""
     spec = HankelSpec(q=2, n=2)
     worst = 0.0
     for a in ALPHA_GRID:
@@ -106,12 +119,14 @@ def check_sharpness_attainment():
             abs(det + target),
             abs(abs(det) - target),
         )
-    return worst <= 1e-12, f"worst deviation = {worst:.3e}"
+    return worst <= ATTAINMENT_TOL, f"worst deviation = {worst:.3e}"
 
 
 @_check("full-parameter-search")
 def check_full_param_search():
-    """Full (p, y, zeta) grid search lands within [bound - 5e-3, bound + 1e-9]."""
+    """Full (p, y, zeta) grid search lands within
+    [bound - LEMMA_GRID_SHORTFALL, bound + BOUND_GAP_TOL], within one grid cell
+    (plus GRID_CELL_SLACK) of p = 0 and |y| = 1."""
     msgs = []
     ok = True
     p_cell = 2.0 / (201 - 1)
@@ -124,9 +139,9 @@ def check_full_param_search():
         p_at = float(outcome.argmax["p"])
         y_mod = abs(outcome.argmax["y"])
         here = (
-            bound - 5e-3 <= outcome.value <= bound + 1e-9
-            and p_at <= p_cell + 1e-12
-            and abs(1.0 - y_mod) <= t_cell + 1e-12
+            bound - LEMMA_GRID_SHORTFALL <= outcome.value <= bound + BOUND_GAP_TOL
+            and p_at <= p_cell + GRID_CELL_SLACK
+            and abs(1.0 - y_mod) <= t_cell + GRID_CELL_SLACK
             and dt < 60.0
         )
         if a == 0.0:
@@ -138,7 +153,7 @@ def check_full_param_search():
 
 @_check("herglotz-search")
 def check_herglotz_search():
-    """Atom-measure search with 2 atoms and 100 restarts reaches the bound - 1e-2.
+    """Atom-measure search with 2 atoms and 100 restarts reaches the bound - HERGLOTZ_SHORTFALL.
 
     The four alphas run as one lock-step batch, each bit for bit its own
     maximize_herglotz.
@@ -148,7 +163,7 @@ def check_herglotz_search():
     outcomes = _herglotz_outcomes(ALPHA_SPOT, atom_count=2, restarts=100, seed=20240817)
     for a, outcome in zip(ALPHA_SPOT, outcomes):
         bound = sharp_bound(a)
-        here = bound - 1e-2 <= outcome.value <= bound + 1e-9
+        here = bound - HERGLOTZ_SHORTFALL <= outcome.value <= bound + BOUND_GAP_TOL
         ok = ok and here
         msgs.append(f"a={a}: gap={bound - outcome.value:.2e}")
     return ok, "; ".join(msgs)
@@ -166,8 +181,8 @@ def check_prior_result_anchors():
         and sharp_bound(0.5) == 0.25
         and list(koebe.coeffs) == [1, 2, 3, 4]
         and abs(det) == 1.0
-        and gap0 <= 1e-9
-        and gap_half <= 1e-9
+        and gap0 <= BOUND_GAP_TOL
+        and gap_half <= BOUND_GAP_TOL
     )
     return ok, (
         f"koebe det = {det.real:g}, search gaps: alpha=0 -> {gap0:.2e}, "
@@ -184,7 +199,7 @@ def check_algebra_reconciliation():
     the moment form with a2 a4 - a3^2 from the closed forms.  Then 100,000
     draws of (alpha, p, y, zeta) from the same generator, in blocks of rows
     from _lemma_row_blocks, compare the five-term form with the moment form
-    of the substituted moments.
+    of the substituted moments.  Both agree within ROUTE_TOL.
     """
     rng = np.random.default_rng(11)
     worst_rel = float(_closed_form_gaps(*_triple_rows(rng, 1000)).max())
@@ -195,7 +210,7 @@ def check_algebra_reconciliation():
             - _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta))
         )
         worst_sub = max(worst_sub, float(diff.max()))
-    ok = worst_rel <= 1e-12 and worst_sub <= 1e-12
+    ok = worst_rel <= ROUTE_TOL and worst_sub <= ROUTE_TOL
     return ok, f"worst relative = {worst_rel:.3e}, worst substitution = {worst_sub:.3e}"
 
 
@@ -211,7 +226,8 @@ def check_proof_step_properties():
     """Domination |Psi| <= phi, monotonicity of phi in t, profile identity and bound.
 
     Domination is sampled at 100,000 draws of (alpha, p, y, zeta), in blocks
-    of rows from _lemma_row_blocks.
+    of rows from _lemma_row_blocks.  The two inequalities may fail by
+    PROOF_SLACK, and phi(p, 1) and the profile may differ by ROUTE_TOL.
     """
     rng = np.random.default_rng(12)
     worst_dom = -np.inf
@@ -229,10 +245,10 @@ def check_proof_step_properties():
         worst_ident = max(worst_ident, float(np.max(np.abs(phi(alpha, ps, 1.0) - prof))))
         worst_excess = max(worst_excess, float(np.max(prof)) - sharp_bound(alpha))
     ok = (
-        worst_dom <= 1e-12
+        worst_dom <= PROOF_SLACK
         and violations == 0
-        and worst_ident <= 1e-12
-        and worst_excess <= 1e-12
+        and worst_ident <= ROUTE_TOL
+        and worst_excess <= PROOF_SLACK
     )
     return ok, (
         f"domination slack = {worst_dom:.3e}, monotonicity violations = {violations}, "
@@ -248,7 +264,8 @@ def check_caratheodory_admissibility():
     1..5, Dirichlet(1, ..., 1) weights and angles uniform on [0, 2 pi), run
     through the row kernels: one stacked Toeplitz eigen-solve, then
     rotation, inversion and the forward map on the rows that reach the
-    round trip.
+    round trip.  Every least eigenvalue must be at least -PSD_TOL, and every
+    round-trip error at most ROUND_TRIP_TOL.
     """
     rng = np.random.default_rng(13)
     moments = _atom_moment_rows(*_atom_rows(rng, 1000), 3)
@@ -261,7 +278,7 @@ def check_caratheodory_admissibility():
     errors = _round_trip_errors(moments)
     worst_rt = float(errors.max(initial=0.0))
     round_trips = errors.size
-    ok = worst_eig >= -1e-9 and worst_rt <= 1e-10 and round_trips > 0
+    ok = worst_rt <= ROUND_TRIP_TOL and round_trips > 0
     return ok, (
         f"min eigenvalue = {worst_eig:.3e}, round trips = {round_trips}, "
         f"worst round-trip error = {worst_rt:.3e}"
@@ -273,13 +290,13 @@ def _round_trip_errors(moments) -> np.ndarray:
 
     Each row is rotated so p1 is real, inverted to (y, zeta) and mapped
     forward again; the error is the largest |difference| of the three
-    moments.  Rows with p1 >= 2 - 1e-3 or |y| >= 1 - 1e-6 are left out, in
-    row order.
+    moments.  Rows with p1 >= 2 - ROUND_TRIP_P1_CUT or |y| >= 1 - ROUND_TRIP_Y_CUT
+    are left out, in row order.
     """
     rotated, _ = _rotation_rows(moments)
-    rotated = rotated[rotated[:, 0].real < 2.0 - 1e-3]
+    rotated = rotated[rotated[:, 0].real < 2.0 - ROUND_TRIP_P1_CUT]
     y, zeta, edge = _lemma_inverse_rows(*rotated.T)
-    trip = ~edge & (np.abs(y) < 1.0 - 1e-6)
+    trip = ~edge & (np.abs(y) < 1.0 - ROUND_TRIP_Y_CUT)
     m, p, y, zeta = rotated[trip], rotated[trip, 0].real, y[trip], zeta[trip]
     _check_lemma_box(p, y, zeta)
     back = np.column_stack(_lemma_forward_raw(p, y, zeta))

@@ -39,9 +39,9 @@ from .errors import (
     whole_number,
 )
 from .starlike import Alpha, CoefficientVector, alpha_value
+from .tolerances import PIVOT_TOL
 
 MAX_DET_ORDER = 6
-_PIVOT_TOL = 1e-14
 
 _float_array = partial(np.asarray, dtype=float)
 
@@ -68,7 +68,7 @@ def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
 
     For q = 2, n = 2 this is a2 a4 - a3^2.  Small orders expand directly;
     orders 4..6 use Gaussian elimination with partial pivoting and a pivot
-    threshold of 1e-14 (below it the determinant is reported as 0).
+    threshold of PIVOT_TOL (below it the determinant is reported as 0).
     Coefficients so large that the determinant or its modulus overflows raise
     DomainError.
     """
@@ -121,7 +121,7 @@ def _det_partial_pivot(m: np.ndarray) -> complex:
     det = 1.0 + 0.0j
     for col in range(size):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < _PIVOT_TOL:
+        if abs(a[piv, col]) < PIVOT_TOL:
             return 0.0 + 0.0j
         if piv != col:
             a[[col, piv]] = a[[piv, col]]

@@ -17,7 +17,7 @@ grid points.  The lemma grid is pruned at two levels by the triangle
 inequality: phi(p, |y|) bounds |Psi| on a whole (p, t) row of the grid,
 and, as Psi = A + B zeta is affine in zeta, |A| + |B| bounds it on one
 (p, t, arg y) line.  The zeta axis is evaluated only on the lines whose
-row and line bounds both come within TIE_TOL + _BOUND_MARGIN of a grid
+row and line bounds both come within TIE_TOL + BOUND_MARGIN of a grid
 value, and at one zeta on a row whose zeta coefficient p q (1 - |y|^2) is
 exactly 0 on every such line; the result is that of the full grid, bit for
 bit.  The atom search refines its restarts in lock-step as one batch, and a
@@ -42,13 +42,13 @@ from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import _phi_raw, det2, sharp_bound
 from .starlike import Alpha, alpha_value, coeff_rows
-
-TIE_TOL = 1e-12
-# Slack on the bounds of the lemma grid search, phi on a row and |A| + |B|
-# on a line.  On the default grid at 12 alphas in [0, 0.99] the computed
-# |Psi| exceeds the computed phi, and the computed |A| + |B|, by at most
-# 3.3e-16, about 1/3,000 of this margin.
-_BOUND_MARGIN = 1e-12
+from .tolerances import (
+    BOUND_MARGIN,
+    GOLDEN_WIDTH,
+    MONOTONE_DROP_TOL,
+    PATTERN_STEP_MIN,
+    TIE_TOL,
+)
 
 # Rows (restarts times alphas) per lock-step batch of a Herglotz sweep.  A
 # default 100-alpha sweep (alpha 0 to 0.99, 10,000 rows) took a median 1.82 s
@@ -109,14 +109,15 @@ def _first_tied_index(vals: np.ndarray, vmax: float) -> tuple:
     return tuple(int(i) for i in np.argwhere(vals >= vmax - TIE_TOL)[0])
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
+def _golden_section_max(fn, lo: float, hi: float):
+    """(x, fn(x), evaluations) at the golden-section maximum of fn on [lo, hi],
+    once the bracket is narrower than GOLDEN_WIDTH."""
     a, b = float(lo), float(hi)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     evals = 2
-    it = 0
-    while (b - a) > tol and it < max_iter:
+    while (b - a) > GOLDEN_WIDTH:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -126,7 +127,6 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10, max_iter: 
             d = a + _INV_GOLDEN * (b - a)
             fd = fn(d)
         evals += 1
-        it += 1
     if fc >= fd:
         return c, fc, evals
     return d, fd, evals
@@ -199,7 +199,7 @@ def maximize_param(
       circle of one arg y line of a surviving row.
 
     The row of largest phi gives a grid value m, so m <= the grid maximum,
-    and a row or line whose bound is below m - TIE_TOL - _BOUND_MARGIN holds
+    and a row or line whose bound is below m - TIE_TOL - BOUND_MARGIN holds
     no value within TIE_TOL of the maximum: it can neither be the maximum
     nor take part in the tie-break.  The kept lines of each surviving row
     are evaluated in C order (a row with none has maximum -inf), the first
@@ -254,7 +254,7 @@ def maximize_param(
 
     bound = hankel.phi(al, ps[:, None], ts[None, :])
     top = np.unravel_index(int(bound.argmax()), bound.shape)
-    floor = row(*top).max() - TIE_TOL - _BOUND_MARGIN
+    floor = row(*top).max() - TIE_TOL - BOUND_MARGIN
     rows = np.argwhere(bound >= floor)
     # 16 rows at a time keep the bound's temporaries small: peak RSS stays flat.
     kept = np.empty((len(rows), grid_yarg), dtype=bool)
@@ -325,7 +325,7 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
     positive: every probe is evaluated and counted.  A probe is kept only if
     strictly better, so no row's value decreases and every path is
     deterministic.  A row that improves nowhere in a sweep halves both steps
-    and stops once both are below 1e-12.  Rows do not interact.
+    and stops once both are below PATTERN_STEP_MIN.  Rows do not interact.
 
     The state holds the live rows only.  Each row keeps the moment kernels
     of its angles between probes, and an angle probe recomputes only the
@@ -368,7 +368,7 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
         step_w[~improved] *= 0.5
         step_t[~improved] *= 0.5
         # The last sweep retires every row that is still live.
-        done = (step_w < 1e-12) & (step_t < 1e-12) | (sweep == sweeps)
+        done = (step_w < PATTERN_STEP_MIN) & (step_t < PATTERN_STEP_MIN) | (sweep == sweeps)
         if done.any():
             for out, now in zip(results, (best, w, t, evals)):
                 out[ids[done]] = now[done]
@@ -541,7 +541,7 @@ def sweep_alpha(
 
 
 def monotonicity_scan(alpha: Alpha | float, grid_p: int = 101, grid_t: int = 101):
-    """Count adjacent t-grid drops of phi beyond 1e-12; contract is zero.
+    """Count adjacent t-grid drops of phi beyond MONOTONE_DROP_TOL; contract is zero.
 
     Returns (violations, worst observed drop clipped at 0).
     """
@@ -552,6 +552,6 @@ def monotonicity_scan(alpha: Alpha | float, grid_p: int = 101, grid_t: int = 101
     ts = np.linspace(0.0, 1.0, grid_t)
     vals = _phi_raw(al, ps[:, None], ts[None, :])
     drops = vals[:, :-1] - vals[:, 1:]
-    violations = int(np.sum(drops > 1e-12))
+    violations = int(np.sum(drops > MONOTONE_DROP_TOL))
     worst = float(max(float(drops.max()), 0.0))
     return violations, worst

@@ -42,7 +42,6 @@ from h2star import (
 from h2star.caratheodory import (
     _atom_moment_rows,
     _atom_rows,
-    _lemma_row_blocks,
     atom_pairs_from_text,
     random_disk_point,
     random_lemma_point,
@@ -494,7 +493,6 @@ def test_random_lemma_point_stays_in_box():
         lambda: maximize_phi(A, workers=math.nan),
         lambda: maximize_herglotz(A, restarts=1, seed=2.5),
         lambda: maximize_phi(A, 2**60, 3),
-        lambda: next(_lemma_row_blocks(np.random.default_rng(0), 1, 0)),
         lambda: closed_form_a234(A, MomentTriple(1e308, 0.0, 0.0)),
         lambda: closed_form_a234(A, MomentTriple(1.0, 1.0, 1e308)),
         lambda: coeffs_from_moments(A, [1e308, 1.0, 1.0]),
@@ -558,7 +556,7 @@ def test_random_lemma_point_stays_in_box():
          "moments-m0", "coeffs-empty", "coeffs-a1", "phi-grid-fraction", "param-grid-nan",
          "scan-grid-nan", "sweep-steps-nan", "herglotz-restarts-fraction",
          "extremal-order-nan", "moments-m-fraction", "phi-workers-nan",
-         "herglotz-seed-fraction", "phi-grid-2^60", "row-blocks-block0",
+         "herglotz-seed-fraction", "phi-grid-2^60",
          "closed-form-power-overflow", "closed-form-a4-inf", "coeffs-overflow-warning",
          "toeplitz-eigenvalue-inf", "rotate-overflow", "inverse-y-nan", "alpha-string",
          "moments-string", "lemma-p-string", "lemma-y-string", "lemma-zeta-string",

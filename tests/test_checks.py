@@ -23,6 +23,7 @@ from h2star import (
     InvalidLemmaPoint,
     LemmaPoint,
     MomentTriple,
+    caratheodory,
     checks,
     closed_form_a234,
     lemma_inverse,
@@ -55,19 +56,21 @@ from h2star.hankel import (
 from h2star.starlike import _closed_form_rows
 
 
-def _rows(rng, count, block=1024):
+def _rows(rng, count):
     """The blocks of _lemma_row_blocks, checked for size, as one (count, 4) array."""
-    blocks = list(_lemma_row_blocks(rng, count, block))
+    block = caratheodory.LEMMA_BLOCK_ROWS
+    blocks = list(_lemma_row_blocks(rng, count))
     assert [b[0].size for b in blocks] == [min(block, count - s) for s in range(0, count, block)]
     assert all(col.size == b[0].size for b in blocks for col in b)
     return np.column_stack([np.concatenate(col) for col in zip(*blocks)]).astype(complex)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
-def test_rows_are_seeded_and_sized(block):
-    rows = _rows(np.random.default_rng(12), 2000, block)
+def test_rows_are_seeded_and_sized(block, monkeypatch):
+    monkeypatch.setattr(caratheodory, "LEMMA_BLOCK_ROWS", block)
+    rows = _rows(np.random.default_rng(12), 2000)
     assert rows.shape == (2000, 4)
-    again = _rows(np.random.default_rng(12), 2000, block)
+    again = _rows(np.random.default_rng(12), 2000)
     assert np.array_equal(rows.view(np.uint64), again.view(np.uint64))
 
 
@@ -145,13 +148,14 @@ class _Draws:
 
 
 @pytest.mark.parametrize("block", [1, 7])
-def test_rows_longer_than_the_buffer(block):
+def test_rows_longer_than_the_buffer(block, monkeypatch):
     # After the first block's alphas and ps, the first two rounds of its y
     # sampler draw 1.0s, the corner (1, 1) of the square, outside the disk:
     # its rows need more draws than one round reads, and the shortfall is
     # redrawn twice before the 0.5s put every y and zeta at 0.
+    monkeypatch.setattr(caratheodory, "LEMMA_BLOCK_ROWS", block)
     head = [0.5] * (2 * block) + [1.0] * (8 * block)
-    rows = _rows(_Draws(head), 10, block)
+    rows = _rows(_Draws(head), 10)
     assert np.array_equal(rows[:, 2:], np.zeros((10, 2)))
 
 

@@ -26,7 +26,8 @@ from h2star import (
     sweep_alpha,
 )
 from h2star import cli, hankel, search
-from h2star.search import TIE_TOL, SearchOutcome, SweepRow, run_method
+from h2star.search import SearchOutcome, SweepRow, run_method
+from h2star.tolerances import BOUND_MARGIN, TIE_TOL
 
 EXTREMAL_ATOMS = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
 
@@ -321,7 +322,7 @@ class TestBoundPruning:
                          - bound[i]))
             for i, p in enumerate(ps)
         )
-        assert worst <= search._BOUND_MARGIN / 1000
+        assert worst <= BOUND_MARGIN / 1000
 
     def test_tie_in_a_later_row(self, monkeypatch):
         # The constant bound lets every (p, t) row survive, but only the rows
@@ -345,7 +346,7 @@ class TestBoundPruning:
             return (1.0 + 0.4 * TIE_TOL * p) * np.ones_like(y * zeta)
 
         def bound(alpha, p, t):
-            return (1.0 + 0.4 * TIE_TOL * p - search._BOUND_MARGIN / 2) * np.ones_like(p * t)
+            return (1.0 + 0.4 * TIE_TOL * p - BOUND_MARGIN / 2) * np.ones_like(p * t)
 
         monkeypatch.setattr(hankel, "_param_form_raw", form)
         monkeypatch.setattr(hankel, "phi", bound)
@@ -389,7 +390,7 @@ class TestLineBound:
             slope = hankel._param_form_raw(a, np.full((ts.size, 1), p), y, 1.0) - base
             vals = np.abs(hankel._param_form_raw(a, p, y[:, :, None], e_nu))
             worst = max(worst, float(np.max(vals.max(axis=2) - np.abs(base) - np.abs(slope))))
-        assert worst <= search._BOUND_MARGIN / 1000
+        assert worst <= BOUND_MARGIN / 1000
 
     @pytest.mark.parametrize("a, points", [(0.0, 10_887), (0.25, 192), (0.75, 192)])
     def test_default_grid_zeta_points(self, monkeypatch, a, points):
