@@ -39,7 +39,14 @@ from .hankel import (
     phi,
     sharp_bound,
 )
-from .search import _herglotz_outcomes, maximize_param, maximize_phi, monotonicity_scan
+from .search import (
+    DEFAULT_GRID_P,
+    DEFAULT_GRID_T,
+    _herglotz_outcomes,
+    maximize_param,
+    maximize_phi,
+    monotonicity_scan,
+)
 from .starlike import _closed_form_rows, coeffs_from_moments, extremal_coeffs
 from .tolerances import (
     ATTAINMENT_TOL,
@@ -129,8 +136,8 @@ def check_full_param_search():
     (plus GRID_CELL_SLACK) of p = 0 and |y| = 1."""
     msgs = []
     ok = True
-    p_cell = 2.0 / (201 - 1)
-    t_cell = 1.0 / (101 - 1)
+    p_cell = 2.0 / (DEFAULT_GRID_P - 1)
+    t_cell = 1.0 / (DEFAULT_GRID_T - 1)
     for a in ALPHA_SPOT:
         t0 = time.perf_counter()
         outcome = maximize_param(a)
@@ -335,15 +342,12 @@ def check_sweep_determinism():
 ALL_CHECKS = list(CHECKS_BY_NAME.values())
 
 
-def run_all(checks=None, stream=None):
+def run_all(checks=None):
     """Run the checks, printing one pass/fail line per criterion."""
-    import sys
-
-    out = stream if stream is not None else sys.stdout
     results = []
     for fn in checks if checks is not None else ALL_CHECKS:
         res = fn()
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.name} [{res.seconds:.2f}s] {res.detail}", file=out)
+        print(f"{status} {res.name} [{res.seconds:.2f}s] {res.detail}")
     return results

@@ -11,10 +11,9 @@ Grids are evaluated on one thread; ``workers`` is accepted and validated but
 does not affect the computation.  zeta is searched on the unit circle only;
 the functional is affine in zeta, so the modulus over the closed disk is
 maximized on the boundary.  maximize_phi and monotonicity_scan evaluate
-the unchecked kernel hankel._phi_raw on points they build inside phi's
-box: grids, grid points as 0-d arrays and golden-section steps between two
-grid points.  The lemma grid is pruned at two levels by the triangle
-inequality: phi(p, |y|) bounds |Psi| on a whole (p, t) row of the grid,
+the unchecked kernel hankel._phi_raw on the grids they build inside phi's
+box.  The lemma grid is pruned at two levels by the triangle inequality:
+phi(p, |y|) bounds |Psi| on a whole (p, t) row of the grid,
 and, as Psi = A + B zeta is affine in zeta, |A| + |B| bounds it on one
 (p, t, arg y) line.  The zeta axis is evaluated only on the lines whose
 row and line bounds both come within TIE_TOL + BOUND_MARGIN of a grid
@@ -44,7 +43,6 @@ from .hankel import _phi_raw, det2, sharp_bound
 from .starlike import Alpha, alpha_value, coeff_rows
 from .tolerances import (
     BOUND_MARGIN,
-    GOLDEN_WIDTH,
     MONOTONE_DROP_TOL,
     PATTERN_STEP_MIN,
     TIE_TOL,
@@ -58,7 +56,6 @@ from .tolerances import (
 _HERGLOTZ_BATCH_ROWS = 1 << 10
 
 _TWO_PI = 2.0 * math.pi
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_GRID_P = 201
 DEFAULT_GRID_T = 101
@@ -109,29 +106,6 @@ def _first_tied_index(vals: np.ndarray, vmax: float) -> tuple:
     return tuple(int(i) for i in np.argwhere(vals >= vmax - TIE_TOL)[0])
 
 
-def _golden_section_max(fn, lo: float, hi: float):
-    """(x, fn(x), evaluations) at the golden-section maximum of fn on [lo, hi],
-    once the bracket is narrower than GOLDEN_WIDTH."""
-    a, b = float(lo), float(hi)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    evals = 2
-    while (b - a) > GOLDEN_WIDTH:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-        evals += 1
-    if fc >= fd:
-        return c, fc, evals
-    return d, fd, evals
-
-
 def maximize_phi(
     alpha: Alpha | float,
     grid_p: int = DEFAULT_GRID_P,
@@ -139,11 +113,13 @@ def maximize_phi(
     workers: int = 1,
     seed=None,
 ) -> SearchOutcome:
-    """Grid maximum of the majorant phi, plus one golden-section pass in p at t = 1.
+    """Grid maximum of the majorant phi, ties broken toward smallest p, then smallest t.
 
-    Ties are broken toward smallest p, then smallest t; the refinement only
-    replaces the grid argmax if it improves by more than TIE_TOL.  ``seed``
-    is recorded only; it is None or a whole number of at least 0.
+    Every grid holds (p, t) = (0, 1), where _phi_raw is (1 - alpha)^2 bit
+    for bit, phi's maximum on its box (proof steps 4 and 5), so a point off
+    the grid could beat the grid by rounding only, far below TIE_TOL.
+    ``evaluations`` counts the grid points decided, grid_p * grid_t.
+    ``seed`` is recorded only; it is None or a whole number of at least 0.
     """
     al = alpha_value(alpha)
     grid_p = whole_number("grid_p", grid_p, 2)
@@ -155,24 +131,13 @@ def maximize_phi(
     ts = np.linspace(0.0, 1.0, grid_t)
     vals = _phi_raw(al, ps[:, None], ts[None, :])
     pi, ti = _first_tied_index(vals, vals.max())
-    evaluations = grid_p * grid_t
-
-    best_p, best_t = float(ps[pi]), float(ts[ti])
-    value = _phi_raw(al, np.asarray(best_p), np.asarray(best_t))
-    lo = float(ps[max(pi - 1, 0)])
-    hi = float(ps[min(pi + 1, grid_p - 1)])
-    # Golden-section steps stay inside [lo, hi], a part of [0, 2].
-    x, fx, g_evals = _golden_section_max(lambda p: _phi_raw(al, np.asarray(p), 1.0), lo, hi)
-    evaluations += g_evals
-    if fx > value + TIE_TOL:
-        best_p, best_t, value = float(x), 1.0, float(fx)
 
     return SearchOutcome(
-        value=float(value),
-        argmax={"p": best_p, "t": best_t},
+        value=float(vals[pi, ti]),
+        argmax={"p": float(ps[pi]), "t": float(ts[ti])},
         method="phi",
         grid_spec={"grid_p": grid_p, "grid_t": grid_t, "seed": seed},
-        evaluations=evaluations,
+        evaluations=grid_p * grid_t,
     )
 
 

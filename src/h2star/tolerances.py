@@ -15,7 +15,6 @@ TIE_TOL = 1e-12            # grid values within this of the maximum tie; policy.
                            # is absolute, so once (1 - alpha)^2 < 1e-12 the whole grid ties
 BOUND_MARGIN = 1e-12       # computed |Psi| past its computed row bound phi or line bound
                            # |A| + |B| in the lemma grid pruning; worst 5.8e-16, ratio 1.7e3
-GOLDEN_WIDTH = 1e-10       # the golden-section pass in p stops below this bracket width; policy
 PATTERN_STEP_MIN = 1e-12   # a Herglotz restart stops once both its steps are below this; policy
 MONOTONE_DROP_TOL = 1e-12  # monotonicity_scan counts drops of phi along t beyond this; policy
 

@@ -67,28 +67,32 @@ class TestMaximizePhi:
 
     def test_evaluations_counted(self):
         outcome = maximize_phi(Alpha(0.2), 11, 7)
-        assert outcome.evaluations > 11 * 7  # grid plus refinement
+        assert outcome.evaluations == 11 * 7
+
+    @pytest.mark.parametrize("grid", [(2, 2), (2, 500), (500, 2), (3, 7), (201, 101),
+                                      (500, 500)])
+    def test_grid_holds_the_maximum(self, grid):
+        # (p, t) = (0, 1) lies on every grid and phi is (1 - alpha)^2 there,
+        # its maximum over the box, so that point is the reported argmax.
+        for a in [*np.linspace(0.0, 0.999, 200).tolist(), 0.5, 1 / 3, 0.9]:
+            outcome = maximize_phi(a, *grid)
+            assert outcome.argmax == {"p": 0.0, "t": 1.0}
+            assert outcome.value == sharp_bound(a)
+            assert outcome.evaluations == grid[0] * grid[1]
 
 
 def _maximize_phi_checked(alpha, grid_p, grid_t):
-    """maximize_phi as it was when every evaluation went through the checked hankel.phi."""
+    """maximize_phi with its grid evaluated through the checked hankel.phi."""
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
     vals = phi(alpha, ps[:, None], ts[None, :])
     pi, ti = search._first_tied_index(vals, vals.max())
-    best_p, best_t = float(ps[pi]), float(ts[ti])
-    value = phi(alpha, best_p, best_t)
-    lo = float(ps[max(pi - 1, 0)])
-    hi = float(ps[min(pi + 1, grid_p - 1)])
-    x, fx, g_evals = search._golden_section_max(lambda p: phi(alpha, p, 1.0), lo, hi)
-    if fx > value + TIE_TOL:
-        best_p, best_t, value = float(x), 1.0, float(fx)
     return SearchOutcome(
-        value=float(value),
-        argmax={"p": best_p, "t": best_t},
+        value=float(vals[pi, ti]),
+        argmax={"p": float(ps[pi]), "t": float(ts[ti])},
         method="phi",
         grid_spec={"grid_p": grid_p, "grid_t": grid_t, "seed": None},
-        evaluations=grid_p * grid_t + g_evals,
+        evaluations=grid_p * grid_t,
     )
 
 
@@ -111,25 +115,9 @@ class TestUncheckedPhiKernel:
               *np.random.default_rng(15).random(6).tolist()]
 
     @pytest.mark.parametrize("grid", [(201, 101), (7, 5), (2, 2)])
-    def test_maximize_phi_records(self, grid, monkeypatch):
-        # The golden-section pass rarely beats the grid, so each of its steps
-        # is compared too.
-        steps = []
-        golden = search._golden_section_max
-
-        def recorded(fn, lo, hi):
-            def step(p):
-                value = fn(p)
-                steps[-1].append(float(value).hex())
-                return value
-
-            steps.append([])
-            return golden(step, lo, hi)
-
-        monkeypatch.setattr(search, "_golden_section_max", recorded)
+    def test_maximize_phi_records(self, grid):
         for a in self.ALPHAS:
             assert maximize_phi(a, *grid).to_json() == _maximize_phi_checked(a, *grid).to_json()
-            assert steps[-2] == steps[-1]
 
     @pytest.mark.parametrize("grid", [(201, 101), (101, 101), (7, 5), (3, 3)])
     def test_monotonicity_scan(self, grid):
