@@ -12,17 +12,12 @@ does not affect the computation.  zeta is searched on the unit circle only;
 the functional is affine in zeta, so the modulus over the closed disk is
 maximized on the boundary.  maximize_phi and monotonicity_scan evaluate
 the unchecked kernel hankel._phi_raw on the grids they build inside phi's
-box.  The lemma grid is pruned at two levels by the triangle inequality:
-phi(p, |y|) bounds |Psi| on a whole (p, t) row of the grid,
-and, as Psi = A + B zeta is affine in zeta, |A| + |B| bounds it on one
-(p, t, arg y) line.  The zeta axis is evaluated only on the lines whose
-row and line bounds both come within TIE_TOL + BOUND_MARGIN of a grid
-value, and at one zeta on a row whose zeta coefficient p q (1 - |y|^2) is
-exactly 0 on every such line; the result is that of the full grid, bit for
-bit.  The atom search refines its restarts in lock-step as one batch, and a
-sweep refines all its alphas' restarts together, in batches of at most
-_HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
-after another at one alpha at a time.  A batch holds its live rows only,
+box.  The lemma grid evaluates the zeta axis only on the lines that the
+triangle inequality cannot rule out, with the full grid's result bit for
+bit (see maximize_param).  The atom search refines its restarts in
+lock-step as one batch, and a sweep refines all its alphas' restarts
+together, in batches of at most _HERGLOTZ_BATCH_ROWS rows; both give, bit
+for bit, the restarts run one after another at one alpha at a time.  A batch holds its live rows only,
 each with the moment kernels e^{i n t} of its angles; a row that stops is
 written out and dropped after its sweep.
 """
@@ -54,6 +49,10 @@ from .tolerances import (
 # 5.1 s at 100 (one alpha per batch); peak RSS over the import read 8.2, 8.4,
 # 9.9, 7.5 and 7.2 MiB, and 13.6 MiB in one batch (2-vCPU box, one BLAS thread).
 _HERGLOTZ_BATCH_ROWS = 1 << 10
+
+# Points per call of the form on whole zeta axes: at alpha = 0.999999, where
+# every default-grid line ties, a search took 1.9 s at 2^13 and 2.6 s at 2^16.
+_ZETA_CALL_POINTS = 1 << 13
 
 _TWO_PI = 2.0 * math.pi
 
@@ -141,6 +140,31 @@ def maximize_phi(
     )
 
 
+def _line_maxima(al: float, p, y: np.ndarray, e_nu: np.ndarray, floor: float) -> np.ndarray:
+    """Max over zeta grid ``e_nu`` of |Psi| on each line (p, y); -inf where the bound < floor.
+
+    Psi = A + B zeta is affine in zeta, with A = Psi(zeta = 0) and
+    B = Psi(1) - Psi(0), so |A| + |B| bounds |Psi| on the line.  B is s2 / 6
+    times p q (1 - |y|^2), with q = 4 - p^2; where that computed coefficient
+    is exactly 0, the zeta term is a signed zero and |Psi| is one double
+    along the line, so the line is evaluated at the first zeta only.  The
+    form acts elementwise: every value is the double the full grid computes.
+    """
+    a = hankel._param_form_raw(al, p, y, 0.0)
+    kept = np.abs(a) + np.abs(hankel._param_form_raw(al, p, y, 1.0) - a) >= floor
+    p, y = np.broadcast_to(p, y.shape)[kept], y[kept]
+    free = hankel._zeta_coefficient(p, y) == 0.0
+    vals = np.empty(p.shape)
+    vals[free] = np.abs(hankel._param_form_raw(al, p[free, None], y[free, None], e_nu[:1]))[:, 0]
+    rest, step = np.flatnonzero(~free), max(1, _ZETA_CALL_POINTS // e_nu.size)
+    for s in range(0, rest.size, step):
+        k = rest[s:s + step]
+        vals[k] = np.abs(hankel._param_form_raw(al, p[k, None], y[k, None], e_nu)).max(1)
+    out = np.full(kept.shape, -np.inf)
+    out[kept] = vals
+    return out
+
+
 def maximize_param(
     alpha: Alpha | float,
     grid_p: int = DEFAULT_GRID_P,
@@ -154,39 +178,18 @@ def maximize_param(
 
     The result is that of evaluating every grid point, bit for bit, but the
     zeta axis is evaluated only on the (p, t, arg y) lines that can matter.
-    The search prunes by the triangle inequality at two levels:
+    The majorant |Psi(p, y, zeta)| <= phi(p, |y|), step 3 of the proof,
+    which the proof-step-properties check samples, bounds |Psi| on a whole
+    (p, t) row, and |A| + |B| bounds it on one line (see _line_maxima).  The
+    row of largest phi gives a grid value m <= the grid maximum, and a row
+    or line whose bound is below m - TIE_TOL - BOUND_MARGIN can be neither
+    the maximum nor tied with it.  The rows kept are reduced 16 at a time to
+    their lines' maxima, the first tied line in C order is found from them,
+    and that line, evaluated once more, gives the first tied zeta.
 
-    - rows: the majorant |Psi(p, y, zeta)| <= phi(p, |y|), step 3 of the
-      proof, which the proof-step-properties check samples, bounds |Psi| on
-      the whole (arg y, zeta) grid of row (p, t);
-    - lines: Psi = A + B zeta is affine in zeta, with A = Psi(zeta = 0) and
-      B = Psi(1) - Psi(0), so |A| + |B| bounds |Psi| on the whole zeta
-      circle of one arg y line of a surviving row.
-
-    The row of largest phi gives a grid value m, so m <= the grid maximum,
-    and a row or line whose bound is below m - TIE_TOL - BOUND_MARGIN holds
-    no value within TIE_TOL of the maximum: it can neither be the maximum
-    nor take part in the tie-break.  The kept lines of each surviving row
-    are evaluated in C order (a row with none has maximum -inf), the first
-    row holding a value tied with the maximum is evaluated once more on its
-    kept lines, and its first tied (arg y, zeta) index is the argmax.
-
-    A third rule skips the zeta axis where it cannot matter: B is s2 / 6
-    times the coefficient p q (1 - |y|^2), with q = 4 - p^2, and where the
-    computed coefficient (hankel._zeta_coefficient) is exactly 0, the zeta
-    term is a signed zero and |Psi| is the same double at every zeta.  A
-    row with a zero coefficient on every line it evaluates is evaluated at
-    the first zeta only, which holds the line's maximum and its first tied
-    zeta index.  These are the rows at p = 0 and p = 2, and rows at |y| = 1
-    whose kept lines all have a computed |y| of exactly 1 (199 rows at
-    alpha = 0).  On the default grid the search computes 10,887 zeta points
-    at alpha = 0 (438,720 without this rule) and 192 at alpha = 0.25 and
-    0.75 (12,288).
-
-    Every value is computed as on the full grid: one call per row, with the
-    row's p as a scalar.  ``evaluations`` counts the grid points decided,
-    evaluated or excluded by a bound: grid_p * grid_ymod * grid_yarg *
-    grid_zarg.  ``seed`` is recorded only, as in maximize_phi.
+    ``evaluations`` counts the grid points decided, evaluated or excluded
+    by a bound: grid_p * grid_ymod * grid_yarg * grid_zarg.  ``seed`` is
+    recorded only, as in maximize_phi.
     """
     al = alpha_value(alpha)
     grid_p = whole_number("grid_p", grid_p, 2)
@@ -201,38 +204,25 @@ def maximize_param(
     e_mu = np.exp(1j * np.arange(grid_yarg) * (_TWO_PI / grid_yarg))
     e_nu = np.exp(1j * np.arange(grid_zarg) * (_TWO_PI / grid_zarg))
 
-    def row(i, ti, lines=slice(None)):
-        """|Psi| on the (arg y, zeta) grid of row (p_i, t_ti), on the given arg y lines.
-
-        Where Psi's zeta coefficient is exactly 0 on every line, |Psi| is one
-        double along each line, and the first zeta alone is evaluated.
-        """
-        y = (ts[ti] * e_mu[lines])[:, None]
-        zeta = e_nu if hankel._zeta_coefficient(ps[i], y).any() else e_nu[:1]
-        return np.abs(hankel._param_form_raw(al, ps[i], y, zeta[None, :]))
-
-    def line_bounds(rows):
-        """|A| + |B| on each arg y line of the given rows, where Psi = A + B zeta."""
-        p, y = ps[rows[:, :1]], ts[rows[:, 1:]] * e_mu
-        a = hankel._param_form_raw(al, p, y, 0.0)
-        return np.abs(a) + np.abs(hankel._param_form_raw(al, p, y, 1.0) - a)
-
     bound = hankel.phi(al, ps[:, None], ts[None, :])
-    top = np.unravel_index(int(bound.argmax()), bound.shape)
-    floor = row(*top).max() - TIE_TOL - BOUND_MARGIN
+    pi, ti = np.unravel_index(int(bound.argmax()), bound.shape)
+    floor = _line_maxima(al, ps[pi], ts[ti] * e_mu, e_nu, -np.inf).max() - TIE_TOL - BOUND_MARGIN
     rows = np.argwhere(bound >= floor)
-    # 16 rows at a time keep the bound's temporaries small: peak RSS stays flat.
-    kept = np.empty((len(rows), grid_yarg), dtype=bool)
+    # The first tied line exceeds every line before it in C order.  So the loop
+    # keeps only such lines' maxima and flat indices, after a -inf sentinel,
+    # and of them those within TIE_TOL of the last, which is the largest.
+    lead, at = np.array([-np.inf]), np.array([-1])
     for s in range(0, len(rows), 16):
-        kept[s:s + 16] = line_bounds(rows[s:s + 16]) >= floor
-    row_max = np.full(len(rows), -np.inf)
-    for k in np.flatnonzero(kept.any(axis=1)):
-        row_max[k] = row(*rows[k], kept[k]).max()
-    gmax = row_max.max()
-    (k,) = _first_tied_index(row_max, gmax)
+        p, y = ps[rows[s:s + 16, :1]], ts[rows[s:s + 16, 1:]] * e_mu
+        vals = _line_maxima(al, p, y, e_nu, floor).ravel()
+        new = np.flatnonzero(vals > np.maximum.accumulate(np.append(lead[-1], vals[:-1])))
+        lead, at = np.append(lead, vals[new]), np.append(at, s * grid_yarg + new)
+        near = lead >= lead[-1] - TIE_TOL
+        lead, at = lead[near], at[near]
+    k, mi = divmod(int(at[0]), grid_yarg)
     pi, ti = rows[k]
-    mi, ni = _first_tied_index(row(pi, ti, kept[k]), gmax)
-    mi = np.flatnonzero(kept[k])[mi]
+    line = hankel._param_form_raw(al, ps[pi:pi + 1, None], ts[ti] * e_mu[mi:mi + 1, None], e_nu)
+    (ni,) = _first_tied_index(np.abs(line[0]), lead[-1])
     pt = LemmaPoint(float(ps[pi]), complex(ts[ti] * e_mu[mi]), complex(e_nu[ni]))
     value = abs(hankel.functional_param_form(al, pt))
 

@@ -326,6 +326,20 @@ class TestBoundPruning:
         assert abs(want.argmax["y"]) == 1.0
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
 
+    def test_tie_in_a_middle_block(self, monkeypatch):
+        # The maximum lies in the last p slice, and the first value within
+        # TIE_TOL of it at p = 0.35: in a block of 16 rows after the first
+        # row's and before the maximum's, so the search must keep it when it
+        # is no longer the largest line.
+        def form(alpha_value, p, y, zeta):
+            return (1.0 + 0.6 * TIE_TOL * p) * np.ones_like(y * zeta)
+
+        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        monkeypatch.setattr(hankel, "phi", _constant_bound(2.0))
+        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
+        assert want.argmax["p"] == np.linspace(0.0, 2.0, SMALL_PARAM_GRIDS["grid_p"])[7]
+        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+
     def test_tied_row_below_the_top_bound_survives(self, monkeypatch):
         # The bound falls short of the form by half the margin, as rounding
         # might leave it.  The top row is the last p slice, and the first p
@@ -380,14 +394,13 @@ class TestLineBound:
             worst = max(worst, float(np.max(vals.max(axis=2) - np.abs(base) - np.abs(slope))))
         assert worst <= BOUND_MARGIN / 1000
 
-    @pytest.mark.parametrize("a, points", [(0.0, 10_887), (0.25, 192), (0.75, 192)])
+    @pytest.mark.parametrize("a, points", [(0.0, 7_737), (0.25, 192), (0.75, 192)])
     def test_default_grid_zeta_points(self, monkeypatch, a, points):
-        # Evaluating every line of each row that survives phi computes 303
-        # rows of 64 x 64 zeta points at alpha = 0: the top row, the 301
-        # surviving rows and the tied row once more.  The line bound keeps
-        # 6,727 lines of the 301 rows, and each row whose zeta coefficient
-        # is 0 on all its kept lines evaluates one zeta per line; the top
-        # row, whose coefficient is 0 on only some of its lines, all 64.
+        # At alpha = 0 the top row of phi has 50 lines with a zero zeta
+        # coefficient, evaluated at one zeta each, and 14 evaluated on all 64
+        # (946 points).  301 rows survive phi, and the line bound keeps 6,727
+        # of their lines, all with a zero coefficient (6,727 points).  The
+        # tied line is evaluated once more on all 64 zetas.
         form = hankel._param_form_raw
         zeta_points = []
 
@@ -403,8 +416,8 @@ class TestLineBound:
 
 
 class TestZetaFreeLines:
-    """A row whose zeta coefficient p q (1 - |y|^2) is exactly 0 on every
-    line evaluates one zeta: there |Psi| is one double along each line.
+    """A line whose zeta coefficient p q (1 - |y|^2) is exactly 0 is
+    evaluated at one zeta: there |Psi| is one double along the line.
 
     At alpha = 0.5, c = 0: the quartic term is -0.0 and the p = 2 rows are 0.
     """
@@ -433,8 +446,8 @@ class TestZetaFreeLines:
 
     def test_maximum_off_the_first_zeta(self, monkeypatch):
         # A form with the real zeta coefficient, largest at zeta index 3 of 8
-        # on the row p = 1.15, t = 0: a row with a nonzero coefficient must
-        # evaluate the whole zeta axis.
+        # on the row p = 1.15, t = 0: a line with a nonzero coefficient must
+        # be evaluated on the whole zeta axis.
         coefficient = hankel._zeta_coefficient
 
         def form(alpha_value, p, y, zeta):
