@@ -39,7 +39,6 @@ from .errors import (
     whole_number,
 )
 from .starlike import Alpha, CoefficientVector, alpha_value
-from .tolerances import PIVOT_TOL
 
 MAX_DET_ORDER = 6
 
@@ -66,11 +65,11 @@ class HankelSpec:
 def hankel_det(f: CoefficientVector, spec: HankelSpec) -> complex:
     """Determinant of the q x q matrix M[i][j] = a_{n+i+j}.
 
-    For q = 2, n = 2 this is a2 a4 - a3^2.  Small orders expand directly;
-    orders 4..6 use Gaussian elimination with partial pivoting and a pivot
-    threshold of PIVOT_TOL (below it the determinant is reported as 0).
-    Coefficients so large that the determinant or its modulus overflows raise
-    DomainError.
+    For q = 2, n = 2 this is a2 a4 - a3^2.  Orders 1 and 2 expand directly;
+    orders 3..6 use Gaussian elimination with partial pivoting, which
+    reports 0 only on an exactly zero pivot, so the result scales with the
+    coefficients at any size.  Coefficients so large that the determinant or
+    its modulus overflows raise DomainError.
     """
     instance("f", f, CoefficientVector)
     instance("spec", spec, HankelSpec)
@@ -92,14 +91,8 @@ def _expand_det(a, q: int) -> complex:
         return complex(a[0])
     if q == 2:
         return complex(*det2(a[0], a[2], a[1], a[1]))
-    m = np.array([[a[i + j] for j in range(q)] for i in range(q)], dtype=complex)
-    if q == 3:
-        return complex(
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-    return _det_partial_pivot(m)
+    return _det_partial_pivot(np.array([[a[i + j] for j in range(q)] for i in range(q)],
+                                       dtype=complex))
 
 
 def det2(a, d, b, c):
@@ -115,13 +108,17 @@ def det2(a, d, b, c):
     return re, im
 
 
-def _det_partial_pivot(m: np.ndarray) -> complex:
-    a = m.copy()
+def _det_partial_pivot(a: np.ndarray) -> complex:
+    """Determinant of the square complex array ``a``, which it overwrites.
+
+    Gaussian elimination in numpy, not LAPACK, so the bits do not depend on
+    the BLAS library; only an exactly zero pivot reports 0.
+    """
     size = a.shape[0]
     det = 1.0 + 0.0j
     for col in range(size):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < PIVOT_TOL:
+        if a[piv, col] == 0.0:
             return 0.0 + 0.0j
         if piv != col:
             a[[col, piv]] = a[[piv, col]]

@@ -28,9 +28,6 @@ Y_BOUNDARY_TOL = 1e-9      # |y| at or above 1 minus this is on the circle: no z
 P1_IMAG_TOL = 1e-9         # |Im p1| that lemma_inverse still takes for a real p1; policy
 P1_DEGENERATE_GAP = 1e-12  # p1 at or above 2 minus this is degenerate: moments (2, 2, 2); policy
 
-# Hankel determinants (hankel.py)
-PIVOT_TOL = 1e-14          # a smaller pivot makes hankel_det of order 4 to 6 report 0; policy
-
 # Acceptance checks (checks.py)
 BOUND_GAP_TOL = 1e-9         # a search value past the sharp bound, or the phi search's gap; policy
 LEMMA_GRID_SHORTFALL = 5e-3  # the lemma grid search value below the sharp bound; policy

@@ -74,13 +74,29 @@ class TestHankelDet:
             got = hankel_det(f, HankelSpec(q=q, n=n))
             assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
-    @pytest.mark.parametrize("q, n", [(2, 2), (3, 1)])
-    def test_overflow_is_a_domain_error(self, q, n):
-        f = CoefficientVector([1.0, 1e200, 1e200, 1e200, 1e200, 1e200])
+    @pytest.mark.parametrize("q, n, coeffs", [
+        (2, 2, [1.0, 1e200, 1e200, 1e200]),
+        # [[1, 0, 1e200], [0, 1e200, 0], [1e200, 0, 1e200]]: det = 1e400 - 1e600
+        (3, 1, [1.0, 0.0, 1e200, 0.0, 1e200]),
+    ], ids=["2-2", "3-1"])
+    def test_overflow_is_a_domain_error(self, q, n, coeffs):
+        f = CoefficientVector(coeffs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="not finite"):
                 hankel_det(f, HankelSpec(q=q, n=n))
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6])
+    def test_scales_with_the_coefficients(self, q):
+        # Scaling a_2, a_3, ... by s scales the determinant by s^q at any
+        # size: no pivot is too small to count.
+        rng = np.random.default_rng(60 + q)
+        a = rng.uniform(-2, 2, 2 * q - 1) + 1j * rng.uniform(-2, 2, 2 * q - 1)
+        want = hankel_det(CoefficientVector([1.0, *a]), HankelSpec(q=q, n=2))
+        for e in range(31):
+            s = 10.0**-e
+            got = hankel_det(CoefficientVector([1.0, *(s * a)]), HankelSpec(q=q, n=2))
+            assert abs(got - want * s**q) <= 1e-14 * abs(want) * s**q, e
 
     def test_overflowing_modulus_is_a_domain_error(self):
         # both parts are finite, but abs() of the value would raise OverflowError
