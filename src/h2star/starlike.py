@@ -10,6 +10,7 @@ modules, takes an Alpha or a real number in [0, 1), read by alpha_value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,12 @@ class CoefficientVector:
         return self._a
 
     def coeff(self, n: int) -> complex:
-        """1-indexed accessor: coeff(n) is a_n."""
+        """1-indexed accessor: coeff(n) is a_n.
+
+        ``n`` is a whole number (see whole_number), else DomainError; a whole
+        number outside 1..N raises IndexError.
+        """
+        n = whole_number("n", n, -math.inf, math.inf)
         if not 1 <= n <= self._a.size:
             raise IndexError(f"a_{n} not available, vector holds a_1..a_{self._a.size}")
         return complex(self._a[n - 1])

@@ -550,6 +550,9 @@ def test_random_lemma_point_stays_in_box():
         lambda: coeffs_from_moments(0.1, [True, 1.0]),
         lambda: sweep_alpha(0.0, 0.5, 1, "herglotz", grid_p=3),
         lambda: run_method("phi", 0.5, restarts=3),
+        lambda: CoefficientVector([1, 5, 7]).coeff(True),
+        lambda: CoefficientVector([1, 5, 7]).coeff(2.5),
+        lambda: CoefficientVector([1, 5, 7]).coeff("2"),
     ],
     ids=["spec-inf", "spec-nan", "spec-fraction", "spec-n-fraction", "rotate-nan",
          "rotate-inf", "rotate-empty", "toeplitz-empty", "inverse-unrotated",
@@ -573,7 +576,7 @@ def test_random_lemma_point_stays_in_box():
          "phi-t-bool-array", "coeffs-moment-string-list", "phi-p-bool-among-numbers",
          "toeplitz-bool-among-numbers", "rotate-bool-among-numbers",
          "coeffs-bool-among-numbers", "sweep-option-of-another-method",
-         "run-option-of-another-method"],
+         "run-option-of-another-method", "coeff-true", "coeff-fraction", "coeff-string"],
 )
 def test_public_rejections_raise_domain_error(call):
     with pytest.raises(DomainError):
@@ -677,7 +680,8 @@ _COUNTS = st.one_of(
 )
 
 # Each count argument of the exported functions.  A seed is any whole number
-# of at least 0, so only non-integral seeds are drawn.
+# of at least 0, and coeff(n) raises IndexError on a whole number outside
+# 1..N, so only non-integral values are drawn for these.
 _COUNT_CALLS = {
     "HankelSpec.q": (lambda c: HankelSpec(c, 2), _COUNTS),
     "HankelSpec.n": (lambda c: HankelSpec(2, c), _COUNTS),
@@ -704,6 +708,7 @@ _COUNT_CALLS = {
                                _NON_INTEGRAL),
     "maximize_phi.seed": (lambda c: maximize_phi(A, 3, 3, seed=c), _NON_INTEGRAL),
     "maximize_param.seed": (lambda c: maximize_param(A, 2, 2, 2, 2, seed=c), _NON_INTEGRAL),
+    "coeff.n": (lambda c: CoefficientVector([1, 5, 7]).coeff(c), _NON_INTEGRAL),
 }
 
 

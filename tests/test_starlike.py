@@ -40,9 +40,11 @@ class TestCoefficientVector:
     def test_one_indexed_access(self):
         f = CoefficientVector([1, 5, 7])
         assert f.coeff(1) == 1
-        assert f.coeff(3) == 7
+        assert f.coeff(3) == f.coeff(3.0) == 7
         with pytest.raises(IndexError):
             f.coeff(4)
+        with pytest.raises(IndexError):
+            f.coeff(2**60)
 
 
 class TestCoeffsFromMoments:
