@@ -17,9 +17,9 @@ triangle inequality cannot rule out, with the full grid's result bit for
 bit (see maximize_param).  The atom search refines its restarts in
 lock-step as one batch, and a sweep refines all its alphas' restarts
 together, in batches of at most _HERGLOTZ_BATCH_ROWS rows; both give, bit
-for bit, the restarts run one after another at one alpha at a time.  A batch holds its live rows only,
-each with the moment kernels e^{i n t} of its angles; a row that stops is
-written out and dropped after its sweep.
+for bit, the restarts run one after another at one alpha at a time.  A
+batch holds its live rows only, each with the moment kernels e^{i n t} of
+its angles; a row that stops is written out and dropped after its sweep.
 """
 
 from __future__ import annotations
@@ -141,27 +141,27 @@ def maximize_phi(
 
 
 def _line_maxima(al: float, p, y: np.ndarray, e_nu: np.ndarray, floor: float) -> np.ndarray:
-    """Max over zeta grid ``e_nu`` of |Psi| on each line (p, y); -inf where the bound < floor.
+    """Max over zeta grid ``e_nu`` of |Psi| on each line (p, y), raveled; -inf below ``floor``.
 
     Psi = A + B zeta is affine in zeta, with A = Psi(zeta = 0) and
-    B = Psi(1) - Psi(0), so |A| + |B| bounds |Psi| on the line.  B is s2 / 6
-    times p q (1 - |y|^2), with q = 4 - p^2; where that computed coefficient
-    is exactly 0, the zeta term is a signed zero and |Psi| is one double
-    along the line, so the line is evaluated at the first zeta only.  The
-    form acts elementwise: every value is the double the full grid computes.
+    B = Psi(1) - Psi(0), so a line whose bound |A| + |B| is below ``floor``
+    is not evaluated.  B is s2 / 6 times p q (1 - |y|^2), with q = 4 - p^2;
+    where that computed coefficient is exactly 0, the zeta term is a signed
+    zero and |Psi| is one double along the line, so the line is evaluated at
+    the first zeta only.  The form acts elementwise: every value is the
+    double the full grid computes.
     """
+    p, y = np.broadcast_to(p, y.shape).ravel(), y.ravel()
     a = hankel._param_form_raw(al, p, y, 0.0)
     kept = np.abs(a) + np.abs(hankel._param_form_raw(al, p, y, 1.0) - a) >= floor
-    p, y = np.broadcast_to(p, y.shape)[kept], y[kept]
     free = hankel._zeta_coefficient(p, y) == 0.0
-    vals = np.empty(p.shape)
-    vals[free] = np.abs(hankel._param_form_raw(al, p[free, None], y[free, None], e_nu[:1]))[:, 0]
-    rest, step = np.flatnonzero(~free), max(1, _ZETA_CALL_POINTS // e_nu.size)
+    out = np.full(y.shape, -np.inf)
+    k = np.flatnonzero(kept & free)
+    out[k] = np.abs(hankel._param_form_raw(al, p[k, None], y[k, None], e_nu[:1]))[:, 0]
+    rest, step = np.flatnonzero(kept & ~free), max(1, _ZETA_CALL_POINTS // e_nu.size)
     for s in range(0, rest.size, step):
         k = rest[s:s + step]
-        vals[k] = np.abs(hankel._param_form_raw(al, p[k, None], y[k, None], e_nu)).max(1)
-    out = np.full(kept.shape, -np.inf)
-    out[kept] = vals
+        out[k] = np.abs(hankel._param_form_raw(al, p[k, None], y[k, None], e_nu)).max(1)
     return out
 
 
@@ -214,7 +214,7 @@ def maximize_param(
     lead, at = np.array([-np.inf]), np.array([-1])
     for s in range(0, len(rows), 16):
         p, y = ps[rows[s:s + 16, :1]], ts[rows[s:s + 16, 1:]] * e_mu
-        vals = _line_maxima(al, p, y, e_nu, floor).ravel()
+        vals = _line_maxima(al, p, y, e_nu, floor)
         new = np.flatnonzero(vals > np.maximum.accumulate(np.append(lead[-1], vals[:-1])))
         lead, at = np.append(lead, vals[new]), np.append(at, s * grid_yarg + new)
         near = lead >= lead[-1] - TIE_TOL
