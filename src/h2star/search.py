@@ -50,8 +50,8 @@ from .tolerances import (
 # 9.9, 7.5 and 7.2 MiB, and 13.6 MiB in one batch (2-vCPU box, one BLAS thread).
 _HERGLOTZ_BATCH_ROWS = 1 << 10
 
-# Points per call of the form on whole zeta axes: at alpha = 0.999999, where
-# every default-grid line ties, a search took 1.9 s at 2^13 and 2.6 s at 2^16.
+# Points per call of the form on whole zeta axes: at alpha = 0.999999 (every
+# default-grid line ties) a search took 1.9 s at 2^13, 2.6 s at 2^16 (2 vCPU).
 _ZETA_CALL_POINTS = 1 << 13
 
 _TWO_PI = 2.0 * math.pi

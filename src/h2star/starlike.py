@@ -64,11 +64,8 @@ class CoefficientVector:
         return self._a
 
     def coeff(self, n: int) -> complex:
-        """1-indexed accessor: coeff(n) is a_n.
-
-        ``n`` is a whole number (see whole_number), else DomainError; a whole
-        number outside 1..N raises IndexError.
-        """
+        """1-indexed accessor: coeff(n) is a_n for a whole number n, else DomainError;
+        a whole number outside 1..N raises IndexError."""
         n = whole_number("n", n, -math.inf, math.inf)
         if not 1 <= n <= self._a.size:
             raise IndexError(f"a_{n} not available, vector holds a_1..a_{self._a.size}")
