@@ -75,7 +75,7 @@ class TestHankelDet:
             assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
     @pytest.mark.parametrize("q, n, coeffs", [
-        (2, 2, [1.0, 1e200, 1e200, 1e200]),
+        (2, 2, [1.0, 1e200, 1e200, 1e200, 1e200, 1e200]),
         # [[1, 0, 1e200], [0, 1e200, 0], [1e200, 0, 1e200]]: det = 1e400 - 1e600
         (3, 1, [1.0, 0.0, 1e200, 0.0, 1e200]),
     ], ids=["2-2", "3-1"])
