@@ -314,12 +314,17 @@ class TestBoundPruning:
 
     def test_tie_in_a_later_row(self, monkeypatch):
         # The constant bound lets every (p, t) row survive, but only the rows
-        # with |y| = 1 reach 1 on the zeta grid: the first tied value of the
-        # p = 0 slice lies in its last row.
-        def form(alpha_value, p, y, zeta):
-            w = np.where(np.abs(y) < 1.0, np.exp(0.1j), 1.0)
-            return 0.5 + 0.5 * w * zeta * np.ones_like(p)
+        # with |y| = 1 reach 0.5 + s2 / 6 on the zeta grid: the first tied
+        # value of the p = 0 slice lies in its last row.  The fake keeps the
+        # form's structure A + s2 / 6 * coef * zeta with a coefficient of its
+        # own, not 0 at p = 0, which the search reads too.
+        def coefficient(p, y):
+            return np.where(np.abs(y) < 1.0, np.exp(0.1j), 1.0) * np.ones_like(p)
 
+        def form(alpha_value, p, y, zeta):
+            return 0.5 + (1.0 - alpha_value) ** 2 / 6.0 * coefficient(p, y) * zeta
+
+        monkeypatch.setattr(hankel, "_zeta_coefficient", coefficient)
         monkeypatch.setattr(hankel, "_param_form_raw", form)
         monkeypatch.setattr(hankel, "phi", _constant_bound(1.0))
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
@@ -375,32 +380,36 @@ class TestBoundPruning:
 
 class TestLineBound:
     """The second level of pruning: |A| + |B| on each (p, t, arg y) line,
-    where Psi = A + B zeta."""
+    where Psi = A + B zeta and B = s2 / 6 times the zeta coefficient."""
 
     @pytest.mark.parametrize("a", [0.0, 0.01, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5, 0.55, 0.75,
                                    0.9, 0.99])
     def test_bound_covers_every_zeta(self, a):
-        # The computed |Psi| may exceed the computed |A| + |B| only by
-        # rounding, far below the margin the search leaves.
+        # The computed |Psi| may exceed the computed |A| + s2 |coef| / 6, as
+        # the search builds it, only by rounding, far below the margin the
+        # search leaves.
         ps = np.linspace(0.0, 2.0, 51)
         ts = np.linspace(0.0, 1.0, 26)
         y = ts[:, None] * np.exp(2j * math.pi * np.arange(16) / 16)[None, :]
         e_nu = np.exp(2j * math.pi * np.arange(16) / 16)
         worst = -np.inf
         for p in ps:
-            base = hankel._param_form_raw(a, np.full((ts.size, 1), p), y, 0.0)
-            slope = hankel._param_form_raw(a, np.full((ts.size, 1), p), y, 1.0) - base
+            p_line = np.full(y.shape, p)
+            bound = (np.abs(hankel._param_form_raw(a, p_line, y, 0.0))
+                     + (1.0 - a) ** 2 * np.abs(hankel._zeta_coefficient(p_line, y)) / 6.0)
             vals = np.abs(hankel._param_form_raw(a, p, y[:, :, None], e_nu))
-            worst = max(worst, float(np.max(vals.max(axis=2) - np.abs(base) - np.abs(slope))))
+            worst = max(worst, float(np.max(vals.max(axis=2) - bound)))
         assert worst <= BOUND_MARGIN / 1000
 
-    @pytest.mark.parametrize("a, points", [(0.0, 7_737), (0.25, 192), (0.75, 192)])
+    @pytest.mark.parametrize("a, points", [(0.0, 960), (0.25, 64), (0.75, 64)])
     def test_default_grid_zeta_points(self, monkeypatch, a, points):
-        # At alpha = 0 the top row of phi has 50 lines with a zero zeta
-        # coefficient, evaluated at one zeta each, and 14 evaluated on all 64
-        # (946 points).  301 rows survive phi, and the line bound keeps 6,727
-        # of their lines, all with a zero coefficient (6,727 points).  The
-        # tied line is evaluated once more on all 64 zetas.
+        # A line with a zero zeta coefficient takes |A| from its bound and
+        # costs no zeta point.  At alpha = 0 the top row of phi has 50 such
+        # lines and 14 evaluated on all 64 zetas (896 points).  301 rows
+        # survive phi, and the line bound keeps 6,727 of their lines, all
+        # with a zero coefficient.  At 0.25 and 0.75 the one row kept is the
+        # top row, whose lines all have a zero coefficient.  The tied line
+        # is evaluated once more on all 64 zetas.
         form = hankel._param_form_raw
         zeta_points = []
 
@@ -416,8 +425,8 @@ class TestLineBound:
 
 
 class TestZetaFreeLines:
-    """A line whose zeta coefficient p q (1 - |y|^2) is exactly 0 is
-    evaluated at one zeta: there |Psi| is one double along the line.
+    """A line whose zeta coefficient p q (1 - |y|^2) is exactly 0 takes |A|,
+    |Psi| at zeta = 0, as its maximum: there |Psi| is one double along the line.
 
     At alpha = 0.5, c = 0: the quartic term is -0.0 and the p = 2 rows are 0.
     """
@@ -438,6 +447,8 @@ class TestZetaFreeLines:
             flat = hankel._zeta_coefficient(ps[i], y)[:, 0] == 0.0
             vals = np.abs(hankel._param_form_raw(a, ps[i], y[flat], e_nu[None, :]))
             assert vals.tobytes() == np.repeat(vals[:, :1], e_nu.size, axis=1).tobytes()
+            at_zero = np.abs(hankel._param_form_raw(a, ps[i], y[flat], 0.0))
+            assert vals.tobytes() == np.repeat(at_zero, e_nu.size, axis=1).tobytes()
             zero_lines += int(flat.sum())
         # Every line of the p = 0 and p = 2 rows, and some of the |y| = 1 lines.
         assert zero_lines > 2 * ts.size * e_mu.size
@@ -445,13 +456,15 @@ class TestZetaFreeLines:
             assert not np.abs(hankel._param_form_raw(a, 2.0, ts[:, None] * e_mu, 1.0)).any()
 
     def test_maximum_off_the_first_zeta(self, monkeypatch):
-        # A form with the real zeta coefficient, largest at zeta index 3 of 8
-        # on the row p = 1.15, t = 0: a line with a nonzero coefficient must
-        # be evaluated on the whole zeta axis.
+        # A form A + s2 / 6 * coef * zeta with the real zeta coefficient and
+        # A = 0.5 e^{0.75 i pi}, largest at zeta index 3 of 8 on the row
+        # p = 1.15, t = 0: a line with a nonzero coefficient must be
+        # evaluated on the whole zeta axis.
         coefficient = hankel._zeta_coefficient
 
         def form(alpha_value, p, y, zeta):
-            return 0.5 + coefficient(p, y) * zeta * np.exp(-0.75j * math.pi)
+            return (0.5 * np.exp(0.75j * math.pi)
+                    + (1.0 - alpha_value) ** 2 / 6.0 * coefficient(p, y) * zeta)
 
         monkeypatch.setattr(hankel, "_param_form_raw", form)
         monkeypatch.setattr(hankel, "phi", _constant_bound(10.0))
