@@ -1,7 +1,8 @@
 """Every tolerance of h2star, defined once and named for what it guards.
 
 The comment on each entry says what it guards, then one of two things.  An
-entry that absorbs floating-point rounding in a kernel gives the worst error
+entry that absorbs floating-point rounding in a kernel, or in the
+inequalities that proof-step-properties samples, gives the worst error
 measured against a 50-digit mpmath reference (or the exact value) and the
 ratio of the value to it; tests/test_tolerances.py repeats each measurement
 and asserts that the value covers it.  Any other entry is a policy: a window
@@ -14,7 +15,8 @@ in e-notation, which the same test enforces.
 TIE_TOL = 1e-12            # grid values within this of the maximum tie; policy.  Known defect: it
                            # is absolute, so once (1 - alpha)^2 < 1e-12 the whole grid ties
 BOUND_MARGIN = 1e-12       # computed |Psi| past its computed row bound phi or line bound
-                           # |A| + |B| in the lemma grid pruning; worst 5.8e-16, ratio 1.7e3
+                           # |A| + s2 |coef| / 6 in the lemma grid pruning; worst 5.5e-16,
+                           # ratio 1.8e3
 PATTERN_STEP_MIN = 1e-12   # a Herglotz restart stops once both its steps are below this; policy
 MONOTONE_DROP_TOL = 1e-12  # monotonicity_scan counts drops of phi along t beyond this; policy
 
@@ -37,7 +39,8 @@ ATTAINMENT_TOL = 1e-12       # the extremal function's a2, a3, a4 and det agains
 ROUTE_TOL = 1e-12            # two routes to one value: moment form and closed forms (relative),
                              # five-term and substituted moment form, phi(p, 1) and B(p);
                              # worst 1.5e-15, ratio 6.8e2
-PROOF_SLACK = 1e-12          # |Psi| - phi and max B(p) - (1 - alpha)^2, both <= 0 exactly; policy
+PROOF_SLACK = 1e-12          # |Psi| - phi and max B(p) - (1 - alpha)^2, both <= 0 exactly;
+                             # worst 3.6e-16, ratio 2.8e3
 ROUND_TRIP_TOL = 1e-10       # moments -> (y, zeta) -> moments; policy
 ROUND_TRIP_P1_CUT = 1e-3     # the round trip leaves out p1 >= 2 minus this; policy
 ROUND_TRIP_Y_CUT = 1e-6      # and |y| >= 1 minus this; policy

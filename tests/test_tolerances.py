@@ -1,10 +1,10 @@
 """The tolerance table: its place, its use, and the errors it is measured by.
 
 Every e-notation number of the package lives in h2star/tolerances.py, and
-every entry there is used by some module.  The five entries that absorb
-floating-point rounding in a kernel are measured here: each ``_worst_*``
-function returns the worst error of the float kernels on a fixed sample,
-against the same kernels run on mpmath numbers at 50 digits (or against the
+every entry there is used by some module.  The six entries that absorb
+floating-point rounding in a kernel or a check are measured here: each
+``_worst_*`` function returns the worst error of the float kernels on a
+fixed sample, against the same kernels run on mpmath numbers at 50 digits (or against the
 exact value 1), and the test asserts that the entry covers it.  The entry's
 comment records that worst error and the ratio of the value to it.
 """
@@ -27,11 +27,20 @@ from h2star.caratheodory import (
     _toeplitz_min_eig_rows,
     _triple_rows,
 )
-from h2star.hankel import _moment_form_raw, _param_form_raw, _phi_raw, bound_profile, phi
+from h2star.hankel import (
+    _moment_form_raw,
+    _param_form_raw,
+    _phi_raw,
+    _zeta_coefficient,
+    bound_profile,
+    phi,
+    sharp_bound,
+)
 from h2star.starlike import _closed_form_rows
 from h2star.tolerances import (
     BOUND_MARGIN,
     DISK_TOL,
+    PROOF_SLACK,
     PSD_TOL,
     ROUND_TRIP_P1_CUT,
     ROUTE_TOL,
@@ -90,7 +99,8 @@ def _worst_bound_margin() -> float:
     At 400 random points of the default lemma grid per alpha, built as
     maximize_param builds them: the errors of |Psi| and of phi(p, t), plus
     the excess of phi at the computed |y| over phi at t, for the row bound;
-    the errors of |Psi| and of |A| + |B| for the line bound.
+    the errors of |Psi| and of |A| + s2 |coef| / 6, with the closed-form
+    zeta coefficient, for the line bound.
     """
     rng = np.random.default_rng(0)
     ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
@@ -102,12 +112,12 @@ def _worst_bound_margin() -> float:
         i, j, m, n = (rng.integers(0, x.size, 400) for x in (ps, ts, e_mu, e_nu))
         p, t, y, zeta = ps[i], ts[j], ts[j] * e_mu[m], e_nu[n]
         psi = np.abs(_param_form_raw(a, p, y, zeta))
-        a0 = _param_form_raw(a, p, y, 0.0)
-        line = np.abs(a0) + np.abs(_param_form_raw(a, p, y, 1.0) - a0)
+        line = np.abs(_param_form_raw(a, p, y, 0.0)) + (1.0 - a) ** 2 * np.abs(
+            _zeta_coefficient(p, y)) / 6.0
         with mpmath.workdps(DIGITS):
             A, P, T, Y, Z = mpmath.mpf(a), _mp(p), _mp(t), _mp(y), _mp(zeta)
-            a0_ex = _param_form_raw(A, P, Y, 0)
-            line_ex = np.abs(a0_ex) + np.abs(_param_form_raw(A, P, Y, 1) - a0_ex)
+            line_ex = np.abs(_param_form_raw(A, P, Y, 0)) + (1 - A) ** 2 * np.abs(
+                _zeta_coefficient(P, Y)) / 6
             row_ex = _phi_raw(A, P, T)
             lift = np.frompyfunc(lambda x: max(x, 0), 1, 1)(_phi_raw(A, P, np.abs(Y)) - row_ex)
             e_psi = _err(psi, np.abs(_param_form_raw(A, P, Y, Z)))
@@ -224,3 +234,30 @@ def _worst_route() -> float:
 
 def test_route_tol_covers_its_rounding():
     assert ROUTE_TOL >= _worst_route()
+
+
+def _worst_proof_slack() -> float:
+    """The errors of the two inequalities of proof-step-properties, each <= 0 exactly.
+
+    |Psi| - phi(p, |y|), computed as the check computes it, on the first
+    4,096 of its draws; and max B(p) - (1 - alpha)^2 over its 101 values of
+    p at each of its 20 alphas.  phi(p, 1) is B(p) as a polynomial, so it is
+    the profile's reference.
+    """
+    ps = np.linspace(0.0, 2.0, 101)
+    errors = []
+    with mpmath.workdps(DIGITS):
+        for alpha, p, y, zeta in _lemma_row_blocks(np.random.default_rng(12), 4096):
+            slack = np.abs(_param_form_raw(alpha, p, y, zeta)) - _phi_raw(alpha, p, np.abs(y))
+            A, P, Y = _mp(alpha), _mp(p), _mp(y)
+            errors.append(_err(slack, np.abs(_param_form_raw(A, P, Y, _mp(zeta)))
+                               - _phi_raw(A, P, np.abs(Y))))
+        for a in np.linspace(0.0, 0.95, 20):
+            excess = float(np.max(bound_profile(a, ps))) - sharp_bound(a)
+            A = mpmath.mpf(a)
+            errors.append(_err([excess], max(_phi_raw(A, _mp(ps), 1)) - (1 - A) ** 2))
+    return _worst(errors)
+
+
+def test_proof_slack_covers_its_rounding():
+    assert PROOF_SLACK >= _worst_proof_slack()
