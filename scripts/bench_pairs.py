@@ -74,7 +74,12 @@ def parse_args(argv):
 
 def run_once(root: Path, perfbench: Path, workload: str, seed: int, seconds: float,
              log: Path | None, tag: str) -> dict:
-    """One perfbench run with ``root`` as the checkout; its record and result."""
+    """One perfbench run with ``root`` as the checkout; its record, less its passes, and result.
+
+    Linux carries a process's peak RSS over exec, so each run's ru_maxrss
+    starts at this process's peak.  Keeping every run's passes grew it past
+    the workloads' own peaks, so they are dropped.
+    """
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, str(perfbench / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds)]
@@ -85,7 +90,9 @@ def run_once(root: Path, perfbench: Path, workload: str, seed: int, seconds: flo
         raise SystemExit(f"bench_pairs: {tag} run of {workload} at seed {seed} exited "
                          f"{proc.returncode}:\n{proc.stderr}")
     record_line, result_line = proc.stdout.strip().splitlines()[-2:]
-    return {**json.loads(record_line), **json.loads(result_line)}
+    record = json.loads(record_line)
+    del record["record"]["passes"]
+    return {**record, **json.loads(result_line)}
 
 
 def summary(runs: list) -> dict:

@@ -13,14 +13,13 @@ the functional is affine in zeta, so the modulus over the closed disk is
 maximized on the boundary.  maximize_phi and monotonicity_scan evaluate
 the unchecked kernel hankel._phi_raw on the grids they build inside phi's
 box.  The lemma grid evaluates the zeta axis only on the lines that the
-triangle inequality cannot rule out and whose zeta coefficient is not
-exactly 0, with the full grid's result bit for bit (see maximize_param).
-The atom search refines its restarts in lock-step as one batch, and a
-sweep refines all its alphas' restarts together, in batches of at most
-_HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
-after another at one alpha at a time.  A batch holds its live rows only,
-each with the moment kernels e^{i n t} of its angles; a row that stops is
-written out and dropped after its sweep.
+triangle inequality cannot rule out, with the full grid's result bit for
+bit (see maximize_param).  The atom search refines its restarts in
+lock-step as one batch, and a sweep refines all its alphas' restarts
+together, in batches of at most _HERGLOTZ_BATCH_ROWS rows; both give, bit
+for bit, the restarts run one after another at one alpha at a time.  A
+batch holds its live rows only, each with the moment kernels e^{i n t} of
+its angles; a row that stops is written out and dropped after its sweep.
 """
 
 from __future__ import annotations
@@ -144,15 +143,13 @@ def maximize_phi(
 def _line_maxima(al: float, p, y: np.ndarray, e_nu: np.ndarray, floor: float) -> np.ndarray:
     """Max over zeta grid ``e_nu`` of |Psi| on each line (p, y), raveled; -inf below ``floor``.
 
-    Psi = A + B zeta is affine in zeta, with A = Psi(zeta = 0) and
-    B = s2 / 6 times the coefficient p q (1 - |y|^2), q = 4 - p^2, which
-    _zeta_coefficient gives in closed form.  So one form call gives every
-    line's bound |A| + s2 |coef| / 6, and a line whose bound is below
-    ``floor`` is not evaluated.  Where the computed coefficient is exactly
-    0, the zeta term is a signed zero and |Psi| is one double along the
-    line, |A|, which is then the line's maximum.  The other lines kept are
-    evaluated on the whole zeta axis.  The form acts elementwise: every
-    value is the double the full grid computes.
+    Psi = A + B zeta is affine in zeta, with A = Psi(zeta = 0) and B = s2 / 6
+    times the closed-form coefficient p q (1 - |y|^2) of _zeta_coefficient,
+    q = 4 - p^2.  A line whose bound |A| + |B| is below ``floor`` is not
+    evaluated.  Where the computed coefficient is exactly 0, the zeta term
+    is a signed zero and |Psi| is |A| all along the line; the other lines
+    kept are evaluated on the whole zeta axis.  The form acts elementwise:
+    every value is the double the full grid computes.
     """
     p, y = np.broadcast_to(p, y.shape).ravel(), y.ravel()
     a = np.abs(hankel._param_form_raw(al, p, y, 0.0))
@@ -183,15 +180,12 @@ def maximize_param(
     zeta axis is evaluated only on the (p, t, arg y) lines that can matter.
     The majorant |Psi(p, y, zeta)| <= phi(p, |y|), step 3 of the proof,
     which the proof-step-properties check samples, bounds |Psi| on a whole
-    (p, t) row, and |A| + |B|, with B read off the closed-form zeta
-    coefficient, bounds it on one line (see _line_maxima).  The row of
-    largest phi gives a grid value m <= the grid maximum, and a row or line
-    whose bound is below m - TIE_TOL - BOUND_MARGIN can be neither the
-    maximum nor tied with it.  The rows kept are reduced 16 at a time to
-    their lines' maxima, one form call for a block's bounds and the zeta
-    axis only for its kept lines with a nonzero coefficient.  The first tied
-    line in C order is found from the maxima, and that line, evaluated once
-    more, gives the first tied zeta.
+    (p, t) row, and |A| + |B| bounds it on one line (see _line_maxima).  The
+    row of largest phi gives a grid value m <= the grid maximum, and a row
+    or line whose bound is below m - TIE_TOL - BOUND_MARGIN can be neither
+    the maximum nor tied with it.  The rows kept are reduced 16 at a time to
+    their lines' maxima, the first tied line in C order is found from them,
+    and that line, evaluated once more, gives the first tied zeta.
 
     ``evaluations`` counts the grid points decided, evaluated or excluded
     by a bound: grid_p * grid_ymod * grid_yarg * grid_zarg.  ``seed`` is

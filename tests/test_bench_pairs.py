@@ -57,3 +57,15 @@ def test_claim_not_met(change, target):
 def test_claim_when_higher_is_better():
     assert _claim(PARENT, [1.3] * 10, lower=False, target=0.15)[1]["met"]
     assert not _claim(PARENT, [0.7] * 10, lower=False)[1]["met"]
+
+
+def test_run_once_drops_the_passes(tmp_path):
+    # A run's ru_maxrss starts at the caller's peak RSS, so the caller keeps
+    # no per-pass list.
+    (tmp_path / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'record': {'output_sha256': 'x', 'passes': [{'wall_s': 1.0}]}}))\n"
+        "print(json.dumps({'metrics': {}, 'failed': 0, 'attempted': 1, 'correct': True}))\n")
+    got = bench_pairs.run_once(tmp_path, tmp_path, "w", 1, 0.1, None, "parent")
+    assert got == {"record": {"output_sha256": "x"}, "metrics": {}, "failed": 0,
+                   "attempted": 1, "correct": True}
