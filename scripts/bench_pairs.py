@@ -74,11 +74,11 @@ def parse_args(argv):
 
 def run_once(root: Path, perfbench: Path, workload: str, seed: int, seconds: float,
              log: Path | None, tag: str) -> dict:
-    """One perfbench run with ``root`` as the checkout; its record, less its passes, and result.
+    """One perfbench run with ``root`` as the checkout; its record and result.
 
-    Linux carries a process's peak RSS over exec, so each run's ru_maxrss
-    starts at this process's peak.  Keeping every run's passes grew it past
-    the workloads' own peaks, so they are dropped.
+    The record's per-pass list is dropped.  Linux carries a process's peak
+    RSS over exec, so each run's ru_maxrss starts at this process's peak,
+    and keeping every run's passes grew it past the workloads' own peaks.
     """
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, str(perfbench / "run.py"), "--workload", workload,

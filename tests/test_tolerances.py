@@ -4,9 +4,10 @@ Every e-notation number of the package lives in h2star/tolerances.py, and
 every entry there is used by some module.  The six entries that absorb
 floating-point rounding in a kernel or a check are measured here: each
 ``_worst_*`` function returns the worst error of the float kernels on a
-fixed sample, against the same kernels run on mpmath numbers at 50 digits (or against the
-exact value 1), and the test asserts that the entry covers it.  The entry's
-comment records that worst error and the ratio of the value to it.
+fixed sample, against the same kernels run on mpmath numbers at 50 digits
+(or against the exact value 1), and the test asserts that the entry covers
+it.  The entry's comment records that worst error and the ratio of the
+value to it.
 """
 import ast
 import math
