@@ -76,11 +76,14 @@ def run_once(root: Path, perfbench: Path, workload: str, seed: int, seconds: flo
              log: Path | None, tag: str) -> dict:
     """One perfbench run with ``root`` as the checkout; its record and result.
 
-    The record's per-pass list is dropped.  Linux carries a process's peak
-    RSS over exec, so each run's ru_maxrss starts at this process's peak,
-    and keeping every run's passes grew it past the workloads' own peaks.
+    The run's environment lacks PYTHONDONTWRITEBYTECODE, so perfbench's
+    unrecorded first import writes the bytecode caches and setup_s times
+    the cached import.  The record's per-pass list is dropped.  Linux
+    carries a process's peak RSS over exec, so each run's ru_maxrss starts
+    at this process's peak, and keeping every run's passes grew it past the
+    workloads' own peaks.
     """
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     cmd = [sys.executable, str(perfbench / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds)]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
@@ -186,7 +189,7 @@ def main(argv=None) -> int:
                    f"{first['cpus_allowed']} allowed)",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "(from a checkout's root, each side a copy of its commit's files, same "
-                   "perfbench/ on both sides, PYTHONDONTWRITEBYTECODE=1)",
+                   "perfbench/ on both sides, PYTHONDONTWRITEBYTECODE unset)",
         "method": "Alternating pairs: even pairs run the parent first, odd pairs the change "
                   "first. Medians and quartiles over the pairs' runs; quartiles are "
                   "statistics.quantiles(n=4, method='inclusive'). Times are perfbench's "

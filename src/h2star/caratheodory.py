@@ -108,7 +108,9 @@ def _atom_arrays(weights, angles) -> np.ndarray:
             f"weights must be nonnegative, got {w}",
             f"weights must sum to 1, got {float(total[i])!r}",
         )[rule])
-    return np.mod(angles, _TWO_PI)
+    # np.mod rounds a tiny negative angle up to 2 pi itself
+    angles = np.mod(angles, _TWO_PI)
+    return np.where(angles == _TWO_PI, 0.0, angles)
 
 
 @dataclass(frozen=True)
@@ -443,34 +445,21 @@ def _lemma_row_blocks(rng: np.random.Generator, count: int):
     """Yield arrays (alpha, p, y, zeta) of up to LEMMA_BLOCK_ROWS rows, ``count`` rows in all.
 
     alpha is uniform on [0, 1); p, y and zeta have the distributions
-    random_lemma_point draws: p uniform on [0, 2], y and zeta uniform on the
-    closed unit disk.  Every block is checked against the domains of
-    ``Alpha`` and ``LemmaPoint`` and raises their errors.
+    random_lemma_point draws: p uniform on [0, 2), y and zeta uniform on the
+    closed unit disk.  So every row lies in the domains of ``Alpha`` and
+    ``LemmaPoint``.
     """
     for done in range(0, count, LEMMA_BLOCK_ROWS):
         n = min(LEMMA_BLOCK_ROWS, count - done)
-        alpha = rng.random(n)
-        p = rng.uniform(0.0, 2.0, n)
-        y = _disk_points(rng, n)
-        zeta = _disk_points(rng, n)
-        _check_alpha_rows(alpha)
-        _check_lemma_box(p, y, zeta)
-        yield alpha, p, y, zeta
+        yield rng.random(n), rng.uniform(0.0, 2.0, n), _disk_points(rng, n), _disk_points(rng, n)
 
 
 def _triple_rows(rng: np.random.Generator, count: int):
     """Arrays (alpha, p1, p2, p3) of ``count`` rows.
 
-    alpha is uniform on [0, 1), checked against the domain of ``Alpha``;
-    each moment is uniform on the closed disk of radius 2.
+    alpha is uniform on [0, 1), the domain of ``Alpha``; each moment is
+    uniform on the closed disk of radius 2.
     """
     alpha = rng.random(count)
-    _check_alpha_rows(alpha)
     p1, p2, p3 = 2.0 * _disk_points(rng, 3 * count).reshape(3, count)
     return alpha, p1, p2, p3
-
-
-def _check_alpha_rows(alpha):
-    """DomainError, with Alpha's text, for the first alpha outside [0, 1)."""
-    _require(((alpha >= 0.0) & (alpha < 1.0), alpha, DomainError,
-              "alpha must lie in [0, 1), got {}"))

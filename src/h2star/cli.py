@@ -37,7 +37,8 @@ from .search import (METHOD_OPTIONS, METHODS, _foreign_option, _summarize_argmax
                      sweep_alpha)
 from .starlike import CoefficientVector, alpha_value, coeffs_from_moments, extremal_coeffs
 
-_ALL_METHOD_FLAGS = sorted({f for flags in METHOD_OPTIONS.values() for f in flags})
+# Every method option once, in declaration order: the order of the flags in --help.
+_METHOD_FLAGS = tuple(dict.fromkeys(f for flags in METHOD_OPTIONS.values() for f in flags))
 _COMPLEX_FLAGS = ("--p1", "--p2", "--p3", "--y", "--zeta")
 # Flags that set an array length, by argparse dest.
 _SIZE_FLAGS = ("order", "steps", "restarts", "grid_p", "grid_t", "grid_ymod", "grid_yarg",
@@ -208,7 +209,8 @@ def _cmd_bound(args) -> int:
 
 def _method_kwargs(args) -> dict:
     """Collect the grid flags given; exit 2 on a flag of another method."""
-    kwargs = {flag: getattr(args, flag) for flag in _ALL_METHOD_FLAGS
+    # in name order, so the error names the first foreign flag by name
+    kwargs = {flag: getattr(args, flag) for flag in sorted(_METHOD_FLAGS)
               if getattr(args, flag) is not None}
     flag = _foreign_option(args.method, kwargs)
     if flag is not None:
@@ -276,14 +278,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.only:
-        unknown = [n for n in args.only if n not in _checks.CHECKS_BY_NAME]
-        if unknown:
-            print(f"h2star check: error: unknown check(s) {unknown}", file=sys.stderr)
-            raise SystemExit(2)
-        selected = [_checks.CHECKS_BY_NAME[n] for n in args.only]
-    else:
-        selected = None
+    selected = None if args.only is None else [_checks.CHECKS_BY_NAME[n] for n in args.only]
     results = _checks.run_all(selected)
     return 0 if all(r.passed for r in results) else 1
 
@@ -361,40 +356,29 @@ def build_parser() -> _Parser:
     _add_json_flag(p)
     p.set_defaults(handler=_cmd_bound)
 
-    for name in ("search", "sweep"):
-        p = subs.add_parser(
-            name,
-            help="maximize by one method" if name == "search" else "tabulate over alpha",
-        )
-        if name == "search":
-            p.add_argument("--alpha", type=float, required=True)
-        else:
-            p.add_argument("--alpha-start", type=float, required=True)
-            p.add_argument("--alpha-end", type=float, required=True)
-            p.add_argument("--steps", type=int, required=True)
-            p.add_argument("--out", type=str, default=None,
-                           help="write the CSV here instead of stdout")
+    search = subs.add_parser("search", help="maximize by one method")
+    search.add_argument("--alpha", type=float, required=True)
+    search.set_defaults(handler=_cmd_search)
+    sweep = subs.add_parser("sweep", help="tabulate over alpha")
+    sweep.add_argument("--alpha-start", type=float, required=True)
+    sweep.add_argument("--alpha-end", type=float, required=True)
+    sweep.add_argument("--steps", type=int, required=True)
+    sweep.add_argument("--out", type=str, default=None,
+                       help="write the CSV here instead of stdout")
+    sweep.set_defaults(handler=_cmd_sweep)
+    for p in (search, sweep):
         p.add_argument("--method", choices=METHODS, required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1,
                        help="must be at least 1; does not affect the computation")
-        p.add_argument("--grid-p", dest="grid_p", type=int, default=None)
-        p.add_argument("--grid-t", dest="grid_t", type=int, default=None)
-        p.add_argument("--grid-ymod", dest="grid_ymod", type=int, default=None)
-        p.add_argument("--grid-yarg", dest="grid_yarg", type=int, default=None)
-        p.add_argument("--grid-zarg", dest="grid_zarg", type=int, default=None)
-        p.add_argument("--atom-count", dest="atom_count", type=int, default=None)
-        p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--local-steps", dest="local_steps", type=int, default=None)
-        if name == "search":
-            _add_json_flag(p)
-            p.set_defaults(handler=_cmd_search)
-        else:
-            p.set_defaults(handler=_cmd_sweep)
+        for name in _METHOD_FLAGS:
+            p.add_argument("--" + name.replace("_", "-"), type=int, default=None)
+    _add_json_flag(search)
 
     p = subs.add_parser("check", help="run the acceptance checks")
-    p.add_argument("--only", action="append", default=None,
-                   help="run a single named check (repeatable)")
+    # ONLY keeps the long check names out of the usage line
+    p.add_argument("--only", action="append", default=None, choices=list(_checks.CHECKS_BY_NAME),
+                   metavar="ONLY", help="run a single named check (repeatable)")
     p.set_defaults(handler=_cmd_check)
 
     parser.commands = dict(subs.choices)

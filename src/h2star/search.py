@@ -180,10 +180,12 @@ def maximize_param(
     zeta axis is evaluated only on the (p, t, arg y) lines that can matter.
     The majorant |Psi(p, y, zeta)| <= phi(p, |y|), step 3 of the proof,
     which the proof-step-properties check samples, bounds |Psi| on a whole
-    (p, t) row, and |A| + |B| bounds it on one line (see _line_maxima).  The
-    row of largest phi gives a grid value m <= the grid maximum, and a row
-    or line whose bound is below m - TIE_TOL - BOUND_MARGIN can be neither
-    the maximum nor tied with it.  The rows kept are reduced 16 at a time to
+    (p, t) row, and |A| + |B| bounds it on one line (see _line_maxima).  Any
+    grid value m is at most the grid maximum, and a row or line whose bound
+    is below m - TIE_TOL - BOUND_MARGIN can be neither the maximum nor tied
+    with it.  m is the value at p = 0, y = 1, zeta = 1, a point of every
+    grid: that of the odd extremal function, where |Psi| is (1 - alpha)^2,
+    phi's maximum.  The rows kept are reduced 16 at a time to
     their lines' maxima, the first tied line in C order is found from them,
     and that line, evaluated once more, gives the first tied zeta.
 
@@ -204,9 +206,10 @@ def maximize_param(
     e_mu = np.exp(1j * np.arange(grid_yarg) * (_TWO_PI / grid_yarg))
     e_nu = np.exp(1j * np.arange(grid_zarg) * (_TWO_PI / grid_zarg))
 
+    # |Psi| at the grid point (p, |y|, arg y, arg zeta) = (0, 1, 0, 0)
+    m = np.abs(hankel._param_form_raw(al, ps[:1], ts[-1:] * e_mu[:1], e_nu[:1]))[0]
+    floor = m - TIE_TOL - BOUND_MARGIN
     bound = hankel.phi(al, ps[:, None], ts[None, :])
-    pi, ti = np.unravel_index(int(bound.argmax()), bound.shape)
-    floor = _line_maxima(al, ps[pi], ts[ti] * e_mu, e_nu, -np.inf).max() - TIE_TOL - BOUND_MARGIN
     rows = np.argwhere(bound >= floor)
     # The first tied line exceeds every line before it in C order.  So the loop
     # keeps only such lines' maxima and flat indices, after a -inf sentinel,

@@ -69,3 +69,16 @@ def test_run_once_drops_the_passes(tmp_path):
     got = bench_pairs.run_once(tmp_path, tmp_path, "w", 1, 0.1, None, "parent")
     assert got == {"record": {"output_sha256": "x"}, "metrics": {}, "failed": 0,
                    "attempted": 1, "correct": True}
+
+
+def test_run_once_lets_the_import_write_its_cache(tmp_path, monkeypatch):
+    # setup_s times the cached import: perfbench's unrecorded first import
+    # must be free to write the bytecode caches.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    (tmp_path / "run.py").write_text(
+        "import json, sys\n"
+        "print(json.dumps({'record': {'dont_write_bytecode': sys.flags.dont_write_bytecode,"
+        " 'passes': []}}))\n"
+        "print(json.dumps({'metrics': {}}))\n")
+    got = bench_pairs.run_once(tmp_path, tmp_path, "w", 1, 0.1, None, "change")
+    assert got["record"]["dont_write_bytecode"] == 0

@@ -92,6 +92,8 @@ class TestAtoms:
     def test_angles_wrap_into_period(self):
         atoms = HerglotzAtoms((0.5, 0.5), (math.pi / 3, -math.pi / 3))
         assert atoms.angles[1] == pytest.approx(2 * math.pi - math.pi / 3)
+        # np.mod(-1e-20, 2 pi) rounds to 2 pi itself, outside [0, 2 pi)
+        assert HerglotzAtoms((1.0,), (-1e-20,)).angles == (0.0,)
 
     def test_text_round_trip(self):
         # the CLI reads --atoms with atom_pairs_from_text; 17 digits parse back exactly

@@ -199,6 +199,19 @@ class TestParserReuse:
         assert [line.split()[1] for line in second[1].splitlines()] == ["sharp-bound-reproduction"]
 
 
+@pytest.mark.parametrize("command, head, tail", [
+    ("search", ["--alpha"], ["--json"]),
+    ("sweep", ["--alpha-start", "--alpha-end", "--steps", "--out"], []),
+])
+def test_method_flags_in_declaration_order(command, head, tail):
+    # --help lists each method option once, in the order of search.METHOD_OPTIONS
+    sub = cli.build_parser().commands[command]
+    assert [a.option_strings[-1] for a in sub._actions] == [
+        "--help", *head, "--method", "--seed", "--workers", "--grid-p", "--grid-t",
+        "--grid-ymod", "--grid-yarg", "--grid-zarg", "--atom-count", "--restarts",
+        "--local-steps", *tail]
+
+
 class TestComplexFlags:
     @pytest.mark.parametrize(
         "spaced, glued",
@@ -314,6 +327,13 @@ class TestExitCodes:
         )
         assert code == 2
         assert "does not apply" in err
+
+    def test_first_foreign_flag_by_name(self, capsys):
+        # --grid-t comes first on the line and in METHOD_OPTIONS, --atom-count by name
+        code, _, err = run_cli(capsys, "search", "--alpha", "0.1", "--method", "lemma",
+                               "--grid-t", "3", "--atom-count", "2")
+        assert code == 2
+        assert err == "h2star search: error: --atom-count does not apply to method 'lemma'\n"
 
     @pytest.mark.parametrize("method", ["phi", "lemma"])
     def test_negative_seed_is_domain_error(self, capsys, method):
@@ -454,8 +474,9 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_unknown_check_name(self, capsys):
-        code, _, _ = run_cli(capsys, "check", "--only", "nonsense")
+        code, _, err = run_cli(capsys, "check", "--only", "nonsense")
         assert code == 2
+        assert "argument --only: invalid choice: 'nonsense'" in err
 
 
 _REALS = st.one_of(

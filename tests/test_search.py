@@ -347,8 +347,9 @@ class TestBoundPruning:
 
     def test_tied_row_below_the_top_bound_survives(self, monkeypatch):
         # The bound falls short of the form by half the margin, as rounding
-        # might leave it.  The top row is the last p slice, and the first p
-        # slice, 0.8 * TIE_TOL lower, is tied with it and must win.
+        # might leave it.  The largest bound and value lie in the last p
+        # slice, and the first p slice, 0.8 * TIE_TOL lower, is tied with it
+        # and must win.
         def form(alpha_value, p, y, zeta):
             return (1.0 + 0.4 * TIE_TOL * p) * np.ones_like(y * zeta)
 
@@ -360,6 +361,32 @@ class TestBoundPruning:
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["p"] == 0.0
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+
+    def test_tied_row_below_the_floor_survives(self, monkeypatch):
+        # The floor point p = 0, |y| = 1 holds the maximum 1, every other
+        # |y| falls 0.9 * TIE_TOL * (1 - |y|) short of it, so every row ties,
+        # and the bound falls short of the form by half the margin.  The
+        # row p = 0, |y| = 0, first in C order, has a bound below the
+        # maximum less TIE_TOL and survives by the margin alone.
+        def form(alpha_value, p, y, zeta):
+            return (1.0 - 0.9 * TIE_TOL * (1.0 - np.abs(y))) * np.ones_like(p * zeta)
+
+        def bound(alpha, p, t):
+            return (1.0 - 0.9 * TIE_TOL * (1.0 - t) - BOUND_MARGIN / 2) * np.ones_like(p * t)
+
+        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        monkeypatch.setattr(hankel, "phi", bound)
+        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
+        assert want.argmax["y"] == 0.0
+        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+
+    @pytest.mark.parametrize("a", [0.0, 1e-12, 0.25, 0.5, 0.75, 0.99, 0.999999])
+    def test_floor_point_is_the_sharp_bound(self, a):
+        # The search's floor is |Psi| at p = 0, y = 1, zeta = 1, evaluated as
+        # the grid evaluates it: (1 - alpha)^2, the maximum of phi.
+        one = np.ones(1, dtype=complex)
+        m = np.abs(hankel._param_form_raw(a, np.zeros(1), one, one))[0]
+        assert m == (1.0 - a) ** 2 == phi(a, 0.0, 1.0)
 
     def test_zeta_axis_skipped_below_the_bound(self, monkeypatch):
         form = hankel._param_form_raw
@@ -401,15 +428,15 @@ class TestLineBound:
             worst = max(worst, float(np.max(vals.max(axis=2) - bound)))
         assert worst <= BOUND_MARGIN / 1000
 
-    @pytest.mark.parametrize("a, points", [(0.0, 960), (0.25, 64), (0.75, 64)])
+    @pytest.mark.parametrize("a, points", [(0.0, 65), (0.25, 65), (0.75, 65)])
     def test_default_grid_zeta_points(self, monkeypatch, a, points):
+        # The floor is |Psi| at the one grid point p = 0, y = 1, zeta = 1.
         # A line with a zero zeta coefficient takes |A| from its bound and
-        # costs no zeta point.  At alpha = 0 the top row of phi has 50 such
-        # lines and 14 evaluated on all 64 zetas (896 points).  301 rows
-        # survive phi, and the line bound keeps 6,727 of their lines, all
-        # with a zero coefficient.  At 0.25 and 0.75 the one row kept is the
-        # top row, whose lines all have a zero coefficient.  The tied line
-        # is evaluated once more on all 64 zetas.
+        # costs no zeta point.  At alpha = 0, 301 rows survive phi, and the
+        # line bound keeps 6,727 of their lines, all with a zero coefficient.
+        # At 0.25 and 0.75 the one row kept is p = 0, |y| = 1, whose lines
+        # all have a zero coefficient.  The tied line is evaluated once more
+        # on all 64 zetas.
         form = hankel._param_form_raw
         zeta_points = []
 
