@@ -180,12 +180,11 @@ def maximize_param(
     zeta axis is evaluated only on the (p, t, arg y) lines that can matter.
     The majorant |Psi(p, y, zeta)| <= phi(p, |y|), step 3 of the proof,
     which the proof-step-properties check samples, bounds |Psi| on a whole
-    (p, t) row, and |A| + |B| bounds it on one line (see _line_maxima).  Any
-    grid value m is at most the grid maximum, and a row or line whose bound
-    is below m - TIE_TOL - BOUND_MARGIN can be neither the maximum nor tied
-    with it.  m is the value at p = 0, y = 1, zeta = 1, a point of every
-    grid: that of the odd extremal function, where |Psi| is (1 - alpha)^2,
-    phi's maximum.  The rows kept are reduced 16 at a time to
+    (p, t) row, and |A| + |B| bounds it on one line (see _line_maxima).  Every
+    grid holds p = 0, y = 1, zeta = 1, where |Psi| is (1 - alpha)^2; like any
+    grid value, this m is at most the grid maximum, so a row or line whose
+    bound is below m - TIE_TOL - BOUND_MARGIN can be neither the maximum nor
+    tied with it.  The rows kept are reduced 16 at a time to
     their lines' maxima, the first tied line in C order is found from them,
     and that line, evaluated once more, gives the first tied zeta.
 
