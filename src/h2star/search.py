@@ -279,7 +279,10 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
     rows at once.  Weights are clipped at 0 and renormalized, so they stay
     on the simplex, and angles wrap mod 2 pi.  A weight probe moves one
     weight of a row summing to 1 by at most step_w <= 0.15, so its total is
-    positive: every probe is evaluated and counted.  A probe is kept only if
+    positive: every probe is evaluated and counted.  The total adds the
+    weight columns left to right, the order in which numpy sums a row of
+    fewer than 8 terms, so it is bit-equal to one restart's .sum() for
+    every atom count up to 4.  A probe is kept only if
     strictly better, so no row's value decreases and every path is
     deterministic.  A row that improves nowhere in a sweep halves both steps
     and stops once both are below PATTERN_STEP_MIN.  Rows do not interact.
@@ -306,7 +309,10 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
                 trial = w.copy()
                 x = trial[:, i] + sign * step_w
                 trial[:, i] = np.where(x > 0.0, x, 0.0)
-                trial /= trial.sum(axis=1)[:, None]
+                total = trial[:, 0].copy()
+                for j in range(1, k):
+                    total += trial[:, j]
+                trial /= total[:, None]
                 val = _h2_rows(alphas, trial, kern)
                 hit = np.flatnonzero(val > best)
                 best[hit], w[hit], improved[hit] = val[hit], trial[hit], True

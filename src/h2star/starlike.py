@@ -100,25 +100,25 @@ def coeff_rows(alpha, moments) -> np.ndarray:
 
     ``alpha`` is one alpha value (a float) for every row, or the (R,) array
     of each row's value; callers validate it.  Returns the (R, N) array of
-    rows a_1..a_N.  Every row is bit-equal to what np.dot gives one row at a
-    time: each sum is a stacked product of contiguous rows, which numpy hands
-    to the same BLAS dot, and the one-term sum for a_2 is a plain complex
-    product, as np.dot forms it.
+    rows a_1..a_N, a reversed view of one buffer that holds each row as
+    a_N..a_1.  Every row is bit-equal to what np.dot gives one row at a
+    time: a_{n-1}..a_1 and p_1..p_{n-1} are unit-stride slices of that
+    buffer and of the moments, so each sum is a stacked product that numpy
+    hands to the same BLAS dot, and the one-term sum for a_2 is a plain
+    complex product, as np.dot forms it.
     """
     p = np.ascontiguousarray(moments, dtype=complex)
     rows, m = p.shape
-    a = np.zeros((rows, m + 1), dtype=complex)
-    a[:, 0] = 1.0
+    r = np.empty((rows, m + 1), dtype=complex)
+    r[:, m] = 1.0
     s = 1.0 - alpha
     for n in range(2, m + 2):
         if n == 2:
-            total = a[:, 0] * p[:, 0]
+            total = r[:, m] * p[:, 0]
         else:
-            head = np.ascontiguousarray(a[:, n - 2 :: -1])
-            tail = np.ascontiguousarray(p[:, : n - 1])
-            total = (head[:, None, :] @ tail[:, :, None])[:, 0, 0]
-        a[:, n - 1] = s / (n - 1) * total
-    return a
+            total = (r[:, None, m + 2 - n :] @ p[:, : n - 1, None])[:, 0, 0]
+        r[:, m + 1 - n] = s / (n - 1) * total
+    return r[:, ::-1]
 
 
 def closed_form_a234(alpha: Alpha | float, m: MomentTriple) -> tuple:

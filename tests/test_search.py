@@ -1,6 +1,9 @@
 import functools
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,6 +703,48 @@ class TestHerglotzRowKernelPerRowAlpha:
             assert batch[r] == _scalar_h2(alpha, w[r], t[r])
 
 
+_PRESCOTT_SCRIPT = """
+import numpy as np
+from test_search import _scalar_h2
+from test_starlike import _dot_recurrence
+from h2star import search
+from h2star.starlike import coeff_rows
+
+for k in (1, 2, 3, 4):
+    rng = np.random.default_rng(140 + k)
+    alpha = float(rng.uniform(0.0, 1.0))
+    w = rng.dirichlet(np.ones(k), size=1000)
+    t = rng.uniform(0.0, search._TWO_PI, size=(1000, k))
+    batch = search._h2_rows(alpha, w, search._kernels(t))
+    one_point = np.array([_scalar_h2(alpha, w[r], t[r]) for r in range(1000)])
+    assert batch.tobytes() == one_point.tobytes(), f"_h2_rows, k = {k}"
+for m in (1, 3, 11):
+    rng = np.random.default_rng(150 + m)
+    alpha = float(rng.uniform(0.0, 1.0))
+    p = rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
+    want = np.array([_dot_recurrence(alpha, p[r]) for r in range(300)])
+    assert coeff_rows(alpha, p).tobytes() == want.tobytes(), f"coeff_rows, m = {m}"
+"""
+
+
+def test_row_kernels_equal_their_references_under_prescott():
+    """The bit-equalities of TestHerglotzRowKernel and test_starlike's
+    TestCoeffRows under OpenBLAS's Prescott kernel, not the machine's default.
+
+    The kernels and their references sum through the same BLAS dots, whose
+    bits depend on the kernel.  OpenBLAS reports its Prescott kernel under
+    the name Katmai.
+    """
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", OPENBLAS_VERBOSE="2",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", _PRESCOTT_SCRIPT], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "Core: Katmai" in proc.stderr
+
+
 class TestKernelCache:
     """_refine_rows keeps each row's kernels and recomputes one column per angle probe."""
 
@@ -768,7 +813,7 @@ class TestKernelCache:
 class TestLiveRowRetirement:
     """_refine_rows writes each row out at its own row id when the row stops."""
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_row_equals_its_restart_alone(self, k):
         rng = np.random.default_rng(90 + k)
         restarts, sweeps = 7, 60
