@@ -280,9 +280,8 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
     on the simplex, and angles wrap mod 2 pi.  A weight probe moves one
     weight of a row summing to 1 by at most step_w <= 0.15, so its total is
     positive: every probe is evaluated and counted.  The total adds the
-    weight columns left to right, the order in which numpy sums a row of
-    fewer than 8 terms, so it is bit-equal to one restart's .sum() for
-    every atom count up to 4.  A probe is kept only if
+    columns left to right, numpy's order for a sum of fewer than 8 terms, so
+    it is bit-equal to one restart's .sum().  A probe is kept only if
     strictly better, so no row's value decreases and every path is
     deterministic.  A row that improves nowhere in a sweep halves both steps
     and stops once both are below PATTERN_STEP_MIN.  Rows do not interact.
