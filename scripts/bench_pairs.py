@@ -13,7 +13,8 @@ change first.  Standard library only.
 ``--run W=SEEDS`` runs workload W once per side at each seed; SEEDS is a
 range ``a-b`` or a comma list.  Every metric is reported per workload as
 each side's median, inclusive quartiles and runs, and the pairs in which the
-change reads better or worse.  ``--claim W:METRIC[:TARGET]`` evaluates the
+change reads better or worse; so is perfbench's raw ``median_wall_s``, beside
+the speed-scaled ``pass_s``.  ``--claim W:METRIC[:TARGET]`` evaluates the
 claim rule on one workload and metric: the change is better in at least 9 of
 10 pairs run, its median is past the parent's by more than the parent's
 interquartile distance and, with a TARGET, the median moved by at least that
@@ -189,6 +190,8 @@ def main(argv=None) -> int:
                 a["record"]["output_sha256"] == b["record"]["output_sha256"]
                 for a, b in zip(got["parent"], got["change"])),
             "end_to_end": metrics,
+            "median_wall_s": compare(*([r["record"]["median_wall_s"] for r in got[side]]
+                                       for side in got), "s", True),
         }
 
     first = got["parent"][0]["record"]
@@ -207,7 +210,8 @@ def main(argv=None) -> int:
         "method": "Alternating pairs: even pairs run the parent first, odd pairs the change "
                   "first. Medians and quartiles over the pairs' runs; quartiles are "
                   "statistics.quantiles(n=4, method='inclusive'). Times are perfbench's "
-                  "speed-scaled seconds. within_bound compares the change's median with the "
+                  "speed-scaled seconds, but for median_wall_s, each run's median raw wall "
+                  "time of a pass. within_bound compares the change's median with the "
                   "parent's, as a fraction of the parent's, to the BENCHMARK.json bound.",
     }
     if args.claim:

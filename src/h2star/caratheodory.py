@@ -50,11 +50,16 @@ _TWO_PI = 2.0 * math.pi
 
 _NOT_FINITE_MOMENTS = "moments must be finite, got {}"
 
-# Rows per block of _lemma_row_blocks.  The two 100,000-row checks took about
-# 0.21 s at 256 rows, 0.12 s at 1024 and 0.10 s at 2048 and 4096; their peak
-# RSS is flat up to 1024 rows and grows 0.25 MiB at 2048 and 0.9 MiB at 4096
+# Rows per draw group of _lemma_row_blocks: the groups fix every sample.
+_LEMMA_DRAW_ROWS = 1024
+
+# Rows per block of _lemma_row_blocks, the arrays the checks evaluate: whole
+# draw groups, so no row depends on it.  The two 100,000-row checks took
+# 36 + 41 ms at 1024 rows, 31 + 35 at 2048, 29 + 33 at 4096 and 30 + 33 at
+# 8192 (medians of 40 interleaved passes); a process running them peaks
+# 0.13 MiB higher at 2048 rows than at 1024, 0.48 at 4096 and 1.5 at 8192
 # (2-vCPU box).
-LEMMA_BLOCK_ROWS = 1024
+LEMMA_BLOCK_ROWS = 4 * _LEMMA_DRAW_ROWS
 
 # Atoms of one random atom set of _atom_rows, at most.
 MAX_ATOMS = 5
@@ -428,17 +433,41 @@ def random_lemma_point(rng: np.random.Generator) -> LemmaPoint:
     return LemmaPoint(rng.uniform(0.0, 2.0), random_disk_point(rng), random_disk_point(rng))
 
 
-def _disk_points(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n points uniform on the closed unit disk, by rejection from the square.
+def _disk_points(rng: np.random.Generator, n: int, u: np.ndarray):
+    """n points uniform on the closed unit disk, by rejection from the
+    square, and the doubles of ``u`` they leave unread.
 
-    Each round draws twice the shortfall, so one round nearly always suffices.
+    The doubles come from a stream: first ``u``, doubles of rng.random()
+    already drawn, then the generator, which gives exactly the doubles the
+    stream lacks.  A round for a shortfall of k points reads 4 k doubles:
+    the first 2 k give x, the next 2 k give y, each as -1 + 2 u, numpy's own
+    formula for rng.uniform(-1, 1).  So one round nearly always suffices,
+    and the points and the generator state are those of one
+    rng.uniform(-1.0, 1.0, (2, 2 k)) per round.
     """
-    z = np.empty(0, dtype=complex)
-    while z.size < n:
-        x, y = rng.uniform(-1.0, 1.0, (2, 2 * (n - z.size)))
-        w = x + 1j * y
-        z = np.concatenate((z, w[np.abs(w) <= 1.0]))
-    return z[:n]
+    z = np.empty(n, dtype=complex)
+    done = 0
+    while done < n:
+        k = n - done
+        if u.size < 4 * k:
+            u = np.concatenate((u, rng.random(4 * k - u.size)))
+        w = np.empty(2 * k, dtype=complex)
+        w.real, w.imag = -1.0 + 2.0 * u[:4 * k].reshape(2, 2 * k)
+        u = u[4 * k:]
+        w = w[np.abs(w) <= 1.0][:k]
+        z[done:done + w.size] = w
+        done += w.size
+    return z, u
+
+
+def _lemma_draws(rng: np.random.Generator, n: int):
+    """(alpha, p, y, zeta) of one draw group of n rows, from the doubles
+    of one rng.random(10 n): n for alpha, n for p = 2 u, then the y and
+    zeta samplers of _disk_points, 4 n each unless a round falls short."""
+    u = rng.random(10 * n)
+    y, rest = _disk_points(rng, n, u[2 * n:])
+    zeta, _ = _disk_points(rng, n, rest)
+    return u[:n], 2.0 * u[n:2 * n], y, zeta
 
 
 def _lemma_row_blocks(rng: np.random.Generator, count: int):
@@ -448,18 +477,31 @@ def _lemma_row_blocks(rng: np.random.Generator, count: int):
     random_lemma_point draws: p uniform on [0, 2), y and zeta uniform on the
     closed unit disk.  So every row lies in the domains of ``Alpha`` and
     ``LemmaPoint``.
+
+    The rows are drawn in groups of _LEMMA_DRAW_ROWS, each from one stream
+    of doubles (see _lemma_draws), and a block joins the groups it holds.
+    So the rows, and the generator state after them, do not depend on
+    LEMMA_BLOCK_ROWS while it is a whole number of groups: they are those
+    of rng.random(n), rng.uniform(0, 2, n) and the rounds of two disk
+    samplers per group of n rows.
     """
-    for done in range(0, count, LEMMA_BLOCK_ROWS):
-        n = min(LEMMA_BLOCK_ROWS, count - done)
-        yield rng.random(n), rng.uniform(0.0, 2.0, n), _disk_points(rng, n), _disk_points(rng, n)
+    for start in range(0, count, LEMMA_BLOCK_ROWS):
+        rows = min(LEMMA_BLOCK_ROWS, count - start)
+        groups = [_lemma_draws(rng, min(_LEMMA_DRAW_ROWS, rows - g))
+                  for g in range(0, rows, _LEMMA_DRAW_ROWS)]
+        block = tuple(map(np.concatenate, zip(*groups)))
+        del groups
+        yield block
 
 
 def _triple_rows(rng: np.random.Generator, count: int):
     """Arrays (alpha, p1, p2, p3) of ``count`` rows.
 
     alpha is uniform on [0, 1), the domain of ``Alpha``; each moment is
-    uniform on the closed disk of radius 2.
+    uniform on the closed disk of radius 2.  One rng.random(13 count) holds
+    the alphas and then the disk sampler's first round.
     """
-    alpha = rng.random(count)
-    p1, p2, p3 = 2.0 * _disk_points(rng, 3 * count).reshape(3, count)
-    return alpha, p1, p2, p3
+    u = rng.random(13 * count)
+    z, _ = _disk_points(rng, 3 * count, u[count:])
+    p1, p2, p3 = 2.0 * z.reshape(3, count)
+    return u[:count], p1, p2, p3

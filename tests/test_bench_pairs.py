@@ -1,6 +1,7 @@
 """The statistics and the claim rule of scripts/bench_pairs.py, on made-up runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,31 @@ def test_blas_core_reads_the_verbose_line(tmp_path, stderr, want):
                     'exit 0\n')
     fake.chmod(0o755)
     assert bench_pairs.blas_core(str(fake)) == want
+
+
+def test_raw_wall_time_is_reported_beside_pass_s(tmp_path):
+    # A stand-in perfbench whose runs read 2.0 s raw on the parent, 1.0 s on
+    # the change, and the same speed-scaled pass_s on both.
+    bench = {"run_seconds": 1, "end_to_end": [
+        {"name": "pass_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    # Both sides run the change side's perfbench, from their own root.
+    run = ("import json, os\n"
+           "wall = 1.0 if os.path.basename(os.getcwd()) == 'change' else 2.0\n"
+           "print(json.dumps({'record': {'output_sha256': 'x', 'median_wall_s': wall,"
+           " 'git_commit': 'p', 'python': '3', 'numpy': '2', 'nproc': 2,"
+           " 'cpus_allowed': 2, 'passes': []}}))\n"
+           "print(json.dumps({'metrics': {'pass_s': {'value': 0.5, 'unit': 's'}},"
+           " 'failed': 0, 'attempted': 1, 'correct': True}))\n")
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change" / "perfbench").mkdir(parents=True)
+    (tmp_path / "change" / "perfbench" / "run.py").write_text(run)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--run", "w=1-3", "--out", str(out)]) == 0
+    workload = json.loads(out.read_text())["workloads"]["w"]
+    wall = workload["median_wall_s"]
+    assert wall["parent"]["runs"] == [2.0] * 3 and wall["change"]["runs"] == [1.0] * 3
+    assert (wall["pairs"], wall["change_better_pairs"], wall["change_worse_pairs"]) == (3, 3, 0)
+    assert wall["change_vs_parent_median"] == -0.5
+    assert workload["end_to_end"]["pass_s"]["change_better_pairs"] == 0

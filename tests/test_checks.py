@@ -1,7 +1,8 @@
 """The blocked and row-kernel acceptance checks against their one-point loops.
 
 ``_lemma_row_blocks`` must draw its rows from the distributions of
-``alpha = rng.random(); pt = random_lemma_point(rng)``, and the atom sets and
+``alpha = rng.random(); pt = random_lemma_point(rng)``, bit for bit the rows
+of the per-call samplers below whatever its block size, and the atom sets and
 moment triples of ``caratheodory-admissibility`` and ``algebra-reconciliation``
 from theirs, and the array kernels the checks evaluate must agree, row by
 row, with the scalar functions the checks called one point at a time.  The
@@ -65,13 +66,102 @@ def _rows(rng, count):
     return np.column_stack([np.concatenate(col) for col in zip(*blocks)]).astype(complex)
 
 
-@pytest.mark.parametrize("block", [1, 7, 1024])
-def test_rows_are_seeded_and_sized(block, monkeypatch):
+def _reference_disk_points(rng, n):
+    z = np.empty(0, dtype=complex)
+    while z.size < n:
+        x, y = rng.uniform(-1.0, 1.0, (2, 2 * (n - z.size)))
+        w = x + 1j * y
+        z = np.concatenate((z, w[np.abs(w) <= 1.0]))
+    return z[:n]
+
+
+def _reference_lemma_row_blocks(rng, count, draw=1024):
+    """The lemma rows as drawn one generator call at a time, in groups of ``draw`` rows."""
+    for done in range(0, count, draw):
+        n = min(draw, count - done)
+        yield (rng.random(n), rng.uniform(0.0, 2.0, n),
+               _reference_disk_points(rng, n), _reference_disk_points(rng, n))
+
+
+def _reference_triple_rows(rng, count):
+    alpha = rng.random(count)
+    p1, p2, p3 = 2.0 * _reference_disk_points(rng, 3 * count).reshape(3, count)
+    return alpha, p1, p2, p3
+
+
+def _reference_rows(rng, count, draw=1024):
+    blocks = _reference_lemma_row_blocks(rng, count, draw)
+    return np.column_stack([np.concatenate(col) for col in zip(*blocks)]).astype(complex)
+
+
+def _draw_sizes(draw, block, monkeypatch):
+    assert block % draw == 0
+    monkeypatch.setattr(caratheodory, "_LEMMA_DRAW_ROWS", draw)
     monkeypatch.setattr(caratheodory, "LEMMA_BLOCK_ROWS", block)
-    rows = _rows(np.random.default_rng(12), 2000)
+
+
+def test_blocks_are_whole_draw_groups():
+    assert caratheodory._LEMMA_DRAW_ROWS == 1024
+    assert caratheodory.LEMMA_BLOCK_ROWS % caratheodory._LEMMA_DRAW_ROWS == 0
+
+
+@pytest.mark.parametrize("draw, block", [(1, 1), (1, 7), (7, 7), (7, 21), (1024, 4096)])
+def test_rows_are_seeded_and_sized(draw, block, monkeypatch):
+    # _rows checks the block sizes; the per-call reference in groups of
+    # ``draw`` rows checks the draw groups.
+    _draw_sizes(draw, block, monkeypatch)
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    rows = _rows(rng, 2000)
     assert rows.shape == (2000, 4)
-    again = _rows(np.random.default_rng(12), 2000)
-    assert np.array_equal(rows.view(np.uint64), again.view(np.uint64))
+    assert _bits(rows) == _bits(_reference_rows(ref_rng, 2000, draw))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, count", [*((s, 5000) for s in range(40)), (11, 100_000),
+                                         (12, 100_000)])
+def test_rows_are_the_per_call_draws(seed, count):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _bits(_rows(rng, count)) == _bits(_reference_rows(ref_rng, count))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("draw", [1, 2, 3])
+def test_rows_with_retried_rounds_are_the_per_call_draws(draw, monkeypatch):
+    # At a few rows per group disk rounds often fall short (about one in
+    # twenty at one row), so the y sampler reads on into the zeta sampler's
+    # doubles and the zeta sampler draws the shortfall from the generator.
+    _draw_sizes(draw, 2 * draw, monkeypatch)
+    rng, ref_rng = np.random.default_rng(draw), np.random.default_rng(draw)
+    assert _bits(_rows(rng, 3000)) == _bits(_reference_rows(ref_rng, 3000, draw))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_triple_rows_are_the_per_call_draws(seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = _triple_rows(rng, 1000), _reference_triple_rows(ref_rng, 1000)
+    assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _kernel_values(alpha, p, y, zeta):
+    """The per-row values the two 100,000-row checks take their worst of."""
+    return np.column_stack((_param_form_raw(alpha, p, y, zeta),
+                            _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta)),
+                            _phi_raw(alpha, p, np.abs(y))))
+
+
+def test_rows_and_values_do_not_depend_on_the_block(monkeypatch):
+    # 20,000 rows are 4 blocks of 4,096 and 3,616 rows, or 2 of 8,192 and
+    # 3,616: each size ends on a short block, and a short last draw group.
+    found = []
+    for block in (1024, 4096, 8192):
+        _draw_sizes(1024, block, monkeypatch)
+        blocks = list(_lemma_row_blocks(np.random.default_rng(12), 20_000))
+        assert blocks[0][0].size == block
+        found.append((_bits(np.concatenate([np.column_stack(b) for b in blocks])),
+                      _bits(np.concatenate([_kernel_values(*b) for b in blocks]))))
+    assert found[1:] == found[:1] * 2
 
 
 # Each statistic below is a mean of n independent draws; at 5 standard
@@ -135,30 +225,35 @@ def test_zero_rows():
 
 
 class _Draws:
-    """Stands in for a Generator: hands out ``head``, then 0.5s, as its doubles."""
+    """Stands in for a Generator: hands out ``head``, then 0.5s, as its
+    doubles, and counts them in ``taken``."""
 
     def __init__(self, head):
         self.head = list(head)
+        self.taken = 0
 
     def random(self, size):
-        n = int(np.prod(size))
-        out, self.head = (self.head + [0.5] * n)[:n], self.head[n:]
-        return np.reshape(out, size)
-
-    def uniform(self, low, high, size):
-        return low + (high - low) * self.random(size)
+        out, self.head = (self.head + [0.5] * size)[:size], self.head[size:]
+        self.taken += size
+        return np.array(out)
 
 
 @pytest.mark.parametrize("block", [1, 7])
-def test_rows_longer_than_the_buffer(block, monkeypatch):
-    # After the first block's alphas and ps, the first two rounds of its y
-    # sampler draw 1.0s, the corner (1, 1) of the square, outside the disk:
-    # its rows need more draws than one round reads, and the shortfall is
-    # redrawn twice before the 0.5s put every y and zeta at 0.
-    monkeypatch.setattr(caratheodory, "LEMMA_BLOCK_ROWS", block)
-    head = [0.5] * (2 * block) + [1.0] * (8 * block)
-    rows = _rows(_Draws(head), 10)
+@pytest.mark.parametrize("sampler", ["y", "zeta"])
+def test_rows_longer_than_the_buffer(block, sampler, monkeypatch):
+    # The first group's one call holds its alphas and ps, then 4 block
+    # doubles for each disk sampler.  1.0s, the corner (1, 1) of the square,
+    # lie outside the disk.  For y, its first round reads 1.0s and its second
+    # reads on into zeta's 1.0s; for zeta, its first round reads 1.0s and its
+    # second draws 1.0s from the generator.  Either way the shortfall is drawn
+    # twice more than one round reads, 8 block doubles in all, before the
+    # 0.5s put every y and zeta at 0.
+    _draw_sizes(block, block, monkeypatch)
+    corner = [1.0] * (8 * block) if sampler == "y" else [0.5] * (4 * block) + [1.0] * (8 * block)
+    draws = _Draws([0.5] * (2 * block) + corner)
+    rows = _rows(draws, 10)
     assert np.array_equal(rows[:, 2:], np.zeros((10, 2)))
+    assert draws.taken == 10 * 10 + 8 * block and draws.head == []
 
 
 @pytest.mark.parametrize("seed", [11, 12])

@@ -2,7 +2,8 @@
 
 Every e-notation number of the package lives in h2star/tolerances.py, and
 every entry there is used by some module.  The six entries that absorb
-floating-point rounding in a kernel or a check are measured here: each
+floating-point rounding in a kernel or a check, and two check windows,
+ATTAINMENT_TOL and MONOTONE_DROP_TOL, are measured here: each
 ``_worst_*`` function returns the worst error of the float kernels on a
 fixed sample, against the same kernels run on mpmath numbers at 50 digits
 (or against the exact value 1), and the test asserts that the entry covers
@@ -28,19 +29,24 @@ from h2star.caratheodory import (
     _toeplitz_min_eig_rows,
     _triple_rows,
 )
+from h2star.checks import ALPHA_GRID
 from h2star.hankel import (
+    HankelSpec,
     _moment_form_raw,
     _param_form_raw,
     _phi_raw,
     _zeta_coefficient,
     bound_profile,
+    hankel_det,
     phi,
     sharp_bound,
 )
-from h2star.starlike import _closed_form_rows
+from h2star.starlike import _closed_form_rows, extremal_coeffs
 from h2star.tolerances import (
+    ATTAINMENT_TOL,
     BOUND_MARGIN,
     DISK_TOL,
+    MONOTONE_DROP_TOL,
     PROOF_SLACK,
     PSD_TOL,
     ROUND_TRIP_P1_CUT,
@@ -262,3 +268,54 @@ def _worst_proof_slack() -> float:
 
 def test_proof_slack_covers_its_rounding():
     assert PROOF_SLACK >= _worst_proof_slack()
+
+
+def _worst_attainment() -> float:
+    """The deviations sharpness-attainment takes its worst of, as errors.
+
+    At each alpha of ALPHA_GRID: the extremal function's a2 and a4, exactly
+    0; its a3 against 1 - alpha, plus the error of the check's float
+    1 - alpha; and hankel_det against -(1 - alpha)^2, plus the error of
+    sharp_bound, which the check compares both det and |det| with.
+    """
+    errors = []
+    with mpmath.workdps(DIGITS):
+        for a in ALPHA_GRID:
+            f = extremal_coeffs(a, 8)
+            det = hankel_det(f, HankelSpec(q=2, n=2))
+            exact = 1 - mpmath.mpf(a)
+            target = _err([sharp_bound(a)], exact**2)
+            errors += [_err([f.coeff(2), f.coeff(4)], 0),
+                       _err([f.coeff(3)], exact) + _err([1.0 - a], exact),
+                       _err([det], -exact**2) + target]
+    return _worst(errors)
+
+
+def test_attainment_tol_covers_its_rounding():
+    assert ATTAINMENT_TOL >= _worst_attainment()
+
+
+def _worst_monotone_drop() -> float:
+    """The error of phi's drops along t on proof-step-properties' monotonicity grids.
+
+    The exact drop phi(p, t_j) - phi(p, t_{j+1}) is <= 0 (proof step 4), so
+    a computed drop is positive only by this error.  At 250 random drops of
+    each of the 20 grids of 101 x 101 points, computed as monotonicity_scan
+    computes them, against 50-digit mpmath.
+    """
+    rng = np.random.default_rng(0)
+    ps = np.linspace(0.0, 2.0, 101)
+    ts = np.linspace(0.0, 1.0, 101)
+    errors = []
+    with mpmath.workdps(DIGITS):
+        for a in np.linspace(0.0, 0.95, 20):
+            vals = _phi_raw(a, ps[:, None], ts[None, :])
+            i, j = rng.integers(0, 101, 250), rng.integers(0, 100, 250)
+            A, P = mpmath.mpf(a), _mp(ps[i])
+            exact = _phi_raw(A, P, _mp(ts[j])) - _phi_raw(A, P, _mp(ts[j + 1]))
+            errors.append(_err(vals[i, j] - vals[i, j + 1], exact))
+    return _worst(errors)
+
+
+def test_monotone_drop_tol_covers_its_rounding():
+    assert MONOTONE_DROP_TOL >= _worst_monotone_drop()
