@@ -7,6 +7,8 @@ The corpus holds outputs that must not change unless a change means them to:
   grids, at the alphas of the benchmark workloads and the acceptance checks;
 - the same two records on small grids at 20 alphas, among them 0.999999 and
   0.9999999, where (1 - alpha)^2 is below TIE_TOL;
+- the maximize_phi record on a tall 1001 x 11 grid at those 20 alphas, where
+  the search's row pruning leaves out most p rows;
 - the CSV of `h2star sweep` over [0, 0.9] in 9 steps, by phi and by lemma;
 - the lines `h2star check` prints, with every time replaced by "<time>".
 
@@ -38,6 +40,7 @@ DEFAULT_GRID_ALPHAS = sorted(set(checks.ALPHA_GRID) | {k / 10 for k in range(10)
 SMALL_GRID_ALPHAS = [0.0, 1e-12, 0.01, 0.1, 0.123, 0.25, 0.3, 0.333, 0.45, 0.5, 0.55, 0.6,
                      0.75, 0.875, 0.9, 0.99, 0.999, 0.99999, 0.999999, 0.9999999]
 SMALL_PHI_GRID = dict(grid_p=41, grid_t=21)
+TALL_PHI_GRID = dict(grid_p=1001, grid_t=11)
 SMALL_PARAM_GRID = dict(grid_p=41, grid_ymod=21, grid_yarg=16, grid_zarg=8)
 CHECKS = [name for name in checks.CHECKS_BY_NAME
           if name not in ("herglotz-search", "caratheodory-admissibility")]
@@ -65,6 +68,8 @@ def corpus() -> dict:
                           for a in DEFAULT_GRID_ALPHAS},
         "phi_small": {repr(a): search.maximize_phi(a, **SMALL_PHI_GRID).to_json()
                       for a in SMALL_GRID_ALPHAS},
+        "phi_tall": {repr(a): search.maximize_phi(a, **TALL_PHI_GRID).to_json()
+                     for a in SMALL_GRID_ALPHAS},
         "lemma_small": {repr(a): search.maximize_param(a, **SMALL_PARAM_GRID).to_json()
                         for a in SMALL_GRID_ALPHAS},
         "sweep_phi": _stdout(sweep + ["phi"]).splitlines(),

@@ -152,14 +152,22 @@ def _moment_form_raw(alpha_value, p1, p2, p3):
 def _param_form_raw(alpha_value: float, p, y, zeta):
     """Five-term parameterized form; broadcast-safe over numpy arrays."""
     s2 = (1.0 - alpha_value) ** 2
+    return s2 * (_zeta_free_terms(alpha_value, p, y) + _zeta_coefficient(p, y) * zeta / 6.0)
+
+
+def _zeta_free_terms(alpha_value: float, p, y):
+    """The four terms of _param_form_raw without zeta, summed left to right, before s2.
+
+    s2 times this sum is Psi at zeta = 0, up to the sign of a zero.
+    Broadcast-safe over numpy arrays.
+    """
     c = 3.0 - 8.0 * alpha_value + 4.0 * alpha_value * alpha_value
     q = 4.0 - p * p
-    return s2 * (
+    return (
         -c * p**4 / 48.0
         + p * p * q * y / 24.0
         - p * p * q * y * y / 12.0
         - q * q * y * y / 16.0
-        + _zeta_coefficient(p, y) * zeta / 6.0
     )
 
 

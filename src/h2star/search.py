@@ -12,14 +12,17 @@ does not affect the computation.  zeta is searched on the unit circle only;
 the functional is affine in zeta, so the modulus over the closed disk is
 maximized on the boundary.  maximize_phi and monotonicity_scan evaluate
 the unchecked kernel hankel._phi_raw on the grids they build inside phi's
-box.  The lemma grid evaluates the zeta axis only on the lines that the
-triangle inequality cannot rule out, with the full grid's result bit for
-bit (see maximize_param).  The atom search refines its restarts in
-lock-step as one batch, and a sweep refines all its alphas' restarts
-together, in batches of at most _HERGLOTZ_BATCH_ROWS rows; both give, bit
-for bit, the restarts run one after another at one alpha at a time.  A
-batch holds its live rows only, each with the moment kernels e^{i n t} of
-its angles; a row that stops is written out and dropped after its sweep.
+box.  phi is nondecreasing in t (proof step 4), so both grid searches
+bound each p row by phi at t = 1 and evaluate the rest of the row only
+where that bound can reach a tie.  The lemma grid evaluates the zeta axis
+only on the lines that the triangle inequality cannot rule out.  Both give
+the full grid's result bit for bit (see maximize_phi and maximize_param).
+The atom search refines its restarts in lock-step as one batch, and a
+sweep refines all its alphas' restarts together, in batches of at most
+_HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
+after another at one alpha at a time.  A batch holds its live rows only,
+each with the moment kernels e^{i n t} of its angles; a row that stops is
+written out and dropped after its sweep.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def _first_tied_index(vals: np.ndarray, vmax: float) -> tuple:
     C order is lexicographic order on grid indices, so this is the smallest
     tied index.
     """
-    return tuple(int(i) for i in np.argwhere(vals >= vmax - TIE_TOL)[0])
+    return tuple(int(i) for i in np.unravel_index(np.argmax(vals >= vmax - TIE_TOL), vals.shape))
 
 
 def maximize_phi(
@@ -117,6 +120,15 @@ def maximize_phi(
     Every grid holds (p, t) = (0, 1), where _phi_raw is (1 - alpha)^2 bit
     for bit, phi's maximum on its box (proof steps 4 and 5), so a point off
     the grid could beat the grid by rounding only, far below TIE_TOL.
+
+    The result is that of evaluating every grid point, bit for bit, but the
+    t axis is evaluated only on the p rows that can hold the maximum or a
+    tie.  phi is nondecreasing in t (proof step 4), so its t = 1 column,
+    evaluated first, bounds each row.  Like any grid value, phi(0, 1) is at
+    most the grid maximum, so a row whose bound is below
+    phi(0, 1) - TIE_TOL - BOUND_MARGIN can be neither the maximum nor tied
+    with it; BOUND_MARGIN covers rounding.  Where the profile phi(p, 1) is
+    flat, at alpha = 0, every row is kept.
     ``evaluations`` counts the grid points decided, grid_p * grid_t.
     ``seed`` is recorded only; it is None or a whole number of at least 0.
     """
@@ -128,12 +140,14 @@ def maximize_phi(
         seed = whole_number("seed", seed, 0, math.inf)
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
-    vals = _phi_raw(al, ps[:, None], ts[None, :])
-    pi, ti = _first_tied_index(vals, vals.max())
+    edge = _phi_raw(al, ps[:, None], ts[None, -1:])[:, 0]
+    rows = np.flatnonzero(edge >= edge[0] - TIE_TOL - BOUND_MARGIN)
+    vals = _phi_raw(al, ps[rows, None], ts[None, :])
+    k, ti = _first_tied_index(vals, vals.max())
 
     return SearchOutcome(
-        value=float(vals[pi, ti]),
-        argmax={"p": float(ps[pi]), "t": float(ts[ti])},
+        value=float(vals[k, ti]),
+        argmax={"p": float(ps[rows[k]]), "t": float(ts[ti])},
         method="phi",
         grid_spec={"grid_p": grid_p, "grid_t": grid_t, "seed": seed},
         evaluations=grid_p * grid_t,
@@ -143,16 +157,17 @@ def maximize_phi(
 def _line_maxima(al: float, p, y: np.ndarray, e_nu: np.ndarray, floor: float) -> np.ndarray:
     """Max over zeta grid ``e_nu`` of |Psi| on each line (p, y), raveled; -inf below ``floor``.
 
-    Psi = A + B zeta is affine in zeta, with A = Psi(zeta = 0) and B = s2 / 6
-    times the closed-form coefficient p q (1 - |y|^2) of _zeta_coefficient,
-    q = 4 - p^2.  A line whose bound |A| + |B| is below ``floor`` is not
-    evaluated.  Where the computed coefficient is exactly 0, the zeta term
-    is a signed zero and |Psi| is |A| all along the line; the other lines
-    kept are evaluated on the whole zeta axis.  The form acts elementwise:
-    every value is the double the full grid computes.
+    Psi = A + B zeta is affine in zeta, with A = s2 times the form's
+    zeta-free terms (Psi at zeta = 0 but for the sign of a zero, which abs
+    drops) and B = s2 / 6 times the closed-form coefficient p q (1 - |y|^2)
+    of _zeta_coefficient, q = 4 - p^2.  A line whose bound |A| + |B| is
+    below ``floor`` is not evaluated.  Where the computed coefficient is
+    exactly 0, the zeta term is a signed zero and |Psi| is |A| all along the
+    line; the other lines kept are evaluated on the whole zeta axis.  The
+    form acts elementwise: every value is the double the full grid computes.
     """
     p, y = np.broadcast_to(p, y.shape).ravel(), y.ravel()
-    a = np.abs(hankel._param_form_raw(al, p, y, 0.0))
+    a = np.abs((1.0 - al) ** 2 * hankel._zeta_free_terms(al, p, y))
     coef = hankel._zeta_coefficient(p, y)
     kept = a + (1.0 - al) ** 2 * np.abs(coef) / 6.0 >= floor
     free = kept & (coef == 0.0)
@@ -184,9 +199,13 @@ def maximize_param(
     grid holds p = 0, y = 1, zeta = 1, where |Psi| is (1 - alpha)^2; like any
     grid value, this m is at most the grid maximum, so a row or line whose
     bound is below m - TIE_TOL - BOUND_MARGIN can be neither the maximum nor
-    tied with it.  The rows kept are reduced 16 at a time to
-    their lines' maxima, the first tied line in C order is found from them,
-    and that line, evaluated once more, gives the first tied zeta.
+    tied with it.  phi is nondecreasing in t (proof step 4), so phi is
+    evaluated first at t = 1, and on the whole t axis only of the p rows
+    whose value there reaches that floor less another BOUND_MARGIN, which
+    covers rounding; the (p, t) rows kept are those of phi on the whole
+    grid.  The rows kept are reduced 16 at a time to their lines' maxima,
+    the first tied line in C order is found from them, and that line,
+    evaluated once more, gives the first tied zeta.
 
     ``evaluations`` counts the grid points decided, evaluated or excluded
     by a bound: grid_p * grid_ymod * grid_yarg * grid_zarg.  ``seed`` is
@@ -208,8 +227,10 @@ def maximize_param(
     # |Psi| at the grid point (p, |y|, arg y, arg zeta) = (0, 1, 0, 0)
     m = np.abs(hankel._param_form_raw(al, ps[:1], ts[-1:] * e_mu[:1], e_nu[:1]))[0]
     floor = m - TIE_TOL - BOUND_MARGIN
-    bound = hankel.phi(al, ps[:, None], ts[None, :])
-    rows = np.argwhere(bound >= floor)
+    edge = hankel.phi(al, ps[:, None], ts[None, -1:])[:, 0]
+    kept = np.flatnonzero(edge >= floor - BOUND_MARGIN)
+    rows = np.argwhere(hankel.phi(al, ps[kept, None], ts[None, :]) >= floor)
+    rows[:, 0] = kept[rows[:, 0]]
     # The first tied line exceeds every line before it in C order.  So the loop
     # keeps only such lines' maxima and flat indices, after a -inf sentinel,
     # and of them those within TIE_TOL of the last, which is the largest.

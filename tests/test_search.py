@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import math
 import os
 import subprocess
@@ -35,6 +36,11 @@ from h2star.tolerances import BOUND_MARGIN, TIE_TOL
 EXTREMAL_ATOMS = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
 
 SMALL_PARAM_GRIDS = dict(grid_p=41, grid_ymod=21, grid_yarg=16, grid_zarg=8)
+
+_SPEC = importlib.util.spec_from_file_location(
+    "golden_corpus", Path(__file__).resolve().parents[1] / "scripts" / "golden_corpus.py")
+golden_corpus = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden_corpus)
 
 
 class TestMaximizePhi:
@@ -117,7 +123,7 @@ class TestUncheckedPhiKernel:
     ALPHAS = [*np.linspace(0.0, 0.99, 40).tolist(), 0.5, 0.45, 0.55, 1 / 3, 0.999999,
               *np.random.default_rng(15).random(6).tolist()]
 
-    @pytest.mark.parametrize("grid", [(201, 101), (7, 5), (2, 2)])
+    @pytest.mark.parametrize("grid", [(201, 101), (7, 5), (2, 2), (1001, 11), (7, 1001)])
     def test_maximize_phi_records(self, grid):
         for a in self.ALPHAS:
             assert maximize_phi(a, *grid).to_json() == _maximize_phi_checked(a, *grid).to_json()
@@ -134,6 +140,59 @@ class TestUncheckedPhiKernel:
         monkeypatch.setattr(hankel, "phi", refuse)
         maximize_phi(0.3, 7, 5)
         monotonicity_scan(0.3, 7, 5)
+
+
+class TestPhiRowPruning:
+    """maximize_phi evaluates the t axis only on the p rows whose t = 1 value
+    reaches phi(0, 1) - TIE_TOL - BOUND_MARGIN; phi is nondecreasing in t."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        points = []
+
+        def counting(alpha_value, p, t):
+            out = hankel._phi_raw(alpha_value, p, t)
+            points.append(out.size)
+            return out
+
+        monkeypatch.setattr(search, "_phi_raw", counting)
+        return points
+
+    @pytest.mark.parametrize("a, points", [(0.25, [201, 101]), (0.0, [201, 20_301])])
+    def test_points_evaluated(self, monkeypatch, a, points):
+        # At alpha = 0.25 only the row p = 0 reaches the floor; at alpha = 0
+        # the profile phi(p, 1) is flat and every row is kept.
+        counted = self._counting(monkeypatch)
+        outcome = maximize_phi(a)
+        assert counted == points
+        assert outcome.evaluations == 201 * 101
+
+    # Stand-ins for _phi_raw, nondecreasing in t, whose exact maximum lies at
+    # p = 2, t = 1, with the p row of the first tied point.  In "flat" every
+    # grid point ties, so row 0 must win at t = 0.  In "pruned" the rows
+    # p = 0 and p = 2 tie at t = 1 and the rows between are pruned.  In
+    # "later" the row p = 2 lies 6 TIE_TOL above row 0 and wins.
+    KERNELS = {
+        "flat": (lambda alpha_value, p, t: 1.0 + 0.4 * TIE_TOL * p * t, "first"),
+        "pruned": (lambda alpha_value, p, t: t * (1.0 + 0.4 * TIE_TOL * p
+                                                  - 0.25 * p * (2.0 - p)), "first"),
+        "later": (lambda alpha_value, p, t: t * (1.0 + 3.0 * TIE_TOL * p
+                                                 - 0.25 * p * (2.0 - p)), "last"),
+    }
+
+    @pytest.mark.parametrize("kernel, row", KERNELS.values(), ids=KERNELS.keys())
+    @pytest.mark.parametrize("grid", [(201, 101), (1001, 11), (7, 1001)])
+    def test_stand_in_kernels_against_the_whole_grid(self, monkeypatch, kernel, row, grid):
+        ps = np.linspace(0.0, 2.0, grid[0])
+        ts = np.linspace(0.0, 1.0, grid[1])
+        vals = kernel(0.3, ps[:, None], ts[None, :]) * np.ones(grid)
+        assert np.unravel_index(np.argmax(vals), grid)[0] == grid[0] - 1
+        pi, ti = TestReferenceTieBreak._oracle(vals)
+        assert pi == {"first": 0, "last": grid[0] - 1}[row]
+        monkeypatch.setattr(search, "_phi_raw", kernel)
+        outcome = maximize_phi(0.3, *grid)
+        assert outcome.argmax == {"p": ps[pi], "t": ts[ti]}
+        assert outcome.value == vals[pi, ti]
 
 
 class TestMaximizeParam:
@@ -221,7 +280,7 @@ class TestReferenceTieBreak:
         def form(alpha_value, p, y, zeta):
             return (1.0 + 0.4 * TIE_TOL * p) * np.ones_like(y * zeta)
 
-        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        _use_form(monkeypatch, form)
         monkeypatch.setattr(hankel, "phi", _constant_bound(2.0))
         self._check_param(form, 0.3)
 
@@ -233,6 +292,19 @@ class TestReferenceTieBreak:
         pi, ti = self._oracle(phi(Alpha(a), ps[:, None], ts[None, :]))
         outcome = maximize_phi(Alpha(a), *grid)
         assert outcome.argmax == {"p": ps[pi], "t": ts[ti]}
+
+
+def _use_form(monkeypatch, form):
+    """Make ``form``, a stand-in for _param_form_raw, the form the search evaluates.
+
+    The search takes |A|, |Psi| at zeta = 0, from s2 times _zeta_free_terms.
+    The stand-in's zeta-free terms are ``form`` at zeta = 0 over s2, which
+    gives A back to within rounding, far below TIE_TOL.
+    """
+    monkeypatch.setattr(hankel, "_param_form_raw", form)
+    monkeypatch.setattr(hankel, "_zeta_free_terms",
+                        lambda alpha_value, p, y: form(alpha_value, p, y, 0.0)
+                        / (1.0 - alpha_value) ** 2)
 
 
 def _constant_bound(value):
@@ -328,7 +400,7 @@ class TestBoundPruning:
             return 0.5 + (1.0 - alpha_value) ** 2 / 6.0 * coefficient(p, y) * zeta
 
         monkeypatch.setattr(hankel, "_zeta_coefficient", coefficient)
-        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        _use_form(monkeypatch, form)
         monkeypatch.setattr(hankel, "phi", _constant_bound(1.0))
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert abs(want.argmax["y"]) == 1.0
@@ -342,7 +414,7 @@ class TestBoundPruning:
         def form(alpha_value, p, y, zeta):
             return (1.0 + 0.6 * TIE_TOL * p) * np.ones_like(y * zeta)
 
-        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        _use_form(monkeypatch, form)
         monkeypatch.setattr(hankel, "phi", _constant_bound(2.0))
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["p"] == np.linspace(0.0, 2.0, SMALL_PARAM_GRIDS["grid_p"])[7]
@@ -359,7 +431,7 @@ class TestBoundPruning:
         def bound(alpha, p, t):
             return (1.0 + 0.4 * TIE_TOL * p - BOUND_MARGIN / 2) * np.ones_like(p * t)
 
-        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        _use_form(monkeypatch, form)
         monkeypatch.setattr(hankel, "phi", bound)
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["p"] == 0.0
@@ -377,10 +449,26 @@ class TestBoundPruning:
         def bound(alpha, p, t):
             return (1.0 - 0.9 * TIE_TOL * (1.0 - t) - BOUND_MARGIN / 2) * np.ones_like(p * t)
 
-        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        _use_form(monkeypatch, form)
         monkeypatch.setattr(hankel, "phi", bound)
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["y"] == 0.0
+        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+
+    def test_maximum_in_a_later_kept_row(self, monkeypatch):
+        # The bound keeps the p rows 0 and 2 only, by their |y| = 1 values, and
+        # the maximum lies in the row p = 2, 6 TIE_TOL above the floor point:
+        # the rows found on the kept p rows must be placed in the whole grid.
+        def profile(p):
+            return 1.0 + 3.0 * TIE_TOL * p - 0.25 * p * (2.0 - p)
+
+        def form(alpha_value, p, y, zeta):
+            return profile(p) * np.ones_like(y * zeta)
+
+        _use_form(monkeypatch, form)
+        monkeypatch.setattr(hankel, "phi", lambda alpha, p, t: profile(p) * np.ones_like(p * t))
+        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
+        assert want.argmax["p"] == 2.0
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
 
     @pytest.mark.parametrize("a", [0.0, 1e-12, 0.25, 0.5, 0.75, 0.99, 0.999999])
@@ -390,6 +478,34 @@ class TestBoundPruning:
         one = np.ones(1, dtype=complex)
         m = np.abs(hankel._param_form_raw(a, np.zeros(1), one, one))[0]
         assert m == (1.0 - a) ** 2 == phi(a, 0.0, 1.0)
+
+    @pytest.mark.parametrize("grid, alphas", [
+        ((search.DEFAULT_GRID_P, search.DEFAULT_GRID_T, search.DEFAULT_GRID_YARG,
+          search.DEFAULT_GRID_ZARG), golden_corpus.DEFAULT_GRID_ALPHAS),
+        (tuple(SMALL_PARAM_GRIDS.values()), golden_corpus.SMALL_GRID_ALPHAS),
+    ])
+    def test_rows_kept_are_the_whole_grid_rows(self, monkeypatch, grid, alphas):
+        # The search bounds each p row by phi(p, 1) before it evaluates phi
+        # on the row's whole t axis; the (p, t) rows it keeps are those of
+        # phi on the whole grid, in C order.
+        line_maxima = search._line_maxima
+        seen = []
+
+        def spy(al, p, y, e_nu, floor):
+            # arg y = 0 is the first column, where y is |y| exactly.
+            seen.append(np.column_stack((np.broadcast_to(p, y.shape)[:, 0], y[:, 0].real)))
+            return line_maxima(al, p, y, e_nu, floor)
+
+        monkeypatch.setattr(search, "_line_maxima", spy)
+        ps = np.linspace(0.0, 2.0, grid[0])
+        ts = np.linspace(0.0, 1.0, grid[1])
+        for a in alphas:
+            seen.clear()
+            maximize_param(a, *grid)
+            floor = (1.0 - a) ** 2 - TIE_TOL - BOUND_MARGIN
+            pi, ti = np.nonzero(phi(a, ps[:, None], ts[None, :]) >= floor)
+            want = np.column_stack((ps[pi], ts[ti]))
+            assert np.concatenate(seen).tobytes() == want.tobytes(), a
 
     def test_zeta_axis_skipped_below_the_bound(self, monkeypatch):
         form = hankel._param_form_raw
@@ -425,11 +541,22 @@ class TestLineBound:
         worst = -np.inf
         for p in ps:
             p_line = np.full(y.shape, p)
-            bound = (np.abs(hankel._param_form_raw(a, p_line, y, 0.0))
+            bound = (np.abs((1.0 - a) ** 2 * hankel._zeta_free_terms(a, p_line, y))
                      + (1.0 - a) ** 2 * np.abs(hankel._zeta_coefficient(p_line, y)) / 6.0)
             vals = np.abs(hankel._param_form_raw(a, p, y[:, :, None], e_nu))
             worst = max(worst, float(np.max(vals.max(axis=2) - bound)))
         assert worst <= BOUND_MARGIN / 1000
+
+    @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75, 0.99])
+    def test_zeta_free_terms_give_psi_at_zero(self, a):
+        # |A| as the search takes it, s2 times the zeta-free terms, is |Psi|
+        # at zeta = 0 bit for bit: the two differ at most in the sign of a zero.
+        ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
+        y = ts[:, None] * np.exp(1j * np.arange(64) * (2.0 * math.pi / 64))
+        for p in np.linspace(0.0, 2.0, search.DEFAULT_GRID_P):
+            p_line = np.full(y.shape, p)
+            got = np.abs((1.0 - a) ** 2 * hankel._zeta_free_terms(a, p_line, y))
+            assert got.tobytes() == np.abs(hankel._param_form_raw(a, p_line, y, 0.0)).tobytes()
 
     @pytest.mark.parametrize("a, points", [(0.0, 65), (0.25, 65), (0.75, 65)])
     def test_default_grid_zeta_points(self, monkeypatch, a, points):
@@ -496,7 +623,7 @@ class TestZetaFreeLines:
             return (0.5 * np.exp(0.75j * math.pi)
                     + (1.0 - alpha_value) ** 2 / 6.0 * coefficient(p, y) * zeta)
 
-        monkeypatch.setattr(hankel, "_param_form_raw", form)
+        _use_form(monkeypatch, form)
         monkeypatch.setattr(hankel, "phi", _constant_bound(10.0))
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["zeta"] == np.exp(0.75j * math.pi)

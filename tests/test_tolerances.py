@@ -36,6 +36,7 @@ from h2star.hankel import (
     _param_form_raw,
     _phi_raw,
     _zeta_coefficient,
+    _zeta_free_terms,
     bound_profile,
     hankel_det,
     phi,
@@ -106,8 +107,8 @@ def _worst_bound_margin() -> float:
     At 400 random points of the default lemma grid per alpha, built as
     maximize_param builds them: the errors of |Psi| and of phi(p, t), plus
     the excess of phi at the computed |y| over phi at t, for the row bound;
-    the errors of |Psi| and of |A| + s2 |coef| / 6, with the closed-form
-    zeta coefficient, for the line bound.
+    the errors of |Psi| and of |A| + s2 |coef| / 6, with A from the form's
+    zeta-free terms and the closed-form zeta coefficient, for the line bound.
     """
     rng = np.random.default_rng(0)
     ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
@@ -119,11 +120,11 @@ def _worst_bound_margin() -> float:
         i, j, m, n = (rng.integers(0, x.size, 400) for x in (ps, ts, e_mu, e_nu))
         p, t, y, zeta = ps[i], ts[j], ts[j] * e_mu[m], e_nu[n]
         psi = np.abs(_param_form_raw(a, p, y, zeta))
-        line = np.abs(_param_form_raw(a, p, y, 0.0)) + (1.0 - a) ** 2 * np.abs(
+        line = np.abs((1.0 - a) ** 2 * _zeta_free_terms(a, p, y)) + (1.0 - a) ** 2 * np.abs(
             _zeta_coefficient(p, y)) / 6.0
         with mpmath.workdps(DIGITS):
             A, P, T, Y, Z = mpmath.mpf(a), _mp(p), _mp(t), _mp(y), _mp(zeta)
-            line_ex = np.abs(_param_form_raw(A, P, Y, 0)) + (1 - A) ** 2 * np.abs(
+            line_ex = np.abs((1 - A) ** 2 * _zeta_free_terms(A, P, Y)) + (1 - A) ** 2 * np.abs(
                 _zeta_coefficient(P, Y)) / 6
             row_ex = _phi_raw(A, P, T)
             lift = np.frompyfunc(lambda x: max(x, 0), 1, 1)(_phi_raw(A, P, np.abs(Y)) - row_ex)
@@ -135,6 +136,34 @@ def _worst_bound_margin() -> float:
 
 def test_bound_margin_covers_its_rounding():
     assert BOUND_MARGIN >= _worst_bound_margin()
+
+
+def _worst_row_edge_excess() -> float:
+    """Rounding that could lift a computed phi(p, t) past its row's computed phi(p, 1).
+
+    Both grid searches drop a p row whose phi(p, 1) is below their floor
+    less BOUND_MARGIN; phi is nondecreasing in t (proof step 4), so the
+    exact excess is <= 0.  On every point of the (p, t) grids the searches
+    build in the checks, the benchmark, the golden corpus and the tests, at
+    the checks' alphas and five more, the excess of the computed phi(p, t)
+    over its row's computed phi(p, 1), in 50 digits, and 0 where there is none.
+    """
+    errors = [[0]]
+    with mpmath.workdps(DIGITS):
+        for grid_p, grid_t in ((201, 101), (41, 21), (1001, 11), (7, 1001)):
+            ps = np.linspace(0.0, 2.0, grid_p)[:, None]
+            ts = np.linspace(0.0, 1.0, grid_t)[None, :]
+            for a in (*ALPHA_GRID, 0.123, 0.333, 0.99, 0.999, 0.999999):
+                vals = _phi_raw(a, ps, ts)
+                edge = np.broadcast_to(_phi_raw(a, ps, ts[:, -1:]), vals.shape)
+                over = vals > edge
+                if over.any():
+                    errors.append(_mp(vals[over]) - _mp(edge[over]))
+    return _worst(errors)
+
+
+def test_bound_margin_covers_the_row_edge():
+    assert BOUND_MARGIN >= _worst_row_edge_excess()
 
 
 def _worst_weight_sum() -> float:
