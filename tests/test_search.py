@@ -146,23 +146,18 @@ class TestPhiRowPruning:
     """maximize_phi evaluates the t axis only on the p rows whose t = 1 value
     reaches phi(0, 1) - TIE_TOL - BOUND_MARGIN; phi is nondecreasing in t."""
 
-    @staticmethod
-    def _counting(monkeypatch):
-        points = []
-
-        def counting(alpha_value, p, t):
-            out = hankel._phi_raw(alpha_value, p, t)
-            points.append(out.size)
-            return out
-
-        monkeypatch.setattr(search, "_phi_raw", counting)
-        return points
-
     @pytest.mark.parametrize("a, points", [(0.25, [201, 101]), (0.0, [201, 20_301])])
     def test_points_evaluated(self, monkeypatch, a, points):
         # At alpha = 0.25 only the row p = 0 reaches the floor; at alpha = 0
         # the profile phi(p, 1) is flat and every row is kept.
-        counted = self._counting(monkeypatch)
+        counted = []
+
+        def counting(alpha_value, p, t):
+            out = hankel._phi_raw(alpha_value, p, t)
+            counted.append(out.size)
+            return out
+
+        monkeypatch.setattr(search, "_phi_raw", counting)
         outcome = maximize_phi(a)
         assert counted == points
         assert outcome.evaluations == 201 * 101
