@@ -13,7 +13,10 @@ The corpus holds outputs that must not change unless a change means them to:
 - the lines `h2star check` prints, with every time replaced by "<time>".
 
 The herglotz-search and caratheodory-admissibility checks are left out: their
-detail text depends on which OpenBLAS kernel sums their dot products.
+detail text depends on which OpenBLAS kernel sums their dot products.  The
+bytes hold for numpy's default CPU dispatch at X86_V3 or above: below it,
+numpy's complex products and complex moduli round differently, and
+algebra-reconciliation's detail reads 1.601e-15 in place of 1.466e-15.
 tests/test_golden.py builds the corpus again and compares it byte for byte.
 A change that alters an output on purpose rewrites the file:
 

@@ -82,40 +82,20 @@ class HerglotzAtoms:
             raise InvalidAtoms(f"weights and angles must be sequences: {exc}") from exc
         if not w or len(w) != len(t):
             raise InvalidAtoms("need at least one atom and matching weights/angles")
-        t = _atom_arrays(np.array([w]), np.array([t]))[0]
+        if not all(math.isfinite(x) for x in w + t):
+            raise InvalidAtoms(f"weights and angles must be finite, got {w} and {t}")
+        if not all(x >= 0.0 for x in w):
+            raise InvalidAtoms(f"weights must be nonnegative, got {w}")
+        # left to right, as sum() adds floats up to Python 3.11
+        total = 0.0
+        for x in w:
+            total += x
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            raise InvalidAtoms(f"weights must sum to 1, got {total!r}")
+        # x % 2 pi rounds a tiny negative angle up to 2 pi itself
+        t = tuple(x % _TWO_PI for x in t)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "angles", tuple(t.tolist()))
-
-
-def _atom_arrays(weights, angles) -> np.ndarray:
-    """The angles of (N, K) rows of atom weights and angles, wrapped into
-    [0, 2 pi), after checking each row by the rules of HerglotzAtoms.
-
-    A row is an atom set: weights and angles finite, weights nonnegative
-    and summing to 1.  The first row that breaks a rule raises InvalidAtoms
-    with the text HerglotzAtoms gives that row.  Zero weights pad a row of
-    fewer atoms.
-    """
-    # left to right, as sum() adds floats up to Python 3.11
-    total = np.zeros(weights.shape[0])
-    for column in weights.T:
-        total = total + column
-    failure = _first_failure(
-        np.isfinite(weights).all(axis=1) & np.isfinite(angles).all(axis=1),
-        (weights >= 0.0).all(axis=1),
-        np.abs(total - 1.0) <= WEIGHT_SUM_TOL,
-    )
-    if failure is not None:
-        rule, (i,) = failure
-        w, t = tuple(weights[i].tolist()), tuple(angles[i].tolist())
-        raise InvalidAtoms((
-            f"weights and angles must be finite, got {w} and {t}",
-            f"weights must be nonnegative, got {w}",
-            f"weights must sum to 1, got {float(total[i])!r}",
-        )[rule])
-    # np.mod rounds a tiny negative angle up to 2 pi itself
-    angles = np.mod(angles, _TWO_PI)
-    return np.where(angles == _TWO_PI, 0.0, angles)
+        object.__setattr__(self, "angles", tuple(0.0 if x == _TWO_PI else x for x in t))
 
 
 @dataclass(frozen=True)
@@ -218,9 +198,9 @@ def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
 
 def _atom_moment_rows(weights, angles, m: int) -> np.ndarray:
     """The (N, m) moments of moments_from_atoms for (N, K) rows of atom
-    weights and angles, each row checked as by HerglotzAtoms.  A zero-weight
+    weights and angles in the form HerglotzAtoms holds them: finite
+    nonnegative weights summing to 1, angles in [0, 2 pi).  A zero-weight
     pad adds exact zeros, so a row's moments are those of its atoms alone."""
-    angles = _atom_arrays(weights, angles)
     n = np.arange(1, m + 1)
     moments = np.empty((weights.shape[0], m), dtype=complex)
     # one order at a time keeps every temporary at the (N, K) of the atoms
@@ -399,7 +379,7 @@ def _atom_rows(rng: np.random.Generator, count: int):
 
     A row has k atoms, k uniform on 1..MAX_ATOMS, with Dirichlet(1, ..., 1)
     weights and angles uniform on [0, 2 pi); its other MAX_ATOMS - k entries
-    are zero weights at angle 0.  _atom_moment_rows checks the rows.
+    are zero weights at angle 0.
     """
     k = rng.integers(1, MAX_ATOMS + 1, count)
     live = np.arange(MAX_ATOMS) < k[:, None]

@@ -337,13 +337,11 @@ def check_sweep_determinism():
     return identical, f"{len(blobs)} runs, {len(blobs[0])} bytes each, identical = {identical}"
 
 
-ALL_CHECKS = list(CHECKS_BY_NAME.values())
-
-
 def run_all(checks=None):
-    """Run the checks, printing one pass/fail line per criterion."""
+    """Run the checks, by default every check of CHECKS_BY_NAME in order,
+    printing one pass/fail line per criterion."""
     results = []
-    for fn in checks if checks is not None else ALL_CHECKS:
+    for fn in checks if checks is not None else CHECKS_BY_NAME.values():
         res = fn()
         results.append(res)
         status = "PASS" if res.passed else "FAIL"

@@ -10,13 +10,15 @@ smallest tied grid index, so the result does not depend on evaluation order.
 Grids are evaluated on one thread; ``workers`` is accepted and validated but
 does not affect the computation.  zeta is searched on the unit circle only;
 the functional is affine in zeta, so the modulus over the closed disk is
-maximized on the boundary.  maximize_phi and monotonicity_scan evaluate
-the unchecked kernel hankel._phi_raw on the grids they build inside phi's
-box.  phi is nondecreasing in t (proof step 4), so both grid searches
-bound each p row by phi at t = 1 and evaluate the rest of the row only
-where that bound can reach a tie.  The lemma grid evaluates the zeta axis
-only on the lines that the triangle inequality cannot rule out.  Both give
-the full grid's result bit for bit (see maximize_phi and maximize_param).
+maximized on the boundary.  maximize_phi, maximize_param and
+monotonicity_scan evaluate the unchecked kernel hankel._phi_raw on the
+grids they build inside phi's box.  phi is nondecreasing in t (proof step
+4), so both grid searches bound each p row by phi at t = 1 and evaluate
+the rest of the row only where that bound can reach a tie.  The lemma grid
+evaluates the zeta axis only on the lines that the triangle inequality
+cannot rule out, and reduces the maxima of the lines it keeps, one float
+per line, as the phi grid reduces its values.  Both give the full grid's
+result bit for bit (see maximize_phi and maximize_param).
 The atom search refines its restarts in lock-step as one batch, and a
 sweep refines all its alphas' restarts together, in batches of at most
 _HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
@@ -199,13 +201,15 @@ def maximize_param(
     grid holds p = 0, y = 1, zeta = 1, where |Psi| is (1 - alpha)^2; like any
     grid value, this m is at most the grid maximum, so a row or line whose
     bound is below m - TIE_TOL - BOUND_MARGIN can be neither the maximum nor
-    tied with it.  phi is nondecreasing in t (proof step 4), so phi is
-    evaluated first at t = 1, and on the whole t axis only of the p rows
-    whose value there reaches that floor less another BOUND_MARGIN, which
-    covers rounding; the (p, t) rows kept are those of phi on the whole
-    grid.  The rows kept are reduced 16 at a time to their lines' maxima,
-    the first tied line in C order is found from them, and that line,
-    evaluated once more, gives the first tied zeta.
+    tied with it.  phi is nondecreasing in t (proof step 4), so phi, as
+    _phi_raw on the grid's own points, is evaluated first at t = 1, and on
+    the whole t axis only of the p rows whose value there reaches that
+    floor less another BOUND_MARGIN, which covers rounding; the (p, t) rows
+    kept are those of phi on the whole grid.  The rows kept are reduced 16
+    at a time to their lines' maxima, which fill one vector of one float
+    per kept line.  _first_tied_index finds the first tied line in C order
+    in it, and that line, evaluated once more, gives the first tied zeta
+    against the same maximum.
 
     ``evaluations`` counts the grid points decided, evaluated or excluded
     by a bound: grid_p * grid_ymod * grid_yarg * grid_zarg.  ``seed`` is
@@ -227,25 +231,19 @@ def maximize_param(
     # |Psi| at the grid point (p, |y|, arg y, arg zeta) = (0, 1, 0, 0)
     m = np.abs(hankel._param_form_raw(al, ps[:1], ts[-1:] * e_mu[:1], e_nu[:1]))[0]
     floor = m - TIE_TOL - BOUND_MARGIN
-    edge = hankel.phi(al, ps[:, None], ts[None, -1:])[:, 0]
+    edge = _phi_raw(al, ps[:, None], ts[None, -1:])[:, 0]
     kept = np.flatnonzero(edge >= floor - BOUND_MARGIN)
-    rows = np.argwhere(hankel.phi(al, ps[kept, None], ts[None, :]) >= floor)
+    rows = np.argwhere(_phi_raw(al, ps[kept, None], ts[None, :]) >= floor)
     rows[:, 0] = kept[rows[:, 0]]
-    # The first tied line exceeds every line before it in C order.  So the loop
-    # keeps only such lines' maxima and flat indices, after a -inf sentinel,
-    # and of them those within TIE_TOL of the last, which is the largest.
-    lead, at = np.array([-np.inf]), np.array([-1])
+    vals = np.empty(len(rows) * grid_yarg)
     for s in range(0, len(rows), 16):
         p, y = ps[rows[s:s + 16, :1]], ts[rows[s:s + 16, 1:]] * e_mu
-        vals = _line_maxima(al, p, y, e_nu, floor)
-        new = np.flatnonzero(vals > np.maximum.accumulate(np.append(lead[-1], vals[:-1])))
-        lead, at = np.append(lead, vals[new]), np.append(at, s * grid_yarg + new)
-        near = lead >= lead[-1] - TIE_TOL
-        lead, at = lead[near], at[near]
-    k, mi = divmod(int(at[0]), grid_yarg)
+        vals[s * grid_yarg:(s + 16) * grid_yarg] = _line_maxima(al, p, y, e_nu, floor)
+    vmax = vals.max()
+    k, mi = _first_tied_index(vals.reshape(len(rows), grid_yarg), vmax)
     pi, ti = rows[k]
     line = hankel._param_form_raw(al, ps[pi:pi + 1, None], ts[ti] * e_mu[mi:mi + 1, None], e_nu)
-    (ni,) = _first_tied_index(np.abs(line[0]), lead[-1])
+    (ni,) = _first_tied_index(np.abs(line[0]), vmax)
     pt = LemmaPoint(float(ps[pi]), complex(ts[ti] * e_mu[mi]), complex(e_nu[ni]))
     value = abs(hankel.functional_param_form(al, pt))
 

@@ -72,6 +72,12 @@ class TestAtoms:
         with pytest.raises(InvalidAtoms):
             HerglotzAtoms((0.5, 0.4), (0.0, 1.0))
 
+    def test_overflowing_sum_is_refused_without_a_warning(self):
+        # The running total of the weights overflows to inf; warnings are errors here.
+        with pytest.raises(InvalidAtoms) as info:
+            HerglotzAtoms((1e308, 1e308), (0.0, 1.0))
+        assert str(info.value) == "weights must sum to 1, got inf"
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(InvalidAtoms):
             HerglotzAtoms((1.0,), (0.0, 1.0))

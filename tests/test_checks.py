@@ -379,7 +379,6 @@ def _error(call):
     return type(info.value), str(info.value)
 
 
-_GOOD_ATOMS = ((1.0, 0.0, 0.0), (0.3, 0.0, 0.0))
 _GOOD_MOMENTS = (1.0, 0.5, 0.25)
 
 
@@ -393,13 +392,14 @@ _GOOD_MOMENTS = (1.0, 0.5, 0.25)
     ],
 )
 def test_atom_rows_raise_the_error_of_their_first_bad_row(weights, angles, error):
-    # Row 3 breaks an earlier rule than row 2 may; row 2 is reported.
-    w = np.array([_GOOD_ATOMS[0], _GOOD_ATOMS[0], weights, (math.nan, 0.0, 0.0), _GOOD_ATOMS[0]])
-    t = np.array([_GOOD_ATOMS[1]] * 5)
-    t[2] = angles
-    got = _error(lambda: _atom_moment_rows(w, t, 3))
-    assert got == _error(lambda: HerglotzAtoms(weights, angles)) and got[0] is InvalidAtoms
-    assert error in got[1]
+    # HerglotzAtoms takes its rules in order; a NaN weight also
+    # breaks the sum, and the finite rule is reported.
+    text = {
+        "finite": f"weights and angles must be finite, got {weights} and {angles}",
+        "nonnegative": "weights must be nonnegative, got (1.5, -0.5, 0.0)",
+        "sum to 1": "weights must sum to 1, got 0.9",
+    }[error]
+    assert _error(lambda: HerglotzAtoms(weights, angles)) == (InvalidAtoms, text)
 
 
 def _moment_batch(bad):

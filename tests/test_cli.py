@@ -317,6 +317,18 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" not in err
 
+    def test_overflowing_weight_sum_is_one_error_line(self):
+        # A fresh interpreter prints numpy's warnings, which pytest would raise.
+        proc = subprocess.run(
+            [sys.executable, "-m", "h2star", "coeffs", "--alpha", "0",
+             "--atoms", "1e308:0,1e308:1"],
+            capture_output=True, env=src_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.decode().splitlines() == [
+            "h2star: error: weights must sum to 1, got inf"
+        ]
+
     def test_bad_method_choice(self, capsys):
         code, _, _ = run_cli(capsys, "search", "--alpha", "0.1", "--method", "newton")
         assert code == 2

@@ -115,8 +115,9 @@ def _monotonicity_scan_checked(alpha, grid_p, grid_t):
 
 
 class TestUncheckedPhiKernel:
-    """maximize_phi and monotonicity_scan evaluate hankel._phi_raw on their own
-    points; their results must be those of the checked export, bit for bit."""
+    """maximize_phi, maximize_param and monotonicity_scan evaluate
+    hankel._phi_raw on their own points; the results of maximize_phi and
+    monotonicity_scan must be those of the checked export, bit for bit."""
 
     # 40 equispaced alphas from 0, the sign change of c at 0.5 and its
     # neighbours, 1/3, an alpha near 1 and 6 random ones.
@@ -139,6 +140,7 @@ class TestUncheckedPhiKernel:
 
         monkeypatch.setattr(hankel, "phi", refuse)
         maximize_phi(0.3, 7, 5)
+        maximize_param(0.3, 7, 5, 4, 4)
         monotonicity_scan(0.3, 7, 5)
 
 
@@ -276,7 +278,7 @@ class TestReferenceTieBreak:
             return (1.0 + 0.4 * TIE_TOL * p) * np.ones_like(y * zeta)
 
         _use_form(monkeypatch, form)
-        monkeypatch.setattr(hankel, "phi", _constant_bound(2.0))
+        monkeypatch.setattr(search, "_phi_raw", _constant_bound(2.0))
         self._check_param(form, 0.3)
 
     @pytest.mark.parametrize("a", ALPHAS)
@@ -303,7 +305,7 @@ def _use_form(monkeypatch, form):
 
 
 def _constant_bound(value):
-    """A stand-in for hankel.phi: ``value`` on the broadcast (p, t) grid."""
+    """A stand-in for the bound phi: ``value`` on the broadcast (p, t) grid."""
     return lambda alpha, p, t: np.full(np.broadcast(p, t).shape, value)
 
 
@@ -396,7 +398,7 @@ class TestBoundPruning:
 
         monkeypatch.setattr(hankel, "_zeta_coefficient", coefficient)
         _use_form(monkeypatch, form)
-        monkeypatch.setattr(hankel, "phi", _constant_bound(1.0))
+        monkeypatch.setattr(search, "_phi_raw", _constant_bound(1.0))
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert abs(want.argmax["y"]) == 1.0
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
@@ -410,7 +412,7 @@ class TestBoundPruning:
             return (1.0 + 0.6 * TIE_TOL * p) * np.ones_like(y * zeta)
 
         _use_form(monkeypatch, form)
-        monkeypatch.setattr(hankel, "phi", _constant_bound(2.0))
+        monkeypatch.setattr(search, "_phi_raw", _constant_bound(2.0))
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["p"] == np.linspace(0.0, 2.0, SMALL_PARAM_GRIDS["grid_p"])[7]
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
@@ -427,7 +429,7 @@ class TestBoundPruning:
             return (1.0 + 0.4 * TIE_TOL * p - BOUND_MARGIN / 2) * np.ones_like(p * t)
 
         _use_form(monkeypatch, form)
-        monkeypatch.setattr(hankel, "phi", bound)
+        monkeypatch.setattr(search, "_phi_raw", bound)
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["p"] == 0.0
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
@@ -445,7 +447,7 @@ class TestBoundPruning:
             return (1.0 - 0.9 * TIE_TOL * (1.0 - t) - BOUND_MARGIN / 2) * np.ones_like(p * t)
 
         _use_form(monkeypatch, form)
-        monkeypatch.setattr(hankel, "phi", bound)
+        monkeypatch.setattr(search, "_phi_raw", bound)
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["y"] == 0.0
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
@@ -461,7 +463,8 @@ class TestBoundPruning:
             return profile(p) * np.ones_like(y * zeta)
 
         _use_form(monkeypatch, form)
-        monkeypatch.setattr(hankel, "phi", lambda alpha, p, t: profile(p) * np.ones_like(p * t))
+        monkeypatch.setattr(search, "_phi_raw",
+                            lambda alpha, p, t: profile(p) * np.ones_like(p * t))
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["p"] == 2.0
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
@@ -619,7 +622,7 @@ class TestZetaFreeLines:
                     + (1.0 - alpha_value) ** 2 / 6.0 * coefficient(p, y) * zeta)
 
         _use_form(monkeypatch, form)
-        monkeypatch.setattr(hankel, "phi", _constant_bound(10.0))
+        monkeypatch.setattr(search, "_phi_raw", _constant_bound(10.0))
         want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
         assert want.argmax["zeta"] == np.exp(0.75j * math.pi)
         assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
