@@ -11,15 +11,15 @@ change first.  Standard library only.
         --claim lemma-grid:pass_s:0.15 --out BENCH_18.json
 
 ``--run W=SEEDS`` runs workload W once per side at each seed; SEEDS is a
-range ``a-b`` or a comma list.  Every metric is reported per workload as
-each side's median, inclusive quartiles and runs, and the pairs in which the
-change reads better or worse; so is perfbench's raw ``median_wall_s``, beside
-the speed-scaled ``pass_s``.  ``--claim W:METRIC[:TARGET]`` evaluates the
-claim rule on one workload and metric: the change is better in at least 9 of
-10 pairs run, its median is past the parent's by more than the parent's
-interquartile distance and, with a TARGET, the median moved by at least that
-fraction of the parent's median.  The raw output of each run goes to
-``--log`` when given.
+range ``a-b`` or a comma list, of at least two seeds.  Every metric is
+reported per workload as each side's median, inclusive quartiles and runs,
+and the pairs in which the change reads better or worse; so is perfbench's
+raw ``median_wall_s``, beside the speed-scaled ``pass_s``.
+``--claim W:METRIC[:TARGET]`` evaluates the claim rule on one workload and
+metric: the change is better in at least 9 of 10 pairs run, its median is
+past the parent's by more than the parent's interquartile distance and, with
+a TARGET, the median moved by at least that fraction of the parent's median.
+The raw output of each run goes to ``--log`` when given.
 """
 
 from __future__ import annotations
@@ -65,7 +65,11 @@ def parse_args(argv):
         name, _, seeds = item.partition("=")
         if not seeds:
             parser.error(f"--run takes W=SEEDS, got {item!r}")
-        runs.append((name, seed_list(seeds)))
+        seeds = seed_list(seeds)
+        if len(seeds) < 2:
+            # summary() takes quartiles, which need two runs a side
+            parser.error(f"--run needs at least two seeds, got {item!r}")
+        runs.append((name, seeds))
     args.run = runs
     if args.claim:
         name, metric, *target = args.claim.split(":")

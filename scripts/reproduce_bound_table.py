@@ -8,7 +8,8 @@ the full parameter-box grid, and the atom-measure search.
     python3 scripts/reproduce_bound_table.py
     python3 scripts/reproduce_bound_table.py --steps 18 --methods phi lemma
 
-Input outside a search's domain prints one error line on stderr and exits 1.
+Input outside a search's domain, or a --steps too large to allocate, prints
+one error line on stderr and exits 1.
 """
 
 import argparse
@@ -34,7 +35,7 @@ def main() -> int:
             rows = sweep_alpha(
                 args.alpha_start, args.alpha_end, args.steps, method, seed=args.seed
             )
-        except H2StarError as exc:
+        except (H2StarError, MemoryError) as exc:
             print(f"reproduce_bound_table: error: {exc}", file=sys.stderr)
             return 1
         elapsed = time.perf_counter() - t0

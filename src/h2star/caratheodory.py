@@ -139,8 +139,9 @@ class LemmaPoint:
 def _check_lemma_box(p, y, zeta):
     """Raise InvalidLemmaPoint unless p lies in [0, 2] and |y|, |zeta| <= 1.
 
-    Takes scalars or equal-shape arrays.  Every comparison is false for NaN,
-    and the box is bounded, so non-finite input is rejected too.
+    Takes scalars or equal-shape arrays; the first of the rules on p, y and
+    zeta that fails raises, at its first failing entry.  Every comparison is
+    false for NaN, and the box is bounded, so non-finite input fails too.
     """
     ay, az = abs(y), abs(zeta)
     _require(
@@ -152,34 +153,17 @@ def _check_lemma_box(p, y, zeta):
 
 def _require(*rules):
     """Raise error(template.format(v)) for the first of the rules
-    (ok, value, error, template) that fails at the first entry where any fails.
+    (ok, value, error, template) that fails anywhere, at its first false entry.
 
-    ``ok`` is a truth value or an array of them, of one shape across the
-    rules; v is the entry of ``value`` there, a number or, when ``value``
-    has more dimensions than ``ok``, a row, as a Python number or list.
+    ``ok`` is a truth value or an array of them; v is the entry of ``value``
+    there, a number or, when ``value`` has more dimensions than ``ok``, a
+    row, as a Python number or list.
     """
-    # Plain Trues skip numpy, which would triple the cost of one LemmaPoint.
-    for ok, *_ in rules:
+    for ok, value, error, template in rules:
+        # Plain Trues skip numpy, which would triple the cost of one LemmaPoint.
         if ok is not True and not np.all(ok):
-            break
-    else:
-        return
-    rule, where = _first_failure(*(ok for ok, *_ in rules))
-    _, value, error, template = rules[rule]
-    raise error(template.format(np.asarray(value)[where].tolist()))
-
-
-def _first_failure(*oks):
-    """(rule, index) of the first false entry of ``oks``, equal-shape arrays
-    of truth values, taking entries in index order and, at one entry, the
-    arrays in order; None when every entry is true."""
-    failing = np.logical_not(np.stack(np.broadcast_arrays(*oks)))
-    flat = failing.reshape(len(oks), -1)
-    anywhere = flat.any(axis=0)
-    if not anywhere.any():
-        return None
-    at = int(np.argmax(anywhere))
-    return int(np.argmax(flat[:, at])), np.unravel_index(at, failing.shape[1:])
+            where = np.unravel_index(np.argmin(ok), np.shape(ok))
+            raise error(template.format(np.asarray(value)[where].tolist()))
 
 
 def _modulus_finite(z) -> np.ndarray:
@@ -245,8 +229,9 @@ def _lemma_inverse_rows(p1, p2, p3):
     """lemma_inverse of each entry of the (N,) complex arrays p1, p2 and p3.
 
     Returns ``(y, zeta, edge)``: ``edge`` marks the entries where |y| is at
-    the unit circle, whose ``zeta`` means nothing.  The first entry that
-    lemma_inverse would refuse raises its error and text.
+    the unit circle, whose ``zeta`` means nothing.  Input that lemma_inverse
+    would refuse raises lemma_inverse's error and text for the first of its
+    rules that fails, at the first entry that fails it.
     """
     p = p1.real
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -295,12 +280,12 @@ def toeplitz_psd(moments) -> tuple:
     return min_eig, min_eig >= -PSD_TOL
 
 
-def _toeplitz_min_eig_rows(moments) -> np.ndarray:
+def _toeplitz_min_eig_rows(p) -> np.ndarray:
     """The least eigenvalue of toeplitz_psd's matrix for each row of an
-    (N, m) moment array, by one stacked eigen-solve; the first row that
-    toeplitz_psd would refuse raises its error and text."""
-    finite = np.isfinite(moments).all(axis=1)
-    p = np.where(finite[:, None], moments, 0.0)
+    (N, m) moment array, by one stacked eigen-solve.  Finite moments, checked
+    before the solve, then a finite eigenvalue: the first rule that fails
+    raises toeplitz_psd's error and text, at the first row that fails it."""
+    _require((np.isfinite(p).all(axis=1), p, DomainError, _NOT_FINITE_MOMENTS))
     rows, m = p.shape
     # entries c_{-m}..c_m with c_0 = 2, c_n = p_n, c_{-n} = conj(p_n)
     full = np.concatenate((np.conj(p[:, ::-1]), np.full((rows, 1), 2.0 + 0.0j), p), axis=1)
@@ -308,11 +293,8 @@ def _toeplitz_min_eig_rows(moments) -> np.ndarray:
     # entries: the stacked matrices are a strided view, not an (N, m+1, m+1) copy
     windows = np.lib.stride_tricks.sliding_window_view(full[:, ::-1], m + 1, axis=1)
     min_eig = np.linalg.eigvalsh(windows[:, ::-1])[:, 0]
-    _require(
-        (finite, moments, DomainError, _NOT_FINITE_MOMENTS),
-        (np.isfinite(min_eig), min_eig, DomainError,
-         "least Toeplitz eigenvalue or its modulus is not finite: the inputs are too large"),
-    )
+    _require((np.isfinite(min_eig), min_eig, DomainError,
+              "least Toeplitz eigenvalue or its modulus is not finite: the inputs are too large"))
     return min_eig
 
 
@@ -347,8 +329,9 @@ def normalize_rotation(moments) -> tuple:
 
 def _rotation_rows(p):
     """normalize_rotation of each row of an (N, m) moment array: the rotated
-    rows and the (N,) angles theta.  The first row that normalize_rotation
-    would refuse raises its error and text."""
+    rows and the (N,) angles theta.  Finite moments, then finite rotated
+    moments: the first rule that fails raises normalize_rotation's error and
+    text, at the first row that fails it."""
     theta = np.where(p[:, 0] == 0, 0.0, -np.angle(p[:, 0]))
     n = np.arange(1, p.shape[1] + 1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -204,10 +204,8 @@ def phi(alpha: Alpha | float, p, t):
         except ValueError:
             raise DomainError(f"p and t must broadcast together, got shapes {p_arr.shape} "
                               f"and {t_arr.shape}") from None
-    _require(((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError,
-              "p must lie in [0, 2], got {}"))
-    _require(((t_arr >= 0.0) & (t_arr <= 1.0), t_arr, DomainError,
-              "t must lie in [0, 1], got {}"))
+    _require(((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError, "p must lie in [0, 2], got {}"),
+             ((t_arr >= 0.0) & (t_arr <= 1.0), t_arr, DomainError, "t must lie in [0, 1], got {}"))
     val = _phi_raw(al, p_arr, t_arr)
     return float(val) if val.ndim == 0 else val
 

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import hankel
-from .caratheodory import LemmaPoint
+from .caratheodory import _TWO_PI, LemmaPoint
 from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import _phi_raw, det2, sharp_bound
@@ -58,8 +58,6 @@ _HERGLOTZ_BATCH_ROWS = 1 << 10
 # Points per call of the form on whole zeta axes: at alpha = 0.999999 (every
 # default-grid line ties) a search took 1.9 s at 2^13, 2.6 s at 2^16 (2 vCPU).
 _ZETA_CALL_POINTS = 1 << 13
-
-_TWO_PI = 2.0 * math.pi
 
 DEFAULT_GRID_P = 201
 DEFAULT_GRID_T = 101
@@ -337,6 +335,8 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
         for i in range(k):
             for sign in (1.0, -1.0):
                 col = (t[:, i] + sign * step_t) % _TWO_PI
+                # x % 2 pi rounds a tiny negative x up to 2 pi: fold it as HerglotzAtoms does
+                col[col == _TWO_PI] = 0.0
                 # A row keeps the new column only if it keeps the new angle.
                 kept = kern[:, :, i].copy()
                 kern[:, :, i] = _kernels(col[:, None])[:, :, 0]

@@ -134,8 +134,9 @@ def _closed_form_rows(alpha, p1, p2, p3):
     """(a2, a3, a4) of closed_form_a234 for equal-shape arrays of moments.
 
     ``alpha`` is one alpha value (a float) or an array of each entry's
-    value; callers validate it.  The first entry whose value closed_form_a234
-    would refuse raises its error and text.
+    value; callers validate it.  Input that closed_form_a234 would refuse
+    raises closed_form_a234's error and text for the first of a2, a3 and a4
+    that is not finite somewhere, at the first entry where it is not.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = (1.0 - alpha) * p1

@@ -128,3 +128,16 @@ def test_raw_wall_time_is_reported_beside_pass_s(tmp_path):
     assert (wall["pairs"], wall["change_better_pairs"], wall["change_worse_pairs"]) == (3, 3, 0)
     assert wall["change_vs_parent_median"] == -0.5
     assert workload["end_to_end"]["pass_s"]["change_better_pairs"] == 0
+
+
+@pytest.mark.parametrize("seeds", ["1801", "9-9", "5-3"])
+def test_a_run_needs_two_seeds(tmp_path, capsys, seeds):
+    # summary() needs two runs a side, so a shorter --run is refused before
+    # any run starts.
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--run", f"w={seeds}",
+                          "--out", str(out)])
+    assert info.value.code == 2
+    assert f"--run needs at least two seeds, got 'w={seeds}'" in capsys.readouterr().err
+    assert not out.exists()

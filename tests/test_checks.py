@@ -402,6 +402,9 @@ def test_atom_rows_raise_the_error_of_their_first_bad_row(weights, angles, error
     assert _error(lambda: HerglotzAtoms(weights, angles)) == (InvalidAtoms, text)
 
 
+# Each batch holds bad in row 2 and a NaN in row 3.  A row kernel takes its
+# export's rules in order, so it raises the export's error for the row that
+# fails the earlier rule, row 2 when both fail the same one.
 def _moment_batch(bad):
     rows = np.array([_GOOD_MOMENTS] * 5, dtype=complex)
     rows[2] = bad
@@ -410,65 +413,78 @@ def _moment_batch(bad):
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [(math.nan, 2.0, 0.0), (1e308 + 1e308j, -1e308, 1.7e308)],
+    "bad, row",
+    [((math.nan, 2.0, 0.0), 2), ((1e308 + 1e308j, -1e308, 1.7e308), 3)],
     ids=["non-finite", "eigenvalue-overflow"],
 )
-def test_toeplitz_rows_raise_the_error_of_their_first_bad_row(bad):
-    got = _error(lambda: _toeplitz_min_eig_rows(_moment_batch(bad)))
-    assert got == _error(lambda: toeplitz_psd(bad))
+def test_toeplitz_rows_raise_the_error_of_their_first_failing_rule(bad, row):
+    rows = _moment_batch(bad)
+    got = _error(lambda: _toeplitz_min_eig_rows(rows))
+    assert got == _error(lambda: toeplitz_psd(rows[row]))
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [(0.5, complex(0.0, math.inf), 0.0), (1.7e308 + 1.7e308j, 1.7e308, 0.0)],
+    "bad, row",
+    [((0.5, complex(0.0, math.inf), 0.0), 2), ((1.7e308 + 1.7e308j, 1.7e308, 0.0), 3)],
     ids=["non-finite", "rotation-overflow"],
 )
-def test_rotation_rows_raise_the_error_of_their_first_bad_row(bad):
-    got = _error(lambda: _rotation_rows(_moment_batch(bad)))
-    assert got == _error(lambda: normalize_rotation(bad))
+def test_rotation_rows_raise_the_error_of_their_first_failing_rule(bad, row):
+    rows = _moment_batch(bad)
+    got = _error(lambda: _rotation_rows(rows))
+    assert got == _error(lambda: normalize_rotation(rows[row]))
+
+
+_Y_OVERFLOW = (1.0, 1.5e308 + 1.5e308j, 0.0)
 
 
 @pytest.mark.parametrize(
-    "bad, error",
+    "bad, error, row",
     [
-        ((1.0j, 0.0, 0.0), DomainError),
-        ((-0.5, 0.0, 0.0), DomainError),
-        ((2.0, 2.0, 2.0), DegenerateP1),
-        ((1.0, 1.5e308 + 1.5e308j, 0.0), DomainError),
-        ((0.0, 2.5, 0.0), InadmissibleMoments),
-        ((1.0, 0.5, 1e308), DomainError),
-        ((1.0, 0.5, 3.0), InadmissibleMoments),
+        ((1.0j, 0.0, 0.0), DomainError, 2),
+        ((-0.5, 0.0, 0.0), DomainError, 2),
+        ((2.0, 2.0, 2.0), DegenerateP1, 2),
+        (_Y_OVERFLOW, DomainError, 2),
+        ((0.0, 2.5, 0.0), InadmissibleMoments, 3),
+        ((1.0, 0.5, 1e308), DomainError, 3),
+        ((1.0, 0.5, 3.0), InadmissibleMoments, 3),
     ],
     ids=["unrotated", "negative", "degenerate", "y-overflow", "y-outside", "zeta-overflow",
          "zeta-outside"],
 )
-def test_inverse_rows_raise_the_error_of_their_first_bad_row(bad, error):
-    # Row 3 has p1 = NaN, which fails at the recovered y.
-    got = _error(lambda: _lemma_inverse_rows(*_moment_batch(bad).T))
-    assert got == _error(lambda: lemma_inverse(MomentTriple(*bad))) and got[0] is error
+def test_inverse_rows_raise_the_error_of_their_first_failing_rule(bad, error, row):
+    # Row 3 has p1 = NaN, which fails at the recovered y.  MomentTriple
+    # refuses NaN, so the export is given a row that fails there too.
+    rows = _moment_batch(bad)
+    got = _error(lambda: _lemma_inverse_rows(*rows.T))
+    want = rows[2] if row == 2 else _Y_OVERFLOW
+    assert got == _error(lambda: lemma_inverse(MomentTriple(*want)))
+    assert _error(lambda: lemma_inverse(MomentTriple(*bad)))[0] is error
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [(1e308, 0.0, 0.0), (1.0, 1.0, 1e308), (1e200, 1e200, 0.0)],
+    "bad, row",
+    [((1e308, 0.0, 0.0), 2), ((1.0, 1.0, 1e308), 3), ((1e200, 1e200, 0.0), 2)],
     ids=["a3-overflow", "a4-overflow", "power-overflow"],
 )
-def test_closed_form_rows_raise_the_error_of_their_first_bad_row(bad):
+def test_closed_form_rows_raise_the_error_of_their_first_failing_rule(bad, row):
+    # Row 3's a3 overflows.
     rows = _moment_batch(bad)
     rows[3] = (1e308, 1e308, 1e308)
     got = _error(lambda: _closed_form_rows(0.1, *rows.T))
-    assert got == _error(lambda: closed_form_a234(0.1, MomentTriple(*bad)))
+    assert got == _error(lambda: closed_form_a234(0.1, MomentTriple(*rows[row])))
 
 
 @pytest.mark.parametrize(
-    "bad", [(2.5, 0.0, 0.0), (1.0, 2.0, 0.0), (1.0, 0.0, math.nan)], ids=["p", "y", "zeta"]
+    "bad, row",
+    [((2.5, 0.0, 0.0), 2), ((1.0, 2.0, 0.0), 3), ((1.0, 0.0, math.nan), 3)],
+    ids=["p", "y", "zeta"],
 )
-def test_lemma_box_rows_raise_the_error_of_their_first_bad_row(bad):
+def test_lemma_box_rows_raise_the_error_of_their_first_failing_rule(bad, row):
+    # Row 3's p is NaN.
     p, y, zeta = (np.array([good, good, b, math.nan, good], dtype=type(good))
                   for good, b in zip((1.0, 0.5j, 0.5), bad))
     got = _error(lambda: _check_lemma_box(p, y, zeta))
-    assert got == _error(lambda: LemmaPoint(*bad))
+    assert got == _error(lambda: LemmaPoint(p[row], y[row], zeta[row]))
 
 
 # The scalar formulas as they stood before the array kernels existed.

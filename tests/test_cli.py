@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -280,14 +281,17 @@ def test_reproduce_bound_table_script():
         assert proc.returncode == 0, proc.stderr
         assert b"worst gap" in proc.stdout
         assert f"method = {method}".encode() in proc.stdout
-    proc = subprocess.run(
-        [sys.executable, str(script), "--alpha-end", "2", "--methods", "phi"],
-        capture_output=True, env=src_env(),
-    )
-    assert (proc.returncode, proc.stdout) == (1, b"")
-    assert proc.stderr.decode().splitlines() == [
-        "reproduce_bound_table: error: alpha must lie in [0, 1), got 2.0"
-    ]
+    for argv, error in [
+        (["--alpha-end", "2"], re.escape("alpha must lie in [0, 1), got 2.0")),
+        (["--steps", "100000000000000000"], "Unable to allocate .*"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, str(script), *argv, "--methods", "phi"],
+            capture_output=True, env=src_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        [line] = proc.stderr.decode().splitlines()
+        assert re.fullmatch(f"reproduce_bound_table: error: {error}", line), line
 
 
 class TestExitCodes:

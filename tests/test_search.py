@@ -743,6 +743,8 @@ def _refine_atoms(objective, weights, angles, sweeps):
             for delta in (step_t, -step_t):
                 trial = t.copy()
                 trial[i] = (trial[i] + delta) % (2.0 * math.pi)
+                if trial[i] == 2.0 * math.pi:
+                    trial[i] = 0.0
                 val = objective(w, trial)
                 evals += 1
                 if val > best:
@@ -933,6 +935,25 @@ class TestKernelCache:
         monkeypatch.setattr(np, "exp", spy)
         search._refine_rows(alphas, w, t, sweeps)
         assert shapes == [(rows, 3, k)] + [(rows, 3, 1)] * (sweeps * 2 * k)
+
+
+@pytest.mark.parametrize("sweeps", [1, 5, 60])
+def test_refined_angles_stay_below_two_pi(sweeps):
+    # The -0.4 probe of an angle just below 0.4 lands a hair below 0, which
+    # x % 2 pi rounds up to 2 pi itself.  Atoms at 0 and pi are extremal, so
+    # away from alpha = 0 that probe is kept.
+    alphas = np.array([0.3, 0.6, 0.9])
+    w = np.full((3, 2), 0.5)
+    t = np.tile([np.nextafter(0.4, 0.0), math.pi], (3, 1))
+    best, ws, ts, evals = search._refine_rows(alphas, w, t, sweeps)
+    assert ((ts >= 0.0) & (ts < 2.0 * math.pi)).all()
+    if sweeps < 60:
+        assert (ts[:, 0] == 0.0).all()
+    for r, alpha in enumerate(alphas):
+        objective = functools.partial(_scalar_h2, float(alpha))
+        val, w_r, t_r, evals_r = _refine_atoms(objective, w[r], t[r], sweeps)
+        assert (best[r], evals[r]) == (val, evals_r), r
+        assert ws[r].tobytes() == w_r.tobytes() and ts[r].tobytes() == t_r.tobytes(), r
 
 
 class TestLiveRowRetirement:
