@@ -63,17 +63,24 @@ def parse_args(argv):
     runs = []
     for item in args.run:
         name, _, seeds = item.partition("=")
-        if not seeds:
+        try:
+            seeds = seed_list(seeds)
+        except ValueError:
             parser.error(f"--run takes W=SEEDS, got {item!r}")
-        seeds = seed_list(seeds)
         if len(seeds) < 2:
             # summary() takes quartiles, which need two runs a side
             parser.error(f"--run needs at least two seeds, got {item!r}")
         runs.append((name, seeds))
     args.run = runs
     if args.claim:
-        name, metric, *target = args.claim.split(":")
-        args.claim = name, metric, float(target[0]) if target else None
+        name, _, rest = args.claim.partition(":")
+        metric, colon, target = rest.partition(":")
+        try:
+            if not (name and metric):
+                raise ValueError
+            args.claim = name, metric, float(target) if colon else None
+        except ValueError:
+            parser.error(f"--claim takes W:METRIC[:TARGET], got {args.claim!r}")
     return args
 
 

@@ -162,13 +162,10 @@ def _zeta_free_terms(alpha_value: float, p, y):
     Broadcast-safe over numpy arrays.
     """
     c = 3.0 - 8.0 * alpha_value + 4.0 * alpha_value * alpha_value
-    q = 4.0 - p * p
-    return (
-        -c * p**4 / 48.0
-        + p * p * q * y / 24.0
-        - p * p * q * y * y / 12.0
-        - q * q * y * y / 16.0
-    )
+    pp = p * p
+    q = 4.0 - pp
+    ppqy = pp * q * y
+    return -c * p**4 / 48.0 + ppqy / 24.0 - ppqy * y / 12.0 - q * q * y * y / 16.0
 
 
 def _zeta_coefficient(p, y):
@@ -221,13 +218,10 @@ def _phi_raw(alpha_value, p, t):
     s2 = (1 - alpha_value) ** 2
     c = abs(3 - 8 * alpha_value + 4 * alpha_value**2)
     q = 4 - p * p
-    return s2 * (
-        c * p**4 / 48
-        + p**2 * q * t / 24
-        + p**2 * q * t**2 / 12
-        + q * q * t**2 / 16
-        + p * q * (1 - t**2) / 6
-    )
+    p2q = p**2 * q
+    t2 = t**2
+    return s2 * (c * p**4 / 48 + p2q * t / 24 + p2q * t2 / 12 + q * q * t2 / 16
+                 + p * q * (1 - t2) / 6)
 
 
 def bound_profile(alpha: Alpha | float, p):

@@ -141,3 +141,21 @@ def test_a_run_needs_two_seeds(tmp_path, capsys, seeds):
     assert info.value.code == 2
     assert f"--run needs at least two seeds, got 'w={seeds}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("arg, error", [
+    (("--run", "w=7,"), "--run takes W=SEEDS, got 'w=7,'"),
+    (("--run", "w=x-y"), "--run takes W=SEEDS, got 'w=x-y'"),
+    (("--claim", "w:pass_s:abc"), "--claim takes W:METRIC[:TARGET], got 'w:pass_s:abc'"),
+    (("--claim", "w"), "--claim takes W:METRIC[:TARGET], got 'w'"),
+], ids=["run-trailing-comma", "run-not-numbers", "claim-target", "claim-no-metric"])
+def test_a_malformed_run_or_claim_is_a_usage_error(tmp_path, capsys, arg, error):
+    # Refused by parse_args with exit 2 and one usage line, before any run.
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--run", "w=1-2", *arg,
+                          "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert error in err and "Traceback" not in err
+    assert not out.exists()

@@ -54,6 +54,7 @@ from h2star.hankel import (
     functional_param_form,
     phi,
 )
+from h2star.search import DEFAULT_GRID_P, DEFAULT_GRID_T
 from h2star.starlike import _closed_form_rows
 
 
@@ -254,6 +255,74 @@ def test_rows_longer_than_the_buffer(block, sampler, monkeypatch):
     rows = _rows(draws, 10)
     assert np.array_equal(rows[:, 2:], np.zeros((10, 2)))
     assert draws.taken == 10 * 10 + 8 * block and draws.head == []
+
+
+def _round_by_round_draws(rng, n):
+    """One draw group by the round-by-round rule: n alphas, n ps, then the y
+    and zeta samplers, each round reading 4 k doubles for a shortfall of k
+    from one stream, rng.random(10 n) and then the generator."""
+    stream = rng.random(10 * n)
+
+    def take(size):
+        nonlocal stream
+        if stream.size < size:
+            stream = np.concatenate((stream, rng.random(size - stream.size)))
+        out, stream = stream[:size], stream[size:]
+        return out
+
+    alpha, p = take(n), 2.0 * take(n)
+    disks = []
+    for _ in range(2):
+        z = np.empty(0, dtype=complex)
+        while z.size < n:
+            k = n - z.size
+            x, y = -1.0 + 2.0 * take(4 * k).reshape(2, 2 * k)
+            w = x + 1j * y
+            z = np.concatenate((z, w[np.abs(w) <= 1.0][:k]))
+        disks.append(z)
+    return alpha, p, *disks
+
+
+def _round_doubles(n, inside):
+    """The 4 n doubles of one disk round of 2 n candidates: candidate i,
+    x from double i and y from double 2 n + i, is a point of the disk of its
+    own where ``inside[i]``, else the corner (1, 1)."""
+    i = np.arange(2 * n)
+    return [*np.where(inside, 0.5 + i / (8.0 * n), 1.0),
+            *np.where(inside, 0.5 - i / (8.0 * n), 1.0)]
+
+
+def test_round_by_round_reference_is_the_per_call_draws():
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = np.column_stack(_round_by_round_draws(rng, 1024)).astype(complex)
+        assert _bits(got) == _bits(_reference_rows(ref_rng, 1024))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [8, 1024])
+@pytest.mark.parametrize("short", ["y", "zeta", "both", "neither"])
+def test_one_pass_boundary_is_the_round_by_round_rule(n, short, monkeypatch):
+    # _lemma_draws tests the first 3 n / 2 candidates of both first rounds in
+    # one pass.  Here each such prefix holds exactly n disk points, or n - 1
+    # for the ``short`` samplers, whose next point lies among the last n / 2
+    # candidates; the rows and the doubles drawn must be those of the
+    # round-by-round rule.
+    _draw_sizes(n, n, monkeypatch)
+    m = 3 * n // 2
+    head = [0.5] * (2 * n)
+    for sampler in ("y", "zeta"):
+        inside = np.ones(2 * n, dtype=bool)
+        inside[:m] = np.arange(m) % 3 != 0
+        if short in (sampler, "both"):
+            inside[m - 1] = False
+        assert np.count_nonzero(inside[:m]) == (n - 1 if short in (sampler, "both") else n)
+        head += _round_doubles(n, inside)
+    draws, ref_draws = _Draws(head), _Draws(head)
+    rows = _rows(draws, n)
+    ref = np.column_stack(_round_by_round_draws(ref_draws, n)).astype(complex)
+    assert _bits(rows) == _bits(ref)
+    assert (draws.taken, draws.head) == (ref_draws.taken, ref_draws.head) == (10 * n, [])
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -500,6 +569,8 @@ def _reference_lemma_forward(p, y, zeta):
     p2 = 0.5 * (p * p + y * q)
     p3 = 0.25 * (p**3 + 2.0 * q * p * y - p * q * y * y
                  + 2.0 * q * (1.0 - abs(y) ** 2) * zeta)
+    if np.ndim(p):
+        return p, p2, p3
     return complex(p), complex(p2), complex(p3)
 
 
@@ -557,6 +628,20 @@ def test_scalar_functions_unchanged():
     for a in (0.0, 0.3, 0.5, 0.95):
         got = phi(Alpha(a), ps, ts)
         assert np.array_equal(got.view(np.uint64), _reference_phi(a, ps, ts).view(np.uint64))
+
+
+def test_array_kernels_unchanged():
+    # The kernels the checks and searches evaluate, bit for bit the inline
+    # formulas above on arrays: the sampled checks' rows and the default grid.
+    for seed in (11, 12):
+        for _, p, y, zeta in _lemma_row_blocks(np.random.default_rng(seed), 100_000):
+            got = _lemma_forward_raw(p, y, zeta)
+            assert [x.tobytes() for x in got] == [
+                x.tobytes() for x in _reference_lemma_forward(p, y, zeta)]
+    ps = np.linspace(0.0, 2.0, DEFAULT_GRID_P)[:, None]
+    ts = np.linspace(0.0, 1.0, DEFAULT_GRID_T)[None, :]
+    for a in checks.ALPHA_GRID:
+        assert _phi_raw(a, ps, ts).tobytes() == _reference_phi(a, ps, ts).tobytes()
 
 
 @pytest.mark.parametrize("radius", [1.0, 2.0, 0.3])

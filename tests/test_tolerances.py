@@ -2,8 +2,8 @@
 
 Every e-notation number of the package lives in h2star/tolerances.py, and
 every entry there is used by some module.  The six entries that absorb
-floating-point rounding in a kernel or a check, and two check windows,
-ATTAINMENT_TOL and MONOTONE_DROP_TOL, are measured here: each
+floating-point rounding in a kernel or a check, and three check windows,
+ATTAINMENT_TOL, MONOTONE_DROP_TOL and GRID_CELL_SLACK, are measured here: each
 ``_worst_*`` function returns the worst error of the float kernels on a
 fixed sample, against the same kernels run on mpmath numbers at 50 digits
 (or against the exact value 1), and the test asserts that the entry covers
@@ -13,6 +13,7 @@ value to it.
 import ast
 import math
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -20,6 +21,7 @@ import numpy as np
 
 from h2star import search, tolerances
 from h2star.caratheodory import (
+    _TWO_PI,
     _atom_moment_rows,
     _atom_rows,
     _lemma_forward_raw,
@@ -47,6 +49,7 @@ from h2star.tolerances import (
     ATTAINMENT_TOL,
     BOUND_MARGIN,
     DISK_TOL,
+    GRID_CELL_SLACK,
     MONOTONE_DROP_TOL,
     PROOF_SLACK,
     PSD_TOL,
@@ -322,6 +325,31 @@ def _worst_attainment() -> float:
 
 def test_attainment_tol_covers_its_rounding():
     assert ATTAINMENT_TOL >= _worst_attainment()
+
+
+def _worst_grid_cell() -> float:
+    """How far rounding puts the lemma grid's neighbours of p = 0 and |y| = 1
+    past one grid cell, in the quantities full-parameter-search compares.
+
+    Exact, in Fractions: the excess of the computed ps[1] over
+    2 / (grid_p - 1), and of 1 - |y| at |y| = ts[-2] over 1 / (grid_t - 1)
+    at each of the e_mu, with y built as maximize_param builds it and |y|
+    taken as the check takes it; each plus the error of the check's float
+    cell.
+    """
+    ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
+    ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
+    n = search.DEFAULT_GRID_YARG
+    e_mu = np.exp(1j * np.arange(n) * (_TWO_PI / n))
+    p_cell = Fraction(2, search.DEFAULT_GRID_P - 1)
+    t_cell = Fraction(1, search.DEFAULT_GRID_T - 1)
+    p_excess = Fraction(float(ps[1])) - p_cell + abs(Fraction(2.0 / (ps.size - 1)) - p_cell)
+    t_excess = max(Fraction(abs(1.0 - abs(complex(ts[-2] * e)))) for e in e_mu) - t_cell
+    return float(max(p_excess, t_excess + abs(Fraction(1.0 / (ts.size - 1)) - t_cell)))
+
+
+def test_grid_cell_slack_covers_its_rounding():
+    assert GRID_CELL_SLACK >= _worst_grid_cell()
 
 
 def _worst_monotone_drop() -> float:
