@@ -17,6 +17,7 @@ import sys
 import time
 
 from h2star import H2StarError
+from h2star.cli import glue_negative_values
 from h2star.search import METHODS, sweep_alpha
 
 
@@ -27,7 +28,7 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=9)
     parser.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS))
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(glue_negative_values(sys.argv[1:]))
 
     for method in args.methods:
         t0 = time.perf_counter()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -39,7 +40,9 @@ from .starlike import CoefficientVector, alpha_value, coeffs_from_moments, extre
 
 # Every method option once, in declaration order: the order of the flags in --help.
 _METHOD_FLAGS = tuple(dict.fromkeys(f for flags in METHOD_OPTIONS.values() for f in flags))
-_COMPLEX_FLAGS = ("--p1", "--p2", "--p3", "--y", "--zeta")
+# A long flag with no "=", and a value that starts with "-"; see glue_negative_values.
+_LONG_FLAG = re.compile(r"--[^=]+")
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 # Flags that set an array length, by argparse dest.
 _SIZE_FLAGS = ("order", "steps", "restarts", "grid_p", "grid_t", "grid_ymod", "grid_yarg",
                "grid_zarg")
@@ -48,22 +51,8 @@ _SIZE_FLAGS = ("order", "steps", "restarts", "grid_p", "grid_t", "grid_ymod", "g
 class _Parser(argparse.ArgumentParser):
     """argparse with a one-line diagnostic on stderr and exit status 2."""
 
-    # Subcommand name -> its parser; build_parser sets it on the top parser.
-    commands: dict
-
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
-
-    def resolve_flag(self, token: str):
-        """The flag argparse reads ``token`` as: an exact flag, or the one long
-        flag that ``token`` abbreviates; None for anything else."""
-        flags = self._option_string_actions
-        if token in flags:
-            return token
-        if not token.startswith("--") or len(token) < 3:
-            return None
-        hits = [f for f in flags if f.startswith(token)]
-        return hits[0] if len(hits) == 1 else None
 
 
 def _complex_flag(text: str) -> complex:
@@ -71,34 +60,27 @@ def _complex_flag(text: str) -> complex:
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ValueError(f"expected re or re,im, got {text!r}")
-    re = float(parts[0])
-    im = float(parts[1]) if len(parts) == 2 else 0.0
-    return complex(re, im)
+    real = float(parts[0])
+    imag = float(parts[1]) if len(parts) == 2 else 0.0
+    return complex(real, imag)
 
 
-def _glue_complex_values(parser: _Parser, argv) -> list:
-    """Rewrite ``--p3 -1,0.5`` as ``--p3=-1,0.5``, and ``--ze -1,0`` as ``--ze=-1,0``.
+def glue_negative_values(argv) -> list:
+    """Rewrite ``--p -2e-1`` as ``--p=-2e-1``, and ``--ze -1,0`` as ``--ze=-1,0``.
 
-    argparse reads a separate token that starts with ``-`` and is not a plain
-    negative number as an option, so a negative real part would otherwise
-    need the ``=`` form.  A flag counts as complex when the subcommand's
-    parser resolves it, exactly or as an unambiguous prefix, to one of
-    ``_COMPLEX_FLAGS``; ambiguous prefixes are left for argparse to reject.
+    argparse counts only ``-12`` and ``-.5`` as negative numbers and reads any
+    other separate token that starts with ``-`` as an option.  A token that
+    starts with ``-`` and then a digit, ``.`` and a digit, ``inf`` or ``nan`` is
+    a value: it is joined to the long flag just before it, unless that flag
+    already holds an ``=``.  argparse then resolves the flag from the ``=``
+    form, abbreviations and ambiguous prefixes included.
     """
-    sub = next((parser.commands.get(tok) for tok in argv if not tok.startswith("-")), None)
-    if sub is None:
-        return list(argv)
     out = []
     for tok in argv:
-        if out and sub.resolve_flag(out[-1]) in _COMPLEX_FLAGS and tok.startswith("-"):
-            try:
-                _complex_flag(tok)
-            except ValueError:
-                pass
-            else:
-                out[-1] += "=" + tok
-                continue
-        out.append(tok)
+        if out and _LONG_FLAG.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
@@ -214,12 +196,7 @@ def _method_kwargs(args) -> dict:
               if getattr(args, flag) is not None}
     flag = _foreign_option(args.method, kwargs)
     if flag is not None:
-        print(
-            f"h2star {args.command}: error: --{flag.replace('_', '-')} does not "
-            f"apply to method {args.method!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        args.parser.error(f"--{flag.replace('_', '-')} does not apply to method {args.method!r}")
     return kwargs
 
 
@@ -367,6 +344,7 @@ def build_parser() -> _Parser:
                        help="write the CSV here instead of stdout")
     sweep.set_defaults(handler=_cmd_sweep)
     for p in (search, sweep):
+        p.set_defaults(parser=p)
         p.add_argument("--method", choices=METHODS, required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1,
@@ -381,7 +359,6 @@ def build_parser() -> _Parser:
                    metavar="ONLY", help="run a single named check (repeatable)")
     p.set_defaults(handler=_cmd_check)
 
-    parser.commands = dict(subs.choices)
     return parser
 
 
@@ -394,14 +371,11 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
+    size = None
     try:
-        args = parser.parse_args(_glue_complex_values(parser, argv))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    size = _largest_size_flag(args)
-    try:
+        args = _parser().parse_args(glue_negative_values(argv))
+        size = _largest_size_flag(args)
         if size is not None and size[0] > MAX_ENTRIES:
             raise MemoryError("no array can hold that many entries")
         return args.handler(args)

@@ -33,7 +33,8 @@ P1_IMAG_TOL = 1e-9         # |Im p1| that lemma_inverse still takes for a real p
 P1_DEGENERATE_GAP = 1e-12  # p1 at or above 2 minus this is degenerate: moments (2, 2, 2); policy
 
 # Acceptance checks (checks.py)
-BOUND_GAP_TOL = 1e-9         # a search value past the sharp bound, or the phi search's gap; policy
+BOUND_GAP_TOL = 1e-9         # a search value past the sharp bound, or the phi search's gap;
+                             # worst 5.2e-15, ratio 1.9e5
 LEMMA_GRID_SHORTFALL = 5e-3  # the lemma grid search value below the sharp bound; policy
 HERGLOTZ_SHORTFALL = 1e-2    # the atom search value below the sharp bound; policy
 GRID_CELL_SLACK = 1e-12      # the lemma argmax past one grid cell from p = 0, |y| = 1;
@@ -45,6 +46,6 @@ ROUTE_TOL = 1e-12            # two routes to one value: moment form and closed f
                              # worst 1.5e-15, ratio 6.8e2
 PROOF_SLACK = 1e-12          # |Psi| - phi and max B(p) - (1 - alpha)^2, both <= 0 exactly;
                              # worst 3.6e-16, ratio 2.8e3
-ROUND_TRIP_TOL = 1e-10       # moments -> (y, zeta) -> moments; policy
+ROUND_TRIP_TOL = 1e-10       # moments -> (y, zeta) -> moments; worst 6.2e-15, ratio 1.6e4
 ROUND_TRIP_P1_CUT = 1e-3     # the round trip leaves out p1 >= 2 minus this; policy
 ROUND_TRIP_Y_CUT = 1e-6      # and |y| >= 1 minus this; policy

@@ -206,7 +206,8 @@ class TestParserReuse:
 ])
 def test_method_flags_in_declaration_order(command, head, tail):
     # --help lists each method option once, in the order of search.METHOD_OPTIONS
-    sub = cli.build_parser().commands[command]
+    argv = [command, *(f"{flag}=0" for flag in head), "--method", "phi"]
+    sub = cli.build_parser().parse_args(argv).parser
     assert [a.option_strings[-1] for a in sub._actions] == [
         "--help", *head, "--method", "--seed", "--workers", "--grid-p", "--grid-t",
         "--grid-ymod", "--grid-yarg", "--grid-zarg", "--atom-count", "--restarts",
@@ -283,6 +284,7 @@ def test_reproduce_bound_table_script():
         assert f"method = {method}".encode() in proc.stdout
     for argv, error in [
         (["--alpha-end", "2"], re.escape("alpha must lie in [0, 1), got 2.0")),
+        (["--alpha-end", "-2e-1"], re.escape("alpha must lie in [0, 1), got -0.2")),
         (["--steps", "100000000000000000"], "Unable to allocate .*"),
     ]:
         proc = subprocess.run(
@@ -535,11 +537,48 @@ def _argv(draw):
     return argv
 
 
+def _quiet_main(argv):
+    """(exit code, stdout, stderr) of one cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _all_glued(argv):
+    """argv with every ``--flag value`` pair written ``--flag=value``."""
+    tokens = iter(argv)
+    return [f"{tok}={next(tokens)}" if tok.startswith("--") and "=" not in tok else tok
+            for tok in tokens]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_argv())
 def test_cli_exit_code_for_any_float_input(argv):
     """NaN, infinities or any finite value in a float or complex flag never
     escape as an exception: the exit code is always 0, 1 or 2."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+    code, _, _ = _quiet_main(argv)
     assert code in (0, 1, 2), argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_spaced_and_glued_values_agree(argv):
+    """A value after a space reads exactly as after ``=``, whatever its sign."""
+    assert _quiet_main(argv) == _quiet_main(_all_glued(argv)), argv
+
+
+@pytest.mark.parametrize("head, flag, value", [
+    (["phi", "--alpha", "0.3", "--t", "0.5"], "--p", "-2e-1"),
+    (["hankel", "--q", "2", "--n", "2"], "--coeffs", "-1,2"),
+    (["sweep", "--alpha-end", "0.5", "--steps", "1", "--method", "phi"], "--alpha-start",
+     "-1e-9"),
+    (["coeffs", "--alpha", "0"], "--atoms", "-0.5:1"),
+    # a digit alone does not mark -inf as a value
+    (["functional", "--alpha", "0", "--p1", "1", "--p2", "0"], "--p3", "-inf"),
+])
+def test_negative_value_after_a_space_is_a_domain_error(capsys, head, flag, value):
+    glued = run_cli(capsys, *head, f"{flag}={value}")
+    assert glued[:2] == (1, "")
+    assert glued[2].startswith("h2star: error: ")
+    assert run_cli(capsys, *head, flag, value) == glued

@@ -2,8 +2,9 @@
 
 Every e-notation number of the package lives in h2star/tolerances.py, and
 every entry there is used by some module.  The six entries that absorb
-floating-point rounding in a kernel or a check, and three check windows,
-ATTAINMENT_TOL, MONOTONE_DROP_TOL and GRID_CELL_SLACK, are measured here: each
+floating-point rounding in a kernel or a check, and five check windows,
+ATTAINMENT_TOL, MONOTONE_DROP_TOL, GRID_CELL_SLACK, BOUND_GAP_TOL and
+ROUND_TRIP_TOL, are measured here: each
 ``_worst_*`` function returns the worst error of the float kernels on a
 fixed sample, against the same kernels run on mpmath numbers at 50 digits
 (or against the exact value 1), and the test asserts that the entry covers
@@ -26,12 +27,13 @@ from h2star.caratheodory import (
     _atom_rows,
     _lemma_forward_raw,
     _lemma_inverse_raw,
+    _lemma_inverse_rows,
     _lemma_row_blocks,
     _rotation_rows,
     _toeplitz_min_eig_rows,
     _triple_rows,
 )
-from h2star.checks import ALPHA_GRID
+from h2star.checks import ALPHA_GRID, ALPHA_SPOT
 from h2star.hankel import (
     HankelSpec,
     _moment_form_raw,
@@ -44,9 +46,11 @@ from h2star.hankel import (
     phi,
     sharp_bound,
 )
+from h2star.search import _herglotz_outcomes, maximize_param, maximize_phi
 from h2star.starlike import _closed_form_rows, extremal_coeffs
 from h2star.tolerances import (
     ATTAINMENT_TOL,
+    BOUND_GAP_TOL,
     BOUND_MARGIN,
     DISK_TOL,
     GRID_CELL_SLACK,
@@ -54,6 +58,8 @@ from h2star.tolerances import (
     PROOF_SLACK,
     PSD_TOL,
     ROUND_TRIP_P1_CUT,
+    ROUND_TRIP_TOL,
+    ROUND_TRIP_Y_CUT,
     ROUTE_TOL,
     WEIGHT_SUM_TOL,
     Y_BOUNDARY_TOL,
@@ -376,3 +382,77 @@ def _worst_monotone_drop() -> float:
 
 def test_monotone_drop_tol_covers_its_rounding():
     assert MONOTONE_DROP_TOL >= _worst_monotone_drop()
+
+
+def _onto_disk(z):
+    """z, or z / |z| where |z| > 1, entry by entry."""
+    return np.frompyfunc(lambda v: v / abs(v) if abs(v) > 1 else v, 1, 1)(z)
+
+
+def _worst_bound_gap() -> float:
+    """How far rounding puts a search value past the sharp bound, in the checks' searches.
+
+    maximize_phi at ALPHA_GRID (prior-result-anchors runs its alphas 0 and
+    1/2 again), maximize_param and the two-atom Herglotz batch at
+    ALPHA_SPOT, as the checks run them.  At each, the error of the value
+    against the 50-digit value of its form at the reported argmax, plus the
+    error of sharp_bound against (1 - alpha)^2.  The exact value there is at
+    most the bound: y and zeta are taken onto the closed disk, and the atom
+    weights normalized, in 50 digits.  The phi search's gap counts both
+    ways, so its part adds the exact |phi - bound| at the argmax, 0 at p = 0.
+    """
+    def past(a, outcome, exact):
+        return (_err([outcome.value], exact)
+                + _err([sharp_bound(a)], (1 - mpmath.mpf(a)) ** 2))
+
+    errors = []
+    with mpmath.workdps(DIGITS):
+        for a in ALPHA_GRID:
+            outcome = maximize_phi(a)
+            exact = _phi_raw(mpmath.mpf(a), *(mpmath.mpf(outcome.argmax[k]) for k in "pt"))
+            errors.append(past(a, outcome, exact) + abs(exact - (1 - mpmath.mpf(a)) ** 2))
+        for a in ALPHA_SPOT:
+            outcome = maximize_param(a)
+            y, zeta = _onto_disk(_mp([outcome.argmax["y"], outcome.argmax["zeta"]]))
+            p = mpmath.mpf(outcome.argmax["p"])
+            errors.append(past(a, outcome, abs(_param_form_raw(mpmath.mpf(a), p, y, zeta))))
+        outcomes = _herglotz_outcomes(ALPHA_SPOT, atom_count=2, restarts=100, seed=20240817)
+        for a, outcome in zip(ALPHA_SPOT, outcomes):
+            w, t = _mp(outcome.argmax["weights"]), _mp(outcome.argmax["angles"])
+            w = w / mpmath.fsum(w)
+            p1, p2, p3 = (2 * mpmath.fsum(w * np.frompyfunc(mpmath.expj, 1, 1)(n * t))
+                          for n in (1, 2, 3))
+            errors.append(past(a, outcome, abs(_moment_form_raw(mpmath.mpf(a), p1, p2, p3))))
+    return _worst(errors)
+
+
+def test_bound_gap_tol_covers_its_rounding():
+    assert BOUND_GAP_TOL >= _worst_bound_gap()
+
+
+def _worst_round_trip() -> float:
+    """The round-trip errors of caratheodory-admissibility, against 50 digits.
+
+    Its 1,000 atom sets at seed 13, rotated, cut and inverted as the check
+    does it.  On each row that makes the trip, the error of the float
+    moments -> (y, zeta) -> moments against the same trip in 50 digits,
+    with y and zeta taken onto the closed disk as lemma_inverse takes them,
+    plus how far that exact trip moves the moments: 0 where neither is taken.
+    """
+    moments = _atom_moment_rows(*_atom_rows(np.random.default_rng(13), 1000), 3)
+    rotated, _ = _rotation_rows(moments)
+    rotated = rotated[rotated[:, 0].real < 2.0 - ROUND_TRIP_P1_CUT]
+    y, zeta, edge = _lemma_inverse_rows(*rotated.T)
+    trip = ~edge & (np.abs(y) < 1.0 - ROUND_TRIP_Y_CUT)
+    m, p = rotated[trip], rotated[trip, 0].real
+    back = _lemma_forward_raw(p, y[trip], zeta[trip])
+    with mpmath.workdps(DIGITS):
+        P, P2, P3 = _mp(p), _mp(m[:, 1]), _mp(m[:, 2])
+        Y, Z, _, _ = _lemma_inverse_raw(P, P2, P3)
+        exact = _lemma_forward_raw(P, _onto_disk(Y), _onto_disk(Z))
+        return _worst([_err(b, e) + np.abs(e - moment)
+                       for b, e, moment in zip(back, exact, (P, P2, P3))])
+
+
+def test_round_trip_tol_covers_its_rounding():
+    assert ROUND_TRIP_TOL >= _worst_round_trip()
