@@ -91,14 +91,18 @@ def instance(name: str, value, cls) -> None:
 def whole_number(name: str, value, least: int, most=MAX_ENTRIES) -> int:
     """``value`` as an int when it equals its int (3.0 gives 3), lies in
     [least, most] and is not text or a truth value; otherwise DomainError
-    naming ``name``."""
+    naming ``name`` and the range, unbounded ends left out."""
     try:
         whole = int(value)
         ok = not isinstance(value, _NOT_NUMBERS) and whole == value and least <= whole <= most
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise DomainError(f"{name} must be a whole number from {least} to {most}, got {value!r}")
+        if most < math.inf:
+            span = f" from {least} to {most}"
+        else:
+            span = f" of at least {least}" if least > -math.inf else ""
+        raise DomainError(f"{name} must be a whole number{span}, got {value!r}")
     return whole
 
 

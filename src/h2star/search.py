@@ -23,8 +23,11 @@ The atom search refines its restarts in lock-step as one batch, and a
 sweep refines all its alphas' restarts together, in batches of at most
 _HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
 after another at one alpha at a time.  A batch holds its live rows only,
-each with the moment kernels e^{i n t} of its angles; a row that stops is
-written out and dropped after its sweep.
+each with the moment kernels e^{i n t} of its angles as contiguous cosine
+and sine planes; a row that stops is written out and dropped after its
+sweep.  The row kernel sums in real arithmetic where that is bit-equal on
+every OpenBLAS core; only a4's dot and, for four atoms, the moment product
+are OpenBLAS dots whose bits depend on the core (see _h2_rows).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .caratheodory import _TWO_PI, LemmaPoint
 from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import _phi_raw, det2, sharp_bound
-from .starlike import Alpha, alpha_value, coeff_rows
+from .starlike import Alpha, alpha_value
 from .tolerances import (
     BOUND_MARGIN,
     MONOTONE_DROP_TOL,
@@ -264,26 +267,74 @@ _MOMENT_ORDERS = np.array([1.0, 2.0, 3.0])
 
 
 def _kernels(angles: np.ndarray) -> np.ndarray:
-    """The (R, 3, k) moment kernels e^{i n t} of an (R, k) batch of atom angles, n = 1..3.
+    """The moment kernels e^{i n t}, n = 1..3, of (..., R) atom angles, as a (..., 3, R) array.
 
-    exp acts elementwise, so a column of this array is bit-equal to the
-    kernels of that column alone.
+    exp acts elementwise, so the kernels of one atom's angles are bit-equal
+    to that atom's slice of the kernels of a batch.
     """
-    return np.exp(1j * (angles[:, None, :] * _MOMENT_ORDERS[:, None]))
+    return np.exp(1j * (angles[..., None, :] * _MOMENT_ORDERS[:, None]))
 
 
-def _h2_rows(alpha, weights: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """|a2 a4 - a3^2| of each row of an (R, k) batch of atom weights and its kernels.
+def _kernel_planes(angles: np.ndarray) -> np.ndarray:
+    """The (k, 3, 2, R) cosine and sine planes of the kernels of (k, R) atom angles.
 
-    ``kernels`` is _kernels of the rows' angles.  ``alpha`` is one alpha
-    value for every row or the (R,) array of each row's value (see coeff_rows).
-    Three stages: the moments p_1..p_3, the coefficient recurrence, and the
-    2 x 2 Hankel determinant.  Each row is bit-equal to
-    abs(hankel_det(coeffs_from_moments(...))) on that row alone.
+    planes[j, n - 1] holds the real and imaginary parts of e^{i n t} at
+    atom j's angles: the parts of _kernels, bit for bit.
     """
-    moments = 2.0 * (kernels @ np.ascontiguousarray(weights)[:, :, None])[:, :, 0]
-    a = coeff_rows(alpha, moments)
-    re, im = det2(a[:, 1], a[:, 3], a[:, 2], a[:, 2])
+    kern = _kernels(angles)
+    return np.stack([kern.real, kern.imag], axis=2)
+
+
+def _h2_rows(alpha, weights: np.ndarray, planes: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """|a2 a4 - a3^2| of each column of a (k, R) batch of atom weights.
+
+    ``planes`` is _kernel_planes of the columns' angles.  ``alpha``
+    is one alpha value for every column or the (R,) array of each column's
+    value.  ``pair`` is scratch for a4's dot: a (2, 3, R') complex array,
+    R' >= R, with pair[0, 2] = 1.
+
+    Each column is bit-equal to abs(hankel_det(coeffs_from_moments(...)))
+    of its measure alone, with moments from one matrix-vector product:
+    - For k <= 3 the moments are the plane-times-weight sums, left to
+      right, which is what OpenBLAS's matrix-vector product computes on
+      every core from Prescott to SkylakeX.  For k = 4 its fused sum has
+      no elementwise equal, so the moments are that product on the complex
+      kernels.
+    - a2 = (1 - alpha) p1.  a3 is np.dot's two-term sum of a2 p1 and
+      a1 p2: a1 = 1 + 0j makes each step exact, fused or not, so its parts
+      are (a2r p1r + p2r) - a2i p1i and (a2r p1i + p2i) + a2i p1r.
+    - a4's three-term dot goes, row by row, to the BLAS dot that np.dot
+      calls, on (R, 3) views of ``pair``; at their stride it gives the bits
+      it gives at unit stride, on every core tried.
+    Every value is equal; a zero part may differ in sign, which |det| drops.
+    """
+    k, rows = weights.shape
+    if k < 4:
+        terms = planes * weights[:, None, None, :]
+        m = terms[0]
+        for j in range(1, k):
+            m = m + terms[j]
+        m *= 2.0
+    else:
+        kern = np.empty((rows, 3, k), dtype=complex)
+        kern.view(float).reshape(rows, 3, k, 2)[...] = planes.transpose(3, 1, 0, 2)
+        moments = 2.0 * (kern @ np.ascontiguousarray(weights.T)[:, :, None])[:, :, 0]
+        m = np.ascontiguousarray(moments.view(float).reshape(rows, 3, 2).transpose(1, 2, 0))
+    # m[n - 1] holds the real and imaginary parts of p_n, parts[0] those of
+    # a3 and parts[1] those of a2.
+    s = 1.0 - alpha
+    parts = np.empty((2, 2, rows))
+    a2 = np.multiply(s, m[0], out=parts[1])
+    a3 = a2[0] * m[0] + m[1]
+    cross = a2[1] * m[0, ::-1]
+    a3[0] -= cross[0]
+    a3[1] += cross[1]
+    np.multiply(s / 2, a3, out=parts[0])
+    a, p = pair[:, :, :rows]
+    a[:2].real[...], a[:2].imag[...] = parts[:, 0], parts[:, 1]
+    p.real[...], p.imag[...] = m[:, 0], m[:, 1]
+    a4 = s / 3 * (a.T[:, None, :] @ p.T[:, :, None])[:, 0, 0]
+    re, im = det2(a[1], a4, a[0], a[0])
     return np.hypot(re, im)
 
 
@@ -297,24 +348,28 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
     on the simplex, and angles wrap mod 2 pi.  A weight probe moves one
     weight of a row summing to 1 by at most step_w <= 0.15, so its total is
     positive: every probe is evaluated and counted.  The total adds the
-    columns left to right, numpy's order for a sum of fewer than 8 terms, so
+    weights left to right, numpy's order for a sum of fewer than 8 terms, so
     it is bit-equal to one restart's .sum().  A probe is kept only if
     strictly better, so no row's value decreases and every path is
     deterministic.  A row that improves nowhere in a sweep halves both steps
     and stops once both are below PATTERN_STEP_MIN.  Rows do not interact.
 
-    The state holds the live rows only.  Each row keeps the moment kernels
-    of its angles between probes, and an angle probe recomputes only the
-    column of the angle it moves.  At the end of a sweep the rows that
-    stopped are written out at their row ids and dropped from the state.
+    The state holds the live rows only, atom by atom: (k, R) weights and
+    angles and the planes of the moment kernels (see _h2_rows).  An angle
+    probe computes the kernels of the one angle it moves.  At the end of a
+    sweep the rows that stopped are written out at their row ids and
+    dropped from the state.
 
-    Returns the per-row best values, weights, angles and evaluation counts.
+    Takes and returns (R, k) weights and angles: returns the per-row best
+    values, weights, angles and evaluation counts.
     """
     rows, k = weights.shape
     ids = np.arange(rows)
-    w, t = weights.copy(), angles.copy()
-    kern = _kernels(t)
-    best = _h2_rows(alphas, w, kern)
+    w, t = weights.T.copy(), angles.T.copy()
+    planes = _kernel_planes(t)
+    pair = np.empty((2, 3, rows), dtype=complex)
+    pair[0, 2] = 1.0
+    best = _h2_rows(alphas, w, planes, pair)
     evals = np.ones(rows, dtype=np.int64)
     results = best.copy(), w.copy(), t.copy(), evals.copy()
     step_w, step_t = np.full(rows, 0.15), np.full(rows, 0.4)
@@ -323,28 +378,31 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
         for i in range(k):
             for sign in (1.0, -1.0):
                 trial = w.copy()
-                x = trial[:, i] + sign * step_w
-                trial[:, i] = np.where(x > 0.0, x, 0.0)
-                total = trial[:, 0].copy()
+                np.maximum(trial[i] + sign * step_w, 0.0, out=trial[i])
+                total = trial[0].copy()
                 for j in range(1, k):
-                    total += trial[:, j]
-                trial /= total[:, None]
-                val = _h2_rows(alphas, trial, kern)
-                hit = np.flatnonzero(val > best)
-                best[hit], w[hit], improved[hit] = val[hit], trial[hit], True
+                    total += trial[j]
+                trial /= total
+                val = _h2_rows(alphas, trial, planes, pair)
+                better = val > best
+                np.copyto(best, val, where=better)
+                np.copyto(w, trial, where=better)
+                improved |= better
         for i in range(k):
             for sign in (1.0, -1.0):
-                col = (t[:, i] + sign * step_t) % _TWO_PI
+                col = (t[i] + sign * step_t) % _TWO_PI
                 # x % 2 pi rounds a tiny negative x up to 2 pi: fold it as HerglotzAtoms does
                 col[col == _TWO_PI] = 0.0
-                # A row keeps the new column only if it keeps the new angle.
-                kept = kern[:, :, i].copy()
-                kern[:, :, i] = _kernels(col[:, None])[:, :, 0]
-                val = _h2_rows(alphas, w, kern)
-                hit = np.flatnonzero(val > best)
-                best[hit], t[hit, i], kept[hit], improved[hit] = (
-                    val[hit], col[hit], kern[hit, :, i], True)
-                kern[:, :, i] = kept
+                # A row keeps the new kernels only if it keeps the new angle.
+                kept = planes[i].copy()
+                kern = _kernels(col)
+                planes[i, :, 0], planes[i, :, 1] = kern.real, kern.imag
+                val = _h2_rows(alphas, w, planes, pair)
+                better = val > best
+                np.copyto(best, val, where=better)
+                np.copyto(t[i], col, where=better)
+                np.copyto(planes[i], kept, where=~better)
+                improved |= better
         evals += 4 * k
         step_w[~improved] *= 0.5
         step_t[~improved] *= 0.5
@@ -352,12 +410,13 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
         done = (step_w < PATTERN_STEP_MIN) & (step_t < PATTERN_STEP_MIN) | (sweep == sweeps)
         if done.any():
             for out, now in zip(results, (best, w, t, evals)):
-                out[ids[done]] = now[done]
-            ids, alphas, w, t, kern, best, evals, step_w, step_t = (
-                a[~done] for a in (ids, alphas, w, t, kern, best, evals, step_w, step_t))
+                out[..., ids[done]] = now[..., done]
+            ids, alphas, w, t, planes, best, evals, step_w, step_t = (
+                a[..., ~done] for a in (ids, alphas, w, t, planes, best, evals, step_w, step_t))
             if not ids.size:
                 break
-    return results
+    best, w, t, evals = results
+    return best, w.T, t.T, evals
 
 
 def _herglotz_outcomes(

@@ -83,42 +83,20 @@ def coeffs_from_moments(alpha: Alpha | float, moments) -> CoefficientVector:
 
     Equating coefficients in z f' = [alpha + (1 - alpha) p] f gives
 
-        a_n = (1 - alpha) / (n - 1) * sum_{k=1..n-1} a_{n-k} p_k,   a_1 = 1.
+        a_n = (1 - alpha) / (n - 1) * sum_{k=1..n-1} a_{n-k} p_k,   a_1 = 1,
 
-    Moments so large that a coefficient overflows raise DomainError.
+    each sum one np.dot of a_{n-1}..a_1 with p_1..p_{n-1}.  Moments so large
+    that a coefficient overflows raise DomainError.
     """
     al = alpha_value(alpha)
     p = _moment_vector(moments)
+    a = np.zeros(p.size + 1, dtype=complex)
+    a[0] = 1.0
     # CoefficientVector rejects overflowed coefficients; numpy must not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
-        a = coeff_rows(al, p[None, :])[0]
+        for n in range(2, p.size + 2):
+            a[n - 1] = (1.0 - al) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
     return CoefficientVector(a)
-
-
-def coeff_rows(alpha, moments) -> np.ndarray:
-    """The recurrence of coeffs_from_moments on each row of an (R, N-1) moment array.
-
-    ``alpha`` is one alpha value (a float) for every row, or the (R,) array
-    of each row's value; callers validate it.  Returns the (R, N) array of
-    rows a_1..a_N, a reversed view of one buffer that holds each row as
-    a_N..a_1.  Every row is bit-equal to what np.dot gives one row at a
-    time: a_{n-1}..a_1 and p_1..p_{n-1} are unit-stride slices of that
-    buffer and of the moments, so each sum is a stacked product that numpy
-    hands to the same BLAS dot, and the one-term sum for a_2 is a plain
-    complex product, as np.dot forms it.
-    """
-    p = np.ascontiguousarray(moments, dtype=complex)
-    rows, m = p.shape
-    r = np.empty((rows, m + 1), dtype=complex)
-    r[:, m] = 1.0
-    s = 1.0 - alpha
-    for n in range(2, m + 2):
-        if n == 2:
-            total = r[:, m] * p[:, 0]
-        else:
-            total = (r[:, None, m + 2 - n :] @ p[:, : n - 1, None])[:, 0, 0]
-        r[:, m + 1 - n] = s / (n - 1) * total
-    return r[:, ::-1]
 
 
 def closed_form_a234(alpha: Alpha | float, m: MomentTriple) -> tuple:

@@ -272,28 +272,32 @@ class TestModuleEntryPoint:
         assert proc.stdout.decode() == out
 
 
-def test_reproduce_bound_table_script():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_bound_table.py"
-    for method in ("phi", "herglotz"):
-        proc = subprocess.run(
-            [sys.executable, str(script), "--steps", "1", "--methods", method],
-            capture_output=True, env=src_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert b"worst gap" in proc.stdout
-        assert f"method = {method}".encode() in proc.stdout
-    for argv, error in [
-        (["--alpha-end", "2"], re.escape("alpha must lie in [0, 1), got 2.0")),
-        (["--alpha-end", "-2e-1"], re.escape("alpha must lie in [0, 1), got -0.2")),
-        (["--steps", "100000000000000000"], "Unable to allocate .*"),
-    ]:
-        proc = subprocess.run(
-            [sys.executable, str(script), *argv, "--methods", "phi"],
-            capture_output=True, env=src_env(),
-        )
-        assert (proc.returncode, proc.stdout) == (1, b"")
-        [line] = proc.stderr.decode().splitlines()
-        assert re.fullmatch(f"reproduce_bound_table: error: {error}", line), line
+@pytest.mark.parametrize("method", ["phi", "herglotz"])
+def test_sweep_over_the_bound_table_range(capsys, method):
+    code, out, err = run_cli(capsys, "sweep", "--alpha-start", "0", "--alpha-end", "0.9",
+                             "--steps", "1", "--method", method)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "alpha,searched_max,sharp_bound,abs_gap,argmax"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.90000000000000002"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sweep", "--alpha-start", "0", "--alpha-end", "2", "--steps", "9", "--method", "phi"],
+     re.escape("alpha must lie in [0, 1), got 2.0")),
+    (["sweep", "--alpha-start", "0", "--alpha-end", "-2e-1", "--steps", "9", "--method", "phi"],
+     re.escape("alpha must lie in [0, 1), got -0.2")),
+    (["sweep", "--alpha-start", "0", "--alpha-end", "0.9", "--steps", "100000000000000000",
+      "--method", "phi"],
+     re.escape("--steps 100000000000000000 is too large: ") + "Unable to allocate .*"),
+    (["search", "--alpha", "0.1", "--method", "phi", "--seed", "-3"],
+     re.escape("seed must be a whole number of at least 0, got -3")),
+])
+def test_error_line(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert re.fullmatch(f"h2star: error: {error}", line), line
 
 
 class TestExitCodes:

@@ -644,11 +644,18 @@ class TestWorkers:
             call(workers)
 
 
+def _row_kernel(alpha, w, t):
+    """search._h2_rows on (R, k) weights and angles, with their planes and a fresh scratch pair."""
+    pair = np.empty((2, 3, len(w)), dtype=complex)
+    pair[0, 2] = 1.0
+    return search._h2_rows(alpha, w.T, search._kernel_planes(t.T), pair)
+
+
 def _h2_at_extremal(alpha):
     """The atom search's objective at the extremal atoms (0.5, 0.5), (0, pi)."""
     weights = np.array([EXTREMAL_ATOMS.weights])
     angles = np.array([EXTREMAL_ATOMS.angles])
-    return search._h2_rows(alpha, weights, search._kernels(angles))[0]
+    return _row_kernel(alpha, weights, angles)[0]
 
 
 class TestMaximizeHerglotz:
@@ -802,10 +809,9 @@ class TestHerglotzRowKernel:
             for r in range(self.ROWS)
         ])
         one_point = np.array([_scalar_h2(alpha, w[r], t[r]) for r in range(self.ROWS)])
-        batch = search._h2_rows(alpha, w, search._kernels(t))
+        batch = _row_kernel(alpha, w, t)
         singles = np.concatenate(
-            [search._h2_rows(alpha, w[r : r + 1], search._kernels(t[r : r + 1]))
-             for r in range(self.ROWS)]
+            [_row_kernel(alpha, w[r : r + 1], t[r : r + 1]) for r in range(self.ROWS)]
         )
         assert via_api.tobytes() == one_point.tobytes()
         assert batch.tobytes() == via_api.tobytes()
@@ -822,41 +828,95 @@ class TestHerglotzRowKernelPerRowAlpha:
         rng.shuffle(values)
         w = rng.dirichlet(np.ones(k), size=values.size)
         t = rng.uniform(0.0, 2.0 * math.pi, size=(values.size, k))
-        batch = search._h2_rows(values, w, search._kernels(t))
+        batch = _row_kernel(values, w, t)
         for r in range(values.size):
             alpha = float(values[r])
-            one = search._h2_rows(alpha, w[r : r + 1], search._kernels(t[r : r + 1]))
+            one = _row_kernel(alpha, w[r : r + 1], t[r : r + 1])
             assert batch[r : r + 1].tobytes() == one.tobytes()
             assert batch[r] == _scalar_h2(alpha, w[r], t[r])
 
 
+def _assert_row_kernel_identities():
+    """The identities behind _h2_rows, on this process's OpenBLAS core.
+
+    - For k <= 3, the left-to-right sums of plane times weight equal the
+      stacked product of the complex kernels with the weights, as _h2_rows
+      once formed the moments.
+    - a3's two-term dot a2 p1 + 1 p2, as a stacked dot, equals
+      (a2r p1r + p2r) - a2i p1i and (a2r p1i + p2i) + a2i p1r.
+
+    Both are equal as values; a zero part may differ in sign.  The rows
+    include angles of 0, zero weights and signed-zero moments.  Also, a4's
+    stacked dot on the (R, 3) views of _h2_rows' (3, R) scratch has the bits
+    of the dot on contiguous rows.
+    """
+    rng = np.random.default_rng(170)
+    for k in (1, 2, 3):
+        w = rng.dirichlet(np.ones(k), size=3000)
+        t = rng.uniform(0.0, search._TWO_PI, size=(3000, k))
+        t[:500] = 0.0
+        t[500:1000, 0] = 0.0
+        w[1000:1500, 0] = 0.0
+        stacked = (search._kernels(t) @ w[:, :, None])[:, :, 0]
+        planes = search._kernel_planes(t.T)
+        sums = planes[0] * w[:, 0]
+        for j in range(1, k):
+            sums = sums + planes[j] * w[:, j]
+        assert (sums[:, 0] == stacked.real.T).all(), k
+        assert (sums[:, 1] == stacked.imag.T).all(), k
+
+    parts = np.array([0.0, -0.0, 1.5, -1.5, 2.0, 1e-200, -1e-200])
+    p = rng.normal(size=(8000, 2)) + 1j * rng.normal(size=(8000, 2))
+    p.real[:4000], p.imag[:4000] = parts[rng.integers(0, parts.size, (2, 4000, 2))]
+    s = 1.0 - np.concatenate([[0.0, 0.5, 0.9999], rng.uniform(0.0, 1.0, len(p) - 3)])
+    (p1r, p2r), (p1i, p2i) = p.real.T, p.imag.T
+    a2r, a2i = s * p1r, s * p1i
+    a = np.ones((len(p), 2), dtype=complex)
+    a.real[:, 0], a.imag[:, 0] = a2r, a2i
+    stacked = (a[:, None, :] @ p[:, :, None])[:, 0, 0]
+    assert ((a2r * p1r + p2r) - a2i * p1i == stacked.real).all()
+    assert ((a2r * p1i + p2i) + a2i * p1r == stacked.imag).all()
+
+    a, p = rng.normal(size=(2, 3, 2000)) + 1j * rng.normal(size=(2, 3, 2000))
+    a[2] = 1.0
+    strided = (a.T[:, None, :] @ p.T[:, :, None])[:, 0, 0]
+    rows = np.ascontiguousarray(a.T)[:, None, :] @ np.ascontiguousarray(p.T)[:, :, None]
+    assert strided.tobytes() == rows[:, 0, 0].tobytes()
+
+
+def test_row_kernel_identities():
+    _assert_row_kernel_identities()
+
+
 _PRESCOTT_SCRIPT = """
 import numpy as np
-from test_search import _scalar_h2
+from test_search import _assert_row_kernel_identities, _row_kernel, _scalar_h2
 from test_starlike import _dot_recurrence
-from h2star import search
-from h2star.starlike import coeff_rows
+from h2star import coeffs_from_moments, search
 
 for k in (1, 2, 3, 4):
     rng = np.random.default_rng(140 + k)
     alpha = float(rng.uniform(0.0, 1.0))
     w = rng.dirichlet(np.ones(k), size=1000)
     t = rng.uniform(0.0, search._TWO_PI, size=(1000, k))
-    batch = search._h2_rows(alpha, w, search._kernels(t))
+    batch = _row_kernel(alpha, w, t)
     one_point = np.array([_scalar_h2(alpha, w[r], t[r]) for r in range(1000)])
     assert batch.tobytes() == one_point.tobytes(), f"_h2_rows, k = {k}"
 for m in (1, 3, 11):
     rng = np.random.default_rng(150 + m)
     alpha = float(rng.uniform(0.0, 1.0))
     p = rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
-    want = np.array([_dot_recurrence(alpha, p[r]) for r in range(300)])
-    assert coeff_rows(alpha, p).tobytes() == want.tobytes(), f"coeff_rows, m = {m}"
+    for r in range(300):
+        got = coeffs_from_moments(alpha, p[r]).coeffs
+        assert got.tobytes() == _dot_recurrence(alpha, p[r]).tobytes(), f"m = {m}, row {r}"
+_assert_row_kernel_identities()
 """
 
 
 def test_row_kernels_equal_their_references_under_prescott():
-    """The bit-equalities of TestHerglotzRowKernel and test_starlike's
-    TestCoeffRows under OpenBLAS's Prescott kernel, not the machine's default.
+    """The bit-equalities of TestHerglotzRowKernel, test_starlike's
+    TestCoeffRows and test_row_kernel_identities under OpenBLAS's Prescott
+    kernel, not the machine's default.
 
     The kernels and their references sum through the same BLAS dots, whose
     bits depend on the kernel.  OpenBLAS reports its Prescott kernel under
@@ -873,10 +933,11 @@ def test_row_kernels_equal_their_references_under_prescott():
 
 
 class TestKernelCache:
-    """_refine_rows keeps each row's kernels and recomputes one column per angle probe."""
+    """_refine_rows keeps each row's kernels and recomputes one atom's per angle probe."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_column_equals_kernels_of_that_column(self, k):
+        # An atom's kernels and planes in a batch equal those of its angles alone.
         rng = np.random.default_rng(60 + k)
         two_pi = search._TWO_PI
         special = np.concatenate([
@@ -887,10 +948,13 @@ class TestKernelCache:
         t = rng.uniform(0.0, two_pi, size=(200, k))
         for i in range(k):
             t[i : i + special.size, i] = special
-        whole = search._kernels(t)
+        t = t.T.copy()
+        whole, planes = search._kernels(t), search._kernel_planes(t)
         for i in range(k):
-            column = search._kernels(t[:, i : i + 1])[:, :, 0]
-            assert whole[:, :, i].tobytes() == column.tobytes()
+            column = search._kernels(t[i])
+            assert whole[i].tobytes() == column.tobytes()
+            assert planes[i, :, 0].tobytes() == np.ascontiguousarray(column.real).tobytes()
+            assert planes[i, :, 1].tobytes() == np.ascontiguousarray(column.imag).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_cache_follows_the_angles(self, monkeypatch, k):
@@ -905,20 +969,20 @@ class TestKernelCache:
         seen = []
         kernel = search._h2_rows
 
-        def spy(alpha, weights, kernels):
-            seen.append(kernels.copy())
-            return kernel(alpha, weights, kernels)
+        def spy(alpha, weights, planes, pair):
+            seen.append(planes.copy())
+            return kernel(alpha, weights, planes, pair)
 
         monkeypatch.setattr(search, "_h2_rows", spy)
         search._refine_rows(alphas, w, t, sweeps)
         assert len(seen) == 1 + sweeps * 4 * k
         for s, angles in enumerate(angles_after):
             cached = seen[1 + s * 4 * k]
-            assert cached.tobytes() == search._kernels(angles).tobytes()
+            assert cached.tobytes() == search._kernel_planes(angles.T).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_exp_only_on_the_moved_column(self, monkeypatch, k):
-        # One exp of the start angles, then one column per angle probe and
+        # One exp of the start angles, then one atom's per angle probe and
         # none per weight probe.
         rng = np.random.default_rng(80 + k)
         rows, sweeps = 50, 5
@@ -934,7 +998,7 @@ class TestKernelCache:
 
         monkeypatch.setattr(np, "exp", spy)
         search._refine_rows(alphas, w, t, sweeps)
-        assert shapes == [(rows, 3, k)] + [(rows, 3, 1)] * (sweeps * 2 * k)
+        assert shapes == [(k, 3, rows)] + [(3, rows)] * (sweeps * 2 * k)
 
 
 @pytest.mark.parametrize("sweeps", [1, 5, 60])
@@ -1121,9 +1185,9 @@ class TestHerglotzSweepBatch:
         seen = []
         kernel = search._h2_rows
 
-        def counting(alpha, weights, angles):
-            seen.append(weights.shape[0])
-            return kernel(alpha, weights, angles)
+        def counting(alpha, weights, planes, pair):
+            seen.append(weights.shape[1])
+            return kernel(alpha, weights, planes, pair)
 
         monkeypatch.setattr(search, "_h2_rows", counting)
         code = cli.main(["sweep", "--alpha-start", "0", "--alpha-end", "0.99",

@@ -14,7 +14,6 @@ from h2star import (
     extremal_coeffs,
 )
 from h2star.caratheodory import random_disk_point
-from h2star.starlike import coeff_rows
 
 
 class TestAlpha:
@@ -79,18 +78,17 @@ def _dot_recurrence(alpha, p):
 
 
 class TestCoeffRows:
-    """coeff_rows, and coeffs_from_moments through it, bit-equal to np.dot."""
+    """coeffs_from_moments, one row at a time, bit-equal to np.dot."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11])
     def test_random_moments(self, m):
         rng = np.random.default_rng(60 + m)
         alpha = float(rng.uniform(0.0, 1.0))
         p = rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
-        rows = coeff_rows(alpha, p)
         for r in range(p.shape[0]):
             want = _dot_recurrence(alpha, p[r]).tobytes()
             assert coeffs_from_moments(Alpha(alpha), p[r]).coeffs.tobytes() == want
-            assert rows[r].tobytes() == want
+            assert coeffs_from_moments(alpha, p[r]).coeffs.tobytes() == want
 
     def test_signed_zeros_and_negative_parts(self):
         # Every moment pair drawn from these parts, signed zeros included.
@@ -98,25 +96,22 @@ class TestCoeffRows:
         values = [complex(x, y) for x in parts for y in parts]
         p = np.array(list(itertools.product(values, repeat=2)), dtype=complex)
         alpha = 0.39
-        rows = coeff_rows(alpha, p)
         for r in range(p.shape[0]):
-            assert rows[r].tobytes() == _dot_recurrence(alpha, p[r]).tobytes()
+            got = coeffs_from_moments(alpha, p[r]).coeffs
+            assert got.tobytes() == _dot_recurrence(alpha, p[r]).tobytes()
 
 
 class TestCoeffRowsPerRowAlpha:
-    """coeff_rows with one alpha per row, bit-equal to one call per alpha."""
+    """coeffs_from_moments on rows of mixed alphas, each bit-equal to np.dot at its alpha."""
 
     ALPHAS = (0.0, 0.39, 0.5, 0.9999)
 
     @staticmethod
     def _assert_per_alpha(values, p):
-        rows = coeff_rows(values, p)
-        for a in np.unique(values):
-            mask = values == a
-            alpha = float(a)
-            assert rows[mask].tobytes() == coeff_rows(alpha, p[mask]).tobytes()
-            for r in np.flatnonzero(mask):
-                assert rows[r].tobytes() == _dot_recurrence(alpha, p[r]).tobytes()
+        for value, row in zip(values, p):
+            alpha = float(value)
+            got = coeffs_from_moments(alpha, row).coeffs
+            assert got.tobytes() == _dot_recurrence(alpha, row).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11])
     def test_random_moments(self, m):
