@@ -730,6 +730,17 @@ def test_count_arguments_reject_non_integral_and_oversized_values(name, data):
         call(count)
 
 
+@pytest.mark.parametrize("least, most, text", [
+    (1, 4, "n must be a whole number from 1 to 4, got 2.5"),
+    (0, math.inf, "n must be a whole number of at least 0, got 2.5"),
+    (-math.inf, math.inf, "n must be a whole number, got 2.5"),
+])
+def test_whole_number_error_names_only_bounded_ends(least, most, text):
+    with pytest.raises(DomainError) as err:
+        whole_number("n", 2.5, least, most)
+    assert str(err.value) == text
+
+
 _MOMENTS = MomentTriple(1.5, 0.3 + 0.2j, -1.0 + 0.5j)
 
 # Each exported function that takes alpha, called at one alpha.

@@ -272,10 +272,9 @@ class TestModuleEntryPoint:
         assert proc.stdout.decode() == out
 
 
-@pytest.mark.parametrize("method", ["phi", "herglotz"])
-def test_sweep_over_the_bound_table_range(capsys, method):
+def test_herglotz_sweep_table(capsys):
     code, out, err = run_cli(capsys, "sweep", "--alpha-start", "0", "--alpha-end", "0.9",
-                             "--steps", "1", "--method", method)
+                             "--steps", "1", "--method", "herglotz")
     assert code == 0, err
     lines = out.splitlines()
     assert lines[0] == "alpha,searched_max,sharp_bound,abs_gap,argmax"
@@ -292,7 +291,7 @@ def test_sweep_over_the_bound_table_range(capsys, method):
      re.escape("--steps 100000000000000000 is too large: ") + "Unable to allocate .*"),
     (["search", "--alpha", "0.1", "--method", "phi", "--seed", "-3"],
      re.escape("seed must be a whole number of at least 0, got -3")),
-])
+], ids=["alpha-end-2", "alpha-end-negative", "steps-unallocatable", "seed-negative"])
 def test_error_line(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
