@@ -6,7 +6,9 @@ The corpus holds outputs that must not change unless a change means them to:
 - the to_json() record of maximize_phi and maximize_param on their default
   grids, at the alphas of the benchmark workloads and the acceptance checks;
 - the same two records on small grids at 20 alphas, among them 0.999999 and
-  0.9999999, where (1 - alpha)^2 is below TIE_TOL;
+  0.9999999, where (1 - alpha)^2 is below TIE_TOL and only a tie window
+  relative to the maximum, TIE_TOL times it, keeps the grid's point
+  p = 0, |y| = 1 the answer;
 - the maximize_phi record on a tall 1001 x 11 grid at those 20 alphas, where
   the search's row pruning leaves out most p rows;
 - the CSV of `h2star sweep` over [0, 0.9] in 9 steps, by phi and by lemma;

@@ -5,8 +5,12 @@ the five-term parameterized form over the full (p, y, zeta) box, and direct
 search over genuine class members built from boundary atoms.  All searches
 are deterministic: grids are fixed and random starts come from seeded
 generators.  A grid reduction reports the first index, in C order, whose
-value lies within TIE_TOL of the grid maximum; that is the lexicographically
-smallest tied grid index, so the result does not depend on evaluation order.
+value is at least vmax - TIE_TOL * vmax, vmax the grid maximum; that is the
+lexicographically smallest tied grid index, so the result does not depend
+on evaluation order.  The tie window is relative: every grid holds a point
+whose value is (1 - alpha)^2 > 0, so vmax > 0 and the window scales with
+the bound at every alpha in [0, 1), also where (1 - alpha)^2 is far below
+TIE_TOL.
 Grids are evaluated on one thread; ``workers`` is accepted and validated but
 does not affect the computation.  zeta is searched on the unit circle only;
 the functional is affine in zeta, so the modulus over the closed disk is
@@ -58,8 +62,9 @@ from .tolerances import (
 # 9.9, 7.5 and 7.2 MiB, and 13.6 MiB in one batch (2-vCPU box, one BLAS thread).
 _HERGLOTZ_BATCH_ROWS = 1 << 10
 
-# Points per call of the form on whole zeta axes: at alpha = 0.999999 (every
-# default-grid line ties) a search took 1.9 s at 2^13, 2.6 s at 2^16 (2 vCPU).
+# Points per call of the form on whole zeta axes: a search that evaluated every
+# default-grid line (alpha = 0.999999 under an absolute tie window) took 1.9 s
+# at 2^13, 2.6 s at 2^16 (2 vCPU).
 _ZETA_CALL_POINTS = 1 << 13
 
 DEFAULT_GRID_P = 201
@@ -103,12 +108,16 @@ class SweepRow:
 
 
 def _first_tied_index(vals: np.ndarray, vmax: float) -> tuple:
-    """C-order first index of ``vals`` within TIE_TOL of ``vmax``.
+    """C-order first index of ``vals`` at or above ``vmax - TIE_TOL * vmax``.
 
     C order is lexicographic order on grid indices, so this is the smallest
-    tied index.
+    tied index.  The window is relative to ``vmax``: both grid searches pass
+    a maximum of at least (1 - alpha)^2 > 0, their value at the grid point
+    p = 0, |y| = 1, so at every alpha the window holds the maximum and the
+    values within a relative TIE_TOL below it.
     """
-    return tuple(int(i) for i in np.unravel_index(np.argmax(vals >= vmax - TIE_TOL), vals.shape))
+    tied = vals >= vmax - TIE_TOL * vmax
+    return tuple(int(i) for i in np.unravel_index(np.argmax(tied), vals.shape))
 
 
 def maximize_phi(
@@ -122,16 +131,18 @@ def maximize_phi(
 
     Every grid holds (p, t) = (0, 1), where _phi_raw is (1 - alpha)^2 bit
     for bit, phi's maximum on its box (proof steps 4 and 5), so a point off
-    the grid could beat the grid by rounding only, far below TIE_TOL.
+    the grid could beat the grid by rounding only, a relative error far
+    below TIE_TOL.
 
     The result is that of evaluating every grid point, bit for bit, but the
     t axis is evaluated only on the p rows that can hold the maximum or a
     tie.  phi is nondecreasing in t (proof step 4), so its t = 1 column,
-    evaluated first, bounds each row.  Like any grid value, phi(0, 1) is at
-    most the grid maximum, so a row whose bound is below
-    phi(0, 1) - TIE_TOL - BOUND_MARGIN can be neither the maximum nor tied
-    with it; BOUND_MARGIN covers rounding.  Where the profile phi(p, 1) is
-    flat, at alpha = 0, every row is kept.
+    evaluated first, bounds each row.  Like any grid value, m = phi(0, 1)
+    = (1 - alpha)^2 > 0 is at most the grid maximum vmax, and a tied value
+    is at least vmax - TIE_TOL * vmax >= m - TIE_TOL * m.  So a row whose
+    bound is below m - (TIE_TOL + BOUND_MARGIN) * m can be neither the
+    maximum nor tied with it; BOUND_MARGIN covers rounding, relative to m.
+    Where the profile phi(p, 1) is flat, at alpha = 0, every row is kept.
     ``evaluations`` counts the grid points decided, grid_p * grid_t.
     ``seed`` is recorded only; it is None or a whole number of at least 0.
     """
@@ -144,7 +155,7 @@ def maximize_phi(
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
     edge = _phi_raw(al, ps[:, None], ts[None, -1:])[:, 0]
-    rows = np.flatnonzero(edge >= edge[0] - TIE_TOL - BOUND_MARGIN)
+    rows = np.flatnonzero(edge >= edge[0] - (TIE_TOL + BOUND_MARGIN) * edge[0])
     vals = _phi_raw(al, ps[rows, None], ts[None, :])
     k, ti = _first_tied_index(vals, vals.max())
 
@@ -199,14 +210,16 @@ def maximize_param(
     The majorant |Psi(p, y, zeta)| <= phi(p, |y|), step 3 of the proof,
     which the proof-step-properties check samples, bounds |Psi| on a whole
     (p, t) row, and |A| + |B| bounds it on one line (see _line_maxima).  Every
-    grid holds p = 0, y = 1, zeta = 1, where |Psi| is (1 - alpha)^2; like any
-    grid value, this m is at most the grid maximum, so a row or line whose
-    bound is below m - TIE_TOL - BOUND_MARGIN can be neither the maximum nor
-    tied with it.  phi is nondecreasing in t (proof step 4), so phi, as
-    _phi_raw on the grid's own points, is evaluated first at t = 1, and on
-    the whole t axis only of the p rows whose value there reaches that
-    floor less another BOUND_MARGIN, which covers rounding; the (p, t) rows
-    kept are those of phi on the whole grid.  The rows kept are reduced 16
+    grid holds p = 0, y = 1, zeta = 1, where |Psi| is m = (1 - alpha)^2 > 0;
+    like any grid value, m is at most the grid maximum vmax, and a tied
+    value is at least vmax - TIE_TOL * vmax >= m - TIE_TOL * m.  So a row or
+    line whose bound is below the floor m - (TIE_TOL + BOUND_MARGIN) * m can
+    be neither the maximum nor tied with it.  phi is nondecreasing in t
+    (proof step 4), so phi, as _phi_raw on the grid's own points, is
+    evaluated first at t = 1, and on the whole t axis only of the p rows
+    whose value there reaches m - (TIE_TOL + 2 BOUND_MARGIN) * m; each
+    BOUND_MARGIN covers rounding relative to m, and the (p, t) rows kept
+    are those of phi on the whole grid.  The rows kept are reduced 16
     at a time to their lines' maxima, which fill one vector of one float
     per kept line.  _first_tied_index finds the first tied line in C order
     in it, and that line, evaluated once more, gives the first tied zeta
@@ -231,9 +244,9 @@ def maximize_param(
 
     # |Psi| at the grid point (p, |y|, arg y, arg zeta) = (0, 1, 0, 0)
     m = np.abs(hankel._param_form_raw(al, ps[:1], ts[-1:] * e_mu[:1], e_nu[:1]))[0]
-    floor = m - TIE_TOL - BOUND_MARGIN
+    floor = m - (TIE_TOL + BOUND_MARGIN) * m
     edge = _phi_raw(al, ps[:, None], ts[None, -1:])[:, 0]
-    kept = np.flatnonzero(edge >= floor - BOUND_MARGIN)
+    kept = np.flatnonzero(edge >= m - (TIE_TOL + 2 * BOUND_MARGIN) * m)
     rows = np.argwhere(_phi_raw(al, ps[kept, None], ts[None, :]) >= floor)
     rows[:, 0] = kept[rows[:, 0]]
     vals = np.empty(len(rows) * grid_yarg)

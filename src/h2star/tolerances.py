@@ -12,12 +12,13 @@ in e-notation, which the same test enforces.
 """
 
 # Searches (search.py)
-TIE_TOL = 1e-12            # grid values within this of the maximum tie; policy.  Known defect: it
-                           # is absolute, so once (1 - alpha)^2 < 1e-12 the whole grid ties
+TIE_TOL = 1e-12            # grid values at or above the maximum less this times the maximum
+                           # tie; policy
 BOUND_MARGIN = 1e-12       # computed |Psi| past its computed row bound phi or line bound
-                           # |A| + s2 |coef| / 6 in the lemma grid pruning; worst 5.5e-16,
-                           # ratio 1.8e3.  Also computed phi(p, t) past its p row's phi(p, 1)
-                           # in both grid searches' row pruning; worst 0.0
+                           # |A| + s2 |coef| / 6 in the lemma grid pruning, relative to
+                           # s2 = (1 - alpha)^2; worst 5.6e-16, ratio 1.8e3.  Also computed
+                           # phi(p, t) past its p row's phi(p, 1) in both grid searches' row
+                           # pruning, relative to s2; worst 0.0
 PATTERN_STEP_MIN = 1e-12   # a Herglotz restart stops once both its steps are below this; policy
 MONOTONE_DROP_TOL = 1e-12  # monotonicity_scan counts drops of phi along t beyond this, each
                            # <= 0 exactly; worst 3.0e-16, ratio 3.3e3

@@ -2,12 +2,13 @@
 
 ``_lemma_row_blocks`` must draw its rows from the distributions of
 ``alpha = rng.random(); pt = random_lemma_point(rng)``, bit for bit the rows
-of the per-call samplers below whatever its block size, and the atom sets and
+of the per-call samplers whatever its block size, and the atom sets and
 moment triples of ``caratheodory-admissibility`` and ``algebra-reconciliation``
 from theirs, and the array kernels the checks evaluate must agree, row by
 row, with the scalar functions the checks called one point at a time.  The
-scalar functions below are the reference.
+samplers and scalar formulas of ``reference`` are the reference.
 """
+import functools
 import math
 
 import numpy as np
@@ -56,43 +57,54 @@ from h2star.hankel import (
 )
 from h2star.search import DEFAULT_GRID_P, DEFAULT_GRID_T
 from h2star.starlike import _closed_form_rows
+import reference
+from reference import bits
 
 
 def _rows(rng, count):
     """The blocks of _lemma_row_blocks, checked for size, as one (count, 4) array."""
+    return _stack(_blocks(rng, count))
+
+
+def _blocks(rng, count):
+    """The blocks of _lemma_row_blocks, checked for size."""
     block = caratheodory.LEMMA_BLOCK_ROWS
     blocks = list(_lemma_row_blocks(rng, count))
     assert [b[0].size for b in blocks] == [min(block, count - s) for s in range(0, count, block)]
     assert all(col.size == b[0].size for b in blocks for col in b)
+    return blocks
+
+
+def _stack(blocks):
     return np.column_stack([np.concatenate(col) for col in zip(*blocks)]).astype(complex)
 
 
-def _reference_disk_points(rng, n):
-    z = np.empty(0, dtype=complex)
-    while z.size < n:
-        x, y = rng.uniform(-1.0, 1.0, (2, 2 * (n - z.size)))
-        w = x + 1j * y
-        z = np.concatenate((z, w[np.abs(w) <= 1.0]))
-    return z[:n]
+def _same_draws(seed, draw, reference_draw):
+    """draw(rng), asserted bit for bit reference_draw(rng) from a second
+    generator at ``seed``, to the generator state after them."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw(rng)
+    assert bits(got) == bits(reference_draw(ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
 
 
-def _reference_lemma_row_blocks(rng, count, draw=1024):
-    """The lemma rows as drawn one generator call at a time, in groups of ``draw`` rows."""
-    for done in range(0, count, draw):
-        n = min(draw, count - done)
-        yield (rng.random(n), rng.uniform(0.0, 2.0, n),
-               _reference_disk_points(rng, n), _reference_disk_points(rng, n))
+def _per_call_rows(seed, count, draw):
+    """_rows at ``seed``, asserted to be the per-call draws in groups of ``draw`` rows."""
+    return _same_draws(seed, lambda rng: _rows(rng, count),
+                       lambda rng: reference.lemma_rows(rng, count, draw))
 
 
-def _reference_triple_rows(rng, count):
-    alpha = rng.random(count)
-    p1, p2, p3 = 2.0 * _reference_disk_points(rng, 3 * count).reshape(3, count)
-    return alpha, p1, p2, p3
-
-
-def _reference_rows(rng, count, draw=1024):
-    blocks = _reference_lemma_row_blocks(rng, count, draw)
-    return np.column_stack([np.concatenate(col) for col in zip(*blocks)]).astype(complex)
+@pytest.fixture(scope="module")
+def drawn():
+    """The checked blocks of _lemma_row_blocks from a fresh generator at
+    (seed, count), and the generator state after them, drawn once per module:
+    several tests read the 100,000 rows of seeds 11 and 12."""
+    @functools.cache
+    def draw(seed, count):
+        rng = np.random.default_rng(seed)
+        return _blocks(rng, count), rng.bit_generator.state
+    return draw
 
 
 def _draw_sizes(draw, block, monkeypatch):
@@ -111,19 +123,16 @@ def test_rows_are_seeded_and_sized(draw, block, monkeypatch):
     # _rows checks the block sizes; the per-call reference in groups of
     # ``draw`` rows checks the draw groups.
     _draw_sizes(draw, block, monkeypatch)
-    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
-    rows = _rows(rng, 2000)
-    assert rows.shape == (2000, 4)
-    assert _bits(rows) == _bits(_reference_rows(ref_rng, 2000, draw))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert _per_call_rows(12, 2000, draw).shape == (2000, 4)
 
 
 @pytest.mark.parametrize("seed, count", [*((s, 5000) for s in range(40)), (11, 100_000),
                                          (12, 100_000)])
-def test_rows_are_the_per_call_draws(seed, count):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _bits(_rows(rng, count)) == _bits(_reference_rows(ref_rng, count))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+def test_rows_are_the_per_call_draws(drawn, seed, count):
+    blocks, state = drawn(seed, count)
+    ref_rng = np.random.default_rng(seed)
+    assert bits(_stack(blocks)) == bits(reference.lemma_rows(ref_rng, count))
+    assert state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("draw", [1, 2, 3])
@@ -132,17 +141,13 @@ def test_rows_with_retried_rounds_are_the_per_call_draws(draw, monkeypatch):
     # twenty at one row), so the y sampler reads on into the zeta sampler's
     # doubles and the zeta sampler draws the shortfall from the generator.
     _draw_sizes(draw, 2 * draw, monkeypatch)
-    rng, ref_rng = np.random.default_rng(draw), np.random.default_rng(draw)
-    assert _bits(_rows(rng, 3000)) == _bits(_reference_rows(ref_rng, 3000, draw))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    _per_call_rows(draw, 3000, draw)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_triple_rows_are_the_per_call_draws(seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = _triple_rows(rng, 1000), _reference_triple_rows(ref_rng, 1000)
-    assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    _same_draws(seed, lambda rng: _triple_rows(rng, 1000),
+                lambda rng: reference.triple_rows(rng, 1000))
 
 
 def _kernel_values(alpha, p, y, zeta):
@@ -160,8 +165,8 @@ def test_rows_and_values_do_not_depend_on_the_block(monkeypatch):
         _draw_sizes(1024, block, monkeypatch)
         blocks = list(_lemma_row_blocks(np.random.default_rng(12), 20_000))
         assert blocks[0][0].size == block
-        found.append((_bits(np.concatenate([np.column_stack(b) for b in blocks])),
-                      _bits(np.concatenate([_kernel_values(*b) for b in blocks]))))
+        found.append((bits(np.concatenate([np.column_stack(b) for b in blocks])),
+                      bits(np.concatenate([_kernel_values(*b) for b in blocks]))))
     assert found[1:] == found[:1] * 2
 
 
@@ -182,8 +187,8 @@ def _assert_uniform_alpha_and_disks(alpha, disks, radius):
         assert abs(share - 0.5) <= 5 * math.sqrt(0.25 / n)
 
 
-def test_rows_follow_the_lemma_distributions():
-    rows = _rows(np.random.default_rng(12), 100_000)
+def test_rows_follow_the_lemma_distributions(drawn):
+    rows = _stack(drawn(12, 100_000)[0])
     alpha, p, y, zeta = rows.T
     n = rows.shape[0]
     _assert_uniform_alpha_and_disks(alpha, (y, zeta), 1.0)
@@ -257,32 +262,6 @@ def test_rows_longer_than_the_buffer(block, sampler, monkeypatch):
     assert draws.taken == 10 * 10 + 8 * block and draws.head == []
 
 
-def _round_by_round_draws(rng, n):
-    """One draw group by the round-by-round rule: n alphas, n ps, then the y
-    and zeta samplers, each round reading 4 k doubles for a shortfall of k
-    from one stream, rng.random(10 n) and then the generator."""
-    stream = rng.random(10 * n)
-
-    def take(size):
-        nonlocal stream
-        if stream.size < size:
-            stream = np.concatenate((stream, rng.random(size - stream.size)))
-        out, stream = stream[:size], stream[size:]
-        return out
-
-    alpha, p = take(n), 2.0 * take(n)
-    disks = []
-    for _ in range(2):
-        z = np.empty(0, dtype=complex)
-        while z.size < n:
-            k = n - z.size
-            x, y = -1.0 + 2.0 * take(4 * k).reshape(2, 2 * k)
-            w = x + 1j * y
-            z = np.concatenate((z, w[np.abs(w) <= 1.0][:k]))
-        disks.append(z)
-    return alpha, p, *disks
-
-
 def _round_doubles(n, inside):
     """The 4 n doubles of one disk round of 2 n candidates: candidate i,
     x from double i and y from double 2 n + i, is a point of the disk of its
@@ -294,10 +273,8 @@ def _round_doubles(n, inside):
 
 def test_round_by_round_reference_is_the_per_call_draws():
     for seed in range(3):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = np.column_stack(_round_by_round_draws(rng, 1024)).astype(complex)
-        assert _bits(got) == _bits(_reference_rows(ref_rng, 1024))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        _same_draws(seed, lambda rng: np.column_stack(reference.round_by_round_draws(rng, 1024)),
+                    lambda rng: reference.lemma_rows(rng, 1024))
 
 
 @pytest.mark.parametrize("n", [8, 1024])
@@ -320,8 +297,8 @@ def test_one_pass_boundary_is_the_round_by_round_rule(n, short, monkeypatch):
         head += _round_doubles(n, inside)
     draws, ref_draws = _Draws(head), _Draws(head)
     rows = _rows(draws, n)
-    ref = np.column_stack(_round_by_round_draws(ref_draws, n)).astype(complex)
-    assert _bits(rows) == _bits(ref)
+    ref = np.column_stack(reference.round_by_round_draws(ref_draws, n)).astype(complex)
+    assert bits(rows) == bits(ref)
     assert (draws.taken, draws.head) == (ref_draws.taken, ref_draws.head) == (10 * n, [])
 
 
@@ -356,10 +333,6 @@ def test_blocked_quantities_match_the_scalar_loop(seed):
     assert all(e <= 1e-15 for e in worst.values()), worst
 
 
-def _bits(values) -> bytes:
-    return np.asarray(values, dtype=complex).tobytes()
-
-
 def test_atom_rows_match_the_scalar_loop():
     # caratheodory-admissibility as it ran, one atom set at a time.
     weights, angles = _atom_rows(np.random.default_rng(13), 1000)
@@ -372,23 +345,17 @@ def test_atom_rows_match_the_scalar_loop():
         assert not weights[i, k:].any() and not angles[i, k:].any()
         atoms = HerglotzAtoms(tuple(weights[i, :k]), tuple(angles[i, :k]))
         p = moments_from_atoms(atoms, 3)
-        assert _bits(moments[i]) == _bits(p) == _bits(_reference_moments(atoms, 3))
+        assert bits(moments[i]) == bits(p) == bits(reference.atom_moments(atoms, 3))
         if i % 10 == 0:
-            assert _bits(moments_from_atoms(atoms, 9)) == _bits(_reference_moments(atoms, 9))
+            assert bits(moments_from_atoms(atoms, 9)) == bits(reference.atom_moments(atoms, 9))
         ref_eig.append(toeplitz_psd(p)[0])
-        assert ref_eig[-1] == _reference_min_eig(p)
-        rotated, _ = normalize_rotation(p)
-        m = MomentTriple(*rotated)
-        if m.p1.real >= 2.0 - 1e-3:
-            continue
-        y, zeta = lemma_inverse(m)
-        if zeta is None or abs(y) >= 1.0 - 1e-6:
-            continue
-        if abs(zeta) > 1.0:
-            zeta = zeta / abs(zeta)
-        back = lemma_forward(LemmaPoint(m.p1.real, y, zeta))
-        ref_errors.append(max(abs(back.p1 - m.p1), abs(back.p2 - m.p2), abs(back.p3 - m.p3)))
-    assert _bits(min_eig) == _bits(ref_eig)
+        assert ref_eig[-1] == reference.toeplitz_min_eig(p)
+        trip = reference.round_trip(p)
+        if trip is not None:
+            m, back = trip
+            ref_errors.append(max(abs(back.p1 - m.p1), abs(back.p2 - m.p2),
+                                  abs(back.p3 - m.p3)))
+    assert bits(min_eig) == bits(ref_eig)
     assert float(min_eig.min()) == pytest.approx(-2.749e-15, rel=1e-3)
     assert errors.size == len(ref_errors) == 591
     assert np.max(np.abs(errors - ref_errors)) <= 1e-15
@@ -414,7 +381,7 @@ def test_triple_rows_match_the_scalar_loop(seed):
     assert all(e <= 1e-15 for e in worst.values()), worst
     direct = a2 * a4 - a3 * a3
     want = np.abs(form - direct) / np.maximum(1.0, np.abs(direct))
-    assert _bits(checks._closed_form_gaps(alpha, p1, p2, p3)) == _bits(want)
+    assert bits(checks._closed_form_gaps(alpha, p1, p2, p3)) == bits(want)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -556,101 +523,46 @@ def test_lemma_box_rows_raise_the_error_of_their_first_failing_rule(bad, row):
     assert got == _error(lambda: LemmaPoint(p[row], y[row], zeta[row]))
 
 
-# The scalar formulas as they stood before the array kernels existed.
-def _reference_disk_point(rng, radius=1.0):
-    while True:
-        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if abs(z) <= radius:
-            return z
-
-
-def _reference_lemma_forward(p, y, zeta):
-    q = 4.0 - p * p
-    p2 = 0.5 * (p * p + y * q)
-    p3 = 0.25 * (p**3 + 2.0 * q * p * y - p * q * y * y
-                 + 2.0 * q * (1.0 - abs(y) ** 2) * zeta)
-    if np.ndim(p):
-        return p, p2, p3
-    return complex(p), complex(p2), complex(p3)
-
-
-def _reference_moments(atoms, m):
-    w = np.asarray(atoms.weights)
-    t = np.asarray(atoms.angles)
-    n = np.arange(1, m + 1)
-    return 2.0 * (w[None, :] * np.exp(1j * np.outer(n, t))).sum(axis=1)
-
-
-def _reference_min_eig(p):
-    m = p.size
-    full = np.concatenate((np.conj(p[::-1]), [2.0 + 0.0j], p))
-    idx = np.subtract.outer(np.arange(m + 1), np.arange(m + 1))
-    return float(np.linalg.eigvalsh(full[m + idx])[0])
-
-
-def _reference_moment_form(a, m):
-    s2 = (1.0 - a) ** 2
-    return complex(s2 * (-s2 * m.p1**4 / 12.0 - m.p2 * m.p2 / 4.0 + m.p1 * m.p3 / 3.0))
-
-
-def _reference_phi(a, p, t):
-    p_arr = np.asarray(p, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    s2 = (1.0 - a) ** 2
-    c = abs(3.0 - 8.0 * a + 4.0 * a**2)
-    q = 4.0 - p_arr * p_arr
-    val = s2 * (
-        c * p_arr**4 / 48.0
-        + p_arr**2 * q * t_arr / 24.0
-        + p_arr**2 * q * t_arr**2 / 12.0
-        + q * q * t_arr**2 / 16.0
-        + p_arr * q * (1.0 - t_arr**2) / 6.0
-    )
-    return float(val) if val.ndim == 0 else val
-
-
 def test_scalar_functions_unchanged():
     rng = np.random.default_rng(7)
     for _ in range(500):
         a = rng.random()
         pt = random_lemma_point(rng)
         m = lemma_forward(pt)
-        assert repr((m.p1, m.p2, m.p3)) == repr(_reference_lemma_forward(pt.p, pt.y, pt.zeta))
+        assert repr((m.p1, m.p2, m.p3)) == repr(reference.lemma_forward(pt.p, pt.y, pt.zeta))
         triple = MomentTriple(*(random_disk_point(rng, 2.0) for _ in range(3)))
         for moments in (m, triple):
             assert repr(functional_moment_form(Alpha(a), moments)) == repr(
-                _reference_moment_form(a, moments)
+                reference.moment_form(a, moments)
             )
         t = abs(pt.y)
-        assert repr(phi(Alpha(a), pt.p, t)) == repr(_reference_phi(a, pt.p, t))
+        assert repr(phi(Alpha(a), pt.p, t)) == repr(reference.phi(a, pt.p, t))
     ps = np.linspace(0.0, 2.0, 37)[:, None]
     ts = np.linspace(0.0, 1.0, 29)[None, :]
     for a in (0.0, 0.3, 0.5, 0.95):
         got = phi(Alpha(a), ps, ts)
-        assert np.array_equal(got.view(np.uint64), _reference_phi(a, ps, ts).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), reference.phi(a, ps, ts).view(np.uint64))
 
 
-def test_array_kernels_unchanged():
-    # The kernels the checks and searches evaluate, bit for bit the inline
-    # formulas above on arrays: the sampled checks' rows and the default grid.
+def test_array_kernels_unchanged(drawn):
+    # The kernels the checks and searches evaluate, bit for bit the scalar
+    # formulas on arrays: the sampled checks' rows and the default grid.
     for seed in (11, 12):
-        for _, p, y, zeta in _lemma_row_blocks(np.random.default_rng(seed), 100_000):
+        for _, p, y, zeta in drawn(seed, 100_000)[0]:
             got = _lemma_forward_raw(p, y, zeta)
             assert [x.tobytes() for x in got] == [
-                x.tobytes() for x in _reference_lemma_forward(p, y, zeta)]
+                x.tobytes() for x in reference.lemma_forward(p, y, zeta)]
     ps = np.linspace(0.0, 2.0, DEFAULT_GRID_P)[:, None]
     ts = np.linspace(0.0, 1.0, DEFAULT_GRID_T)[None, :]
     for a in checks.ALPHA_GRID:
-        assert _phi_raw(a, ps, ts).tobytes() == _reference_phi(a, ps, ts).tobytes()
+        assert _phi_raw(a, ps, ts).tobytes() == reference.phi(a, ps, ts).tobytes()
 
 
 @pytest.mark.parametrize("radius", [1.0, 2.0, 0.3])
 def test_disk_points_are_the_uniform_draws(radius):
     for seed in range(40):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [random_disk_point(rng, radius) for _ in range(25)]
-        assert _bits(got) == _bits([_reference_disk_point(ref_rng, radius) for _ in range(25)])
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        _same_draws(seed, lambda rng: [random_disk_point(rng, radius) for _ in range(25)],
+                    lambda rng: [reference.disk_point(rng, radius) for _ in range(25)])
 
 
 def test_lemma_point_box_message_unchanged():

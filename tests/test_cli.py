@@ -28,6 +28,43 @@ def src_env():
     return env
 
 
+# One interpreter runs ``python -m h2star``'s module, h2star/__main__.py, once
+# for each of these command lines, as runpy, which -m uses, runs it; each
+# run's exit code, stdout and stderr are written out as one JSON line.
+# catch_warnings restores the interpreter's warning filters and forgets the
+# warnings shown, so each run prints what a fresh ``python -m h2star`` prints.
+_PACKAGE_MAIN_ARGVS = {
+    "bound": ["bound", "--alpha", "0.25", "--json"],
+    # A fresh interpreter prints numpy's warnings, which pytest would raise.
+    "overflow": ["coeffs", "--alpha", "0", "--atoms", "1e308:0,1e308:1"],
+}
+_PACKAGE_MAIN_SCRIPT = """
+import contextlib, io, json, runpy, sys, warnings
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["h2star", *argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("h2star", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            code = stop.code
+    print(json.dumps([code, out.getvalue(), err.getvalue()]), file=sys.__stdout__)
+"""
+
+
+@pytest.fixture(scope="module")
+def package_main():
+    """(exit code, stdout, stderr) of ``python -m h2star`` at each of
+    _PACKAGE_MAIN_ARGVS, from one fresh interpreter."""
+    argvs = json.dumps(list(_PACKAGE_MAIN_ARGVS.values()))
+    proc = subprocess.run([sys.executable, "-c", _PACKAGE_MAIN_SCRIPT, argvs],
+                          capture_output=True, text=True, env=src_env(), check=False)
+    assert proc.returncode == 0, proc.stderr
+    runs = [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+    return dict(zip(_PACKAGE_MAIN_ARGVS, runs))
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 0, err
@@ -52,20 +89,12 @@ class TestSubcommands:
         assert out.splitlines()[0] == "det = -1+0j"
 
     def test_hankel_complex_entries(self, capsys):
-        doc = run_json(
-            capsys, "hankel", "--coeffs", "1,2+1j,3,4-1j", "--q", "2", "--n", "1"
-        )
+        doc = run_json(capsys, "hankel", "--coeffs", "1,2+1j,3,4-1j", "--q", "2", "--n", "1")
         # det = a1 a3 - a2^2 = 3 - (2+i)^2
         assert doc["det"] == [0.0, -4.0]
 
     def test_coeffs_from_atoms(self, capsys):
-        doc = run_json(
-            capsys,
-            "coeffs",
-            "--alpha", "0",
-            "--atoms", "1:0",
-            "--order", "5",
-        )
+        doc = run_json(capsys, "coeffs", "--alpha", "0", "--atoms", "1:0", "--order", "5")
         assert doc["coefficients"] == [[float(n), 0.0] for n in range(1, 6)]
 
     def test_coeffs_default_order(self, capsys):
@@ -74,26 +103,13 @@ class TestSubcommands:
         assert len(doc["coefficients"]) == 16
 
     def test_functional_moment_form(self, capsys):
-        doc = run_json(
-            capsys,
-            "functional",
-            "--alpha", "0",
-            "--p1", "2",
-            "--p2", "2",
-            "--p3", "2",
-        )
+        doc = run_json(capsys, "functional", "--alpha", "0", "--p1", "2", "--p2", "2", "--p3", "2")
         assert doc["abs"] == pytest.approx(1.0, abs=1e-15)
         assert doc["value"][0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_param_includes_majorant(self, capsys):
-        doc = run_json(
-            capsys,
-            "param",
-            "--alpha", "0.5",
-            "--p", "0",
-            "--y", "1,0",
-            "--zeta", "0,0",
-        )
+        doc = run_json(capsys, "param", "--alpha", "0.5", "--p", "0", "--y", "1,0",
+                       "--zeta", "0,0")
         assert doc["value"] == [-0.25, 0.0]
         assert doc["phi"] == 0.25
 
@@ -102,13 +118,7 @@ class TestSubcommands:
         assert doc["value"] == pytest.approx(1.0, abs=1e-15)
 
     def test_search_json_round_trips(self, capsys):
-        doc = run_json(
-            capsys,
-            "search",
-            "--alpha", "0.25",
-            "--method", "phi",
-            "--seed", "1",
-        )
+        doc = run_json(capsys, "search", "--alpha", "0.25", "--method", "phi", "--seed", "1")
         assert doc["value"] == 0.5625
         assert doc["method"] == "phi"
         assert json.loads(json.dumps(doc, sort_keys=True)) == doc
@@ -120,14 +130,8 @@ class TestSubcommands:
 
 
 class TestSweep:
-    GOLDEN_ARGS = [
-        "sweep",
-        "--alpha-start", "0",
-        "--alpha-end", "0.9",
-        "--steps", "9",
-        "--method", "phi",
-        "--seed", "7",
-    ]
+    GOLDEN_ARGS = ["sweep", "--alpha-start", "0", "--alpha-end", "0.9", "--steps", "9",
+                   "--method", "phi", "--seed", "7"]
 
     def test_golden_file_stability(self, tmp_path, capsys):
         paths = [tmp_path / f"sweep{i}.csv" for i in range(3)]
@@ -147,12 +151,9 @@ class TestSweep:
         path = tmp_path / "inproc.csv"
         code, _, _ = run_cli(capsys, *self.GOLDEN_ARGS, "--out", str(path))
         assert code == 0
-        proc = subprocess.run(
-            [sys.executable, "-m", "h2star.cli", *self.GOLDEN_ARGS],
-            capture_output=True,
-            cwd=Path(__file__).resolve().parents[1],
-            env=src_env(),
-        )
+        proc = subprocess.run([sys.executable, "-m", "h2star.cli", *self.GOLDEN_ARGS],
+                              capture_output=True, cwd=Path(__file__).resolve().parents[1],
+                              env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == path.read_bytes()
 
@@ -162,14 +163,8 @@ class TestSweep:
         assert outs[0] == outs[1] == outs[2]
 
     def test_stdout_emission(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "sweep",
-            "--alpha-start", "0",
-            "--alpha-end", "0.5",
-            "--steps", "1",
-            "--method", "phi",
-        )
+        code, out, _ = run_cli(capsys, "sweep", "--alpha-start", "0", "--alpha-end", "0.5",
+                               "--steps", "1", "--method", "phi")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "alpha,searched_max,sharp_bound,abs_gap,argmax"
@@ -262,14 +257,11 @@ class TestComplexFlags:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_h2star(self, capsys):
-        argv = ["bound", "--alpha", "0.25", "--json"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "h2star", *argv], capture_output=True, env=src_env()
-        )
-        assert proc.returncode == 0, proc.stderr
-        _, out, _ = run_cli(capsys, *argv)
-        assert proc.stdout.decode() == out
+    def test_python_dash_m_h2star(self, capsys, package_main):
+        code, stdout, stderr = package_main["bound"]
+        assert code == 0, stderr
+        _, out, _ = run_cli(capsys, *_PACKAGE_MAIN_ARGVS["bound"])
+        assert stdout == out
 
 
 def test_herglotz_sweep_table(capsys):
@@ -326,17 +318,10 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" not in err
 
-    def test_overflowing_weight_sum_is_one_error_line(self):
-        # A fresh interpreter prints numpy's warnings, which pytest would raise.
-        proc = subprocess.run(
-            [sys.executable, "-m", "h2star", "coeffs", "--alpha", "0",
-             "--atoms", "1e308:0,1e308:1"],
-            capture_output=True, env=src_env(),
-        )
-        assert (proc.returncode, proc.stdout) == (1, b"")
-        assert proc.stderr.decode().splitlines() == [
-            "h2star: error: weights must sum to 1, got inf"
-        ]
+    def test_overflowing_weight_sum_is_one_error_line(self, package_main):
+        code, stdout, stderr = package_main["overflow"]
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines() == ["h2star: error: weights must sum to 1, got inf"]
 
     def test_bad_method_choice(self, capsys):
         code, _, _ = run_cli(capsys, "search", "--alpha", "0.1", "--method", "newton")

@@ -26,6 +26,7 @@ from h2star import (
 )
 from h2star.caratheodory import _lemma_forward_raw, _lemma_row_blocks, random_disk_point
 from h2star.hankel import _moment_form_raw, _param_form_raw, _phi_raw, _zeta_free_terms, det2
+from reference import param_form, zeta_free_terms
 
 KOEBE = CoefficientVector([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 
@@ -210,62 +211,40 @@ class TestParamForm:
 
 
     def test_bit_equal_to_the_inline_zeta_term(self):
-        # _param_form_raw takes its zeta term from _zeta_coefficient; this is
-        # the expression it had with the term written inline.
-        def inline(alpha_value, p, y, zeta):
-            s2 = (1.0 - alpha_value) ** 2
-            c = 3.0 - 8.0 * alpha_value + 4.0 * alpha_value * alpha_value
-            q = 4.0 - p * p
-            y_sq_mod = np.abs(y) ** 2
-            return s2 * (
-                -c * p**4 / 48.0
-                + p * p * q * y / 24.0
-                - p * p * q * y * y / 12.0
-                - q * q * y * y / 16.0
-                + p * q * (1.0 - y_sq_mod) * zeta / 6.0
-            )
-
+        # _param_form_raw takes its zeta term from _zeta_coefficient; the
+        # reference writes the term inline.
         rng = np.random.default_rng(36)
         for alpha, p, y, zeta in _lemma_row_blocks(rng, 20_000):
-            got, want = _param_form_raw(alpha, p, y, zeta), inline(alpha, p, y, zeta)
+            got, want = _param_form_raw(alpha, p, y, zeta), param_form(alpha, p, y, zeta)
             assert got.tobytes() == want.tobytes()
         e_mu = np.exp(2j * np.pi * np.arange(64) / 64)
         for a in (0.0, 0.25, 0.5, 0.75, 0.99):
             for p in (0.0, 0.02, 1.0, 2.0):
                 for t in (0.0, 0.5, 1.0):
                     args = (a, p, (t * e_mu)[:, None], e_mu[None, :])
-                    assert _param_form_raw(*args).tobytes() == inline(*args).tobytes()
+                    assert _param_form_raw(*args).tobytes() == param_form(*args).tobytes()
                     for y, zeta in zip(t * e_mu[:8], e_mu[::8]):
                         pt = LemmaPoint(p, complex(y), complex(zeta))
                         value = functional_param_form(Alpha(a), pt)
                         assert np.array(value).tobytes() == np.array(
-                            complex(inline(a, p, complex(y), complex(zeta)))).tobytes()
+                            complex(param_form(a, p, complex(y), complex(zeta)))).tobytes()
 
     def test_zeta_free_terms_bit_equal_to_the_inline_terms(self):
-        # _zeta_free_terms computes p * p, q and p * p * q * y once; this is
-        # the sum with each term written out in full.
-        def inline(alpha_value, p, y):
-            c = 3.0 - 8.0 * alpha_value + 4.0 * alpha_value * alpha_value
-            q = 4.0 - p * p
-            return (
-                -c * p**4 / 48.0
-                + p * p * q * y / 24.0
-                - p * p * q * y * y / 12.0
-                - q * q * y * y / 16.0
-            )
-
+        # _zeta_free_terms computes p * p, q and p * p * q * y once; the
+        # reference writes each term out in full.
         rng = np.random.default_rng(37)
         for alpha, p, y, _ in _lemma_row_blocks(rng, 20_000):
-            assert _zeta_free_terms(alpha, p, y).tobytes() == inline(alpha, p, y).tobytes()
+            got = _zeta_free_terms(alpha, p, y)
+            assert got.tobytes() == zeta_free_terms(alpha, p, y).tobytes()
         e_mu = np.exp(2j * np.pi * np.arange(64) / 64)
         ps = np.linspace(0.0, 2.0, 201)[:, None]
         for a in (0.0, 0.25, 0.5, 0.75, 0.99):
             for t in (0.0, 0.5, 1.0):
                 y = t * e_mu[None, :]
-                assert _zeta_free_terms(a, ps, y).tobytes() == inline(a, ps, y).tobytes()
+                assert _zeta_free_terms(a, ps, y).tobytes() == zeta_free_terms(a, ps, y).tobytes()
                 for p, yy in zip(ps[::25, 0], y[0, ::8]):
                     got = _zeta_free_terms(a, float(p), complex(yy))
-                    assert repr(got) == repr(inline(a, float(p), complex(yy)))
+                    assert repr(got) == repr(zeta_free_terms(a, float(p), complex(yy)))
 
 
 class TestPhi:

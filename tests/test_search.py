@@ -1,5 +1,4 @@
 import functools
-import importlib.util
 import math
 import os
 import subprocess
@@ -30,31 +29,35 @@ from h2star import (
     sweep_alpha,
 )
 from h2star import cli, hankel, search
-from h2star.search import SearchOutcome, SweepRow, run_method
+from h2star.search import SearchOutcome, run_method
 from h2star.tolerances import BOUND_MARGIN, TIE_TOL
+import reference
+from reference import bits, first_tied, lemma_axes, refine_atoms, scalar_h2
+from test_golden import golden_corpus
 
 EXTREMAL_ATOMS = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
 
 SMALL_PARAM_GRIDS = dict(grid_p=41, grid_ymod=21, grid_yarg=16, grid_zarg=8)
 
-_SPEC = importlib.util.spec_from_file_location(
-    "golden_corpus", Path(__file__).resolve().parents[1] / "scripts" / "golden_corpus.py")
-golden_corpus = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(golden_corpus)
+
+def _calls(monkeypatch, owner, name):
+    """Make owner.name record each call's arguments and result, calling through."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _zeta_points(calls):
+    """The form points of the recorded _param_form_raw calls on whole zeta axes."""
+    return sum(out.size for args, out in calls if np.ndim(args[3]))
 
 
 class TestMaximizePhi:
-    def test_alpha_half(self):
-        outcome = maximize_phi(Alpha(0.5), 201, 101)
-        assert outcome.value == 0.25
-        assert outcome.argmax == {"p": 0.0, "t": 1.0}
-
-    def test_alpha_zero_tie_break(self):
-        outcome = maximize_phi(Alpha(0.0), 201, 101)
-        assert outcome.value == 1.0
-        assert outcome.argmax["p"] == 0.0
-        assert outcome.argmax["t"] == 1.0
-
     def test_degenerate_grid(self):
         with pytest.raises(DomainError):
             maximize_phi(Alpha(0.1), grid_p=1)
@@ -82,20 +85,27 @@ class TestMaximizePhi:
                                       (500, 500)])
     def test_grid_holds_the_maximum(self, grid):
         # (p, t) = (0, 1) lies on every grid and phi is (1 - alpha)^2 there,
-        # its maximum over the box, so that point is the reported argmax.
-        for a in [*np.linspace(0.0, 0.999, 200).tolist(), 0.5, 1 / 3, 0.9]:
+        # its maximum over the box, so that point is the reported argmax; at
+        # alpha = 0 the whole t = 1 column ties with it, and p = 0 comes first.
+        for a in [*np.linspace(0.0, 0.999, 200).tolist(), 0.5, 1 / 3, 0.9, Alpha(0.0),
+                  Alpha(0.5)]:
             outcome = maximize_phi(a, *grid)
             assert outcome.argmax == {"p": 0.0, "t": 1.0}
             assert outcome.value == sharp_bound(a)
             assert outcome.evaluations == grid[0] * grid[1]
 
 
-def _maximize_phi_checked(alpha, grid_p, grid_t):
-    """maximize_phi with its grid evaluated through the checked hankel.phi."""
+def _checked_grid(alpha, grid_p, grid_t):
+    """The (p, t) grid axes and the checked hankel.phi on the whole grid."""
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
-    vals = phi(alpha, ps[:, None], ts[None, :])
-    pi, ti = search._first_tied_index(vals, vals.max())
+    return ps, ts, phi(alpha, ps[:, None], ts[None, :])
+
+
+def _maximize_phi_checked(alpha, grid_p, grid_t):
+    """maximize_phi with its grid evaluated through the checked hankel.phi."""
+    ps, ts, vals = _checked_grid(alpha, grid_p, grid_t)
+    pi, ti = first_tied(vals, vals.max())
     return SearchOutcome(
         value=float(vals[pi, ti]),
         argmax={"p": float(ps[pi]), "t": float(ts[ti])},
@@ -107,9 +117,7 @@ def _maximize_phi_checked(alpha, grid_p, grid_t):
 
 def _monotonicity_scan_checked(alpha, grid_p, grid_t):
     """monotonicity_scan as it was when it evaluated the checked hankel.phi."""
-    ps = np.linspace(0.0, 2.0, grid_p)
-    ts = np.linspace(0.0, 1.0, grid_t)
-    vals = phi(alpha, ps[:, None], ts[None, :])
+    vals = _checked_grid(alpha, grid_p, grid_t)[2]
     drops = vals[:, :-1] - vals[:, 1:]
     return int(np.sum(drops > 1e-12)), float(max(float(drops.max()), 0.0))
 
@@ -146,22 +154,15 @@ class TestUncheckedPhiKernel:
 
 class TestPhiRowPruning:
     """maximize_phi evaluates the t axis only on the p rows whose t = 1 value
-    reaches phi(0, 1) - TIE_TOL - BOUND_MARGIN; phi is nondecreasing in t."""
+    reaches m - (TIE_TOL + BOUND_MARGIN) m, m = phi(0, 1); phi is nondecreasing in t."""
 
     @pytest.mark.parametrize("a, points", [(0.25, [201, 101]), (0.0, [201, 20_301])])
     def test_points_evaluated(self, monkeypatch, a, points):
         # At alpha = 0.25 only the row p = 0 reaches the floor; at alpha = 0
         # the profile phi(p, 1) is flat and every row is kept.
-        counted = []
-
-        def counting(alpha_value, p, t):
-            out = hankel._phi_raw(alpha_value, p, t)
-            counted.append(out.size)
-            return out
-
-        monkeypatch.setattr(search, "_phi_raw", counting)
+        calls = _calls(monkeypatch, search, "_phi_raw")
         outcome = maximize_phi(a)
-        assert counted == points
+        assert [out.size for _, out in calls] == points
         assert outcome.evaluations == 201 * 101
 
     # Stand-ins for _phi_raw, nondecreasing in t, whose exact maximum lies at
@@ -184,7 +185,7 @@ class TestPhiRowPruning:
         ts = np.linspace(0.0, 1.0, grid[1])
         vals = kernel(0.3, ps[:, None], ts[None, :]) * np.ones(grid)
         assert np.unravel_index(np.argmax(vals), grid)[0] == grid[0] - 1
-        pi, ti = TestReferenceTieBreak._oracle(vals)
+        pi, ti = first_tied(vals, vals.max())
         assert pi == {"first": 0, "last": grid[0] - 1}[row]
         monkeypatch.setattr(search, "_phi_raw", kernel)
         outcome = maximize_phi(0.3, *grid)
@@ -228,22 +229,46 @@ class TestMaximizeParam:
             maximize_param(Alpha(0.1), grid_ymod=1)
 
 
+# alpha = 1 - 10^-k, k in [0, 8], and uniform alphas in [0, 1).
+_ALPHA_RANGE = st.one_of(st.floats(0.0, 8.0).map(lambda k: 1.0 - 10.0**-k),
+                         st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(alpha=_ALPHA_RANGE)
+def test_grid_searches_reach_the_bound_at_every_alpha(alpha):
+    # The tie window is relative, so it stays within the bound however small
+    # (1 - alpha)^2 is, and both grids report their point p = 0, |y| = 1.
+    bound = (1.0 - alpha) ** 2
+    by_phi = maximize_phi(alpha, 5, 3)
+    by_lemma = maximize_param(alpha, 5, 3, 4, 4)
+    for outcome in (by_phi, by_lemma):
+        assert abs(outcome.value - bound) <= 1e-12 * bound, outcome
+        assert outcome.argmax["p"] == 0.0
+    assert by_phi.argmax["t"] == 1.0
+    assert abs(by_lemma.argmax["y"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_herglotz_search_reaches_the_bound_near_one():
+    # One batch gives maximize_herglotz's record at each alpha, bit for bit
+    # (TestHerglotzSweepBatch).
+    alphas = [1.0 - 10.0**-k for k in range(9)]
+    for alpha, outcome in zip(alphas, search._herglotz_outcomes(alphas)):
+        bound = (1.0 - alpha) ** 2
+        assert abs(outcome.value - bound) <= 1e-12 * bound, alpha
+
+
 class TestReferenceTieBreak:
     """Reported grid argmax against a brute-force oracle over the whole grid.
 
     The oracle evaluates every grid point in one broadcast call and takes the
-    Python ``min`` over all indices tied within TIE_TOL of the maximum.
+    first index, in C order, tied with the maximum (reference.first_tied).
     Alpha = 0 has massive ties (p = 0 and p = 2 both attain the bound);
     0.45 and 0.55 lie on either side of the sign change of
     c = 3 - 8 alpha + 4 alpha^2 at alpha = 0.5.
     """
 
     ALPHAS = [0.0, 0.45, 0.55]
-
-    @staticmethod
-    def _oracle(vals):
-        tied = np.nonzero(vals >= vals.max() - TIE_TOL)
-        return min(tuple(int(i) for i in idx) for idx in zip(*tied))
 
     def _check_param(self, form, a):
         g = SMALL_PARAM_GRIDS
@@ -259,7 +284,7 @@ class TestReferenceTieBreak:
                 e_nu[None, None, None, :],
             )
         )
-        pi, ti, mi, ni = self._oracle(vals)
+        pi, ti, mi, ni = first_tied(vals, vals.max())
         outcome = maximize_param(Alpha(a), **g)
         assert outcome.argmax["p"] == ps[pi]
         assert outcome.argmax["y"] == ts[ti] * e_mu[mi]
@@ -271,7 +296,7 @@ class TestReferenceTieBreak:
 
     def test_param_tie_across_slices(self, monkeypatch):
         # The exact maximum lies in the last p slice; every value of the
-        # p = 0 slice is within TIE_TOL of it, so the p = 0 slice must win.
+        # p = 0 slice is tied with it, so the p = 0 slice must win.
         # The bound phi no longer matches the fake form, so it is replaced
         # by a constant above the form's maximum.
         def form(alpha_value, p, y, zeta):
@@ -284,9 +309,8 @@ class TestReferenceTieBreak:
     @pytest.mark.parametrize("a", ALPHAS)
     @pytest.mark.parametrize("grid", [(51, 26), (201, 101)])
     def test_phi(self, a, grid):
-        ps = np.linspace(0.0, 2.0, grid[0])
-        ts = np.linspace(0.0, 1.0, grid[1])
-        pi, ti = self._oracle(phi(Alpha(a), ps[:, None], ts[None, :]))
+        ps, ts, vals = _checked_grid(Alpha(a), *grid)
+        pi, ti = first_tied(vals, vals.max())
         outcome = maximize_phi(Alpha(a), *grid)
         assert outcome.argmax == {"p": ps[pi], "t": ts[ti]}
 
@@ -313,21 +337,15 @@ def _maximize_param_full(alpha, grid_p, grid_ymod, grid_yarg, grid_zarg):
     """maximize_param evaluating every grid point, one whole p slice at a time.
 
     The reference for the bound-pruned search: it takes every slice's
-    maximum, picks the first slice tied within TIE_TOL of the global maximum
-    and reports the first C-order tied index of that slice.
+    maximum, picks the first slice tied with the global maximum and reports
+    the first C-order tied index of that slice.
     """
-    ps = np.linspace(0.0, 2.0, grid_p)
-    ts = np.linspace(0.0, 1.0, grid_ymod)
-    e_mu = np.exp(1j * np.arange(grid_yarg) * (2.0 * math.pi / grid_yarg))
-    e_nu = np.exp(1j * np.arange(grid_zarg) * (2.0 * math.pi / grid_zarg))
+    ps, ts, e_mu, e_nu = lemma_axes(grid_p, grid_ymod, grid_yarg, grid_zarg)
     y_grid = ts[:, None, None] * e_mu[None, :, None]
     zeta_grid = e_nu[None, None, :]
 
     def eval_slice(i):
         return np.abs(hankel._param_form_raw(alpha.value, ps[i], y_grid, zeta_grid))
-
-    def first_tied(vals, vmax):
-        return tuple(int(i) for i in np.argwhere(vals >= vmax - TIE_TOL)[0])
 
     slice_max = np.array([eval_slice(i).max() for i in range(grid_p)])
     gmax = slice_max.max()
@@ -342,6 +360,14 @@ def _maximize_param_full(alpha, grid_p, grid_ymod, grid_yarg, grid_zarg):
                    "grid_zarg": grid_zarg, "seed": None},
         evaluations=grid_p * grid_ymod * grid_yarg * grid_zarg,
     )
+
+
+def _small_grid_argmax():
+    """The argmax of maximize_param at alpha = 0.3 on the small grids, whose
+    record is asserted to be the full-slice reference's."""
+    want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
+    assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+    return want.argmax
 
 
 class TestBoundPruning:
@@ -368,10 +394,10 @@ class TestBoundPruning:
         assert maximize_param(Alpha(0.0)).to_json() == want
 
     @pytest.mark.parametrize("a", [0.0, 0.01, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5, 0.55, 0.75,
-                                   0.9, 0.99])
+                                   0.9, 0.99, 0.999999, 0.9999999])
     def test_bound_covers_every_zeta(self, a):
         # The computed |Psi| may exceed the computed phi(p, |y|) only by
-        # rounding, far below the margin the search leaves.
+        # rounding, far below the margin the search leaves, BOUND_MARGIN s2.
         ps = np.linspace(0.0, 2.0, 51)
         ts = np.linspace(0.0, 1.0, 26)
         bound = phi(a, ps[:, None], ts[None, :])
@@ -382,7 +408,7 @@ class TestBoundPruning:
                          - bound[i]))
             for i, p in enumerate(ps)
         )
-        assert worst <= BOUND_MARGIN / 1000
+        assert worst <= BOUND_MARGIN * (1.0 - a) ** 2 / 1000
 
     def test_tie_in_a_later_row(self, monkeypatch):
         # The constant bound lets every (p, t) row survive, but only the rows
@@ -399,9 +425,7 @@ class TestBoundPruning:
         monkeypatch.setattr(hankel, "_zeta_coefficient", coefficient)
         _use_form(monkeypatch, form)
         monkeypatch.setattr(search, "_phi_raw", _constant_bound(1.0))
-        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
-        assert abs(want.argmax["y"]) == 1.0
-        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+        assert abs(_small_grid_argmax()["y"]) == 1.0
 
     def test_tie_in_a_middle_block(self, monkeypatch):
         # The maximum lies in the last p slice, and the first value within
@@ -413,9 +437,7 @@ class TestBoundPruning:
 
         _use_form(monkeypatch, form)
         monkeypatch.setattr(search, "_phi_raw", _constant_bound(2.0))
-        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
-        assert want.argmax["p"] == np.linspace(0.0, 2.0, SMALL_PARAM_GRIDS["grid_p"])[7]
-        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+        assert _small_grid_argmax()["p"] == np.linspace(0.0, 2.0, SMALL_PARAM_GRIDS["grid_p"])[7]
 
     def test_tied_row_below_the_top_bound_survives(self, monkeypatch):
         # The bound falls short of the form by half the margin, as rounding
@@ -430,9 +452,7 @@ class TestBoundPruning:
 
         _use_form(monkeypatch, form)
         monkeypatch.setattr(search, "_phi_raw", bound)
-        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
-        assert want.argmax["p"] == 0.0
-        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+        assert _small_grid_argmax()["p"] == 0.0
 
     def test_tied_row_below_the_floor_survives(self, monkeypatch):
         # The floor point p = 0, |y| = 1 holds the maximum 1, every other
@@ -448,9 +468,7 @@ class TestBoundPruning:
 
         _use_form(monkeypatch, form)
         monkeypatch.setattr(search, "_phi_raw", bound)
-        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
-        assert want.argmax["y"] == 0.0
-        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+        assert _small_grid_argmax()["y"] == 0.0
 
     def test_maximum_in_a_later_kept_row(self, monkeypatch):
         # The bound keeps the p rows 0 and 2 only, by their |y| = 1 values, and
@@ -465,9 +483,7 @@ class TestBoundPruning:
         _use_form(monkeypatch, form)
         monkeypatch.setattr(search, "_phi_raw",
                             lambda alpha, p, t: profile(p) * np.ones_like(p * t))
-        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
-        assert want.argmax["p"] == 2.0
-        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+        assert _small_grid_argmax()["p"] == 2.0
 
     @pytest.mark.parametrize("a", [0.0, 1e-12, 0.25, 0.5, 0.75, 0.99, 0.999999])
     def test_floor_point_is_the_sharp_bound(self, a):
@@ -486,40 +502,27 @@ class TestBoundPruning:
         # The search bounds each p row by phi(p, 1) before it evaluates phi
         # on the row's whole t axis; the (p, t) rows it keeps are those of
         # phi on the whole grid, in C order.
-        line_maxima = search._line_maxima
-        seen = []
-
-        def spy(al, p, y, e_nu, floor):
-            # arg y = 0 is the first column, where y is |y| exactly.
-            seen.append(np.column_stack((np.broadcast_to(p, y.shape)[:, 0], y[:, 0].real)))
-            return line_maxima(al, p, y, e_nu, floor)
-
-        monkeypatch.setattr(search, "_line_maxima", spy)
+        calls = _calls(monkeypatch, search, "_line_maxima")
         ps = np.linspace(0.0, 2.0, grid[0])
         ts = np.linspace(0.0, 1.0, grid[1])
         for a in alphas:
-            seen.clear()
+            calls.clear()
             maximize_param(a, *grid)
-            floor = (1.0 - a) ** 2 - TIE_TOL - BOUND_MARGIN
+            # arg y = 0 is the first column, where y is |y| exactly.
+            seen = [np.column_stack((np.broadcast_to(p, y.shape)[:, 0], y[:, 0].real))
+                    for (_, p, y, _, _), _ in calls]
+            m = (1.0 - a) ** 2
+            floor = m - (TIE_TOL + BOUND_MARGIN) * m
             pi, ti = np.nonzero(phi(a, ps[:, None], ts[None, :]) >= floor)
             want = np.column_stack((ps[pi], ts[ti]))
             assert np.concatenate(seen).tobytes() == want.tobytes(), a
 
     def test_zeta_axis_skipped_below_the_bound(self, monkeypatch):
-        form = hankel._param_form_raw
-        zeta_points = []
-
-        def counting(alpha_value, p, y, zeta):
-            out = form(alpha_value, p, y, zeta)
-            if np.ndim(zeta):
-                zeta_points.append(out.size)
-            return out
-
-        monkeypatch.setattr(hankel, "_param_form_raw", counting)
+        calls = _calls(monkeypatch, hankel, "_param_form_raw")
         g = SMALL_PARAM_GRIDS
         outcome = maximize_param(Alpha(0.25), **g)
         assert outcome.evaluations == math.prod(g.values())
-        assert 0 < sum(zeta_points) < outcome.evaluations // 10
+        assert 0 < _zeta_points(calls) < outcome.evaluations // 10
 
 
 class TestLineBound:
@@ -527,11 +530,11 @@ class TestLineBound:
     where Psi = A + B zeta and B = s2 / 6 times the zeta coefficient."""
 
     @pytest.mark.parametrize("a", [0.0, 0.01, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5, 0.55, 0.75,
-                                   0.9, 0.99])
+                                   0.9, 0.99, 0.999999, 0.9999999])
     def test_bound_covers_every_zeta(self, a):
         # The computed |Psi| may exceed the computed |A| + s2 |coef| / 6, as
         # the search builds it, only by rounding, far below the margin the
-        # search leaves.
+        # search leaves, BOUND_MARGIN s2.
         ps = np.linspace(0.0, 2.0, 51)
         ts = np.linspace(0.0, 1.0, 26)
         y = ts[:, None] * np.exp(2j * math.pi * np.arange(16) / 16)[None, :]
@@ -543,15 +546,15 @@ class TestLineBound:
                      + (1.0 - a) ** 2 * np.abs(hankel._zeta_coefficient(p_line, y)) / 6.0)
             vals = np.abs(hankel._param_form_raw(a, p, y[:, :, None], e_nu))
             worst = max(worst, float(np.max(vals.max(axis=2) - bound)))
-        assert worst <= BOUND_MARGIN / 1000
+        assert worst <= BOUND_MARGIN * (1.0 - a) ** 2 / 1000
 
     @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75, 0.99])
     def test_zeta_free_terms_give_psi_at_zero(self, a):
         # |A| as the search takes it, s2 times the zeta-free terms, is |Psi|
         # at zeta = 0 bit for bit: the two differ at most in the sign of a zero.
-        ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
-        y = ts[:, None] * np.exp(1j * np.arange(64) * (2.0 * math.pi / 64))
-        for p in np.linspace(0.0, 2.0, search.DEFAULT_GRID_P):
+        ps, ts, e_mu, _ = lemma_axes()
+        y = ts[:, None] * e_mu
+        for p in ps:
             p_line = np.full(y.shape, p)
             got = np.abs((1.0 - a) ** 2 * hankel._zeta_free_terms(a, p_line, y))
             assert got.tobytes() == np.abs(hankel._param_form_raw(a, p_line, y, 0.0)).tobytes()
@@ -565,18 +568,9 @@ class TestLineBound:
         # At 0.25 and 0.75 the one row kept is p = 0, |y| = 1, whose lines
         # all have a zero coefficient.  The tied line is evaluated once more
         # on all 64 zetas.
-        form = hankel._param_form_raw
-        zeta_points = []
-
-        def counting(alpha_value, p, y, zeta):
-            out = form(alpha_value, p, y, zeta)
-            if np.ndim(zeta):
-                zeta_points.append(out.size)
-            return out
-
-        monkeypatch.setattr(hankel, "_param_form_raw", counting)
+        calls = _calls(monkeypatch, hankel, "_param_form_raw")
         maximize_param(Alpha(a))
-        assert sum(zeta_points) == points
+        assert _zeta_points(calls) == points
 
 
 class TestZetaFreeLines:
@@ -588,12 +582,7 @@ class TestZetaFreeLines:
 
     @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75, 0.99])
     def test_modulus_constant_along_the_line(self, a):
-        ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
-        ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
-        e_mu = np.exp(1j * np.arange(search.DEFAULT_GRID_YARG)
-                      * (2.0 * math.pi / search.DEFAULT_GRID_YARG))
-        e_nu = np.exp(1j * np.arange(search.DEFAULT_GRID_ZARG)
-                      * (2.0 * math.pi / search.DEFAULT_GRID_ZARG))
+        ps, ts, e_mu, e_nu = lemma_axes()
         rows = [(0, ti) for ti in range(ts.size)] + [(ps.size - 1, ti) for ti in range(ts.size)]
         rows += [(i, ts.size - 1) for i in range(ps.size)]
         zero_lines = 0
@@ -623,9 +612,7 @@ class TestZetaFreeLines:
 
         _use_form(monkeypatch, form)
         monkeypatch.setattr(search, "_phi_raw", _constant_bound(10.0))
-        want = _maximize_param_full(Alpha(0.3), **SMALL_PARAM_GRIDS)
-        assert want.argmax["zeta"] == np.exp(0.75j * math.pi)
-        assert maximize_param(Alpha(0.3), **SMALL_PARAM_GRIDS).to_json() == want.to_json()
+        assert _small_grid_argmax()["zeta"] == np.exp(0.75j * math.pi)
 
 
 class TestWorkers:
@@ -662,9 +649,7 @@ class TestMaximizeHerglotz:
     def test_seeded_at_extremal_evaluation_only(self):
         for a in (0.0, 0.25, 0.8):
             assert _h2_at_extremal(a) == sharp_bound(Alpha(a))
-
-    def test_quarter_alpha_seeded(self):
-        assert _h2_at_extremal(0.25) == pytest.approx(9.0 / 16.0, abs=1e-10)
+        assert _h2_at_extremal(0.25) == 9.0 / 16.0
 
     def test_first_of_tied_restarts(self, monkeypatch):
         # Every restart ends at the same value: the first restart is reported.
@@ -709,110 +694,31 @@ class TestMaximizeHerglotz:
             maximize_herglotz(Alpha(0.1), restarts=0)
 
 
-def _scalar_h2(alpha, w, t):
-    """|a2 a4 - a3^2| of one atom measure at the alpha value ``alpha``, by the
-    one-point route.
-
-    Moments from one matrix-vector product, the recurrence through np.dot,
-    the determinant from products of complex scalars: the reference for the
-    batched row kernel.
-    """
-    p = 2.0 * (np.exp(1j * np.outer([1.0, 2.0, 3.0], t)) @ w)
-    a = np.zeros(4, dtype=complex)
-    a[0] = 1.0
-    for n in range(2, 5):
-        a[n - 1] = (1.0 - alpha) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
-    return abs(complex(a[1] * a[3] - a[2] * a[2]))
-
-
-def _refine_atoms(objective, weights, angles, sweeps):
-    """One restart of the coordinate-wise pattern search, one probe at a time."""
-    w = np.asarray(weights, dtype=float).copy()
-    t = np.asarray(angles, dtype=float).copy()
-    best = objective(w, t)
-    evals = 1
-    step_w, step_t = 0.15, 0.4
-    for _ in range(sweeps):
-        improved = False
-        for i in range(w.size):
-            for delta in (step_w, -step_w):
-                trial = w.copy()
-                trial[i] = max(0.0, trial[i] + delta)
-                total = trial.sum()
-                if total <= 0.0:
-                    continue
-                trial /= total
-                val = objective(trial, t)
-                evals += 1
-                if val > best:
-                    best, w, improved = val, trial, True
-        for i in range(t.size):
-            for delta in (step_t, -step_t):
-                trial = t.copy()
-                trial[i] = (trial[i] + delta) % (2.0 * math.pi)
-                if trial[i] == 2.0 * math.pi:
-                    trial[i] = 0.0
-                val = objective(w, trial)
-                evals += 1
-                if val > best:
-                    best, t, improved = val, trial, True
-        if not improved:
-            step_w *= 0.5
-            step_t *= 0.5
-            if step_w < 1e-12 and step_t < 1e-12:
-                break
-    return best, w, t, evals
-
-
-def _herglotz_one_at_a_time(alpha, atom_count=2, restarts=100, local_steps=60, seed=0):
-    """maximize_herglotz with each restart drawn and refined before the next."""
+def _atom_batch(seed, k):
+    """A seeded alpha and 1,000 random k-atom measures as (R, k) weights and angles,
+    with the one-point route's values of them."""
     rng = np.random.default_rng(seed)
-
-    def objective(w, t):
-        return _scalar_h2(alpha, w, t)
-
-    evaluations = 0
-    best_val = -math.inf
-    best_w = best_t = None
-    for _ in range(restarts):
-        w0 = rng.dirichlet(np.ones(atom_count))
-        t0 = rng.uniform(0.0, 2.0 * math.pi, atom_count)
-        val, w, t, n_evals = _refine_atoms(objective, w0, t0, local_steps)
-        evaluations += n_evals
-        if val > best_val:
-            best_val, best_w, best_t = val, w, t
-    return SearchOutcome(
-        value=float(best_val),
-        argmax={"weights": [float(x) for x in best_w], "angles": [float(x) for x in best_t]},
-        method="herglotz",
-        grid_spec={"atom_count": atom_count, "restarts": restarts,
-                   "local_steps": local_steps, "seed": seed},
-        evaluations=evaluations,
-    )
+    alpha = float(rng.uniform(0.0, 1.0))
+    w = rng.dirichlet(np.ones(k), size=1000)
+    t = rng.uniform(0.0, 2.0 * math.pi, size=(1000, k))
+    return alpha, w, t, np.array([scalar_h2(alpha, w[r], t[r]) for r in range(1000)])
 
 
 class TestHerglotzRowKernel:
     """The batched objective against the one-point route, bit for bit."""
 
-    ROWS = 1000
-
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_bit_equal_at_every_batch_size(self, k):
-        rng = np.random.default_rng(40 + k)
-        alpha = float(rng.uniform(0.0, 1.0))
-        w = rng.dirichlet(np.ones(k), size=self.ROWS)
-        t = rng.uniform(0.0, 2.0 * math.pi, size=(self.ROWS, k))
+        alpha, w, t, one_point = _atom_batch(40 + k, k)
         spec = HankelSpec(2, 2)
         via_api = np.array([
             abs(hankel_det(coeffs_from_moments(
                 Alpha(alpha), 2.0 * (np.exp(1j * np.outer([1.0, 2.0, 3.0], t[r])) @ w[r])), spec))
-            for r in range(self.ROWS)
+            for r in range(len(w))
         ])
-        one_point = np.array([_scalar_h2(alpha, w[r], t[r]) for r in range(self.ROWS)])
         batch = _row_kernel(alpha, w, t)
-        singles = np.concatenate(
-            [_row_kernel(alpha, w[r : r + 1], t[r : r + 1]) for r in range(self.ROWS)]
-        )
+        singles = np.concatenate([_row_kernel(alpha, w[r : r + 1], t[r : r + 1])
+                                  for r in range(len(w))])
         assert via_api.tobytes() == one_point.tobytes()
         assert batch.tobytes() == via_api.tobytes()
         assert singles.tobytes() == via_api.tobytes()
@@ -833,7 +739,7 @@ class TestHerglotzRowKernelPerRowAlpha:
             alpha = float(values[r])
             one = _row_kernel(alpha, w[r : r + 1], t[r : r + 1])
             assert batch[r : r + 1].tobytes() == one.tobytes()
-            assert batch[r] == _scalar_h2(alpha, w[r], t[r])
+            assert batch[r] == scalar_h2(alpha, w[r], t[r])
 
 
 def _assert_row_kernel_identities():
@@ -889,26 +795,15 @@ def test_row_kernel_identities():
 
 
 _PRESCOTT_SCRIPT = """
-import numpy as np
-from test_search import _assert_row_kernel_identities, _row_kernel, _scalar_h2
-from test_starlike import _dot_recurrence
-from h2star import coeffs_from_moments, search
+from test_search import _assert_row_kernel_identities, _atom_batch, _row_kernel
+from test_starlike import _assert_per_alpha, _moment_rows
 
 for k in (1, 2, 3, 4):
-    rng = np.random.default_rng(140 + k)
-    alpha = float(rng.uniform(0.0, 1.0))
-    w = rng.dirichlet(np.ones(k), size=1000)
-    t = rng.uniform(0.0, search._TWO_PI, size=(1000, k))
-    batch = _row_kernel(alpha, w, t)
-    one_point = np.array([_scalar_h2(alpha, w[r], t[r]) for r in range(1000)])
-    assert batch.tobytes() == one_point.tobytes(), f"_h2_rows, k = {k}"
+    alpha, w, t, one_point = _atom_batch(140 + k, k)
+    assert _row_kernel(alpha, w, t).tobytes() == one_point.tobytes(), f"_h2_rows, k = {k}"
 for m in (1, 3, 11):
-    rng = np.random.default_rng(150 + m)
-    alpha = float(rng.uniform(0.0, 1.0))
-    p = rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
-    for r in range(300):
-        got = coeffs_from_moments(alpha, p[r]).coeffs
-        assert got.tobytes() == _dot_recurrence(alpha, p[r]).tobytes(), f"m = {m}, row {r}"
+    alpha, p = _moment_rows(150 + m, m)
+    _assert_per_alpha([alpha] * len(p), p)
 _assert_row_kernel_identities()
 """
 
@@ -935,6 +830,13 @@ def test_row_kernels_equal_their_references_under_prescott():
 class TestKernelCache:
     """_refine_rows keeps each row's kernels and recomputes one atom's per angle probe."""
 
+    @staticmethod
+    def _rows(seed, k):
+        """50 rows of seeded alphas and k-atom weights and angles."""
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(0.0, 1.0, 50), rng.dirichlet(np.ones(k), size=50),
+                rng.uniform(0.0, search._TWO_PI, size=(50, k)))
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_column_equals_kernels_of_that_column(self, k):
         # An atom's kernels and planes in a batch equal those of its angles alone.
@@ -960,11 +862,8 @@ class TestKernelCache:
     def test_cache_follows_the_angles(self, monkeypatch, k):
         # No row stops within these sweeps and every weight probe is counted,
         # so each sweep's first weight probe passes the whole cache.
-        rng = np.random.default_rng(70 + k)
-        rows, sweeps = 50, 5
-        alphas = rng.uniform(0.0, 1.0, rows)
-        w = rng.dirichlet(np.ones(k), size=rows)
-        t = rng.uniform(0.0, search._TWO_PI, size=(rows, k))
+        alphas, w, t = self._rows(70 + k, k)
+        sweeps = 5
         angles_after = [search._refine_rows(alphas, w, t, s)[2] for s in range(sweeps)]
         seen = []
         kernel = search._h2_rows
@@ -984,21 +883,10 @@ class TestKernelCache:
     def test_exp_only_on_the_moved_column(self, monkeypatch, k):
         # One exp of the start angles, then one atom's per angle probe and
         # none per weight probe.
-        rng = np.random.default_rng(80 + k)
-        rows, sweeps = 50, 5
-        alphas = rng.uniform(0.0, 1.0, rows)
-        w = rng.dirichlet(np.ones(k), size=rows)
-        t = rng.uniform(0.0, search._TWO_PI, size=(rows, k))
-        shapes = []
-        exp = np.exp
-
-        def spy(x):
-            shapes.append(x.shape)
-            return exp(x)
-
-        monkeypatch.setattr(np, "exp", spy)
-        search._refine_rows(alphas, w, t, sweeps)
-        assert shapes == [(k, 3, rows)] + [(3, rows)] * (sweeps * 2 * k)
+        alphas, w, t = self._rows(80 + k, k)
+        calls = _calls(monkeypatch, np, "exp")
+        search._refine_rows(alphas, w, t, 5)
+        assert [x.shape for (x,), _ in calls] == [(k, 3, 50)] + [(3, 50)] * (5 * 2 * k)
 
 
 @pytest.mark.parametrize("sweeps", [1, 5, 60])
@@ -1006,18 +894,23 @@ def test_refined_angles_stay_below_two_pi(sweeps):
     # The -0.4 probe of an angle just below 0.4 lands a hair below 0, which
     # x % 2 pi rounds up to 2 pi itself.  Atoms at 0 and pi are extremal, so
     # away from alpha = 0 that probe is kept.
-    alphas = np.array([0.3, 0.6, 0.9])
-    w = np.full((3, 2), 0.5)
     t = np.tile([np.nextafter(0.4, 0.0), math.pi], (3, 1))
-    best, ws, ts, evals = search._refine_rows(alphas, w, t, sweeps)
+    ts = _refined_rows([0.3, 0.6, 0.9], np.full((3, 2), 0.5), t, sweeps)[2]
     assert ((ts >= 0.0) & (ts < 2.0 * math.pi)).all()
     if sweeps < 60:
         assert (ts[:, 0] == 0.0).all()
+
+
+def _refined_rows(alphas, w, t, sweeps):
+    """_refine_rows on (R, k) weights and angles, each row asserted bit for bit
+    its restart refined alone, one probe at a time."""
+    best, ws, ts, evals = search._refine_rows(np.asarray(alphas), w, t, sweeps)
     for r, alpha in enumerate(alphas):
-        objective = functools.partial(_scalar_h2, float(alpha))
-        val, w_r, t_r, evals_r = _refine_atoms(objective, w[r], t[r], sweeps)
+        objective = functools.partial(scalar_h2, float(alpha))
+        val, w_r, t_r, evals_r = refine_atoms(objective, w[r], t[r], sweeps)
         assert (best[r], evals[r]) == (val, evals_r), r
         assert ws[r].tobytes() == w_r.tobytes() and ts[r].tobytes() == t_r.tobytes(), r
+    return best, ws, ts, evals
 
 
 class TestLiveRowRetirement:
@@ -1030,17 +923,9 @@ class TestLiveRowRetirement:
         w0 = rng.dirichlet(np.ones(k), size=restarts)
         t0 = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, k))
         alphas = np.repeat([0.0, 0.45, 0.9], restarts)
-        w, t = np.tile(w0, (3, 1)), np.tile(t0, (3, 1))
-        best, ws, ts, evals = search._refine_rows(alphas, w, t, sweeps)
+        evals = _refined_rows(alphas, np.tile(w0, (3, 1)), np.tile(t0, (3, 1)), sweeps)[3]
         # Rows stop at different sweeps, so some leave the batch before others.
         assert np.unique(evals).size > 1
-        for r, alpha in enumerate(alphas):
-            objective = functools.partial(_scalar_h2, float(alpha))
-            val, w_r, t_r, evals_r = _refine_atoms(objective, w[r], t[r], sweeps)
-            assert best[r] == val, r
-            assert ws[r].tobytes() == w_r.tobytes(), r
-            assert ts[r].tobytes() == t_r.tobytes(), r
-            assert evals[r] == evals_r, r
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -1080,7 +965,7 @@ class TestLockStepRestarts:
     def test_short_refinement(self, atom_count, a, local_steps):
         kwargs = dict(atom_count=atom_count, restarts=12, local_steps=local_steps,
                       seed=10 * atom_count + local_steps)
-        want = _herglotz_one_at_a_time(a, **kwargs).to_json()
+        want = reference.herglotz_one_at_a_time(a, **kwargs).to_json()
         assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
 
     @pytest.mark.parametrize("atom_count, a", [(1, 0.3), (2, 0.55), (3, 0.45)])
@@ -1088,26 +973,8 @@ class TestLockStepRestarts:
         # With 60 sweeps most one- and two-atom restarts halve their steps
         # below 1e-12 and stop early, each at its own sweep.
         kwargs = dict(atom_count=atom_count, restarts=6, seed=5)
-        want = _herglotz_one_at_a_time(a, **kwargs).to_json()
+        want = reference.herglotz_one_at_a_time(a, **kwargs).to_json()
         assert maximize_herglotz(Alpha(a), **kwargs).to_json() == want
-
-
-def _sweep_one_alpha_at_a_time(alpha_start, alpha_end, steps, seed=0, **kwargs):
-    """sweep_alpha's herglotz rows from one maximize_herglotz call per alpha."""
-    rows = []
-    for a in np.linspace(alpha_start, alpha_end, steps + 1):
-        alpha = Alpha(float(a))
-        outcome = maximize_herglotz(alpha, seed=seed, **kwargs)
-        bound = sharp_bound(alpha)
-        rows.append(SweepRow(float(a), float(outcome.value), float(bound),
-                             abs(float(outcome.value) - float(bound)),
-                             search._summarize_argmax(outcome)))
-    return rows
-
-
-def _row_bits(rows):
-    return [(r.alpha.hex(), r.searched_max.hex(), r.sharp_bound.hex(), r.abs_gap.hex(),
-             r.argmax_summary) for r in rows]
 
 
 class TestHerglotzSweepBatch:
@@ -1136,11 +1003,11 @@ class TestHerglotzSweepBatch:
     def test_rows_equal_per_alpha_search(self, monkeypatch, atom_count, local_steps,
                                          restarts, steps, seed):
         kwargs = dict(atom_count=atom_count, local_steps=local_steps, restarts=restarts)
-        want = _row_bits(_sweep_one_alpha_at_a_time(0.0, 0.9, steps, seed=seed, **kwargs))
+        want = bits(reference.sweep_one_alpha_at_a_time(0.0, 0.9, steps, seed=seed, **kwargs))
         for cap in self.caps(restarts):
             monkeypatch.setattr(search, "_HERGLOTZ_BATCH_ROWS", cap)
             got = sweep_alpha(0.0, 0.9, steps, "herglotz", seed=seed, **kwargs)
-            assert _row_bits(got) == want, cap
+            assert bits(got) == want, cap
 
     @pytest.mark.parametrize(
         "steps, seed, flags, kwargs",
@@ -1154,7 +1021,8 @@ class TestHerglotzSweepBatch:
     )
     def test_cli_csv_equals_per_alpha_search(self, monkeypatch, capsys, steps, seed, flags,
                                              kwargs):
-        want = cli.sweep_csv(_sweep_one_alpha_at_a_time(0.0, 0.9, steps, seed=seed, **kwargs))
+        want = cli.sweep_csv(reference.sweep_one_alpha_at_a_time(0.0, 0.9, steps, seed=seed,
+                                                                  **kwargs))
         for cap in self.caps(kwargs.get("restarts", 100)):
             monkeypatch.setattr(search, "_HERGLOTZ_BATCH_ROWS", cap)
             code = cli.main(["sweep", "--alpha-start", "0", "--alpha-end", "0.9",
@@ -1182,18 +1050,12 @@ class TestHerglotzSweepBatch:
         if cap is not None:
             monkeypatch.setattr(search, "_HERGLOTZ_BATCH_ROWS", cap)
         limit = search._HERGLOTZ_BATCH_ROWS
-        seen = []
-        kernel = search._h2_rows
-
-        def counting(alpha, weights, planes, pair):
-            seen.append(weights.shape[1])
-            return kernel(alpha, weights, planes, pair)
-
-        monkeypatch.setattr(search, "_h2_rows", counting)
+        calls = _calls(monkeypatch, search, "_h2_rows")
         code = cli.main(["sweep", "--alpha-start", "0", "--alpha-end", "0.99",
                          "--steps", "99", "--method", "herglotz", "--local-steps", "3",
                          "--out", os.devnull])
         assert code == 0
+        seen = [weights.shape[1] for (_, weights, _, _), _ in calls]
         assert max(seen) <= limit
         assert max(seen) > limit // 2
         assert sum(seen) == 10_000 * 25  # one start and 24 probes per row

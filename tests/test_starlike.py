@@ -14,6 +14,7 @@ from h2star import (
     extremal_coeffs,
 )
 from h2star.caratheodory import random_disk_point
+from reference import dot_recurrence
 
 
 class TestAlpha:
@@ -68,13 +69,24 @@ class TestCoeffsFromMoments:
             assert scaled == pytest.approx((1.0 - a) * base, abs=1e-15)
 
 
-def _dot_recurrence(alpha, p):
-    """The recurrence at the alpha value ``alpha``, one coefficient at a time through np.dot."""
-    a = np.zeros(len(p) + 1, dtype=complex)
-    a[0] = 1.0
-    for n in range(2, len(p) + 2):
-        a[n - 1] = (1.0 - alpha) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
-    return a
+def _moment_rows(seed, m):
+    """A seeded alpha and 300 random complex moment rows of length m."""
+    rng = np.random.default_rng(seed)
+    return float(rng.uniform(0.0, 1.0)), rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
+
+
+def _assert_per_alpha(values, p):
+    """coeffs_from_moments of each row at its alpha, bit for bit the np.dot recurrence."""
+    for value, row in zip(values, p):
+        alpha = float(value)
+        got = coeffs_from_moments(alpha, row).coeffs
+        assert got.tobytes() == dot_recurrence(alpha, row).tobytes()
+
+
+# Every moment pair drawn from these parts, signed zeros included.
+_PARTS = [0.0, -0.0, 1.5, -1.5, 2.0]
+_SIGNED_PAIRS = np.array(list(itertools.product(
+    [complex(x, y) for x in _PARTS for y in _PARTS], repeat=2)), dtype=complex)
 
 
 class TestCoeffRows:
@@ -82,23 +94,14 @@ class TestCoeffRows:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11])
     def test_random_moments(self, m):
-        rng = np.random.default_rng(60 + m)
-        alpha = float(rng.uniform(0.0, 1.0))
-        p = rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
+        alpha, p = _moment_rows(60 + m, m)
         for r in range(p.shape[0]):
-            want = _dot_recurrence(alpha, p[r]).tobytes()
+            want = dot_recurrence(alpha, p[r]).tobytes()
             assert coeffs_from_moments(Alpha(alpha), p[r]).coeffs.tobytes() == want
-            assert coeffs_from_moments(alpha, p[r]).coeffs.tobytes() == want
+        _assert_per_alpha([alpha] * len(p), p)
 
     def test_signed_zeros_and_negative_parts(self):
-        # Every moment pair drawn from these parts, signed zeros included.
-        parts = [0.0, -0.0, 1.5, -1.5, 2.0]
-        values = [complex(x, y) for x in parts for y in parts]
-        p = np.array(list(itertools.product(values, repeat=2)), dtype=complex)
-        alpha = 0.39
-        for r in range(p.shape[0]):
-            got = coeffs_from_moments(alpha, p[r]).coeffs
-            assert got.tobytes() == _dot_recurrence(alpha, p[r]).tobytes()
+        _assert_per_alpha([0.39] * len(_SIGNED_PAIRS), _SIGNED_PAIRS)
 
 
 class TestCoeffRowsPerRowAlpha:
@@ -106,27 +109,17 @@ class TestCoeffRowsPerRowAlpha:
 
     ALPHAS = (0.0, 0.39, 0.5, 0.9999)
 
-    @staticmethod
-    def _assert_per_alpha(values, p):
-        for value, row in zip(values, p):
-            alpha = float(value)
-            got = coeffs_from_moments(alpha, row).coeffs
-            assert got.tobytes() == _dot_recurrence(alpha, row).tobytes()
-
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11])
     def test_random_moments(self, m):
         rng = np.random.default_rng(70 + m)
         values = np.concatenate([self.ALPHAS, rng.uniform(0.0, 1.0, size=296)])
         rng.shuffle(values)
         p = rng.normal(size=(300, m)) + 1j * rng.normal(size=(300, m))
-        self._assert_per_alpha(values, p)
+        _assert_per_alpha(values, p)
 
     def test_signed_zeros_and_negative_parts(self):
-        parts = [0.0, -0.0, 1.5, -1.5, 2.0]
-        values = [complex(x, y) for x in parts for y in parts]
-        p = np.array(list(itertools.product(values, repeat=2)), dtype=complex)
-        alphas = np.resize(np.array(self.ALPHAS), p.shape[0])
-        self._assert_per_alpha(alphas, p)
+        alphas = np.resize(np.array(self.ALPHAS), len(_SIGNED_PAIRS))
+        _assert_per_alpha(alphas, _SIGNED_PAIRS)
 
 
 class TestClosedForm:

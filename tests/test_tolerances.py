@@ -9,7 +9,8 @@ ROUND_TRIP_TOL, are measured here: each
 fixed sample, against the same kernels run on mpmath numbers at 50 digits
 (or against the exact value 1), and the test asserts that the entry covers
 it.  The entry's comment records that worst error and the ratio of the
-value to it.
+value to it.  BOUND_MARGIN is relative to s2 = (1 - alpha)^2, as the
+searches apply it, so its errors are measured relative to s2.
 """
 import ast
 import math
@@ -19,10 +20,10 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
+import pytest
 
 from h2star import search, tolerances
 from h2star.caratheodory import (
-    _TWO_PI,
     _atom_moment_rows,
     _atom_rows,
     _lemma_forward_raw,
@@ -48,6 +49,7 @@ from h2star.hankel import (
 )
 from h2star.search import _herglotz_outcomes, maximize_param, maximize_phi
 from h2star.starlike import _closed_form_rows, extremal_coeffs
+from reference import lemma_axes
 from h2star.tolerances import (
     ATTAINMENT_TOL,
     BOUND_GAP_TOL,
@@ -110,20 +112,31 @@ def _worst(errors) -> float:
     return float(max(max(e) for e in errors))
 
 
+# The alphas of proof-step-properties' profile, B(p) = phi(p, 1) on 101 ps.
+PROFILE_ALPHAS = np.linspace(0.0, 0.95, 20)
+PROFILE_PS = np.linspace(0.0, 2.0, 101)
+
+
+@pytest.fixture(scope="module")
+def exact_profiles():
+    """phi(p, 1) in 50 digits at PROFILE_PS, for each of PROFILE_ALPHAS: the
+    reference of both ROUTE_TOL's and PROOF_SLACK's profile errors."""
+    with mpmath.workdps(DIGITS):
+        return [_phi_raw(mpmath.mpf(a), _mp(PROFILE_PS), 1) for a in PROFILE_ALPHAS]
+
+
 def _worst_bound_margin() -> float:
-    """Rounding that could lift a computed |Psi| past its computed bound.
+    """Rounding that could lift a computed |Psi| past its computed bound, relative to s2.
 
     At 400 random points of the default lemma grid per alpha, built as
     maximize_param builds them: the errors of |Psi| and of phi(p, t), plus
     the excess of phi at the computed |y| over phi at t, for the row bound;
     the errors of |Psi| and of |A| + s2 |coef| / 6, with A from the form's
     zeta-free terms and the closed-form zeta coefficient, for the line bound.
+    Each is divided by the exact s2.
     """
     rng = np.random.default_rng(0)
-    ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
-    ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
-    e_mu, e_nu = (np.exp(1j * np.arange(n) * (2 * math.pi / n))
-                  for n in (search.DEFAULT_GRID_YARG, search.DEFAULT_GRID_ZARG))
+    ps, ts, e_mu, e_nu = lemma_axes()
     errors = []
     for a in (0.0, 0.25, 0.5, 0.75, 0.99):
         i, j, m, n = (rng.integers(0, x.size, 400) for x in (ps, ts, e_mu, e_nu))
@@ -138,8 +151,8 @@ def _worst_bound_margin() -> float:
             row_ex = _phi_raw(A, P, T)
             lift = np.frompyfunc(lambda x: max(x, 0), 1, 1)(_phi_raw(A, P, np.abs(Y)) - row_ex)
             e_psi = _err(psi, np.abs(_param_form_raw(A, P, Y, Z)))
-            errors += [e_psi + _err(_phi_raw(a, p, t), row_ex) + lift,
-                       e_psi + _err(line, line_ex)]
+            errors += [(e_psi + _err(_phi_raw(a, p, t), row_ex) + lift) / (1 - A) ** 2,
+                       (e_psi + _err(line, line_ex)) / (1 - A) ** 2]
     return _worst(errors)
 
 
@@ -148,26 +161,29 @@ def test_bound_margin_covers_its_rounding():
 
 
 def _worst_row_edge_excess() -> float:
-    """Rounding that could lift a computed phi(p, t) past its row's computed phi(p, 1).
+    """Rounding that could lift a computed phi(p, t) past its row's computed
+    phi(p, 1), relative to s2.
 
     Both grid searches drop a p row whose phi(p, 1) is below their floor
-    less BOUND_MARGIN; phi is nondecreasing in t (proof step 4), so the
+    less BOUND_MARGIN s2; phi is nondecreasing in t (proof step 4), so the
     exact excess is <= 0.  On every point of the (p, t) grids the searches
     build in the checks, the benchmark, the golden corpus and the tests, at
-    the checks' alphas and five more, the excess of the computed phi(p, t)
-    over its row's computed phi(p, 1), in 50 digits, and 0 where there is none.
+    the checks' alphas and six more, the excess of the computed phi(p, t)
+    over its row's computed phi(p, 1), over the exact s2, in 50 digits, and 0
+    where there is none.
     """
     errors = [[0]]
     with mpmath.workdps(DIGITS):
         for grid_p, grid_t in ((201, 101), (41, 21), (1001, 11), (7, 1001)):
             ps = np.linspace(0.0, 2.0, grid_p)[:, None]
             ts = np.linspace(0.0, 1.0, grid_t)[None, :]
-            for a in (*ALPHA_GRID, 0.123, 0.333, 0.99, 0.999, 0.999999):
+            for a in (*ALPHA_GRID, 0.123, 0.333, 0.99, 0.999, 0.999999, 0.9999999):
                 vals = _phi_raw(a, ps, ts)
                 edge = np.broadcast_to(_phi_raw(a, ps, ts[:, -1:]), vals.shape)
                 over = vals > edge
                 if over.any():
-                    errors.append(_mp(vals[over]) - _mp(edge[over]))
+                    errors.append((_mp(vals[over]) - _mp(edge[over]))
+                                  / (1 - mpmath.mpf(a)) ** 2)
     return _worst(errors)
 
 
@@ -247,7 +263,7 @@ def test_psd_tol_covers_its_rounding():
     assert PSD_TOL >= _worst_psd()
 
 
-def _worst_route() -> float:
+def _worst_route(exact_profiles) -> float:
     """The sum of the errors of two routes to one value, as the checks compare them.
 
     The moment form and a2 a4 - a3^2 of the closed forms, relative to
@@ -270,18 +286,17 @@ def _worst_route() -> float:
         exact = _param_form_raw(_mp(alpha), _mp(p), _mp(y), _mp(zeta))
         errors.append(_err(_param_form_raw(alpha, p, y, zeta), exact)
                       + _err(_moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta)), exact))
-        ps = np.linspace(0.0, 2.0, 101)
-        for a in np.linspace(0.0, 0.95, 20):
-            exact = _phi_raw(mpmath.mpf(a), _mp(ps), 1)
-            errors.append(_err(phi(a, ps, 1.0), exact) + _err(bound_profile(a, ps), exact))
+        for a, exact in zip(PROFILE_ALPHAS, exact_profiles):
+            errors.append(_err(phi(a, PROFILE_PS, 1.0), exact)
+                          + _err(bound_profile(a, PROFILE_PS), exact))
     return _worst(errors)
 
 
-def test_route_tol_covers_its_rounding():
-    assert ROUTE_TOL >= _worst_route()
+def test_route_tol_covers_its_rounding(exact_profiles):
+    assert ROUTE_TOL >= _worst_route(exact_profiles)
 
 
-def _worst_proof_slack() -> float:
+def _worst_proof_slack(exact_profiles) -> float:
     """The errors of the two inequalities of proof-step-properties, each <= 0 exactly.
 
     |Psi| - phi(p, |y|), computed as the check computes it, on the first
@@ -289,7 +304,6 @@ def _worst_proof_slack() -> float:
     p at each of its 20 alphas.  phi(p, 1) is B(p) as a polynomial, so it is
     the profile's reference.
     """
-    ps = np.linspace(0.0, 2.0, 101)
     errors = []
     with mpmath.workdps(DIGITS):
         for alpha, p, y, zeta in _lemma_row_blocks(np.random.default_rng(12), 4096):
@@ -297,15 +311,14 @@ def _worst_proof_slack() -> float:
             A, P, Y = _mp(alpha), _mp(p), _mp(y)
             errors.append(_err(slack, np.abs(_param_form_raw(A, P, Y, _mp(zeta)))
                                - _phi_raw(A, P, np.abs(Y))))
-        for a in np.linspace(0.0, 0.95, 20):
-            excess = float(np.max(bound_profile(a, ps))) - sharp_bound(a)
-            A = mpmath.mpf(a)
-            errors.append(_err([excess], max(_phi_raw(A, _mp(ps), 1)) - (1 - A) ** 2))
+        for a, exact in zip(PROFILE_ALPHAS, exact_profiles):
+            excess = float(np.max(bound_profile(a, PROFILE_PS))) - sharp_bound(a)
+            errors.append(_err([excess], max(exact) - (1 - mpmath.mpf(a)) ** 2))
     return _worst(errors)
 
 
-def test_proof_slack_covers_its_rounding():
-    assert PROOF_SLACK >= _worst_proof_slack()
+def test_proof_slack_covers_its_rounding(exact_profiles):
+    assert PROOF_SLACK >= _worst_proof_slack(exact_profiles)
 
 
 def _worst_attainment() -> float:
@@ -343,10 +356,7 @@ def _worst_grid_cell() -> float:
     taken as the check takes it; each plus the error of the check's float
     cell.
     """
-    ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
-    ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
-    n = search.DEFAULT_GRID_YARG
-    e_mu = np.exp(1j * np.arange(n) * (_TWO_PI / n))
+    ps, ts, e_mu, _ = lemma_axes()
     p_cell = Fraction(2, search.DEFAULT_GRID_P - 1)
     t_cell = Fraction(1, search.DEFAULT_GRID_T - 1)
     p_excess = Fraction(float(ps[1])) - p_cell + abs(Fraction(2.0 / (ps.size - 1)) - p_cell)
