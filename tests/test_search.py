@@ -58,6 +58,17 @@ def _zeta_points(calls):
 
 
 class TestMaximizePhi:
+    def test_alpha_half(self):
+        outcome = maximize_phi(Alpha(0.5), 201, 101)
+        assert outcome.value == 0.25
+        assert outcome.argmax == {"p": 0.0, "t": 1.0}
+
+    def test_alpha_zero_tie_break(self):
+        # At alpha = 0 the whole t = 1 column ties at the maximum; p = 0 comes first.
+        outcome = maximize_phi(Alpha(0.0), 201, 101)
+        assert outcome.value == 1.0
+        assert outcome.argmax == {"p": 0.0, "t": 1.0}
+
     def test_degenerate_grid(self):
         with pytest.raises(DomainError):
             maximize_phi(Alpha(0.1), grid_p=1)
@@ -85,10 +96,8 @@ class TestMaximizePhi:
                                       (500, 500)])
     def test_grid_holds_the_maximum(self, grid):
         # (p, t) = (0, 1) lies on every grid and phi is (1 - alpha)^2 there,
-        # its maximum over the box, so that point is the reported argmax; at
-        # alpha = 0 the whole t = 1 column ties with it, and p = 0 comes first.
-        for a in [*np.linspace(0.0, 0.999, 200).tolist(), 0.5, 1 / 3, 0.9, Alpha(0.0),
-                  Alpha(0.5)]:
+        # its maximum over the box, so that point is the reported argmax.
+        for a in [*np.linspace(0.0, 0.999, 200).tolist(), 0.5, 1 / 3, 0.9]:
             outcome = maximize_phi(a, *grid)
             assert outcome.argmax == {"p": 0.0, "t": 1.0}
             assert outcome.value == sharp_bound(a)
@@ -649,6 +658,8 @@ class TestMaximizeHerglotz:
     def test_seeded_at_extremal_evaluation_only(self):
         for a in (0.0, 0.25, 0.8):
             assert _h2_at_extremal(a) == sharp_bound(Alpha(a))
+
+    def test_quarter_alpha_seeded(self):
         assert _h2_at_extremal(0.25) == 9.0 / 16.0
 
     def test_first_of_tied_restarts(self, monkeypatch):
