@@ -110,19 +110,6 @@ def run_once(root: Path, perfbench: Path, workload: str, seed: int, seconds: flo
     return {**record, **json.loads(result_line)}
 
 
-def blas_core(python: str = sys.executable) -> str | None:
-    """The OpenBLAS core that ``python``'s numpy runs, as OPENBLAS_VERBOSE=2
-    names it on importing numpy, or None when no such line is printed.
-
-    herglotz-sweep's output_sha256 depends on this core.
-    """
-    proc = subprocess.run([python, "-c", "import numpy"], capture_output=True, text=True,
-                          env=dict(os.environ, OPENBLAS_VERBOSE="2"), check=False)
-    cores = [line[len("Core: "):] for line in proc.stderr.splitlines()
-             if line.startswith("Core: ")]
-    return cores[0] if cores else None
-
-
 def summary(runs: list) -> dict:
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": round(statistics.median(runs), SIGNIFICANT),
@@ -213,8 +200,7 @@ def main(argv=None) -> int:
         "python": first["python"],
         "numpy": first["numpy"],
         "machine": {"cpus": f"{first['nproc']} vCPU (nproc {first['nproc']}, "
-                            f"{first['cpus_allowed']} allowed)",
-                    "blas_core": blas_core()},
+                            f"{first['cpus_allowed']} allowed)"},
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "(from a checkout's root, each side a copy of its commit's files, same "
                    "perfbench/ on both sides, PYTHONDONTWRITEBYTECODE unset)",

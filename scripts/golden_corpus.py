@@ -11,14 +11,18 @@ The corpus holds outputs that must not change unless a change means them to:
   p = 0, |y| = 1 the answer;
 - the maximize_phi record on a tall 1001 x 11 grid at those 20 alphas, where
   the search's row pruning leaves out most p rows;
-- the CSV of `h2star sweep` over [0, 0.9] in 9 steps, by phi and by lemma;
-- the lines `h2star check` prints, with every time replaced by "<time>".
+- the CSV of `h2star sweep` over [0, 0.9] in 9 steps, by phi, by lemma and
+  by herglotz;
+- the lines `h2star check` prints, with every time replaced by "<time>";
+  the herglotz-search line has a key of its own.
 
-The herglotz-search and caratheodory-admissibility checks are left out: their
-detail text depends on which OpenBLAS kernel sums their dot products.  The
-bytes hold for numpy's default CPU dispatch at X86_V3 or above: below it,
-numpy's complex products and complex moduli round differently, and
-algebra-reconciliation's detail reads 1.601e-15 in place of 1.466e-15.
+Only the caratheodory-admissibility check is left out: its detail prints
+the least eigenvalue of LAPACK's eigen-solve, whose last bits depend on the
+BLAS kernel (-2.749e-15 at OpenBLAS's SkylakeX kernel on a 2-vCPU Xeon,
+-2.776e-15 under Prescott).  The bytes hold for numpy's default CPU dispatch at X86_V3
+or above: below it, numpy's complex products and complex moduli round
+differently, and algebra-reconciliation's detail reads 1.601e-15 in place
+of 1.466e-15.
 tests/test_golden.py builds the corpus again and compares it byte for byte.
 A change that alters an output on purpose rewrites the file:
 
@@ -47,6 +51,7 @@ SMALL_GRID_ALPHAS = [0.0, 1e-12, 0.01, 0.1, 0.123, 0.25, 0.3, 0.333, 0.45, 0.5, 
 SMALL_PHI_GRID = dict(grid_p=41, grid_t=21)
 TALL_PHI_GRID = dict(grid_p=1001, grid_t=11)
 SMALL_PARAM_GRID = dict(grid_p=41, grid_ymod=21, grid_yarg=16, grid_zarg=8)
+# herglotz-search has a key of its own, added after the "check" key's lines.
 CHECKS = [name for name in checks.CHECKS_BY_NAME
           if name not in ("herglotz-search", "caratheodory-admissibility")]
 # A time as the checks print it: "[0.02s]", "worst time = 0.002s", "t=0.0s".
@@ -66,6 +71,7 @@ def corpus() -> dict:
     sweep = ["sweep", "--alpha-start", "0", "--alpha-end", "0.9", "--steps", "9",
              "--seed", "7", "--method"]
     check = _stdout(["check"] + [f"--only={name}" for name in CHECKS])
+    check_herglotz = _stdout(["check", "--only=herglotz-search"])
     return {
         "phi_default": {repr(a): search.maximize_phi(a).to_json()
                         for a in DEFAULT_GRID_ALPHAS},
@@ -79,7 +85,9 @@ def corpus() -> dict:
                         for a in SMALL_GRID_ALPHAS},
         "sweep_phi": _stdout(sweep + ["phi"]).splitlines(),
         "sweep_lemma": _stdout(sweep + ["lemma"]).splitlines(),
+        "sweep_herglotz": _stdout(sweep + ["herglotz"]).splitlines(),
         "check": _TIME.sub("<time>", check).splitlines(),
+        "check_herglotz": _TIME.sub("<time>", check_herglotz).splitlines(),
     }
 
 

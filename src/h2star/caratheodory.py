@@ -183,13 +183,15 @@ def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
 def _atom_moment_rows(weights, angles, m: int) -> np.ndarray:
     """The (N, m) moments of moments_from_atoms for (N, K) rows of atom
     weights and angles in the form HerglotzAtoms holds them: finite
-    nonnegative weights summing to 1, angles in [0, 2 pi).  A zero-weight
-    pad adds exact zeros, so a row's moments are those of its atoms alone."""
+    nonnegative weights summing to 1, angles in [0, 2 pi).  The weighted
+    kernels are added left to right, so a zero-weight pad adds exact zeros
+    and a row's moments are those of its atoms alone."""
     n = np.arange(1, m + 1)
     moments = np.empty((weights.shape[0], m), dtype=complex)
     # one order at a time keeps every temporary at the (N, K) of the atoms
     for j in range(m):
-        moments[:, j] = 2.0 * (weights * np.exp(1j * (n[j] * angles))).sum(axis=1)
+        terms = (weights * np.exp(1j * (n[j] * angles))).T
+        moments[:, j] = 2.0 * sum(terms[1:], terms[0])
     return moments
 
 

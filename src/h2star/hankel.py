@@ -90,7 +90,7 @@ def _expand_det(a, q: int) -> complex:
     if q == 1:
         return complex(a[0])
     if q == 2:
-        return complex(*det2(a[0], a[2], a[1], a[1]))
+        return complex(*det2(*((x.real, x.imag) for x in (a[0], a[2], a[1], a[1]))))
     return _det_partial_pivot(np.array([[a[i + j] for j in range(q)] for i in range(q)],
                                        dtype=complex))
 
@@ -98,13 +98,14 @@ def _expand_det(a, q: int) -> complex:
 def det2(a, d, b, c):
     """Real and imaginary parts of the 2 x 2 determinant a d - b c.
 
-    Takes complex scalars or equal-shape complex arrays.  The products are
-    written in real arithmetic, the way numpy multiplies complex scalars;
-    numpy's product of complex arrays may fuse multiply-adds and then differs
-    in the last bit.
+    Each of a, d, b and c is a (real, imaginary) pair of floats or of
+    equal-shape float arrays.  The products are written in real arithmetic,
+    the way numpy multiplies complex scalars; numpy's product of complex
+    arrays may fuse multiply-adds and then differs in the last bit.
     """
-    re = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
-    im = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    (ar, ai), (dr, di), (br, bi), (cr, ci) = a, d, b, c
+    re = (ar * dr - ai * di) - (br * cr - bi * ci)
+    im = (ar * di + ai * dr) - (br * ci + bi * cr)
     return re, im
 
 

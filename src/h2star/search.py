@@ -29,9 +29,9 @@ _HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
 after another at one alpha at a time.  A batch holds its live rows only,
 each with the moment kernels e^{i n t} of its angles as contiguous cosine
 and sine planes; a row that stops is written out and dropped after its
-sweep.  The row kernel sums in real arithmetic where that is bit-equal on
-every OpenBLAS core; only a4's dot and, for four atoms, the moment product
-are OpenBLAS dots whose bits depend on the core (see _h2_rows).
+sweep.  The row kernel computes in real arithmetic, in the one order of
+operations of moments_from_atoms, coeffs_from_moments and hankel_det, so its
+bits do not depend on the BLAS library (see _h2_rows).
 """
 
 from __future__ import annotations
@@ -298,57 +298,38 @@ def _kernel_planes(angles: np.ndarray) -> np.ndarray:
     return np.stack([kern.real, kern.imag], axis=2)
 
 
-def _h2_rows(alpha, weights: np.ndarray, planes: np.ndarray, pair: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The (2, R) real and imaginary parts (ar pr - ai pi, ar pi + ai pr) of a p."""
+    out = a[0] * p
+    cross = a[1] * p[::-1]
+    out[0] -= cross[0]
+    out[1] += cross[1]
+    return out
+
+
+def _h2_rows(alpha, weights: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """|a2 a4 - a3^2| of each column of a (k, R) batch of atom weights.
 
-    ``planes`` is _kernel_planes of the columns' angles.  ``alpha``
-    is one alpha value for every column or the (R,) array of each column's
-    value.  ``pair`` is scratch for a4's dot: a (2, 3, R') complex array,
-    R' >= R, with pair[0, 2] = 1.
+    ``planes`` is _kernel_planes of the columns' angles.  ``alpha`` is one
+    alpha value for every column or the (R,) array of each column's value.
 
-    Each column is bit-equal to abs(hankel_det(coeffs_from_moments(...)))
-    of its measure alone, with moments from one matrix-vector product:
-    - For k <= 3 the moments are the plane-times-weight sums, left to
-      right, which is what OpenBLAS's matrix-vector product computes on
-      every core from Prescott to SkylakeX.  For k = 4 its fused sum has
-      no elementwise equal, so the moments are that product on the complex
-      kernels.
-    - a2 = (1 - alpha) p1.  a3 is np.dot's two-term sum of a2 p1 and
-      a1 p2: a1 = 1 + 0j makes each step exact, fused or not, so its parts
-      are (a2r p1r + p2r) - a2i p1i and (a2r p1i + p2i) + a2i p1r.
-    - a4's three-term dot goes, row by row, to the BLAS dot that np.dot
-      calls, on (R, 3) views of ``pair``; at their stride it gives the bits
-      it gives at unit stride, on every core tried.
+    The kernel works on real and imaginary parts, in the order of the public
+    route moments_from_atoms, coeffs_from_moments and hankel_det, so each
+    column is bit-equal to that route on its measure alone:
+    - p_n is twice the plane-times-weight sums, added left to right;
+    - a_n is (1 - alpha) / (n - 1) times the sum of the terms a_{n-k} p_k,
+      each (ar pr - ai pi, ar pi + ai pr), added left to right from k = 1;
+      the last term, a_1 p_{n-1} with a_1 = (1, 0), is p_{n-1} in value;
+    - the determinant is det2's.
     Every value is equal; a zero part may differ in sign, which |det| drops.
     """
-    k, rows = weights.shape
-    if k < 4:
-        terms = planes * weights[:, None, None, :]
-        m = terms[0]
-        for j in range(1, k):
-            m = m + terms[j]
-        m *= 2.0
-    else:
-        kern = np.empty((rows, 3, k), dtype=complex)
-        kern.view(float).reshape(rows, 3, k, 2)[...] = planes.transpose(3, 1, 0, 2)
-        moments = 2.0 * (kern @ np.ascontiguousarray(weights.T)[:, :, None])[:, :, 0]
-        m = np.ascontiguousarray(moments.view(float).reshape(rows, 3, 2).transpose(1, 2, 0))
-    # m[n - 1] holds the real and imaginary parts of p_n, parts[0] those of
-    # a3 and parts[1] those of a2.
+    weighted = planes * weights[:, None, None, :]
+    p = 2.0 * sum(weighted[1:], weighted[0])  # added left to right
     s = 1.0 - alpha
-    parts = np.empty((2, 2, rows))
-    a2 = np.multiply(s, m[0], out=parts[1])
-    a3 = a2[0] * m[0] + m[1]
-    cross = a2[1] * m[0, ::-1]
-    a3[0] -= cross[0]
-    a3[1] += cross[1]
-    np.multiply(s / 2, a3, out=parts[0])
-    a, p = pair[:, :, :rows]
-    a[:2].real[...], a[:2].imag[...] = parts[:, 0], parts[:, 1]
-    p.real[...], p.imag[...] = m[:, 0], m[:, 1]
-    a4 = s / 3 * (a.T[:, None, :] @ p.T[:, :, None])[:, 0, 0]
-    re, im = det2(a[1], a4, a[0], a[0])
-    return np.hypot(re, im)
+    a2 = s * p[0]
+    a3 = s / 2 * (_product(a2, p[0]) + p[1])
+    a4 = s / 3 * (_product(a3, p[0]) + _product(a2, p[1]) + p[2])
+    return np.hypot(*det2(a2, a4, a3, a3))
 
 
 def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sweeps: int):
@@ -380,9 +361,7 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
     ids = np.arange(rows)
     w, t = weights.T.copy(), angles.T.copy()
     planes = _kernel_planes(t)
-    pair = np.empty((2, 3, rows), dtype=complex)
-    pair[0, 2] = 1.0
-    best = _h2_rows(alphas, w, planes, pair)
+    best = _h2_rows(alphas, w, planes)
     evals = np.ones(rows, dtype=np.int64)
     results = best.copy(), w.copy(), t.copy(), evals.copy()
     step_w, step_t = np.full(rows, 0.15), np.full(rows, 0.4)
@@ -396,7 +375,7 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
                 for j in range(1, k):
                     total += trial[j]
                 trial /= total
-                val = _h2_rows(alphas, trial, planes, pair)
+                val = _h2_rows(alphas, trial, planes)
                 better = val > best
                 np.copyto(best, val, where=better)
                 np.copyto(w, trial, where=better)
@@ -410,7 +389,7 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
                 kept = planes[i].copy()
                 kern = _kernels(col)
                 planes[i, :, 0], planes[i, :, 1] = kern.real, kern.imag
-                val = _h2_rows(alphas, w, planes, pair)
+                val = _h2_rows(alphas, w, planes)
                 better = val > best
                 np.copyto(best, val, where=better)
                 np.copyto(t[i], col, where=better)

@@ -83,9 +83,12 @@ def coeffs_from_moments(alpha: Alpha | float, moments) -> CoefficientVector:
 
     Equating coefficients in z f' = [alpha + (1 - alpha) p] f gives
 
-        a_n = (1 - alpha) / (n - 1) * sum_{k=1..n-1} a_{n-k} p_k,   a_1 = 1,
+        a_n = (1 - alpha) / (n - 1) * sum_{k=1..n-1} a_{n-k} p_k,   a_1 = 1.
 
-    each sum one np.dot of a_{n-1}..a_1 with p_1..p_{n-1}.  Moments so large
+    The arithmetic is real, in one order: each term is
+    (ar pr - ai pi, ar pi + ai pr), a_1 = (1, 0) included, and the terms are
+    added left to right from k = 1 (np.cumsum; np.sum is pairwise past 8
+    terms) before the product with (1 - alpha) / (n - 1).  Moments so large
     that a coefficient overflows raise DomainError.
     """
     al = alpha_value(alpha)
@@ -95,7 +98,11 @@ def coeffs_from_moments(alpha: Alpha | float, moments) -> CoefficientVector:
     # CoefficientVector rejects overflowed coefficients; numpy must not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(2, p.size + 2):
-            a[n - 1] = (1.0 - al) / (n - 1) * np.dot(a[: n - 1][::-1], p[: n - 1])
+            ar, ai = a.real[n - 2::-1], a.imag[n - 2::-1]
+            pr, pi = p.real[: n - 1], p.imag[: n - 1]
+            f = (1.0 - al) / (n - 1)
+            a.real[n - 1] = f * np.cumsum(ar * pr - ai * pi)[-1]
+            a.imag[n - 1] = f * np.cumsum(ar * pi + ai * pr)[-1]
     return CoefficientVector(a)
 
 

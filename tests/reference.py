@@ -173,10 +173,26 @@ def phi(a, p, t):
 
 def atom_moments(atoms, m):
     """p_1..p_m of an atom measure, as sums of weighted kernels."""
-    w = np.asarray(atoms.weights)
-    t = np.asarray(atoms.angles)
-    n = np.arange(1, m + 1)
-    return 2.0 * (w[None, :] * np.exp(1j * np.outer(n, t))).sum(axis=1)
+    return _ordered_moments(atoms.weights, atoms.angles, m)
+
+
+def _ordered_moments(weights, angles, m):
+    """p_n = 2 sum_k w_k e^{i n t_k}, n = 1..m, each sum added left to right
+    in real arithmetic."""
+    moments = []
+    for kern in np.exp(1j * np.outer(np.arange(1, m + 1), angles)).tolist():
+        re, im = _left_to_right([(float(w) * e.real, float(w) * e.imag)
+                                 for w, e in zip(weights, kern)])
+        moments.append(complex(2.0 * re, 2.0 * im))
+    return np.array(moments)
+
+
+def _left_to_right(terms):
+    """The sum of the (re, im) pairs ``terms``, added left to right."""
+    re, im = terms[0]
+    for tr, ti in terms[1:]:
+        re, im = re + tr, im + ti
+    return re, im
 
 
 def toeplitz_min_eig(p):
@@ -190,13 +206,23 @@ def toeplitz_min_eig(p):
     return float(least) if least.ndim == 0 else least
 
 
-def dot_recurrence(alpha, p):
-    """The coefficients 1, a_2, ... at the alpha value ``alpha``, one at a time through np.dot."""
-    a = np.zeros(len(p) + 1, dtype=complex)
-    a[0] = 1.0
+def ordered_recurrence(alpha, p):
+    """The coefficients 1, a_2, ... at the alpha value ``alpha``, in Python floats.
+
+    Each a_n is (1 - alpha) / (n - 1) times the terms a_{n-k} p_k, each
+    (ar pr - ai pi, ar pi + ai pr), added left to right from k = 1; a_1 =
+    (1.0, 0.0) is an ordinary term, so the signs of zeros are those of the
+    package's order too.
+    """
+    p = [complex(x) for x in p]
+    a = [(1.0, 0.0)]
     for n in range(2, len(p) + 2):
-        a[n - 1] = (1.0 - alpha) / (n - 1) * np.dot(a[n - 2::-1], p[: n - 1])
-    return a
+        # zip pairs a_{n-1}, ..., a_1 with p_1, ..., p_{n-1}.
+        re, im = _left_to_right([(ar * q.real - ai * q.imag, ar * q.imag + ai * q.real)
+                                 for (ar, ai), q in zip(a[::-1], p)])
+        f = (1.0 - alpha) / (n - 1)
+        a.append((f * re, f * im))
+    return np.array([complex(re, im) for re, im in a])
 
 
 def round_trip(p):
@@ -218,14 +244,11 @@ def round_trip(p):
 
 # The atom search, one restart and one alpha at a time.
 
-_ORDERS = np.array([[1.0], [2.0], [3.0]])
-
-
 def scalar_h2(alpha, w, t):
     """|a2 a4 - a3^2| of one atom measure at the alpha value ``alpha``, by the
-    one-point route: moments from one matrix-vector product, the recurrence
-    through np.dot, the determinant from products of complex scalars."""
-    a = dot_recurrence(alpha, 2.0 * (np.exp(1j * (_ORDERS * t)) @ w))
+    one-point route: moments and recurrence in Python floats, each sum left
+    to right, and the determinant from products of complex scalars."""
+    a = ordered_recurrence(alpha, _ordered_moments(w, t, 3))
     return abs(complex(a[1] * a[3] - a[2] * a[2]))
 
 

@@ -85,23 +85,6 @@ def test_run_once_lets_the_import_write_its_cache(tmp_path, monkeypatch):
     assert got["record"]["dont_write_bytecode"] == 0
 
 
-@pytest.mark.parametrize("stderr, want", [
-    ("Core: SkylakeX", "SkylakeX"),
-    ("Core: Haswell\nCore: Haswell", "Haswell"),
-    ("", None),
-    ("OpenBLAS warning: something else", None),
-])
-def test_blas_core_reads_the_verbose_line(tmp_path, stderr, want):
-    # A stand-in interpreter that writes ``stderr`` only when asked for
-    # OPENBLAS_VERBOSE=2, as OpenBLAS does when numpy loads it.
-    fake = tmp_path / "python"
-    fake.write_text('#!/bin/sh\n'
-                    f'[ "$OPENBLAS_VERBOSE" = 2 ] && printf "%s" "{stderr}" >&2\n'
-                    'exit 0\n')
-    fake.chmod(0o755)
-    assert bench_pairs.blas_core(str(fake)) == want
-
-
 def test_raw_wall_time_is_reported_beside_pass_s(tmp_path):
     # A stand-in perfbench whose runs read 2.0 s raw on the parent, 1.0 s on
     # the change, and the same speed-scaled pass_s on both.

@@ -51,7 +51,7 @@ class TestHankelDet:
         randoms = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
         triples = list(itertools.product(values, repeat=3)) + [tuple(r) for r in randoms]
         a2, a3, a4 = (np.array(col) for col in zip(*triples))
-        re, im = det2(a2, a4, a3, a3)
+        re, im = det2(*((x.real, x.imag) for x in (a2, a4, a3, a3)))
         for i, (x2, x3, x4) in enumerate(triples):
             f = CoefficientVector([1.0, x2, x3, x4])
             want = complex(f.coeffs[1] * f.coeffs[3] - f.coeffs[2] * f.coeffs[2])

@@ -14,7 +14,7 @@ from h2star import (
     extremal_coeffs,
 )
 from h2star.caratheodory import random_disk_point
-from reference import dot_recurrence
+from reference import ordered_recurrence
 
 
 class TestAlpha:
@@ -76,11 +76,11 @@ def _moment_rows(seed, m):
 
 
 def _assert_per_alpha(values, p):
-    """coeffs_from_moments of each row at its alpha, bit for bit the np.dot recurrence."""
+    """coeffs_from_moments of each row at its alpha, bit for bit the Python-float recurrence."""
     for value, row in zip(values, p):
         alpha = float(value)
         got = coeffs_from_moments(alpha, row).coeffs
-        assert got.tobytes() == dot_recurrence(alpha, row).tobytes()
+        assert got.tobytes() == ordered_recurrence(alpha, row).tobytes()
 
 
 # Every moment pair drawn from these parts, signed zeros included.
@@ -90,13 +90,13 @@ _SIGNED_PAIRS = np.array(list(itertools.product(
 
 
 class TestCoeffRows:
-    """coeffs_from_moments, one row at a time, bit-equal to np.dot."""
+    """coeffs_from_moments, one row at a time, bit-equal to the Python-float recurrence."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11])
     def test_random_moments(self, m):
         alpha, p = _moment_rows(60 + m, m)
         for r in range(p.shape[0]):
-            want = dot_recurrence(alpha, p[r]).tobytes()
+            want = ordered_recurrence(alpha, p[r]).tobytes()
             assert coeffs_from_moments(Alpha(alpha), p[r]).coeffs.tobytes() == want
         _assert_per_alpha([alpha] * len(p), p)
 
@@ -105,7 +105,8 @@ class TestCoeffRows:
 
 
 class TestCoeffRowsPerRowAlpha:
-    """coeffs_from_moments on rows of mixed alphas, each bit-equal to np.dot at its alpha."""
+    """coeffs_from_moments on rows of mixed alphas, each bit-equal to the
+    Python-float recurrence at its alpha."""
 
     ALPHAS = (0.0, 0.39, 0.5, 0.9999)
 
