@@ -19,12 +19,17 @@ The corpus holds outputs that must not change unless a change means them to:
 Only the caratheodory-admissibility check is left out: its detail prints
 the least eigenvalue of LAPACK's eigen-solve, whose last bits depend on the
 BLAS kernel (-2.749e-15 at OpenBLAS's SkylakeX kernel on a 2-vCPU Xeon,
--2.776e-15 under Prescott).  The bytes hold for numpy's default CPU dispatch at X86_V3
-or above: below it, numpy's complex products and complex moduli round
-differently, and algebra-reconciliation's detail reads 1.601e-15 in place
-of 1.466e-15.
-tests/test_golden.py builds the corpus again and compares it byte for byte.
-A change that alters an output on purpose rewrites the file:
+-2.776e-15 under Prescott).  Every other output goes through kernels in
+real arithmetic, whose bits depend neither on the BLAS kernel nor on
+numpy's CPU dispatch.
+
+kernel_digest() hashes the arrays of those kernels on the samples of the
+sampled checks and on phi's default grid; it is not stored.
+tests/test_golden.py builds the corpus again and compares it byte for byte,
+and builds both the corpus and the digest again in a fresh interpreter
+under OpenBLAS's Prescott kernel and under numpy's X86_V2 dispatch, and
+compares them with its own.  A change that alters an output on purpose
+rewrites the file:
 
     PYTHONPATH=src python3 scripts/golden_corpus.py
 """
@@ -32,13 +37,19 @@ A change that alters an output on purpose rewrites the file:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from h2star import checks, cli, search
+from h2star.caratheodory import _lemma_forward_raw, _lemma_row_blocks, _triple_rows
+from h2star.hankel import _moment_form_raw, _param_form, _phi_raw, bound_profile, det2
+from h2star.starlike import _closed_form_rows
 
 PATH = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden.json"
 
@@ -89,6 +100,32 @@ def corpus() -> dict:
         "check": _TIME.sub("<time>", check).splitlines(),
         "check_herglotz": _TIME.sub("<time>", check_herglotz).splitlines(),
     }
+
+
+def kernel_digest() -> str:
+    """sha256 of the kernels' arrays on algebra-reconciliation's draws at seed
+    11, its 1,000 moment triples and then its 100,000 lemma rows, and of phi
+    and the profile on phi's default grid at the alphas of ALPHA_GRID."""
+    digest = hashlib.sha256()
+
+    def add(*arrays):
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+
+    rng = np.random.default_rng(11)
+    alpha, p1, p2, p3 = _triple_rows(rng, 1000)
+    a2, a3, a4 = _closed_form_rows(alpha, p1, p2, p3)
+    add(*a2, *a3, *a4, *det2(a2, a4, a3, a3), *_moment_form_raw(alpha, p1, p2, p3))
+    for alpha, p, y, zeta in _lemma_row_blocks(rng, 100_000):
+        moments = _lemma_forward_raw(p, y, zeta)
+        psi = _param_form(alpha, p, y, zeta)
+        add(*(x for m in moments for x in m), *psi, *_moment_form_raw(alpha, *moments),
+            np.hypot(*psi), _phi_raw(alpha, p, np.hypot(*y)))
+    ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
+    ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
+    for a in checks.ALPHA_GRID:
+        add(_phi_raw(a, ps[:, None], ts[None, :]), bound_profile(a, ps))
+    return digest.hexdigest()
 
 
 def render(data: dict) -> str:

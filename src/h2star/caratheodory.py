@@ -50,16 +50,10 @@ _TWO_PI = 2.0 * math.pi
 
 _NOT_FINITE_MOMENTS = "moments must be finite, got {}"
 
-# Rows per draw group of _lemma_row_blocks: the groups fix every sample.
-_LEMMA_DRAW_ROWS = 1024
-
-# Rows per block of _lemma_row_blocks, the arrays the checks evaluate: whole
-# draw groups, so no row depends on it.  The two 100,000-row checks took
-# 36 + 41 ms at 1024 rows, 31 + 35 at 2048, 29 + 33 at 4096 and 30 + 33 at
-# 8192 (medians of 40 interleaved passes); a process running them peaks
-# 0.13 MiB higher at 2048 rows than at 1024, 0.48 at 4096 and 1.5 at 8192
-# (2-vCPU box).
-LEMMA_BLOCK_ROWS = 4 * _LEMMA_DRAW_ROWS
+# Rows per block of _lemma_row_blocks, the arrays the checks evaluate.  The
+# two 100,000-row checks took 22 + 23 ms at 1024 rows, 17 + 19 at 2048,
+# 15 + 18 at 4096 and 17 + 21 at 8192 (medians of 30 passes, 2 vCPU).
+LEMMA_BLOCK_ROWS = 4096
 
 # Atoms of one random atom set of _atom_rows, at most.
 MAX_ATOMS = 5
@@ -166,10 +160,17 @@ def _require(*rules):
             raise error(template.format(np.asarray(value)[where].tolist()))
 
 
-def _modulus_finite(z) -> np.ndarray:
-    """Where |z| is finite: the rule of errors.finite, entry by entry."""
-    with np.errstate(over="ignore"):
-        return np.isfinite(np.abs(z))
+def _parts(z):
+    """The (real, imaginary) pair of a complex number or array."""
+    return z.real, z.imag
+
+
+def _pair_product(a, b):
+    """The pair (ar br - ai bi, ar bi + ai br) of the product of the
+    (real, imaginary) pairs a and b: real products, whose bits, unlike those
+    of numpy's complex product, do not depend on the CPU."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def moments_from_atoms(atoms: HerglotzAtoms, m: int) -> np.ndarray:
@@ -186,29 +187,38 @@ def _atom_moment_rows(weights, angles, m: int) -> np.ndarray:
     nonnegative weights summing to 1, angles in [0, 2 pi).  The weighted
     kernels are added left to right, so a zero-weight pad adds exact zeros
     and a row's moments are those of its atoms alone."""
-    n = np.arange(1, m + 1)
     moments = np.empty((weights.shape[0], m), dtype=complex)
     # one order at a time keeps every temporary at the (N, K) of the atoms
     for j in range(m):
-        terms = (weights * np.exp(1j * (n[j] * angles))).T
-        moments[:, j] = 2.0 * sum(terms[1:], terms[0])
+        kern = np.exp(1j * ((j + 1) * angles))
+        for part, plane in zip(_parts(moments), _parts(kern)):
+            terms = (weights * plane).T
+            part[:, j] = 2.0 * sum(terms[1:], terms[0])
     return moments
 
 
 def lemma_forward(pt: LemmaPoint) -> MomentTriple:
     """Moments (p1, p2, p3) generated by a parameterization point."""
     instance("pt", pt, LemmaPoint)
-    return MomentTriple(*_lemma_forward_raw(pt.p, pt.y, pt.zeta))
+    return MomentTriple(*(complex(*m) for m in
+                          _lemma_forward_raw(pt.p, _parts(pt.y), _parts(pt.zeta))))
 
 
 def _lemma_forward_raw(p, y, zeta):
-    """(p1, p2, p3) of lemma_forward, with p1 = p; broadcast-safe over numpy arrays."""
+    """(p1, p2, p3) of lemma_forward as (real, imaginary) pairs, p1 = (p, 0),
+    of a real p and the pairs y and zeta.
+
+    p3 = (p^3 + p q (2 y - y^2) + 2 q (1 - |y|^2) zeta) / 4, q = 4 - p^2, in
+    real arithmetic: broadcast-safe over numpy arrays, and exact on Fractions.
+    """
+    (yr, yi), (zr, zi) = y, zeta
+    y2r, y2i = _pair_product(y, y)
     pp = p * p
-    q = 4.0 - pp
-    p2 = 0.5 * (pp + y * q)
-    p3 = 0.25 * (p**3 + 2.0 * q * p * y - p * q * y * y
-                 + 2.0 * q * (1.0 - abs(y) ** 2) * zeta)
-    return p, p2, p3
+    q = 4 - pp
+    pq = p * q
+    w = 2 * q * (1 - (yr * yr + yi * yi))
+    p3 = ((pp * p + pq * (2 * yr - y2r) + w * zr) / 4, (pq * (2 * yi - y2i) + w * zi) / 4)
+    return (p, 0 * p), ((pp + q * yr) / 2, q * yi / 2), p3
 
 
 def lemma_inverse(m: MomentTriple):
@@ -239,17 +249,17 @@ def _lemma_inverse_rows(p1, p2, p3):
     p = p1.real
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y, zeta, p2_shift, p3_shift = _lemma_inverse_raw(p, p2, p3)
-        ay, az = np.abs(y), np.abs(zeta)
+        ay, az = np.hypot(*_parts(y)), np.hypot(*_parts(zeta))
         edge = ay >= 1.0 - Y_BOUNDARY_TOL
     _require(
         (~((np.abs(p1.imag) > P1_IMAG_TOL) | (p < 0.0)), p1, DomainError,
          "p1 must be normalized real nonnegative (use normalize_rotation), got {}"),
         (~(p >= 2.0 - P1_DEGENERATE_GAP), p, DegenerateP1,
          "p1 = {} is at the boundary; moments are forced to (2, 2, 2)"),
-        (_modulus_finite(y), y, DomainError,
+        (np.isfinite(ay), y, DomainError,
          "recovered y or its modulus is not finite: the inputs are too large"),
         (~(p2_shift > PSD_TOL), ay, InadmissibleMoments, "recovered |y| = {} exceeds 1"),
-        (edge | _modulus_finite(zeta), zeta, DomainError,
+        (edge | np.isfinite(az), zeta, DomainError,
          "recovered zeta or its modulus is not finite: the inputs are too large"),
         (edge | ~(p3_shift > PSD_TOL), az, InadmissibleMoments,
          "recovered |zeta| = {} exceeds 1"),
@@ -399,97 +409,48 @@ def random_lemma_point(rng: np.random.Generator) -> LemmaPoint:
     return LemmaPoint(rng.uniform(0.0, 2.0), random_disk_point(rng), random_disk_point(rng))
 
 
-def _disk_points(rng: np.random.Generator, n: int, u: np.ndarray):
-    """n points uniform on the closed unit disk, by rejection from the
-    square, and the doubles of ``u`` they leave unread.
+def _disk_parts(rng: np.random.Generator, n: int):
+    """Real and imaginary parts of n points uniform on the closed unit disk.
 
-    The doubles come from a stream: first ``u``, doubles of rng.random()
-    already drawn, then the generator, which gives exactly the doubles the
-    stream lacks.  A round for a shortfall of k points reads 4 k doubles:
-    the first 2 k give x, the next 2 k give y, each as -1 + 2 u, numpy's own
-    formula for rng.uniform(-1, 1).  So one round nearly always suffices,
-    and the points and the generator state are those of one
-    rng.uniform(-1.0, 1.0, (2, 2 k)) per round.  np.abs runs on a
-    contiguous array: numpy's strided complex abs differs in the last bit.
-    _lemma_draws takes the first rounds of its two samplers in one pass and
-    runs this only when that pass falls short.
+    Rejection from the square: a round for a shortfall of k draws 2 k
+    candidates, x and then y, as one rng.uniform(-1.0, 1.0, (2, 2 k)), and
+    keeps the first k with x * x + y * y <= 1, in order; another round runs
+    only when one falls short.
     """
-    z = np.empty(n, dtype=complex)
+    x, y = np.empty(n), np.empty(n)
     done = 0
     while done < n:
         k = n - done
-        if u.size < 4 * k:
-            u = np.concatenate((u, rng.random(4 * k - u.size)))
-        w = np.empty(2 * k, dtype=complex)
-        w.real, w.imag = -1.0 + 2.0 * u[:4 * k].reshape(2, 2 * k)
-        u = u[4 * k:]
-        w = w[np.abs(w) <= 1.0][:k]
-        z[done:done + w.size] = w
-        done += w.size
-    return z, u
-
-
-def _lemma_draws(rng: np.random.Generator, n: int):
-    """(alpha, p, y, zeta) of one draw group of n rows, from the doubles
-    of one rng.random(10 n): n for alpha, n for p = 2 u, then the y and
-    zeta samplers of _disk_points, 4 n each unless a round falls short.
-
-    One pass tests the first 3 n / 2 candidates of both first rounds (y
-    from u[2 n:6 n], zeta from u[6 n:10 n]) as one contiguous (2, 3 n / 2)
-    array, with the doubles, -1 + 2 u and np.abs of _disk_points.  When
-    each row holds n points, they are its round's first n, and that round
-    reads no more doubles, so the rows and the generator state are the
-    samplers'.  Otherwise (at n = 1024 the rows hold about 1,206 points,
-    11 sd above n) both samplers run as _disk_points.
-    """
-    u = rng.random(10 * n)
-    m = 3 * n // 2
-    x = -1.0 + 2.0 * u[2 * n:].reshape(2, 2, 2 * n)[:, :, :m]
-    w = np.empty((2, m), dtype=complex)
-    w.real, w.imag = x.swapaxes(0, 1)
-    keep = np.abs(w) <= 1.0
-    k = np.count_nonzero(keep[0])
-    if k >= n and np.count_nonzero(keep[1]) >= n:
-        z = w[keep]
-        y, zeta = z[:n], z[k:k + n]
-    else:
-        y, rest = _disk_points(rng, n, u[2 * n:])
-        zeta, _ = _disk_points(rng, n, rest)
-    return u[:n], 2.0 * u[n:2 * n], y, zeta
+        u, v = rng.uniform(-1.0, 1.0, (2, 2 * k))
+        keep = np.flatnonzero(u * u + v * v <= 1.0)[:k]
+        x[done:done + keep.size], y[done:done + keep.size] = u[keep], v[keep]
+        done += keep.size
+    return x, y
 
 
 def _lemma_row_blocks(rng: np.random.Generator, count: int):
-    """Yield arrays (alpha, p, y, zeta) of up to LEMMA_BLOCK_ROWS rows, ``count`` rows in all.
+    """Yield blocks (alpha, p, y, zeta) of up to LEMMA_BLOCK_ROWS rows, ``count`` rows in all.
 
-    alpha is uniform on [0, 1); p, y and zeta have the distributions
-    random_lemma_point draws: p uniform on [0, 2), y and zeta uniform on the
-    closed unit disk.  So every row lies in the domains of ``Alpha`` and
-    ``LemmaPoint``.
-
-    The rows are drawn in groups of _LEMMA_DRAW_ROWS, each from one stream
-    of doubles (see _lemma_draws), and a block joins the groups it holds.
-    So the rows, and the generator state after them, do not depend on
-    LEMMA_BLOCK_ROWS while it is a whole number of groups: they are those
-    of rng.random(n), rng.uniform(0, 2, n) and the rounds of two disk
-    samplers per group of n rows.
+    y and zeta are (real, imaginary) pairs of arrays.  alpha is uniform on
+    [0, 1); p, y and zeta have the distributions random_lemma_point draws:
+    p uniform on [0, 2), y and zeta uniform on the closed unit disk.  So
+    every row lies in the domains of ``Alpha`` and ``LemmaPoint``.  A block
+    of n rows draws rng.random(n), rng.uniform(0, 2, n), then n disk points
+    of _disk_parts for y and n for zeta.
     """
     for start in range(0, count, LEMMA_BLOCK_ROWS):
-        rows = min(LEMMA_BLOCK_ROWS, count - start)
-        groups = [_lemma_draws(rng, min(_LEMMA_DRAW_ROWS, rows - g))
-                  for g in range(0, rows, _LEMMA_DRAW_ROWS)]
-        block = tuple(map(np.concatenate, zip(*groups)))
-        del groups
-        yield block
+        n = min(LEMMA_BLOCK_ROWS, count - start)
+        yield rng.random(n), rng.uniform(0.0, 2.0, n), _disk_parts(rng, n), _disk_parts(rng, n)
 
 
 def _triple_rows(rng: np.random.Generator, count: int):
-    """Arrays (alpha, p1, p2, p3) of ``count`` rows.
+    """alpha and the (real, imaginary) pairs p1, p2, p3 of ``count`` rows.
 
-    alpha is uniform on [0, 1), the domain of ``Alpha``; each moment is
-    uniform on the closed disk of radius 2.  One rng.random(13 count) holds
-    the alphas and then the disk sampler's first round.
+    alpha is rng.random(count), uniform on [0, 1), the domain of ``Alpha``;
+    the moments are twice the 3 count points of _disk_parts, uniform on the
+    closed disk of radius 2.
     """
-    u = rng.random(13 * count)
-    z, _ = _disk_points(rng, 3 * count, u[count:])
-    p1, p2, p3 = 2.0 * z.reshape(3, count)
-    return u[:count], p1, p2, p3
+    alpha = rng.random(count)
+    x, y = _disk_parts(rng, 3 * count)
+    return (alpha, *((2.0 * x[k:k + count], 2.0 * y[k:k + count])
+                     for k in range(0, 3 * count, count)))

@@ -24,6 +24,7 @@ from .caratheodory import (
     _lemma_forward_raw,
     _lemma_inverse_rows,
     _lemma_row_blocks,
+    _parts,
     _rotation_rows,
     _toeplitz_min_eig_rows,
     _triple_rows,
@@ -31,9 +32,10 @@ from .caratheodory import (
 from .hankel import (
     HankelSpec,
     _moment_form_raw,
-    _param_form_raw,
+    _param_form,
     _phi_raw,
     bound_profile,
+    det2,
     hankel_det,
     phi,
     sharp_bound,
@@ -205,16 +207,16 @@ def check_algebra_reconciliation():
     the moment form with a2 a4 - a3^2 from the closed forms.  Then 100,000
     draws of (alpha, p, y, zeta) from the same generator, in blocks of rows
     from _lemma_row_blocks, compare the five-term form with the moment form
-    of the substituted moments.  Both agree within ROUTE_TOL.
+    of the substituted moments.  Both agree within ROUTE_TOL.  Every value
+    is a (real, imaginary) pair, and every modulus np.hypot of the parts.
     """
     rng = np.random.default_rng(11)
     worst_rel = float(_closed_form_gaps(*_triple_rows(rng, 1000)).max())
     worst_sub = 0.0
     for alpha, p, y, zeta in _lemma_row_blocks(rng, 100_000):
-        diff = np.abs(
-            _param_form_raw(alpha, p, y, zeta)
-            - _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta))
-        )
+        psi = _param_form(alpha, p, y, zeta)
+        form = _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta))
+        diff = np.hypot(psi[0] - form[0], psi[1] - form[1])
         worst_sub = max(worst_sub, float(diff.max()))
     ok = worst_rel <= ROUTE_TOL and worst_sub <= ROUTE_TOL
     return ok, f"worst relative = {worst_rel:.3e}, worst substitution = {worst_sub:.3e}"
@@ -223,8 +225,9 @@ def check_algebra_reconciliation():
 def _closed_form_gaps(alpha, p1, p2, p3) -> np.ndarray:
     """|moment form - (a2 a4 - a3^2)| / max(1, |a2 a4 - a3^2|) for each row."""
     a2, a3, a4 = _closed_form_rows(alpha, p1, p2, p3)
-    direct = a2 * a4 - a3 * a3
-    return np.abs(_moment_form_raw(alpha, p1, p2, p3) - direct) / np.maximum(1.0, np.abs(direct))
+    dr, di = det2(a2, a4, a3, a3)
+    fr, fi = _moment_form_raw(alpha, p1, p2, p3)
+    return np.hypot(fr - dr, fi - di) / np.maximum(1.0, np.hypot(dr, di))
 
 
 @_check("proof-step-properties")
@@ -238,7 +241,7 @@ def check_proof_step_properties():
     rng = np.random.default_rng(12)
     worst_dom = -np.inf
     for alpha, p, y, zeta in _lemma_row_blocks(rng, 100_000):
-        slack = np.abs(_param_form_raw(alpha, p, y, zeta)) - _phi_raw(alpha, p, np.abs(y))
+        slack = np.hypot(*_param_form(alpha, p, y, zeta)) - _phi_raw(alpha, p, np.hypot(*y))
         worst_dom = max(worst_dom, float(slack.max()))
     violations = 0
     worst_ident = 0.0
@@ -302,10 +305,11 @@ def _round_trip_errors(moments) -> np.ndarray:
     rotated, _ = _rotation_rows(moments)
     rotated = rotated[rotated[:, 0].real < 2.0 - ROUND_TRIP_P1_CUT]
     y, zeta, edge = _lemma_inverse_rows(*rotated.T)
-    trip = ~edge & (np.abs(y) < 1.0 - ROUND_TRIP_Y_CUT)
+    trip = ~edge & (np.hypot(*_parts(y)) < 1.0 - ROUND_TRIP_Y_CUT)
     m, p, y, zeta = rotated[trip], rotated[trip, 0].real, y[trip], zeta[trip]
-    back = np.column_stack(_lemma_forward_raw(p, y, zeta))
-    return np.abs(back - m).max(axis=1, initial=0.0)
+    back = _lemma_forward_raw(p, _parts(y), _parts(zeta))
+    gaps = [np.hypot(re - mk.real, im - mk.imag) for (re, im), mk in zip(back, m.T)]
+    return np.max(gaps, axis=0, initial=0.0)
 
 
 @_check("sweep-determinism")

@@ -22,13 +22,12 @@ whose maximum over p in [0, 2] is the sharp bound (1 - alpha)^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .caratheodory import LemmaPoint, MomentTriple, _require
+from .caratheodory import LemmaPoint, MomentTriple, _pair_product, _parts, _require
 from .errors import (
     DomainError,
     InsufficientCoefficients,
@@ -99,14 +98,11 @@ def det2(a, d, b, c):
     """Real and imaginary parts of the 2 x 2 determinant a d - b c.
 
     Each of a, d, b and c is a (real, imaginary) pair of floats or of
-    equal-shape float arrays.  The products are written in real arithmetic,
-    the way numpy multiplies complex scalars; numpy's product of complex
-    arrays may fuse multiply-adds and then differs in the last bit.
+    equal-shape float arrays, and the products are _pair_product's, the way
+    numpy multiplies complex scalars.
     """
-    (ar, ai), (dr, di), (br, bi), (cr, ci) = a, d, b, c
-    re = (ar * dr - ai * di) - (br * cr - bi * ci)
-    im = (ar * di + ai * dr) - (br * ci + bi * cr)
-    return re, im
+    (adr, adi), (bcr, bci) = _pair_product(a, d), _pair_product(b, c)
+    return adr - bcr, adi - bci
 
 
 def _det_partial_pivot(a: np.ndarray) -> complex:
@@ -137,45 +133,64 @@ def functional_moment_form(alpha: Alpha | float, m: MomentTriple) -> complex:
     """
     al = alpha_value(alpha)
     instance("m", m, MomentTriple)
-    try:
-        value = complex(_moment_form_raw(al, m.p1, m.p2, m.p3))
-    except OverflowError:  # from Python's complex power
-        value = complex(math.inf)
+    value = complex(*_moment_form_raw(al, *(_parts(x) for x in (m.p1, m.p2, m.p3))))
     return finite(value, "moment form")
 
 
 def _moment_form_raw(alpha_value, p1, p2, p3):
-    """Moment form of functional_moment_form; broadcast-safe over numpy arrays."""
-    s2 = (1.0 - alpha_value) ** 2
-    return s2 * (-s2 * p1**4 / 12.0 - p2 * p2 / 4.0 + p1 * p3 / 3.0)
+    """Moment form of functional_moment_form, as a (real, imaginary) pair, of
+    (real, imaginary) pairs p1, p2 and p3: s2 (-s2 p1^4 / 12 - p2^2 / 4 +
+    p1 p3 / 3).  Broadcast-safe over numpy arrays, and exact on Fractions."""
+    s2 = (1 - alpha_value) ** 2
+    square = _pair_product(p1, p1)
+    terms = _pair_product(square, square), _pair_product(p2, p2), _pair_product(p1, p3)
+    return tuple(s2 * (-s2 * x / 12 - y / 4 + z / 3) for x, y, z in zip(*terms))
 
 
 def _param_form_raw(alpha_value: float, p, y, zeta):
-    """Five-term parameterized form; broadcast-safe over numpy arrays."""
-    s2 = (1.0 - alpha_value) ** 2
-    return s2 * (_zeta_free_terms(alpha_value, p, y) + _zeta_coefficient(p, y) * zeta / 6.0)
+    """Five-term parameterized form at complex y and zeta: _param_form on
+    their parts, joined into a complex number or array."""
+    pair = np.stack(_param_form(alpha_value, p, _parts(y), _parts(zeta)), axis=-1)
+    return pair.view(complex)[..., 0]
+
+
+def _param_form(alpha_value, p, y, zeta):
+    """Five-term form s2 (A + B zeta), A the zeta-free terms and B =
+    _zeta_coefficient / 6, as a (real, imaginary) pair, of a real p and the
+    pairs y and zeta.  Broadcast-safe over numpy arrays; exact on Fractions."""
+    s2 = (1 - alpha_value) ** 2
+    ar, ai = _zeta_free_terms(alpha_value, p, y)
+    b = _zeta_coefficient(p, y) / 6
+    zr, zi = zeta
+    return s2 * (ar + b * zr), s2 * (ai + b * zi)
 
 
 def _zeta_free_terms(alpha_value: float, p, y):
-    """The four terms of _param_form_raw without zeta, summed left to right, before s2.
+    """The four terms of the five-term form without zeta, before s2, as a
+    (real, imaginary) pair, of a real p and the pair y, with the factors of y
+    and y^2 shared: -c p^4 / 48 + p^2 q y / 24 - (p^2 q / 12 + q^2 / 16) y^2.
 
-    s2 times this sum is Psi at zeta = 0, up to the sign of a zero.
-    Broadcast-safe over numpy arrays.
+    s2 times this is Psi at zeta = 0, up to the sign of a zero.
+    Broadcast-safe over numpy arrays, and exact on Fractions.
     """
-    c = 3.0 - 8.0 * alpha_value + 4.0 * alpha_value * alpha_value
+    yr, yi = y
+    y2r, y2i = _pair_product(y, y)
+    c = 3 - 8 * alpha_value + 4 * alpha_value * alpha_value
     pp = p * p
-    q = 4.0 - pp
-    ppqy = pp * q * y
-    return -c * p**4 / 48.0 + ppqy / 24.0 - ppqy * y / 12.0 - q * q * y * y / 16.0
+    q = 4 - pp
+    ppq = pp * q
+    w = ppq / 12 + q * q / 16
+    return -c * (pp * pp) / 48 + ppq * yr / 24 - w * y2r, ppq * yi / 24 - w * y2i
 
 
 def _zeta_coefficient(p, y):
-    """p q (1 - |y|^2), the zeta coefficient of _param_form_raw before s2 / 6.
+    """p q (1 - |y|^2), the zeta coefficient of the five-term form before s2 / 6,
+    of a real p and the (real, imaginary) pair y.
 
     Where it is exactly 0, the zeta term is a signed zero, so |Psi| is the
     same double at every zeta.  Broadcast-safe over numpy arrays.
     """
-    return p * (4.0 - p * p) * (1.0 - np.abs(y) ** 2)
+    return p * (4 - p * p) * (1 - (y[0] * y[0] + y[1] * y[1]))
 
 
 def functional_param_form(alpha: Alpha | float, pt: LemmaPoint) -> complex:
@@ -213,15 +228,16 @@ def _phi_raw(alpha_value, p, t):
 
     alpha_value, p and t are numbers of one kind (floats, numpy arrays that
     broadcast together, Fractions) with p in [0, 2] and t in [0, 1].  The
-    constants are integers, so exact types stay exact.  A float p should be
-    a 0-d numpy array: numpy's p**4 may differ from Python's in the last bit.
+    constants are integers, so exact types stay exact, and the powers of p
+    and t are products.
     """
     s2 = (1 - alpha_value) ** 2
     c = abs(3 - 8 * alpha_value + 4 * alpha_value**2)
-    q = 4 - p * p
-    p2q = p**2 * q
-    t2 = t**2
-    return s2 * (c * p**4 / 48 + p2q * t / 24 + p2q * t2 / 12 + q * q * t2 / 16
+    pp = p * p
+    q = 4 - pp
+    p2q = pp * q
+    t2 = t * t
+    return s2 * (c * (pp * pp) / 48 + p2q * t / 24 + p2q * t2 / 12 + q * q * t2 / 16
                  + p * q * (1 - t2) / 6)
 
 
@@ -237,7 +253,8 @@ def bound_profile(alpha: Alpha | float, p):
               "p must lie in [0, 2], got {}"))
     s2 = (1.0 - al) ** 2
     c = abs(3.0 - 8.0 * al + 4.0 * al**2)
-    val = s2 * (1.0 - p_arr**4 / 16.0 + p_arr**4 * c / 48.0)
+    p4 = (p_arr * p_arr) * (p_arr * p_arr)
+    val = s2 * (1.0 - p4 / 16.0 + p4 * c / 48.0)
     return float(val) if val.ndim == 0 else val
 
 

@@ -7,10 +7,11 @@ are deterministic: grids are fixed and random starts come from seeded
 generators.  A grid reduction reports the first index, in C order, whose
 value is at least vmax - TIE_TOL * vmax, vmax the grid maximum; that is the
 lexicographically smallest tied grid index, so the result does not depend
-on evaluation order.  The tie window is relative: every grid holds a point
-whose value is (1 - alpha)^2 > 0, so vmax > 0 and the window scales with
-the bound at every alpha in [0, 1), also where (1 - alpha)^2 is far below
-TIE_TOL.
+on evaluation order.  The atom search reports the first restart in the same
+window about its best restart.  The tie window is relative: every grid
+holds a point whose value is (1 - alpha)^2 > 0, so vmax > 0 and the window
+scales with the bound at every alpha in [0, 1), also where (1 - alpha)^2 is
+far below TIE_TOL.
 Grids are evaluated on one thread; ``workers`` is accepted and validated but
 does not affect the computation.  zeta is searched on the unit circle only;
 the functional is affine in zeta, so the modulus over the closed disk is
@@ -43,7 +44,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import hankel
-from .caratheodory import _TWO_PI, LemmaPoint
+from .caratheodory import _TWO_PI, LemmaPoint, _parts
 from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import _phi_raw, det2, sharp_bound
@@ -111,10 +112,11 @@ def _first_tied_index(vals: np.ndarray, vmax: float) -> tuple:
     """C-order first index of ``vals`` at or above ``vmax - TIE_TOL * vmax``.
 
     C order is lexicographic order on grid indices, so this is the smallest
-    tied index.  The window is relative to ``vmax``: both grid searches pass
-    a maximum of at least (1 - alpha)^2 > 0, their value at the grid point
-    p = 0, |y| = 1, so at every alpha the window holds the maximum and the
-    values within a relative TIE_TOL below it.
+    tied index; on a vector of restart values it is the first tied restart.
+    The window is relative to ``vmax``: both grid searches pass a maximum of
+    at least (1 - alpha)^2 > 0, their value at the grid point p = 0,
+    |y| = 1, so at every alpha the window holds the maximum and the values
+    within a relative TIE_TOL below it.
     """
     tied = vals >= vmax - TIE_TOL * vmax
     return tuple(int(i) for i in np.unravel_index(np.argmax(tied), vals.shape))
@@ -172,25 +174,27 @@ def _line_maxima(al: float, p, y: np.ndarray, e_nu: np.ndarray, floor: float) ->
     """Max over zeta grid ``e_nu`` of |Psi| on each line (p, y), raveled; -inf below ``floor``.
 
     Psi = A + B zeta is affine in zeta, with A = s2 times the form's
-    zeta-free terms (Psi at zeta = 0 but for the sign of a zero, which abs
-    drops) and B = s2 / 6 times the closed-form coefficient p q (1 - |y|^2)
-    of _zeta_coefficient, q = 4 - p^2.  A line whose bound |A| + |B| is
-    below ``floor`` is not evaluated.  Where the computed coefficient is
-    exactly 0, the zeta term is a signed zero and |Psi| is |A| all along the
-    line; the other lines kept are evaluated on the whole zeta axis.  The
-    form acts elementwise: every value is the double the full grid computes.
+    zeta-free terms (Psi at zeta = 0 but for the sign of a zero, which the
+    modulus drops) and B = s2 / 6 times the closed-form coefficient
+    p q (1 - |y|^2) of _zeta_coefficient, q = 4 - p^2.  A line whose bound
+    |A| + |B| is below ``floor`` is not evaluated.  Where the computed
+    coefficient is exactly 0, the zeta term is a signed zero and |Psi| is
+    |A| all along the line; the other lines kept are evaluated on the whole
+    zeta axis.  Every modulus is np.hypot of the parts, and the form acts
+    elementwise: every value is the double the full grid computes.
     """
     p, y = np.broadcast_to(p, y.shape).ravel(), y.ravel()
-    a = np.abs((1.0 - al) ** 2 * hankel._zeta_free_terms(al, p, y))
-    coef = hankel._zeta_coefficient(p, y)
-    kept = a + (1.0 - al) ** 2 * np.abs(coef) / 6.0 >= floor
+    s2 = (1.0 - al) ** 2
+    a = np.hypot(*(s2 * x for x in hankel._zeta_free_terms(al, p, _parts(y))))
+    coef = hankel._zeta_coefficient(p, _parts(y))
+    kept = a + s2 * np.abs(coef) / 6.0 >= floor
     free = kept & (coef == 0.0)
     out = np.full(y.shape, -np.inf)
     out[free] = a[free]
     rest, step = np.flatnonzero(kept & ~free), max(1, _ZETA_CALL_POINTS // e_nu.size)
     for s in range(0, rest.size, step):
         k = rest[s:s + step]
-        out[k] = np.abs(hankel._param_form_raw(al, p[k, None], y[k, None], e_nu)).max(1)
+        out[k] = np.hypot(*_parts(hankel._param_form_raw(al, p[k, None], y[k, None], e_nu))).max(1)
     return out
 
 
@@ -243,7 +247,7 @@ def maximize_param(
     e_nu = np.exp(1j * np.arange(grid_zarg) * (_TWO_PI / grid_zarg))
 
     # |Psi| at the grid point (p, |y|, arg y, arg zeta) = (0, 1, 0, 0)
-    m = np.abs(hankel._param_form_raw(al, ps[:1], ts[-1:] * e_mu[:1], e_nu[:1]))[0]
+    m = np.hypot(*_parts(hankel._param_form_raw(al, ps[:1], ts[-1:] * e_mu[:1], e_nu[:1])))[0]
     floor = m - (TIE_TOL + BOUND_MARGIN) * m
     edge = _phi_raw(al, ps[:, None], ts[None, -1:])[:, 0]
     kept = np.flatnonzero(edge >= m - (TIE_TOL + 2 * BOUND_MARGIN) * m)
@@ -257,9 +261,9 @@ def maximize_param(
     k, mi = _first_tied_index(vals.reshape(len(rows), grid_yarg), vmax)
     pi, ti = rows[k]
     line = hankel._param_form_raw(al, ps[pi:pi + 1, None], ts[ti] * e_mu[mi:mi + 1, None], e_nu)
-    (ni,) = _first_tied_index(np.abs(line[0]), vmax)
+    (ni,) = _first_tied_index(np.hypot(*_parts(line[0])), vmax)
     pt = LemmaPoint(float(ps[pi]), complex(ts[ti] * e_mu[mi]), complex(e_nu[ni]))
-    value = abs(hankel.functional_param_form(al, pt))
+    value = np.hypot(*_parts(hankel.functional_param_form(al, pt)))
 
     return SearchOutcome(
         value=float(value),
@@ -424,8 +428,9 @@ def _herglotz_outcomes(
     once and tiled across the alphas.  The restarts of a group of alphas
     are refined as one lock-step batch of at most _HERGLOTZ_BATCH_ROWS
     rows (one alpha's restarts when they are more), and each alpha's slice
-    is reduced as maximize_herglotz describes.  Rows do not interact, so
-    every outcome is bit-for-bit that of a search at its alpha alone.
+    is reduced to its first restart within TIE_TOL times its best value
+    (_first_tied_index).  Rows do not interact, so every outcome is
+    bit-for-bit that of a search at its alpha alone.
     """
     values = [alpha_value(alpha) for alpha in alphas]
     atom_count = whole_number("atom_count", atom_count, 1, 4)
@@ -449,9 +454,7 @@ def _herglotz_outcomes(
                                            np.tile(t0, (len(group), 1)), local_steps)
         for j in range(len(group)):
             rows = slice(j * restarts, (j + 1) * restarts)
-            # argmax takes the first of equal maxima: the first restart that
-            # is strictly better than all before it.
-            best = j * restarts + int(np.argmax(vals[rows]))
+            best = j * restarts + _first_tied_index(vals[rows], vals[rows].max())[0]
             yield SearchOutcome(
                 value=float(vals[best]),
                 argmax={"weights": [float(x) for x in ws[best]],
@@ -475,8 +478,10 @@ def maximize_herglotz(
     by restart; each restart is refined coordinate-wise.  The restarts run
     in lock-step as one batch (see _refine_rows) and give the same result,
     bit for bit, as running them one after another: each keeps its own
-    steps and stop rule, and the reported maximum is the first restart, in
-    restart order, that is strictly better than all before it.
+    steps and stop rule.  The reported restart is the first, in restart
+    order, whose value is at least best - TIE_TOL * best, best the largest
+    value of any restart: the grid searches' tie rule, so a restart that
+    beats an earlier one by rounding alone is not reported.
     This is the one-alpha case of the batch that sweep_alpha runs.
     """
     (outcome,) = _herglotz_outcomes([alpha], atom_count, restarts, local_steps, seed)

@@ -18,8 +18,9 @@ import numpy as np
 from .caratheodory import (
     MomentTriple,
     _complex_array,
-    _modulus_finite,
     _moment_vector,
+    _pair_product,
+    _parts,
     _require,
 )
 from .errors import DomainError, instance, numeric, whole_number
@@ -111,26 +112,31 @@ def closed_form_a234(alpha: Alpha | float, m: MomentTriple) -> tuple:
     when the moments are so large that a value or its modulus overflows."""
     al = alpha_value(alpha)
     instance("m", m, MomentTriple)
-    a = _closed_form_rows(al, *(np.array([x]) for x in (m.p1, m.p2, m.p3)))
-    return tuple(complex(x[0]) for x in a)
+    a = _closed_form_rows(al, *(_parts(np.array([x])) for x in (m.p1, m.p2, m.p3)))
+    return tuple(complex(re[0], im[0]) for re, im in a)
 
 
 def _closed_form_rows(alpha, p1, p2, p3):
-    """(a2, a3, a4) of closed_form_a234 for equal-shape arrays of moments.
+    """(a2, a3, a4) of closed_form_a234 as (real, imaginary) pairs, for
+    (real, imaginary) pairs of equal-shape moment arrays.
 
+    With s = 1 - alpha: a2 = s p1, a3 = s (s p1^2 + p2) / 2 and
+    a4 = s (s^2 p1^3 + 3 s p1 p2 + 2 p3) / 6, in real arithmetic.
     ``alpha`` is one alpha value (a float) or an array of each entry's
     value; callers validate it.  Input that closed_form_a234 would refuse
     raises closed_form_a234's error and text for the first of a2, a3 and a4
     that is not finite somewhere, at the first entry where it is not.
     """
+    s = 1 - alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        a2 = (1.0 - alpha) * p1
-        a3 = 0.25 * (2.0 * (1.0 - alpha) ** 2 * p1 * p1 + 2.0 * p2 - 2.0 * alpha * p2)
-        a4 = (1.0 - alpha) / 6.0 * ((1.0 - alpha) ** 2 * p1**3
-                                    + 3.0 * (1.0 - alpha) * p1 * p2 + 2.0 * p3)
-    _require(*((_modulus_finite(a), a, DomainError,
-                f"{name} or its modulus is not finite: the inputs are too large")
-               for name, a in (("a2", a2), ("a3", a3), ("a4", a4))))
+        square = _pair_product(p1, p1)
+        cube, cross = _pair_product(square, p1), _pair_product(p1, p2)
+        a2 = tuple(s * x for x in p1)
+        a3 = tuple(s * (s * x + y) / 2 for x, y in zip(square, p2))
+        a4 = tuple(s * (s * s * x + 3 * s * y + 2 * z) / 6 for x, y, z in zip(cube, cross, p3))
+        _require(*((np.isfinite(np.hypot(*a)), a[0], DomainError,
+                    f"{name} or its modulus is not finite: the inputs are too large")
+                   for name, a in (("a2", a2), ("a3", a3), ("a4", a4))))
     return a2, a3, a4
 
 

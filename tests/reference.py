@@ -1,9 +1,10 @@
 """Independent references for the tests, each contract stated once.
 
-Each function writes a sampler, a kernel or a search out one point, call or
-restart at a time, as the package computed it before its array kernels and
-lock-step batches; the tests compare the package with them, mostly bit for
-bit.  None calls the code it is the reference for.  round_trip and
+Each function writes a sampler or a search out one candidate, point, call
+or restart at a time, as the package computed it before its array kernels
+and lock-step batches, or a kernel's formula term by term in real
+arithmetic; the tests compare the package with them, mostly bit for bit.
+None calls the code it is the reference for.  round_trip and
 sweep_one_alpha_at_a_time call the scalar exports and maximize_herglotz, as
 references for the row kernels and the cross-alpha batch.
 """
@@ -52,20 +53,30 @@ def first_tied(vals, vmax):
     return tuple(int(i) for i in np.argwhere(vals >= vmax - TIE_TOL * vmax)[0])
 
 
-# Samplers, one generator call at a time.
+def join(re, im):
+    """The complex number, or array, with the parts ``re`` and ``im``, signed zeros kept."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return complex(out) if out.ndim == 0 else out
 
-def disk_points(rng, n):
-    """n points uniform on the closed unit disk, by rejection from the square.
 
-    Each round draws twice the shortfall of x, then of y, as one call and
-    keeps the candidates with |x + iy| <= 1, until n are kept.
+# Samplers, one candidate at a time.
+
+def disk_parts(rng, n):
+    """Real and imaginary parts of n points uniform on the closed unit disk.
+
+    Each round draws twice the shortfall of candidates, their x and then
+    their y as one call, and keeps each candidate in turn with
+    x * x + y * y <= 1 until n are kept.
     """
-    z = np.empty(0, dtype=complex)
-    while z.size < n:
-        x, y = rng.uniform(-1.0, 1.0, (2, 2 * (n - z.size)))
-        w = x + 1j * y
-        z = np.concatenate((z, w[np.abs(w) <= 1.0]))
-    return z[:n]
+    xs, ys = [], []
+    while len(xs) < n:
+        u, v = rng.uniform(-1.0, 1.0, (2, 2 * (n - len(xs)))).tolist()
+        for x, y in zip(u, v):
+            if len(xs) < n and x * x + y * y <= 1.0:
+                xs.append(x)
+                ys.append(y)
+    return np.array(xs, dtype=float), np.array(ys, dtype=float)
 
 
 def disk_point(rng, radius=1.0):
@@ -76,82 +87,67 @@ def disk_point(rng, radius=1.0):
             return z
 
 
-def lemma_rows(rng, count, draw=1024):
-    """(count, 4) complex rows (alpha, p, y, zeta), drawn in groups of ``draw``
-    rows: the alphas, the ps on [0, 2), then the disk points of y and of zeta."""
-    groups = []
-    for done in range(0, count, draw):
-        n = min(draw, count - done)
-        groups.append(np.column_stack((rng.random(n), rng.uniform(0.0, 2.0, n),
-                                       disk_points(rng, n), disk_points(rng, n))))
-    return np.concatenate(groups).astype(complex)
+def lemma_rows(rng, count, block=4096):
+    """(count, 6) rows (alpha, p, Re y, Im y, Re zeta, Im zeta), drawn in
+    blocks of ``block`` rows: the alphas, the ps on [0, 2), then the disk
+    points of the ys, then those of the zetas."""
+    rows = [np.empty((0, 6))]
+    for done in range(0, count, block):
+        n = min(block, count - done)
+        alpha, p = rng.random(n), rng.uniform(0.0, 2.0, n)
+        rows.append(np.column_stack((alpha, p, *disk_parts(rng, n), *disk_parts(rng, n))))
+    return np.concatenate(rows)
 
 
 def triple_rows(rng, count):
-    """alpha uniform on [0, 1), then p1, p2, p3 uniform on the disk of radius 2."""
+    """alpha uniform on [0, 1), then p1, p2, p3, each a (real, imaginary)
+    pair uniform on the disk of radius 2."""
     alpha = rng.random(count)
-    p1, p2, p3 = 2.0 * disk_points(rng, 3 * count).reshape(3, count)
-    return alpha, p1, p2, p3
+    x, y = disk_parts(rng, 3 * count)
+    return (alpha, *((2.0 * x[k * count:(k + 1) * count], 2.0 * y[k * count:(k + 1) * count])
+                     for k in range(3)))
 
 
-def round_by_round_draws(rng, n):
-    """One draw group by the round-by-round rule: n alphas, n ps, then the y
-    and zeta samplers, each round reading 4 k doubles for a shortfall of k
-    from one stream, rng.random(10 n) and then the generator."""
-    stream = rng.random(10 * n)
-
-    def take(size):
-        nonlocal stream
-        if stream.size < size:
-            stream = np.concatenate((stream, rng.random(size - stream.size)))
-        out, stream = stream[:size], stream[size:]
-        return out
-
-    alpha, p = take(n), 2.0 * take(n)
-    disks = []
-    for _ in range(2):
-        z = np.empty(0, dtype=complex)
-        while z.size < n:
-            k = n - z.size
-            x, y = -1.0 + 2.0 * take(4 * k).reshape(2, 2 * k)
-            w = x + 1j * y
-            z = np.concatenate((z, w[np.abs(w) <= 1.0][:k]))
-        disks.append(z)
-    return alpha, p, *disks
-
-
-# Kernels: the scalar formulas as they stood before the array kernels.
+# Kernels: each formula written out in real arithmetic, on complex scalars
+# or arrays, in the package's order of operations.
 
 def lemma_forward(p, y, zeta):
     """The moments (p1, p2, p3) of the lemma point (p, y, zeta), on scalars or arrays."""
+    yr, yi, zr, zi = y.real, y.imag, zeta.real, zeta.imag
     q = 4.0 - p * p
-    p2 = 0.5 * (p * p + y * q)
-    p3 = 0.25 * (p**3 + 2.0 * q * p * y - p * q * y * y
-                 + 2.0 * q * (1.0 - abs(y) ** 2) * zeta)
-    if np.ndim(p):
-        return p, p2, p3
-    return complex(p), complex(p2), complex(p3)
+    p2 = join((p * p + q * yr) / 2.0, q * yi / 2.0)
+    w = 2.0 * q * (1.0 - (yr * yr + yi * yi))
+    p3 = join((p * p * p + p * q * (2.0 * yr - (yr * yr - yi * yi)) + w * zr) / 4.0,
+              (p * q * (2.0 * yi - (yr * yi + yi * yr)) + w * zi) / 4.0)
+    return join(p, 0.0 * p), p2, p3
 
 
 def zeta_free_terms(a, p, y):
     """The four zeta-free terms of the five-term form over s2, each written out in full."""
     c = 3.0 - 8.0 * a + 4.0 * a * a
     q = 4.0 - p * p
-    return (-c * p**4 / 48.0 + p * p * q * y / 24.0 - p * p * q * y * y / 12.0
-            - q * q * y * y / 16.0)
+    yr, yi = y.real, y.imag
+    w = p * p * q / 12.0 + q * q / 16.0
+    return join(-c * (p * p * (p * p)) / 48.0 + p * p * q * yr / 24.0 - w * (yr * yr - yi * yi),
+                p * p * q * yi / 24.0 - w * (yr * yi + yi * yr))
 
 
 def param_form(a, p, y, zeta):
     """The five-term form Psi(p, y, zeta), its zeta term written inline."""
-    q = 4.0 - p * p
-    zeta_term = p * q * (1.0 - np.abs(y) ** 2) * zeta / 6.0
-    return (1.0 - a) ** 2 * (zeta_free_terms(a, p, y) + zeta_term)
+    b = p * (4.0 - p * p) * (1.0 - (y.real * y.real + y.imag * y.imag)) / 6.0
+    free = zeta_free_terms(a, p, y)
+    s2 = (1.0 - a) ** 2
+    return join(s2 * (free.real + b * zeta.real), s2 * (free.imag + b * zeta.imag))
 
 
 def moment_form(a, m):
     """a2 a4 - a3^2 of the moment triple ``m`` at the alpha value ``a``."""
     s2 = (1.0 - a) ** 2
-    return complex(s2 * (-s2 * m.p1**4 / 12.0 - m.p2 * m.p2 / 4.0 + m.p1 * m.p3 / 3.0))
+    (r1, i1), (r2, i2), (r3, i3) = ((x.real, x.imag) for x in (m.p1, m.p2, m.p3))
+    sr, si = r1 * r1 - i1 * i1, r1 * i1 + i1 * r1
+    terms = ((sr * sr - si * si, r2 * r2 - i2 * i2, r1 * r3 - i1 * i3),
+             (sr * si + si * sr, r2 * i2 + i2 * r2, r1 * i3 + i1 * r3))
+    return complex(*(s2 * (-s2 * x / 12.0 - y / 4.0 + z / 3.0) for x, y, z in terms))
 
 
 def phi(a, p, t):
@@ -162,11 +158,11 @@ def phi(a, p, t):
     c = abs(3.0 - 8.0 * a + 4.0 * a**2)
     q = 4.0 - p_arr * p_arr
     val = s2 * (
-        c * p_arr**4 / 48.0
-        + p_arr**2 * q * t_arr / 24.0
-        + p_arr**2 * q * t_arr**2 / 12.0
-        + q * q * t_arr**2 / 16.0
-        + p_arr * q * (1.0 - t_arr**2) / 6.0
+        c * (p_arr * p_arr * (p_arr * p_arr)) / 48.0
+        + p_arr * p_arr * q * t_arr / 24.0
+        + p_arr * p_arr * q * (t_arr * t_arr) / 12.0
+        + q * q * (t_arr * t_arr) / 16.0
+        + p_arr * q * (1.0 - t_arr * t_arr) / 6.0
     )
     return float(val) if val.ndim == 0 else val
 
@@ -292,22 +288,22 @@ def refine_atoms(objective, weights, angles, sweeps):
 
 
 def herglotz_one_at_a_time(alpha, atom_count=2, restarts=100, local_steps=60, seed=0):
-    """maximize_herglotz with each restart drawn and refined before the next."""
+    """maximize_herglotz with each restart drawn and refined before the next,
+    reporting the first restart tied with the best (first_tied)."""
     rng = np.random.default_rng(seed)
 
     def objective(w, t):
         return scalar_h2(alpha, w, t)
 
-    evaluations = 0
-    best_val = -math.inf
-    best_w = best_t = None
+    results = []
     for _ in range(restarts):
         w0 = rng.dirichlet(np.ones(atom_count))
         t0 = rng.uniform(0.0, 2.0 * math.pi, atom_count)
-        val, w, t, n_evals = refine_atoms(objective, w0, t0, local_steps)
-        evaluations += n_evals
-        if val > best_val:
-            best_val, best_w, best_t = val, w, t
+        results.append(refine_atoms(objective, w0, t0, local_steps))
+    values = np.array([r[0] for r in results])
+    (best,) = first_tied(values, values.max())
+    best_val, best_w, best_t, _ = results[best]
+    evaluations = sum(r[3] for r in results)
     return SearchOutcome(
         value=float(best_val),
         argmax={"weights": [float(x) for x in best_w], "angles": [float(x) for x in best_t]},

@@ -363,8 +363,8 @@ class TestToeplitzPsd:
         rng = np.random.default_rng(9)
         n = 100_000
         p = rng.uniform(0.0, 2.0, n)
-        y = reference.disk_points(rng, n)
-        zeta = reference.disk_points(rng, n)
+        y = reference.join(*reference.disk_parts(rng, n))
+        zeta = reference.join(*reference.disk_parts(rng, n))
         p1, p2, p3 = reference.lemma_forward(p, y, zeta)
         least = reference.toeplitz_min_eig(np.stack([p1, p2, p3], axis=1).astype(complex))
         assert float(least.min()) >= -1e-7

@@ -6,6 +6,7 @@ change.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -18,9 +19,22 @@ _SPEC = importlib.util.spec_from_file_location("golden_corpus", _SCRIPT)
 golden_corpus = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(golden_corpus)
 
-# Builds the corpus in a fresh interpreter and writes it to stdout.
-_REBUILD = ("import runpy, sys; g = runpy.run_path(sys.argv[1]); "
-            "sys.stdout.write(g['render'](g['corpus']()))")
+# Builds the corpus and the kernel digest in a fresh interpreter and writes
+# them to stdout as JSON, with numpy's report of its X86_V3 dispatch target,
+# the level of AVX2.
+_REBUILD = ("import json, runpy, sys; "
+            "from numpy._core._multiarray_umath import __cpu_features__ as cpu; "
+            "g = runpy.run_path(sys.argv[1]); "
+            "json.dump({'corpus': g['render'](g['corpus']()), 'kernels': g['kernel_digest'](), "
+            "'x86_v3': cpu['X86_V3']}, sys.stdout)")
+
+# OpenBLAS's Prescott kernel in place of the machine's default, which
+# OpenBLAS reports under the name Katmai; numpy's baseline X86_V2 loops in
+# place of its X86_V3 and X86_V4 ones.
+ENVIRONMENTS = {
+    "prescott": dict(OPENBLAS_CORETYPE="Prescott", OPENBLAS_VERBOSE="2"),
+    "x86-v2": dict(NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -32,17 +46,19 @@ def test_outputs_equal_the_golden_corpus(built):
     assert built == golden_corpus.PATH.read_text(encoding="utf-8")
 
 
-def test_corpus_is_the_same_under_prescott(built):
-    """The corpus bytes do not depend on the OpenBLAS kernel numpy runs.
-
-    The corpus is built again under OpenBLAS's Prescott kernel, not the
-    machine's default; OpenBLAS reports that kernel under the name Katmai.
-    """
+@pytest.mark.parametrize("name", ENVIRONMENTS)
+def test_corpus_is_the_same_under(built, name):
+    """The corpus bytes, and the kernels' bits, depend neither on the
+    OpenBLAS kernel numpy runs nor on numpy's CPU dispatch."""
     path = [str(_SCRIPT.parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", OPENBLAS_VERBOSE="2",
-               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = dict(os.environ, **ENVIRONMENTS[name], PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", _REBUILD, str(_SCRIPT)], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert "Core: Katmai" in proc.stderr
-    assert proc.stdout == built
+    out = json.loads(proc.stdout)
+    if name == "prescott":
+        assert "Core: Katmai" in proc.stderr
+    else:
+        assert out["x86_v3"] is False
+    assert out["corpus"] == built
+    assert out["kernels"] == golden_corpus.kernel_digest()

@@ -24,9 +24,10 @@ from h2star import (
     phi,
     sharp_bound,
 )
-from h2star.caratheodory import _lemma_forward_raw, _lemma_row_blocks, random_disk_point
-from h2star.hankel import _moment_form_raw, _param_form_raw, _phi_raw, _zeta_free_terms, det2
-from reference import param_form, zeta_free_terms
+from h2star.caratheodory import _lemma_forward_raw, _lemma_row_blocks, _parts, random_disk_point
+from h2star.hankel import (_moment_form_raw, _param_form, _param_form_raw, _phi_raw,
+                           _zeta_coefficient, _zeta_free_terms, det2)
+from reference import join, param_form, zeta_free_terms
 
 KOEBE = CoefficientVector([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 
@@ -140,7 +141,7 @@ class TestMomentForm:
 
     @pytest.mark.parametrize("p1", [1e300, 1e100])
     def test_overflow_is_a_domain_error(self, p1):
-        # 1e300 overflows to NaN; 1e100 makes Python's complex power raise
+        # p1^4 overflows: to NaN parts at 1e300, to an infinite real part at 1e100
         with pytest.raises(DomainError, match="not finite"):
             functional_moment_form(Alpha(0.1), MomentTriple(p1, 0, 0))
 
@@ -193,10 +194,9 @@ class TestParamForm:
     def test_substitution_identity(self):
         rows = 0
         for alpha, p, y, zeta in _lemma_row_blocks(np.random.default_rng(34), 20_000):
-            diff = np.abs(
-                _param_form_raw(alpha, p, y, zeta)
-                - _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta))
-            )
+            psi = _param_form(alpha, p, y, zeta)
+            form = _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta))
+            diff = np.hypot(psi[0] - form[0], psi[1] - form[1])
             assert np.all(diff <= 1e-12), diff.max()
             rows += alpha.size
         assert rows == 20_000
@@ -204,7 +204,7 @@ class TestParamForm:
     def test_dominated_by_majorant(self):
         rows = 0
         for alpha, p, y, zeta in _lemma_row_blocks(np.random.default_rng(35), 20_000):
-            excess = np.abs(_param_form_raw(alpha, p, y, zeta)) - _phi_raw(alpha, p, np.abs(y))
+            excess = np.hypot(*_param_form(alpha, p, y, zeta)) - _phi_raw(alpha, p, np.hypot(*y))
             assert np.all(excess <= 1e-12), excess.max()
             rows += alpha.size
         assert rows == 20_000
@@ -215,6 +215,7 @@ class TestParamForm:
         # reference writes the term inline.
         rng = np.random.default_rng(36)
         for alpha, p, y, zeta in _lemma_row_blocks(rng, 20_000):
+            y, zeta = join(*y), join(*zeta)
             got, want = _param_form_raw(alpha, p, y, zeta), param_form(alpha, p, y, zeta)
             assert got.tobytes() == want.tobytes()
         e_mu = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -230,21 +231,48 @@ class TestParamForm:
                             complex(param_form(a, p, complex(y), complex(zeta)))).tobytes()
 
     def test_zeta_free_terms_bit_equal_to_the_inline_terms(self):
-        # _zeta_free_terms computes p * p, q and p * p * q * y once; the
+        # _zeta_free_terms computes p * p, q, p * p * q and y * y once; the
         # reference writes each term out in full.
         rng = np.random.default_rng(37)
         for alpha, p, y, _ in _lemma_row_blocks(rng, 20_000):
-            got = _zeta_free_terms(alpha, p, y)
-            assert got.tobytes() == zeta_free_terms(alpha, p, y).tobytes()
+            got = join(*_zeta_free_terms(alpha, p, y))
+            assert got.tobytes() == zeta_free_terms(alpha, p, join(*y)).tobytes()
         e_mu = np.exp(2j * np.pi * np.arange(64) / 64)
         ps = np.linspace(0.0, 2.0, 201)[:, None]
         for a in (0.0, 0.25, 0.5, 0.75, 0.99):
             for t in (0.0, 0.5, 1.0):
                 y = t * e_mu[None, :]
-                assert _zeta_free_terms(a, ps, y).tobytes() == zeta_free_terms(a, ps, y).tobytes()
+                got = join(*_zeta_free_terms(a, ps, _parts(y)))
+                assert got.tobytes() == zeta_free_terms(a, ps, y).tobytes()
                 for p, yy in zip(ps[::25, 0], y[0, ::8]):
-                    got = _zeta_free_terms(a, float(p), complex(yy))
+                    got = complex(*_zeta_free_terms(a, float(p), _parts(complex(yy))))
                     assert repr(got) == repr(zeta_free_terms(a, float(p), complex(yy)))
+
+
+class TestExactKernels:
+    """The pair kernels on Fractions: exact rational arithmetic, no float and
+    no complex type, so the substitution identity holds with ==."""
+
+    # 5 ps, 5 ys and 3 zetas in [0, 2] x closed disk x closed disk: 75 points,
+    # corners of the box among them.
+    PS = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 4), Fraction(2)]
+    YS = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(3, 5), Fraction(4, 5)),
+          (Fraction(-1, 2), Fraction(1, 3)), (Fraction(1, 7), Fraction(-2, 3))]
+    ZETAS = [(Fraction(0), Fraction(0)), (Fraction(-3, 5), Fraction(4, 5)),
+             (Fraction(1, 2), Fraction(-1, 2))]
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                                       Fraction(5, 7), Fraction(99, 100)])
+    def test_substitution_is_exact(self, alpha):
+        for p, y, zeta in itertools.product(self.PS, self.YS, self.ZETAS):
+            moments = _lemma_forward_raw(p, y, zeta)
+            psi = _param_form(alpha, p, y, zeta)
+            form = _moment_form_raw(alpha, *moments)
+            p1, p2, p3 = moments
+            parts = [*p1, *p2, *p3, *psi, *form, *_zeta_free_terms(alpha, p, y),
+                     _zeta_coefficient(p, y), *det2(p1, p3, p2, p2)]
+            assert all(type(x) is Fraction for x in parts), (p, y, zeta)
+            assert form == psi, (p, y, zeta)
 
 
 class TestPhi:

@@ -27,10 +27,11 @@ from h2star import (
     sweep_alpha,
 )
 from h2star import cli, hankel, search
+from h2star.caratheodory import _parts
 from h2star.search import SearchOutcome, run_method
 from h2star.tolerances import BOUND_MARGIN, TIE_TOL
 import reference
-from reference import bits, first_tied, lemma_axes, refine_atoms, scalar_h2
+from reference import bits, first_tied, join, lemma_axes, refine_atoms, scalar_h2
 from test_golden import golden_corpus
 
 EXTREMAL_ATOMS = HerglotzAtoms((0.5, 0.5), (0.0, math.pi))
@@ -53,6 +54,11 @@ def _calls(monkeypatch, owner, name):
 def _zeta_points(calls):
     """The form points of the recorded _param_form_raw calls on whole zeta axes."""
     return sum(out.size for args, out in calls if np.ndim(args[3]))
+
+
+def _modulus(z):
+    """|z| as the lemma search takes it: np.hypot of the parts."""
+    return np.hypot(*_parts(z))
 
 
 class TestMaximizePhi:
@@ -283,7 +289,7 @@ class TestReferenceTieBreak:
         ts = np.linspace(0.0, 1.0, g["grid_ymod"])
         e_mu = np.exp(2j * math.pi * np.arange(g["grid_yarg"]) / g["grid_yarg"])
         e_nu = np.exp(2j * math.pi * np.arange(g["grid_zarg"]) / g["grid_zarg"])
-        vals = np.abs(
+        vals = _modulus(
             form(
                 a,
                 ps[:, None, None, None],
@@ -331,8 +337,8 @@ def _use_form(monkeypatch, form):
     """
     monkeypatch.setattr(hankel, "_param_form_raw", form)
     monkeypatch.setattr(hankel, "_zeta_free_terms",
-                        lambda alpha_value, p, y: form(alpha_value, p, y, 0.0)
-                        / (1.0 - alpha_value) ** 2)
+                        lambda alpha_value, p, y: _parts(form(alpha_value, p, join(*y), 0.0)
+                                                         / (1.0 - alpha_value) ** 2))
 
 
 def _constant_bound(value):
@@ -352,7 +358,7 @@ def _maximize_param_full(alpha, grid_p, grid_ymod, grid_yarg, grid_zarg):
     zeta_grid = e_nu[None, None, :]
 
     def eval_slice(i):
-        return np.abs(hankel._param_form_raw(alpha.value, ps[i], y_grid, zeta_grid))
+        return _modulus(hankel._param_form_raw(alpha.value, ps[i], y_grid, zeta_grid))
 
     slice_max = np.array([eval_slice(i).max() for i in range(grid_p)])
     gmax = slice_max.max()
@@ -411,23 +417,25 @@ class TestBoundPruning:
         y = ts[:, None, None] * np.exp(2j * math.pi * np.arange(16) / 16)[None, :, None]
         e_nu = np.exp(2j * math.pi * np.arange(16) / 16)[None, None, :]
         worst = max(
-            float(np.max(np.abs(hankel._param_form_raw(a, p, y, e_nu)).max(axis=(1, 2))
+            float(np.max(_modulus(hankel._param_form_raw(a, p, y, e_nu)).max(axis=(1, 2))
                          - bound[i]))
             for i, p in enumerate(ps)
         )
         assert worst <= BOUND_MARGIN * (1.0 - a) ** 2 / 1000
 
     def test_tie_in_a_later_row(self, monkeypatch):
-        # The constant bound lets every (p, t) row survive, but only the rows
-        # with |y| = 1 reach 0.5 + s2 / 6 on the zeta grid: the first tied
-        # value of the p = 0 slice lies in its last row.  The fake keeps the
-        # form's structure A + s2 / 6 * coef * zeta with a coefficient of its
-        # own, not 0 at p = 0, which the search reads too.
+        # The constant bound lets every (p, t) row survive, and every line
+        # bound |A| + |B| is 0.5 + s2 / 6, but only the rows with |y| = 1,
+        # where A is real, reach it on the zeta grid: the first tied value
+        # of the p = 0 slice lies in its last row.  The fake keeps the form's
+        # structure A + s2 / 6 * coef * zeta with a coefficient of its own,
+        # 1, not 0 at p = 0, which the search reads too.
         def coefficient(p, y):
-            return np.where(np.abs(y) < 1.0, np.exp(0.1j), 1.0) * np.ones_like(p)
+            return np.ones_like(p * y[0])
 
         def form(alpha_value, p, y, zeta):
-            return 0.5 + (1.0 - alpha_value) ** 2 / 6.0 * coefficient(p, y) * zeta
+            a = np.where(np.abs(y) < 1.0, 0.5 * np.exp(0.1j), 0.5)
+            return a + (1.0 - alpha_value) ** 2 / 6.0 * coefficient(p, _parts(y)) * zeta
 
         monkeypatch.setattr(hankel, "_zeta_coefficient", coefficient)
         _use_form(monkeypatch, form)
@@ -497,7 +505,7 @@ class TestBoundPruning:
         # The search's floor is |Psi| at p = 0, y = 1, zeta = 1, evaluated as
         # the grid evaluates it: (1 - alpha)^2, the maximum of phi.
         one = np.ones(1, dtype=complex)
-        m = np.abs(hankel._param_form_raw(a, np.zeros(1), one, one))[0]
+        m = _modulus(hankel._param_form_raw(a, np.zeros(1), one, one))[0]
         assert m == (1.0 - a) ** 2 == phi(a, 0.0, 1.0)
 
     @pytest.mark.parametrize("grid, alphas", [
@@ -549,9 +557,10 @@ class TestLineBound:
         worst = -np.inf
         for p in ps:
             p_line = np.full(y.shape, p)
-            bound = (np.abs((1.0 - a) ** 2 * hankel._zeta_free_terms(a, p_line, y))
-                     + (1.0 - a) ** 2 * np.abs(hankel._zeta_coefficient(p_line, y)) / 6.0)
-            vals = np.abs(hankel._param_form_raw(a, p, y[:, :, None], e_nu))
+            bound = (np.hypot(*((1.0 - a) ** 2 * x
+                                for x in hankel._zeta_free_terms(a, p_line, _parts(y))))
+                     + (1.0 - a) ** 2 * np.abs(hankel._zeta_coefficient(p_line, _parts(y))) / 6.0)
+            vals = _modulus(hankel._param_form_raw(a, p, y[:, :, None], e_nu))
             worst = max(worst, float(np.max(vals.max(axis=2) - bound)))
         assert worst <= BOUND_MARGIN * (1.0 - a) ** 2 / 1000
 
@@ -563,8 +572,9 @@ class TestLineBound:
         y = ts[:, None] * e_mu
         for p in ps:
             p_line = np.full(y.shape, p)
-            got = np.abs((1.0 - a) ** 2 * hankel._zeta_free_terms(a, p_line, y))
-            assert got.tobytes() == np.abs(hankel._param_form_raw(a, p_line, y, 0.0)).tobytes()
+            got = np.hypot(*((1.0 - a) ** 2 * x
+                             for x in hankel._zeta_free_terms(a, p_line, _parts(y))))
+            assert got.tobytes() == _modulus(hankel._param_form_raw(a, p_line, y, 0.0)).tobytes()
 
     @pytest.mark.parametrize("a, points", [(0.0, 65), (0.25, 65), (0.75, 65)])
     def test_default_grid_zeta_points(self, monkeypatch, a, points):
@@ -595,16 +605,16 @@ class TestZetaFreeLines:
         zero_lines = 0
         for i, ti in rows:
             y = (ts[ti] * e_mu)[:, None]
-            flat = hankel._zeta_coefficient(ps[i], y)[:, 0] == 0.0
-            vals = np.abs(hankel._param_form_raw(a, ps[i], y[flat], e_nu[None, :]))
+            flat = hankel._zeta_coefficient(ps[i], _parts(y))[:, 0] == 0.0
+            vals = _modulus(hankel._param_form_raw(a, ps[i], y[flat], e_nu[None, :]))
             assert vals.tobytes() == np.repeat(vals[:, :1], e_nu.size, axis=1).tobytes()
-            at_zero = np.abs(hankel._param_form_raw(a, ps[i], y[flat], 0.0))
+            at_zero = _modulus(hankel._param_form_raw(a, ps[i], y[flat], 0.0))
             assert vals.tobytes() == np.repeat(at_zero, e_nu.size, axis=1).tobytes()
             zero_lines += int(flat.sum())
         # Every line of the p = 0 and p = 2 rows, and some of the |y| = 1 lines.
         assert zero_lines > 2 * ts.size * e_mu.size
         if a == 0.5:
-            assert not np.abs(hankel._param_form_raw(a, 2.0, ts[:, None] * e_mu, 1.0)).any()
+            assert not _modulus(hankel._param_form_raw(a, 2.0, ts[:, None] * e_mu, 1.0)).any()
 
     def test_maximum_off_the_first_zeta(self, monkeypatch):
         # A form A + s2 / 6 * coef * zeta with the real zeta coefficient and
@@ -615,7 +625,7 @@ class TestZetaFreeLines:
 
         def form(alpha_value, p, y, zeta):
             return (0.5 * np.exp(0.75j * math.pi)
-                    + (1.0 - alpha_value) ** 2 / 6.0 * coefficient(p, y) * zeta)
+                    + (1.0 - alpha_value) ** 2 / 6.0 * coefficient(p, _parts(y)) * zeta)
 
         _use_form(monkeypatch, form)
         monkeypatch.setattr(search, "_phi_raw", _constant_bound(10.0))

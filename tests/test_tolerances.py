@@ -30,6 +30,7 @@ from h2star.caratheodory import (
     _lemma_inverse_raw,
     _lemma_inverse_rows,
     _lemma_row_blocks,
+    _parts,
     _rotation_rows,
     _toeplitz_min_eig_rows,
     _triple_rows,
@@ -38,11 +39,12 @@ from h2star.checks import ALPHA_GRID, ALPHA_SPOT
 from h2star.hankel import (
     HankelSpec,
     _moment_form_raw,
-    _param_form_raw,
+    _param_form,
     _phi_raw,
     _zeta_coefficient,
     _zeta_free_terms,
     bound_profile,
+    det2,
     hankel_det,
     phi,
     sharp_bound,
@@ -103,9 +105,24 @@ def _mp(values) -> np.ndarray:
     return np.frompyfunc(kind, 1, 1)(values)
 
 
+def _mp_pair(pair):
+    """A (real, imaginary) pair of floats or float arrays as mpmath numbers."""
+    return _mp(pair[0]), _mp(pair[1])
+
+
+# The parts of mpmath numbers, and the modulus of parts, entry by entry.
+_mp_parts = np.frompyfunc(lambda z: (mpmath.re(z), mpmath.im(z)), 1, 2)
+_mod = np.frompyfunc(mpmath.hypot, 2, 1)
+
+
 def _err(computed, exact) -> np.ndarray:
     """|computed - exact| entry by entry, in mpmath."""
     return np.abs(_mp(computed) - exact)
+
+
+def _err_pair(computed, exact) -> np.ndarray:
+    """|computed - exact| of (real, imaginary) pairs, entry by entry, in mpmath."""
+    return _mod(_mp(computed[0]) - exact[0], _mp(computed[1]) - exact[1])
 
 
 def _worst(errors) -> float:
@@ -140,17 +157,19 @@ def _worst_bound_margin() -> float:
     errors = []
     for a in (0.0, 0.25, 0.5, 0.75, 0.99):
         i, j, m, n = (rng.integers(0, x.size, 400) for x in (ps, ts, e_mu, e_nu))
-        p, t, y, zeta = ps[i], ts[j], ts[j] * e_mu[m], e_nu[n]
-        psi = np.abs(_param_form_raw(a, p, y, zeta))
-        line = np.abs((1.0 - a) ** 2 * _zeta_free_terms(a, p, y)) + (1.0 - a) ** 2 * np.abs(
-            _zeta_coefficient(p, y)) / 6.0
+        p, t, y, zeta = ps[i], ts[j], _parts(ts[j] * e_mu[m]), _parts(e_nu[n])
+        psi = np.hypot(*_param_form(a, p, y, zeta))
+        s2 = (1.0 - a) ** 2
+        line = (np.hypot(*(s2 * x for x in _zeta_free_terms(a, p, y)))
+                + s2 * np.abs(_zeta_coefficient(p, y)) / 6.0)
         with mpmath.workdps(DIGITS):
-            A, P, T, Y, Z = mpmath.mpf(a), _mp(p), _mp(t), _mp(y), _mp(zeta)
-            line_ex = np.abs((1 - A) ** 2 * _zeta_free_terms(A, P, Y)) + (1 - A) ** 2 * np.abs(
-                _zeta_coefficient(P, Y)) / 6
+            A, P, T, Y, Z = mpmath.mpf(a), _mp(p), _mp(t), _mp_pair(y), _mp_pair(zeta)
+            S2 = (1 - A) ** 2
+            line_ex = (_mod(*(S2 * x for x in _zeta_free_terms(A, P, Y)))
+                       + S2 * np.abs(_zeta_coefficient(P, Y)) / 6)
             row_ex = _phi_raw(A, P, T)
-            lift = np.frompyfunc(lambda x: max(x, 0), 1, 1)(_phi_raw(A, P, np.abs(Y)) - row_ex)
-            e_psi = _err(psi, np.abs(_param_form_raw(A, P, Y, Z)))
+            lift = np.frompyfunc(lambda x: max(x, 0), 1, 1)(_phi_raw(A, P, _mod(*Y)) - row_ex)
+            e_psi = _err(psi, _mod(*_param_form(A, P, Y, Z)))
             errors += [(e_psi + _err(_phi_raw(a, p, t), row_ex) + lift) / (1 - A) ** 2,
                        (e_psi + _err(line, line_ex)) / (1 - A) ** 2]
     return _worst(errors)
@@ -278,14 +297,14 @@ def _worst_route(exact_profiles) -> float:
     a2, a3, a4 = _closed_form_rows(alpha, p1, p2, p3)
     errors = []
     with mpmath.workdps(DIGITS):
-        exact = _moment_form_raw(_mp(alpha), _mp(p1), _mp(p2), _mp(p3))
-        scale = np.frompyfunc(lambda x: max(1, abs(x)), 1, 1)(exact)
-        errors.append((_err(_moment_form_raw(alpha, p1, p2, p3), exact)
-                       + _err(a2 * a4 - a3 * a3, exact)) / scale)
+        exact = _moment_form_raw(_mp(alpha), *map(_mp_pair, (p1, p2, p3)))
+        scale = np.frompyfunc(lambda x: max(1, x), 1, 1)(_mod(*exact))
+        errors.append((_err_pair(_moment_form_raw(alpha, p1, p2, p3), exact)
+                       + _err_pair(det2(a2, a4, a3, a3), exact)) / scale)
         alpha, p, y, zeta = next(_lemma_row_blocks(rng, 1024))
-        exact = _param_form_raw(_mp(alpha), _mp(p), _mp(y), _mp(zeta))
-        errors.append(_err(_param_form_raw(alpha, p, y, zeta), exact)
-                      + _err(_moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta)), exact))
+        exact = _param_form(_mp(alpha), _mp(p), _mp_pair(y), _mp_pair(zeta))
+        errors.append(_err_pair(_param_form(alpha, p, y, zeta), exact)
+                      + _err_pair(_moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta)), exact))
         for a, exact in zip(PROFILE_ALPHAS, exact_profiles):
             errors.append(_err(phi(a, PROFILE_PS, 1.0), exact)
                           + _err(bound_profile(a, PROFILE_PS), exact))
@@ -307,10 +326,10 @@ def _worst_proof_slack(exact_profiles) -> float:
     errors = []
     with mpmath.workdps(DIGITS):
         for alpha, p, y, zeta in _lemma_row_blocks(np.random.default_rng(12), 4096):
-            slack = np.abs(_param_form_raw(alpha, p, y, zeta)) - _phi_raw(alpha, p, np.abs(y))
-            A, P, Y = _mp(alpha), _mp(p), _mp(y)
-            errors.append(_err(slack, np.abs(_param_form_raw(A, P, Y, _mp(zeta)))
-                               - _phi_raw(A, P, np.abs(Y))))
+            slack = np.hypot(*_param_form(alpha, p, y, zeta)) - _phi_raw(alpha, p, np.hypot(*y))
+            A, P, Y = _mp(alpha), _mp(p), _mp_pair(y)
+            errors.append(_err(slack, _mod(*_param_form(A, P, Y, _mp_pair(zeta)))
+                               - _phi_raw(A, P, _mod(*Y))))
         for a, exact in zip(PROFILE_ALPHAS, exact_profiles):
             excess = float(np.max(bound_profile(a, PROFILE_PS))) - sharp_bound(a)
             errors.append(_err([excess], max(exact) - (1 - mpmath.mpf(a)) ** 2))
@@ -425,14 +444,16 @@ def _worst_bound_gap() -> float:
             outcome = maximize_param(a)
             y, zeta = _onto_disk(_mp([outcome.argmax["y"], outcome.argmax["zeta"]]))
             p = mpmath.mpf(outcome.argmax["p"])
-            errors.append(past(a, outcome, abs(_param_form_raw(mpmath.mpf(a), p, y, zeta))))
+            psi = _param_form(mpmath.mpf(a), p, _parts(y), _parts(zeta))
+            errors.append(past(a, outcome, mpmath.hypot(*psi)))
         outcomes = _herglotz_outcomes(ALPHA_SPOT, atom_count=2, restarts=100, seed=20240817)
         for a, outcome in zip(ALPHA_SPOT, outcomes):
             w, t = _mp(outcome.argmax["weights"]), _mp(outcome.argmax["angles"])
             w = w / mpmath.fsum(w)
             p1, p2, p3 = (2 * mpmath.fsum(w * np.frompyfunc(mpmath.expj, 1, 1)(n * t))
                           for n in (1, 2, 3))
-            errors.append(past(a, outcome, abs(_moment_form_raw(mpmath.mpf(a), p1, p2, p3))))
+            form = _moment_form_raw(mpmath.mpf(a), *(_parts(x) for x in (p1, p2, p3)))
+            errors.append(past(a, outcome, mpmath.hypot(*form)))
     return _worst(errors)
 
 
@@ -453,14 +474,14 @@ def _worst_round_trip() -> float:
     rotated, _ = _rotation_rows(moments)
     rotated = rotated[rotated[:, 0].real < 2.0 - ROUND_TRIP_P1_CUT]
     y, zeta, edge = _lemma_inverse_rows(*rotated.T)
-    trip = ~edge & (np.abs(y) < 1.0 - ROUND_TRIP_Y_CUT)
+    trip = ~edge & (np.hypot(*_parts(y)) < 1.0 - ROUND_TRIP_Y_CUT)
     m, p = rotated[trip], rotated[trip, 0].real
-    back = _lemma_forward_raw(p, y[trip], zeta[trip])
+    back = _lemma_forward_raw(p, _parts(y[trip]), _parts(zeta[trip]))
     with mpmath.workdps(DIGITS):
         P, P2, P3 = _mp(p), _mp(m[:, 1]), _mp(m[:, 2])
         Y, Z, _, _ = _lemma_inverse_raw(P, P2, P3)
-        exact = _lemma_forward_raw(P, _onto_disk(Y), _onto_disk(Z))
-        return _worst([_err(b, e) + np.abs(e - moment)
+        exact = _lemma_forward_raw(P, _mp_parts(_onto_disk(Y)), _mp_parts(_onto_disk(Z)))
+        return _worst([_err_pair(b, e) + _mod(*(x - y for x, y in zip(e, _mp_parts(moment))))
                        for b, e, moment in zip(back, exact, (P, P2, P3))])
 
 
