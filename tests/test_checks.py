@@ -115,12 +115,12 @@ def drawn():
     return draw
 
 
-@pytest.mark.parametrize("block", [1, 7, 21, 4096])
-def test_rows_are_seeded_and_sized(block, monkeypatch):
+@pytest.mark.parametrize("seed, block", [(1, 1), (1, 7), (7, 7), (7, 21), (1024, 4096)])
+def test_rows_are_seeded_and_sized(seed, block, monkeypatch):
     # _rows checks the block sizes; the scalar rule in blocks of ``block``
     # rows checks the rows and the generator state.
     monkeypatch.setattr(caratheodory, "LEMMA_BLOCK_ROWS", block)
-    assert _scalar_rule_rows(12, 2000, block).shape == (2000, 6)
+    assert _scalar_rule_rows(seed, 2000, block).shape == (2000, 6)
 
 
 @pytest.mark.parametrize("seed, count", [*((s, 5000) for s in range(40)), (11, 100_000),
