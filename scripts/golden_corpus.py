@@ -24,7 +24,9 @@ real arithmetic, whose bits depend neither on the BLAS kernel nor on
 numpy's CPU dispatch.
 
 kernel_digest() hashes the arrays of those kernels on the samples of the
-sampled checks and on phi's default grid; it is not stored.
+sampled checks, on caratheodory-admissibility's atom sets of 1 to 5 atoms,
+which the 2-atom herglotz sweep never reaches, and on phi's default grid; it
+is not stored.
 tests/test_golden.py builds the corpus again and compares it byte for byte,
 and builds both the corpus and the digest again in a fresh interpreter
 under OpenBLAS's Prescott kernel and under numpy's X86_V2 dispatch, and
@@ -47,7 +49,8 @@ from pathlib import Path
 import numpy as np
 
 from h2star import checks, cli, search
-from h2star.caratheodory import _lemma_forward_raw, _lemma_row_blocks, _triple_rows
+from h2star.caratheodory import (_atom_rows, _kernel_planes, _lemma_forward_raw,
+                                  _lemma_row_blocks, _triple_rows, _weighted_moments)
 from h2star.hankel import _moment_form_raw, _param_form, _phi_raw, bound_profile, det2
 from h2star.starlike import _closed_form_rows
 
@@ -104,8 +107,11 @@ def corpus() -> dict:
 
 def kernel_digest() -> str:
     """sha256 of the kernels' arrays on algebra-reconciliation's draws at seed
-    11, its 1,000 moment triples and then its 100,000 lemma rows, and of phi
-    and the profile on phi's default grid at the alphas of ALPHA_GRID."""
+    11, its 1,000 moment triples and then its 100,000 lemma rows; of the
+    atom kernels on caratheodory-admissibility's 1,000 atom sets at seed 13,
+    the kernel planes, the moments and search._h2_rows at the alphas of
+    ALPHA_SPOT; and of phi and the profile on phi's default grid at the
+    alphas of ALPHA_GRID."""
     digest = hashlib.sha256()
 
     def add(*arrays):
@@ -121,6 +127,10 @@ def kernel_digest() -> str:
         psi = _param_form(alpha, p, y, zeta)
         add(*(x for m in moments for x in m), *psi, *_moment_form_raw(alpha, *moments),
             np.hypot(*psi), _phi_raw(alpha, p, np.hypot(*y)))
+    weights, angles = (x.T for x in _atom_rows(np.random.default_rng(13), 1000))
+    planes = _kernel_planes(angles, 3)
+    add(planes, _weighted_moments(weights, planes),
+        *(search._h2_rows(a, weights, planes) for a in checks.ALPHA_SPOT))
     ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
     ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
     for a in checks.ALPHA_GRID:

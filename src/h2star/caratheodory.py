@@ -188,13 +188,30 @@ def _atom_moment_rows(weights, angles, m: int) -> np.ndarray:
     kernels are added left to right, so a zero-weight pad adds exact zeros
     and a row's moments are those of its atoms alone."""
     moments = np.empty((weights.shape[0], m), dtype=complex)
-    # one order at a time keeps every temporary at the (N, K) of the atoms
-    for j in range(m):
-        kern = np.exp(1j * ((j + 1) * angles))
-        for part, plane in zip(_parts(moments), _parts(kern)):
-            terms = (weights * plane).T
-            part[:, j] = 2.0 * sum(terms[1:], terms[0])
+    # (K, N) copies: the planes of the transposed views come out strided, and
+    # weighting strided planes took about five times as long
+    w, t = weights.T.copy(), angles.T.copy()
+    moments.real, moments.imag = _weighted_moments(w, _kernel_planes(t, m)).transpose(1, 2, 0)
     return moments
+
+
+def _kernel_planes(angles: np.ndarray, m: int) -> np.ndarray:
+    """The (..., m, 2, R) real and imaginary planes of the moment kernels
+    e^{i n t}, n = 1..m, of (..., R) atom angles.
+
+    exp acts elementwise, so the planes of one atom's angles are bit-equal
+    to that atom's slice of the planes of a batch.
+    """
+    kern = np.exp(1j * (np.arange(1.0, m + 1)[:, None] * angles[..., None, :]))
+    return np.stack([kern.real, kern.imag], axis=-2)
+
+
+def _weighted_moments(weights: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """The (m, 2, R) parts of p_n = 2 sum_k w_k e^{i n t_k} from (K, R) atom
+    weights and their (K, m, 2, R) _kernel_planes, the K terms added left to
+    right."""
+    terms = planes * weights[:, None, None, :]
+    return 2.0 * sum(terms[1:], terms[0])
 
 
 def lemma_forward(pt: LemmaPoint) -> MomentTriple:

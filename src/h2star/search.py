@@ -27,12 +27,13 @@ result bit for bit (see maximize_phi and maximize_param).
 The atom search refines its restarts in lock-step as one batch, and a
 sweep refines all its alphas' restarts together, in batches of at most
 _HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
-after another at one alpha at a time.  A batch holds its live rows only,
-each with the moment kernels e^{i n t} of its angles as contiguous cosine
-and sine planes; a row that stops is written out and dropped after its
-sweep.  The row kernel computes in real arithmetic, in the one order of
-operations of moments_from_atoms, coeffs_from_moments and hankel_det, so its
-bits do not depend on the BLAS library (see _h2_rows).
+after another at one alpha at a time.  A batch holds every row, each with
+the moment kernels e^{i n t} of its angles as contiguous cosine and sine
+planes; a row that stops leaves a live mask and is no longer changed.  The
+row kernel calls the moment kernels of moments_from_atoms and the pair
+product of the gate's kernels, and computes in real arithmetic, in the one
+order of operations of moments_from_atoms, coeffs_from_moments and
+hankel_det, so its bits do not depend on the BLAS library (see _h2_rows).
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import hankel
-from .caratheodory import _TWO_PI, LemmaPoint, _parts
+from .caratheodory import (_TWO_PI, LemmaPoint, _kernel_planes, _pair_product, _parts,
+                           _weighted_moments)
 from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
 from .hankel import _phi_raw, det2, sharp_bound
@@ -57,11 +59,12 @@ from .tolerances import (
 )
 
 # Rows (restarts times alphas) per lock-step batch of a Herglotz sweep.  A
-# default 100-alpha sweep (alpha 0 to 0.99, 10,000 rows) took a median 1.82 s
-# at 1,024 rows per batch, 1.88 s at 2,048, 1.81 s at 4,096, 2.43 s at 512 and
-# 5.1 s at 100 (one alpha per batch); peak RSS over the import read 8.2, 8.4,
-# 9.9, 7.5 and 7.2 MiB, and 13.6 MiB in one batch (2-vCPU box, one BLAS thread).
-_HERGLOTZ_BATCH_ROWS = 1 << 10
+# default 100-alpha sweep (alpha 0 to 0.99, 10,000 rows) took a median 0.69 s
+# at 2,048 rows per batch, 0.77 s at 1,024, 0.69 s at 4,096, 1.03 s at 512 and
+# 2.86 s at 100 (one alpha per batch); peak RSS over the import read 8.0, 7.3,
+# 9.2, 7.0 and 6.9 MiB, and 12.3 MiB in one batch (8 fresh processes per
+# size, 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6).
+_HERGLOTZ_BATCH_ROWS = 1 << 11
 
 # Points per call of the form on whole zeta axes: a search that evaluated every
 # default-grid line (alpha = 0.999999 under an absolute tie window) took 1.9 s
@@ -280,59 +283,29 @@ def maximize_param(
     )
 
 
-_MOMENT_ORDERS = np.array([1.0, 2.0, 3.0])
-
-
-def _kernels(angles: np.ndarray) -> np.ndarray:
-    """The moment kernels e^{i n t}, n = 1..3, of (..., R) atom angles, as a (..., 3, R) array.
-
-    exp acts elementwise, so the kernels of one atom's angles are bit-equal
-    to that atom's slice of the kernels of a batch.
-    """
-    return np.exp(1j * (angles[..., None, :] * _MOMENT_ORDERS[:, None]))
-
-
-def _kernel_planes(angles: np.ndarray) -> np.ndarray:
-    """The (k, 3, 2, R) cosine and sine planes of the kernels of (k, R) atom angles.
-
-    planes[j, n - 1] holds the real and imaginary parts of e^{i n t} at
-    atom j's angles: the parts of _kernels, bit for bit.
-    """
-    kern = _kernels(angles)
-    return np.stack([kern.real, kern.imag], axis=2)
-
-
-def _product(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The (2, R) real and imaginary parts (ar pr - ai pi, ar pi + ai pr) of a p."""
-    out = a[0] * p
-    cross = a[1] * p[::-1]
-    out[0] -= cross[0]
-    out[1] += cross[1]
-    return out
-
-
 def _h2_rows(alpha, weights: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """|a2 a4 - a3^2| of each column of a (k, R) batch of atom weights.
 
-    ``planes`` is _kernel_planes of the columns' angles.  ``alpha`` is one
-    alpha value for every column or the (R,) array of each column's value.
+    ``planes`` is the (k, 3, 2, R) _kernel_planes of the columns' angles.
+    ``alpha`` is one alpha value for every column or the (R,) array of each
+    column's value.
 
     The kernel works on real and imaginary parts, in the order of the public
     route moments_from_atoms, coeffs_from_moments and hankel_det, so each
     column is bit-equal to that route on its measure alone:
-    - p_n is twice the plane-times-weight sums, added left to right;
+    - p_n is _weighted_moments, the moments of moments_from_atoms;
     - a_n is (1 - alpha) / (n - 1) times the sum of the terms a_{n-k} p_k,
-      each (ar pr - ai pi, ar pi + ai pr), added left to right from k = 1;
-      the last term, a_1 p_{n-1} with a_1 = (1, 0), is p_{n-1} in value;
+      each _pair_product, added left to right from k = 1; the last term,
+      a_1 p_{n-1} with a_1 = (1, 0), is p_{n-1} in value;
     - the determinant is det2's.
     Every value is equal; a zero part may differ in sign, which |det| drops.
     """
-    weighted = planes * weights[:, None, None, :]
-    p = 2.0 * sum(weighted[1:], weighted[0])  # added left to right
+    p1, p2, p3 = _weighted_moments(weights, planes)
     s = 1.0 - alpha
-    a2 = s * p[0]
-    a3 = s / 2 * (_product(a2, p[0]) + p[1])
-    a4 = s / 3 * (_product(a3, p[0]) + _product(a2, p[1]) + p[2])
+    s2, s3 = s / 2, s / 3
+    a2 = s * p1
+    a3 = [s2 * (x + y) for x, y in zip(_pair_product(a2, p1), p2)]
+    a4 = [s3 * (x + y + z) for x, y, z in zip(_pair_product(a3, p1), _pair_product(a2, p2), p3)]
     return np.hypot(*det2(a2, a4, a3, a3))
 
 
@@ -341,8 +314,8 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
 
     Each row is one restart, at the alpha value ``alphas`` gives it, with
     its own steps and its own stop rule.  Every sweep probes each weight by
-    +-step_w, then each angle by +-step_t, and a probe evaluates all live
-    rows at once.  Weights are clipped at 0 and renormalized, so they stay
+    +-step_w, then each angle by +-step_t, and a probe evaluates every
+    row at once.  Weights are clipped at 0 and renormalized, so they stay
     on the simplex, and angles wrap mod 2 pi.  A weight probe moves one
     weight of a row summing to 1 by at most step_w <= 0.15, so its total is
     positive: every probe is evaluated and counted.  The total adds the
@@ -352,25 +325,25 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
     deterministic.  A row that improves nowhere in a sweep halves both steps
     and stops once both are below PATTERN_STEP_MIN.  Rows do not interact.
 
-    The state holds the live rows only, atom by atom: (k, R) weights and
-    angles and the planes of the moment kernels (see _h2_rows).  An angle
-    probe computes the kernels of the one angle it moves.  At the end of a
-    sweep the rows that stopped are written out at their row ids and
-    dropped from the state.
+    The state holds every row, atom by atom: (k, R) weights and angles and
+    the planes of the moment kernels (see _h2_rows).  An angle probe
+    computes the kernels of the one angle it moves.  A row that stops
+    leaves the ``live`` mask: later probes still evaluate it with the other
+    rows, but none is kept or counted for it, so its state is final.  The
+    loop ends when no row is live.
 
     Takes and returns (R, k) weights and angles: returns the per-row best
     values, weights, angles and evaluation counts.
     """
     rows, k = weights.shape
-    ids = np.arange(rows)
     w, t = weights.T.copy(), angles.T.copy()
-    planes = _kernel_planes(t)
+    planes = _kernel_planes(t, 3)
     best = _h2_rows(alphas, w, planes)
     evals = np.ones(rows, dtype=np.int64)
-    results = best.copy(), w.copy(), t.copy(), evals.copy()
     step_w, step_t = np.full(rows, 0.15), np.full(rows, 0.4)
-    for sweep in range(1, sweeps + 1):
-        improved = np.zeros(ids.size, dtype=bool)
+    live = np.ones(rows, dtype=bool)
+    for _ in range(sweeps):
+        improved = np.zeros(rows, dtype=bool)
         for i in range(k):
             for sign in (1.0, -1.0):
                 trial = w.copy()
@@ -380,7 +353,7 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
                     total += trial[j]
                 trial /= total
                 val = _h2_rows(alphas, trial, planes)
-                better = val > best
+                better = (val > best) & live
                 np.copyto(best, val, where=better)
                 np.copyto(w, trial, where=better)
                 improved |= better
@@ -391,27 +364,19 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
                 col[col == _TWO_PI] = 0.0
                 # A row keeps the new kernels only if it keeps the new angle.
                 kept = planes[i].copy()
-                kern = _kernels(col)
-                planes[i, :, 0], planes[i, :, 1] = kern.real, kern.imag
+                planes[i] = _kernel_planes(col, 3)
                 val = _h2_rows(alphas, w, planes)
-                better = val > best
+                better = (val > best) & live
                 np.copyto(best, val, where=better)
                 np.copyto(t[i], col, where=better)
                 np.copyto(planes[i], kept, where=~better)
                 improved |= better
-        evals += 4 * k
+        evals += 4 * k * live
         step_w[~improved] *= 0.5
         step_t[~improved] *= 0.5
-        # The last sweep retires every row that is still live.
-        done = (step_w < PATTERN_STEP_MIN) & (step_t < PATTERN_STEP_MIN) | (sweep == sweeps)
-        if done.any():
-            for out, now in zip(results, (best, w, t, evals)):
-                out[..., ids[done]] = now[..., done]
-            ids, alphas, w, t, planes, best, evals, step_w, step_t = (
-                a[..., ~done] for a in (ids, alphas, w, t, planes, best, evals, step_w, step_t))
-            if not ids.size:
-                break
-    best, w, t, evals = results
+        live &= (step_w >= PATTERN_STEP_MIN) | (step_t >= PATTERN_STEP_MIN)
+        if not live.any():
+            break
     return best, w.T, t.T, evals
 
 

@@ -27,7 +27,7 @@ from h2star import (
     sweep_alpha,
 )
 from h2star import cli, hankel, search
-from h2star.caratheodory import _parts
+from h2star.caratheodory import _kernel_planes, _parts
 from h2star.search import SearchOutcome, run_method
 from h2star.tolerances import BOUND_MARGIN, TIE_TOL
 import reference
@@ -650,7 +650,7 @@ class TestWorkers:
 
 def _row_kernel(alpha, w, t):
     """search._h2_rows on (R, k) weights and angles, with their planes."""
-    return search._h2_rows(alpha, w.T, search._kernel_planes(t.T))
+    return search._h2_rows(alpha, w.T, _kernel_planes(t.T, 3))
 
 
 def _h2_at_extremal(alpha):
@@ -775,7 +775,8 @@ class TestKernelCache:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_column_equals_kernels_of_that_column(self, k):
-        # An atom's kernels and planes in a batch equal those of its angles alone.
+        # An atom's planes in a batch equal those of its angles alone, and
+        # the parts of e^{i n t} taken one order at a time.
         rng = np.random.default_rng(60 + k)
         two_pi = search._TWO_PI
         special = np.concatenate([
@@ -787,12 +788,13 @@ class TestKernelCache:
         for i in range(k):
             t[i : i + special.size, i] = special
         t = t.T.copy()
-        whole, planes = search._kernels(t), search._kernel_planes(t)
+        planes = _kernel_planes(t, 3)
         for i in range(k):
-            column = search._kernels(t[i])
-            assert whole[i].tobytes() == column.tobytes()
-            assert planes[i, :, 0].tobytes() == np.ascontiguousarray(column.real).tobytes()
-            assert planes[i, :, 1].tobytes() == np.ascontiguousarray(column.imag).tobytes()
+            assert planes[i].tobytes() == _kernel_planes(t[i], 3).tobytes()
+            for n in (1, 2, 3):
+                kern = np.exp(1j * (n * t[i]))
+                assert planes[i, n - 1, 0].tobytes() == kern.real.tobytes()
+                assert planes[i, n - 1, 1].tobytes() == kern.imag.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_cache_follows_the_angles(self, monkeypatch, k):
@@ -813,7 +815,7 @@ class TestKernelCache:
         assert len(seen) == 1 + sweeps * 4 * k
         for s, angles in enumerate(angles_after):
             cached = seen[1 + s * 4 * k]
-            assert cached.tobytes() == search._kernel_planes(angles.T).tobytes()
+            assert cached.tobytes() == _kernel_planes(angles.T, 3).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_exp_only_on_the_moved_column(self, monkeypatch, k):
@@ -850,7 +852,8 @@ def _refined_rows(alphas, w, t, sweeps):
 
 
 class TestLiveRowRetirement:
-    """_refine_rows writes each row out at its own row id when the row stops."""
+    """_refine_rows leaves each row as it stood when the row stopped, while
+    the rows still live go on."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_row_equals_its_restart_alone(self, k):
@@ -860,7 +863,7 @@ class TestLiveRowRetirement:
         t0 = rng.uniform(0.0, 2.0 * math.pi, size=(restarts, k))
         alphas = np.repeat([0.0, 0.45, 0.9], restarts)
         evals = _refined_rows(alphas, np.tile(w0, (3, 1)), np.tile(t0, (3, 1)), sweeps)[3]
-        # Rows stop at different sweeps, so some leave the batch before others.
+        # Rows stop at different sweeps, so some leave the live mask before others.
         assert np.unique(evals).size > 1
 
 
