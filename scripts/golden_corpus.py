@@ -130,7 +130,8 @@ def kernel_digest() -> str:
     weights, angles = (x.T for x in _atom_rows(np.random.default_rng(13), 1000))
     planes = _kernel_planes(angles, 3)
     add(planes, _weighted_moments(weights, planes),
-        *(search._h2_rows(a, weights, planes) for a in checks.ALPHA_SPOT))
+        *(search._h2_rows(search._alpha_factors(a), weights, planes)
+          for a in checks.ALPHA_SPOT))
     ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
     ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
     for a in checks.ALPHA_GRID:

@@ -186,32 +186,52 @@ def _atom_moment_rows(weights, angles, m: int) -> np.ndarray:
     weights and angles in the form HerglotzAtoms holds them: finite
     nonnegative weights summing to 1, angles in [0, 2 pi).  The weighted
     kernels are added left to right, so a zero-weight pad adds exact zeros
-    and a row's moments are those of its atoms alone."""
+    and a row's moments are those of its atoms alone.  Each atom's planes
+    are built just before they are weighted, so every temporary is one
+    atom's (m, 2, N), not the (K, m, 2, N) of all atoms."""
     moments = np.empty((weights.shape[0], m), dtype=complex)
     # (K, N) copies: the planes of the transposed views come out strided, and
     # weighting strided planes took about five times as long
     w, t = weights.T.copy(), angles.T.copy()
-    moments.real, moments.imag = _weighted_moments(w, _kernel_planes(t, m)).transpose(1, 2, 0)
+    planes = (_kernel_planes(x, m) for x in t)
+    moments.real, moments.imag = _weighted_moments(w, planes).transpose(1, 2, 0)
     return moments
 
 
-def _kernel_planes(angles: np.ndarray, m: int) -> np.ndarray:
+def _kernel_planes(angles: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """The (..., m, 2, R) real and imaginary planes of the moment kernels
-    e^{i n t}, n = 1..m, of (..., R) atom angles.
+    e^{i n t}, n = 1..m, of (..., R) finite atom angles, written into
+    ``out`` when given (any float array of that shape, strided or not) and
+    returned.
 
-    exp acts elementwise, so the planes of one atom's angles are bit-equal
-    to that atom's slice of the planes of a batch.
+    The operand of exp is the product of the orders 0 + n i with the
+    angles read as t + 0i.  Its parts, 0 t - n 0 and 0 0 + n t, have the
+    bits of those of 1j * (n t), 0 (n t) - 1 0 and 0 0 + 1 (n t): zeros
+    with the sign of t, and the one rounded product n t.  So the planes are
+    np.exp(1j * (n t))'s bit for bit at every finite angle, -0.0 included,
+    with one complex product in place of two products, and exp runs in
+    place.  exp acts elementwise, so the planes of one atom's angles are
+    bit-equal to that atom's slice of the planes of a batch.
     """
-    kern = np.exp(1j * (np.arange(1.0, m + 1)[:, None] * angles[..., None, :]))
-    return np.stack([kern.real, kern.imag], axis=-2)
+    kern = np.multiply(1j * np.arange(1.0, m + 1)[:, None], angles[..., None, :])
+    np.exp(kern, out=kern)
+    if out is None:
+        out = np.empty(kern.shape[:-1] + (2,) + kern.shape[-1:])
+    out[..., 0, :], out[..., 1, :] = kern.real, kern.imag
+    return out
 
 
-def _weighted_moments(weights: np.ndarray, planes: np.ndarray) -> np.ndarray:
+def _weighted_moments(weights, planes) -> np.ndarray:
     """The (m, 2, R) parts of p_n = 2 sum_k w_k e^{i n t_k} from (K, R) atom
-    weights and their (K, m, 2, R) _kernel_planes, the K terms added left to
-    right."""
-    terms = planes * weights[:, None, None, :]
-    return 2.0 * sum(terms[1:], terms[0])
+    weights and the K atoms' (m, 2, R) _kernel_planes, in any sequence: a
+    (K, m, 2, R) array, a list, or a generator that builds each atom's
+    planes when it is reached.  The K terms are added left to right."""
+    terms = (p * w for w, p in zip(weights, planes))
+    total = next(terms)
+    for term in terms:
+        total += term
+    total *= 2.0
+    return total
 
 
 def lemma_forward(pt: LemmaPoint) -> MomentTriple:

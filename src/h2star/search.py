@@ -29,11 +29,16 @@ sweep refines all its alphas' restarts together, in batches of at most
 _HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
 after another at one alpha at a time.  A batch holds every row, each with
 the moment kernels e^{i n t} of its angles as contiguous cosine and sine
-planes; a row that stops leaves a live mask and is no longer changed.  The
-row kernel calls the moment kernels of moments_from_atoms and the pair
-product of the gate's kernels, and computes in real arithmetic, in the one
-order of operations of moments_from_atoms, coeffs_from_moments and
-hankel_det, so its bits do not depend on the BLAS library (see _h2_rows).
+planes, and the alpha factors of the recurrence, computed once per batch.
+An angle probe writes the kernels of the one angle it moves into a probe
+buffer, which the row kernel reads in place of that atom's planes; the
+rows the probe improves copy the buffer by mask, and no other row's
+planes are written.  A row that stops leaves a live mask and is no longer
+changed.  The row kernel calls the moment kernels of moments_from_atoms
+and the pair product of the gate's kernels, and computes in real
+arithmetic, in the one order of operations of moments_from_atoms,
+coeffs_from_moments and hankel_det, so its bits do not depend on the BLAS
+library (see _h2_rows and _a234_pairs).
 """
 
 from __future__ import annotations
@@ -59,12 +64,11 @@ from .tolerances import (
 )
 
 # Rows (restarts times alphas) per lock-step batch of a Herglotz sweep.  A
-# default 100-alpha sweep (alpha 0 to 0.99, 10,000 rows) took a median 0.69 s
-# at 2,048 rows per batch, 0.77 s at 1,024, 0.69 s at 4,096, 1.03 s at 512 and
-# 2.86 s at 100 (one alpha per batch); peak RSS over the import read 8.0, 7.3,
-# 9.2, 7.0 and 6.9 MiB, and 12.3 MiB in one batch (8 fresh processes per
-# size, 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6).
-_HERGLOTZ_BATCH_ROWS = 1 << 11
+# default 100-alpha sweep (alpha 0 to 0.99, 10,000 rows) took a median 0.55 s
+# at 4,096 rows per batch, 0.59 s at 2,048 and 0.69 s at 1,024, with the same
+# CSV bytes; peak RSS over the import read 4.7, 3.7 and 3.2 MiB (8 fresh
+# processes per size, interleaved, 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6).
+_HERGLOTZ_BATCH_ROWS = 1 << 12
 
 # Points per call of the form on whole zeta axes: a search that evaluated every
 # default-grid line (alpha = 0.999999 under an absolute tie window) took 1.9 s
@@ -283,29 +287,55 @@ def maximize_param(
     )
 
 
-def _h2_rows(alpha, weights: np.ndarray, planes: np.ndarray) -> np.ndarray:
+def _alpha_factors(alpha):
+    """The factors (s, s / 2, s / 3), s = 1 - alpha, of a2, a3 and a4 in
+    the recurrence, for one alpha or an array of them: computed once for a
+    batch and passed to every _h2_rows call on it."""
+    s = 1 - alpha
+    return s, s / 2, s / 3
+
+
+def _a234_pairs(factors, p1, p2, p3):
+    """The (real, imaginary) pairs of a2, a3 and a4 from the _alpha_factors
+    ``factors`` and the pairs of the moments p1, p2 and p3: floats, float
+    arrays or Fractions.
+
+    a_n is (1 - alpha) / (n - 1) times the sum of the terms a_{n-k} p_k,
+    each _pair_product, added left to right from k = 1; the last term,
+    a_1 p_{n-1} with a_1 = (1, 0), is p_{n-1} in value.  This is the order
+    of coeffs_from_moments, and exact on Fractions.
+    """
+    s, s2, s3 = factors
+    a2, a3, a4 = [s * x for x in p1], [], []
+    # In place on the products' fresh arrays; a Fraction is rebound instead.
+    for x, y in zip(_pair_product(a2, p1), p2):
+        x += y
+        x *= s2
+        a3.append(x)
+    for x, y, z in zip(_pair_product(a3, p1), _pair_product(a2, p2), p3):
+        x += y
+        x += z
+        x *= s3
+        a4.append(x)
+    return a2, a3, a4
+
+
+def _h2_rows(factors, weights: np.ndarray, planes) -> np.ndarray:
     """|a2 a4 - a3^2| of each column of a (k, R) batch of atom weights.
 
-    ``planes`` is the (k, 3, 2, R) _kernel_planes of the columns' angles.
-    ``alpha`` is one alpha value for every column or the (R,) array of each
-    column's value.
+    ``planes`` is the sequence of the k atoms' (3, 2, R) _kernel_planes of
+    the columns' angles (see _weighted_moments), and ``factors`` the
+    _alpha_factors of one alpha value for every column or of the (R,)
+    array of each column's value.
 
     The kernel works on real and imaginary parts, in the order of the public
     route moments_from_atoms, coeffs_from_moments and hankel_det, so each
-    column is bit-equal to that route on its measure alone:
-    - p_n is _weighted_moments, the moments of moments_from_atoms;
-    - a_n is (1 - alpha) / (n - 1) times the sum of the terms a_{n-k} p_k,
-      each _pair_product, added left to right from k = 1; the last term,
-      a_1 p_{n-1} with a_1 = (1, 0), is p_{n-1} in value;
-    - the determinant is det2's.
-    Every value is equal; a zero part may differ in sign, which |det| drops.
+    column is bit-equal to that route on its measure alone: the moments are
+    _weighted_moments, the moments of moments_from_atoms; a2, a3 and a4
+    are _a234_pairs; the determinant is det2's.  Every value is equal; a
+    zero part may differ in sign, which |det| drops.
     """
-    p1, p2, p3 = _weighted_moments(weights, planes)
-    s = 1.0 - alpha
-    s2, s3 = s / 2, s / 3
-    a2 = s * p1
-    a3 = [s2 * (x + y) for x, y in zip(_pair_product(a2, p1), p2)]
-    a4 = [s3 * (x + y + z) for x, y, z in zip(_pair_product(a3, p1), _pair_product(a2, p2), p3)]
+    a2, a3, a4 = _a234_pairs(factors, *_weighted_moments(weights, planes))
     return np.hypot(*det2(a2, a4, a3, a3))
 
 
@@ -316,60 +346,72 @@ def _refine_rows(alphas: np.ndarray, weights: np.ndarray, angles: np.ndarray, sw
     its own steps and its own stop rule.  Every sweep probes each weight by
     +-step_w, then each angle by +-step_t, and a probe evaluates every
     row at once.  Weights are clipped at 0 and renormalized, so they stay
-    on the simplex, and angles wrap mod 2 pi.  A weight probe moves one
+    on the simplex, and angles wrap mod 2 pi as HerglotzAtoms wraps them:
+    x % 2 pi, and 0 where that rounds up to 2 pi.  A weight probe moves one
     weight of a row summing to 1 by at most step_w <= 0.15, so its total is
     positive: every probe is evaluated and counted.  The total adds the
     weights left to right, numpy's order for a sum of fewer than 8 terms, so
-    it is bit-equal to one restart's .sum().  A probe is kept only if
-    strictly better, so no row's value decreases and every path is
+    it is bit-equal to one restart's .sum().  A -step move subtracts the
+    step, which is adding -1.0 times it bit for bit.  A probe is kept only
+    if strictly better, so no row's value decreases and every path is
     deterministic.  A row that improves nowhere in a sweep halves both steps
     and stops once both are below PATTERN_STEP_MIN.  Rows do not interact.
 
     The state holds every row, atom by atom: (k, R) weights and angles and
-    the planes of the moment kernels (see _h2_rows).  An angle probe
-    computes the kernels of the one angle it moves.  A row that stops
-    leaves the ``live`` mask: later probes still evaluate it with the other
-    rows, but none is kept or counted for it, so its state is final.  The
-    loop ends when no row is live.
+    the planes of the moment kernels (see _h2_rows); the alpha factors are
+    computed once.  An angle probe writes the kernels of the one angle it
+    moves into one probe buffer, which _h2_rows reads in place of that
+    atom's planes; each row whose value improves copies the buffer's
+    column into its planes, by mask, and the other rows' planes are never
+    written.  A row that stops leaves the ``live`` mask: later probes still
+    evaluate it with the other rows, but none is kept or counted for it, so
+    its state is final.  The loop ends when no row is live.
 
     Takes and returns (R, k) weights and angles: returns the per-row best
     values, weights, angles and evaluation counts.
     """
     rows, k = weights.shape
     w, t = weights.T.copy(), angles.T.copy()
+    factors = _alpha_factors(alphas)
     planes = _kernel_planes(t, 3)
-    best = _h2_rows(alphas, w, planes)
+    probe = np.empty_like(planes[0])
+    best = _h2_rows(factors, w, planes)
     evals = np.ones(rows, dtype=np.int64)
     step_w, step_t = np.full(rows, 0.15), np.full(rows, 0.4)
     live = np.ones(rows, dtype=bool)
+    better = np.empty(rows, dtype=bool)
     for _ in range(sweeps):
         improved = np.zeros(rows, dtype=bool)
         for i in range(k):
-            for sign in (1.0, -1.0):
+            for move in (np.add, np.subtract):
                 trial = w.copy()
-                np.maximum(trial[i] + sign * step_w, 0.0, out=trial[i])
+                np.maximum(move(trial[i], step_w), 0.0, out=trial[i])
                 total = trial[0].copy()
                 for j in range(1, k):
                     total += trial[j]
                 trial /= total
-                val = _h2_rows(alphas, trial, planes)
-                better = (val > best) & live
+                val = _h2_rows(factors, trial, planes)
+                np.greater(val, best, out=better)
+                better &= live
                 np.copyto(best, val, where=better)
                 np.copyto(w, trial, where=better)
                 improved |= better
         for i in range(k):
-            for sign in (1.0, -1.0):
-                col = (t[i] + sign * step_t) % _TWO_PI
-                # x % 2 pi rounds a tiny negative x up to 2 pi: fold it as HerglotzAtoms does
-                col[col == _TWO_PI] = 0.0
-                # A row keeps the new kernels only if it keeps the new angle.
-                kept = planes[i].copy()
-                planes[i] = _kernel_planes(col, 3)
-                val = _h2_rows(alphas, w, planes)
-                better = (val > best) & live
+            for move in (np.add, np.subtract):
+                # x = t +- step_t lies in (-2 pi, 4 pi).  There x % 2 pi is
+                # x + 2 pi for x < 0, and x - 2 pi, exact (Sterbenz), for
+                # x >= 2 pi; the second line also folds a sum that rounds up
+                # to 2 pi to 0, and adding +-0 changes only a -0, to +0.
+                col = move(t[i], step_t)
+                col += (col < 0.0) * _TWO_PI
+                col -= (col >= _TWO_PI) * _TWO_PI
+                _kernel_planes(col, 3, probe)
+                val = _h2_rows(factors, w, [*planes[:i], probe, *planes[i + 1:]])
+                np.greater(val, best, out=better)
+                better &= live
                 np.copyto(best, val, where=better)
                 np.copyto(t[i], col, where=better)
-                np.copyto(planes[i], kept, where=~better)
+                np.copyto(planes[i], probe, where=better)
                 improved |= better
         evals += 4 * k * live
         step_w[~improved] *= 0.5

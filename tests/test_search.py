@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,8 +44,8 @@ def _calls(monkeypatch, owner, name):
     """Make owner.name record each call's arguments and result, calling through."""
     calls, real = [], getattr(owner, name)
 
-    def spy(*args):
-        calls.append((args, real(*args)))
+    def spy(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(owner, name, spy)
@@ -650,7 +651,7 @@ class TestWorkers:
 
 def _row_kernel(alpha, w, t):
     """search._h2_rows on (R, k) weights and angles, with their planes."""
-    return search._h2_rows(alpha, w.T, _kernel_planes(t.T, 3))
+    return search._h2_rows(search._alpha_factors(alpha), w.T, _kernel_planes(t.T, 3))
 
 
 def _h2_at_extremal(alpha):
@@ -745,6 +746,37 @@ class TestHerglotzRowKernel:
         assert singles.tobytes() == via_api.tobytes()
 
 
+class TestExactCoefficients:
+    """_a234_pairs on Fractions: exact rational arithmetic, so it gives the
+    recurrence's coefficients with ==."""
+
+    @staticmethod
+    def recurrence(alpha, p):
+        """a_2, a_3, a_4 of a_n = (1 - alpha) / (n - 1) sum_k a_{n-k} p_k,
+        a_1 = 1, on (real, imaginary) Fraction pairs."""
+        def times(x, y):
+            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        a = [(Fraction(1), Fraction(0))]
+        for n in range(2, 5):
+            terms = [times(a[n - 1 - k], p[k - 1]) for k in range(1, n)]
+            f = (1 - alpha) / (n - 1)
+            a.append((f * sum(x for x, _ in terms), f * sum(y for _, y in terms)))
+        return a[1:]
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                                       Fraction(5, 7), Fraction(99, 100)])
+    def test_recurrence_is_exact(self, alpha):
+        rng = np.random.default_rng(110)
+        for _ in range(50):
+            p = [(Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 30))),
+                  Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 30))))
+                 for _ in range(3)]
+            got = search._a234_pairs(search._alpha_factors(alpha), *p)
+            assert all(type(x) is Fraction for pair in got for x in pair), p
+            assert [tuple(pair) for pair in got] == self.recurrence(alpha, p), p
+
+
 class TestHerglotzRowKernelPerRowAlpha:
     """_h2_rows with one alpha per row, bit-equal to one call per alpha."""
 
@@ -773,18 +805,20 @@ class TestKernelCache:
         return (rng.uniform(0.0, 1.0, 50), rng.dirichlet(np.ones(k), size=50),
                 rng.uniform(0.0, search._TWO_PI, size=(50, k)))
 
+    # Angles where a kernel's bits are easiest to get wrong: 0 and just below
+    # 2 pi, and just past a wrap, as an angle probe's (t + step) % 2 pi leaves them.
+    SPECIAL = np.concatenate([
+        [0.0, np.nextafter(search._TWO_PI, 0.0)],
+        (np.nextafter(search._TWO_PI, 0.0) + np.array([1e-15, 1e-12, 1e-6, 0.4])) % search._TWO_PI,
+    ])
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_column_equals_kernels_of_that_column(self, k):
         # An atom's planes in a batch equal those of its angles alone, and
         # the parts of e^{i n t} taken one order at a time.
         rng = np.random.default_rng(60 + k)
-        two_pi = search._TWO_PI
-        special = np.concatenate([
-            [0.0, np.nextafter(two_pi, 0.0)],
-            # Just past a wrap, as an angle probe's (t + step) % 2 pi leaves them.
-            (np.nextafter(two_pi, 0.0) + np.array([1e-15, 1e-12, 1e-6, 0.4])) % two_pi,
-        ])
-        t = rng.uniform(0.0, two_pi, size=(200, k))
+        special = self.SPECIAL
+        t = rng.uniform(0.0, search._TWO_PI, size=(200, k))
         for i in range(k):
             t[i : i + special.size, i] = special
         t = t.T.copy()
@@ -796,26 +830,68 @@ class TestKernelCache:
                 assert planes[i, n - 1, 0].tobytes() == kern.real.tobytes()
                 assert planes[i, n - 1, 1].tobytes() == kern.imag.tobytes()
 
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_planes_in_every_destination(self, k, m):
+        # The planes are np.exp(1j * (n t)) bit for bit, -0.0 included,
+        # whether they go to a fresh (K, m, 2, N) array, as a batch's start
+        # takes them, into a dirty buffer reused atom after atom, as an
+        # angle probe's buffer is, or into a strided slice of a larger
+        # array, which keeps its other entries.
+        rng = np.random.default_rng(100 + k)
+        t = rng.uniform(0.0, search._TWO_PI, size=(k, 60))
+        special = np.append(self.SPECIAL, -0.0)
+        for i in range(k):
+            t[i, i : i + special.size] = special
+
+        def assert_exp(planes, angles):
+            for n in range(1, m + 1):
+                kern = np.exp(1j * (n * angles))
+                assert planes[n - 1, 0].tobytes() == kern.real.tobytes(), n
+                assert planes[n - 1, 1].tobytes() == kern.imag.tobytes(), n
+
+        fresh = _kernel_planes(t, m)
+        assert fresh.shape == (k, m, 2, 60) and fresh.flags.c_contiguous
+        reused = np.full((m, 2, 60), np.nan)
+        big = np.full((k, m + 2, 3, 120), np.nan)
+        strided = big[:, 1 : m + 1, 1:, ::2]
+        assert _kernel_planes(t, m, strided) is strided
+        for i in range(k):
+            assert _kernel_planes(t[i], m, reused) is reused
+            for planes in (fresh[i], reused, strided[i]):
+                assert_exp(planes, t[i])
+        rest = np.ones(big.shape, dtype=bool)
+        rest[:, 1 : m + 1, 1:, ::2] = False
+        assert np.isnan(big[rest]).all()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_cache_follows_the_angles(self, monkeypatch, k):
         # No row stops within these sweeps and every weight probe is counted,
-        # so each sweep's first weight probe passes the whole cache.
+        # so each sweep's first weight probe passes the whole cache, and
+        # each angle probe the planes of its probe angles in place of the
+        # moved atom's.
         alphas, w, t = self._rows(70 + k, k)
         sweeps = 5
         angles_after = [search._refine_rows(alphas, w, t, s)[2] for s in range(sweeps)]
         seen = []
         kernel = search._h2_rows
 
-        def spy(alpha, weights, planes):
-            seen.append(planes.copy())
-            return kernel(alpha, weights, planes)
+        def spy(factors, weights, planes):
+            seen.append(np.array(planes))
+            return kernel(factors, weights, planes)
 
         monkeypatch.setattr(search, "_h2_rows", spy)
+        built = _calls(monkeypatch, search, "_kernel_planes")
         search._refine_rows(alphas, w, t, sweeps)
         assert len(seen) == 1 + sweeps * 4 * k
+        assert len(built) == 1 + sweeps * 2 * k
         for s, angles in enumerate(angles_after):
             cached = seen[1 + s * 4 * k]
             assert cached.tobytes() == _kernel_planes(angles.T, 3).tobytes()
+            for j in range(2 * k):
+                (probe_angles, _, _), _ = built[1 + s * 2 * k + j]
+                probed = seen[1 + s * 4 * k + 2 * k + j][j // 2]
+                assert probed.tobytes() == _kernel_planes(probe_angles, 3).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_exp_only_on_the_moved_column(self, monkeypatch, k):
