@@ -6,7 +6,9 @@ and lock-step batches, or a kernel's formula term by term in real
 arithmetic; the tests compare the package with them, mostly bit for bit.
 None calls the code it is the reference for.  round_trip and
 sweep_one_alpha_at_a_time call the scalar exports and maximize_herglotz, as
-references for the row kernels and the cross-alpha batch.
+references for the row kernels and the cross-alpha batch; the sampled
+checks' maxima take np.hypot on every row of the package's kernels, as
+references for the checks' screened maxima.
 """
 import dataclasses
 import math
@@ -14,8 +16,8 @@ import math
 import numpy as np
 
 import h2star
-from h2star import (Alpha, LemmaPoint, MomentTriple, lemma_inverse, maximize_herglotz,
-                    normalize_rotation, search, sharp_bound)
+from h2star import (Alpha, LemmaPoint, MomentTriple, caratheodory, hankel, lemma_inverse,
+                    maximize_herglotz, normalize_rotation, search, sharp_bound)
 from h2star.search import SearchOutcome, SweepRow
 from h2star.tolerances import TIE_TOL
 
@@ -165,6 +167,30 @@ def phi(a, p, t):
         + p_arr * q * (1.0 - t_arr * t_arr) / 6.0
     )
     return float(val) if val.ndim == 0 else val
+
+
+# The sampled checks' maxima, every modulus np.hypot of the parts on every row.
+
+def modulus_max(re, im):
+    """The largest np.hypot(re, im)."""
+    return np.hypot(re, im).max()
+
+
+def substitution_gap(alpha, p, y, zeta):
+    """algebra-reconciliation's worst substitution in one block of lemma rows:
+    the largest modulus of the five-term form less the moment form of the
+    substituted moments."""
+    psi = hankel._param_form(alpha, p, y, zeta)
+    form = hankel._moment_form_raw(alpha, *caratheodory._lemma_forward_raw(p, y, zeta))
+    return modulus_max(psi[0] - form[0], psi[1] - form[1])
+
+
+def domination_slack(alpha, p, y, zeta):
+    """proof-step-properties' worst slack |Psi| - phi(alpha, p, |y|) in one
+    block of lemma rows."""
+    slack = np.hypot(*hankel._param_form(alpha, p, y, zeta)) - hankel._phi_raw(
+        alpha, p, np.hypot(*y))
+    return slack.max()
 
 
 def atom_moments(atoms, m):

@@ -340,6 +340,142 @@ def test_sampled_checks_give_a_verdict_at_every_seed(monkeypatch, name, seed):
     assert passed, detail
 
 
+# The two 100,000-row checks take each block's maximum by _screened_max:
+# np.hypot only on the rows whose square-root modulus can reach the maximum.
+# reference takes np.hypot on every row.
+def _screened_block_maxima(alpha, p, y, zeta):
+    """A block's worst substitution and worst domination slack, as the two checks take them."""
+    psi = _param_form(alpha, p, y, zeta)
+    form = _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta))
+    return (checks._modulus_max(psi[0] - form[0], psi[1] - form[1]),
+            checks._domination_slack(alpha, p, y, psi))
+
+
+def _full_row_block_maxima(*block):
+    return reference.substitution_gap(*block), reference.domination_slack(*block)
+
+
+_SAMPLED = ["algebra-reconciliation", "proof-step-properties"]
+
+
+def _check_blocks(drawn, name):
+    """The blocks of lemma rows that the check ``name`` evaluates: seed 11
+    after the 1,000 closed-form triples, and seed 12."""
+    if name == "proof-step-properties":
+        return drawn(12, 100_000)[0]
+    rng = np.random.default_rng(11)
+    _triple_rows(rng, 1000)
+    return _lemma_row_blocks(rng, 100_000)
+
+
+@pytest.mark.parametrize("rows", [*_SAMPLED, *range(100, 124)])
+def test_block_maxima_are_the_full_row_maxima(drawn, rows):
+    # Every block of a check's own 100,000 rows, or 20,000 rows at a further seed.
+    if rows in _SAMPLED:
+        blocks = _check_blocks(drawn, rows)
+    else:
+        blocks = _lemma_row_blocks(np.random.default_rng(rows), 20_000)
+    for block in blocks:
+        assert bits(_screened_block_maxima(*block)) == bits(_full_row_block_maxima(*block))
+
+
+@pytest.mark.parametrize("name, text", zip(_SAMPLED, ["worst substitution = {:.3e}",
+                                                      "domination slack = {:.3e}"]))
+def test_checks_print_the_full_row_maxima(drawn, name, text):
+    index = _SAMPLED.index(name)
+    worst = max(_full_row_block_maxima(*block)[index] for block in _check_blocks(drawn, name))
+    assert text.format(worst) in checks.CHECKS_BY_NAME[name].__wrapped__()[1]
+
+
+def test_the_screen_takes_np_hypot_on_a_few_rows(drawn, monkeypatch):
+    kept = []
+
+    def counting(approx, exact, margin):
+        def counted(keep):
+            kept.append(np.arange(approx.size)[keep].size)
+            return exact(keep)
+        return screened_max(approx, counted, margin)
+
+    screened_max = checks._screened_max
+    monkeypatch.setattr(checks, "_screened_max", counting)
+    for name in _SAMPLED:
+        for block in _check_blocks(drawn, name):
+            _screened_block_maxima(*block)
+    assert len(kept) == 2 * 2 * 25 and 1 <= min(kept) and max(kept) <= 16
+
+
+def test_the_screens_lie_within_half_their_margins(drawn):
+    # The condition of _screened_max on the checks' rows: 2**-31 of the
+    # largest modulus, and 2**-44, far inside 2**-31, for the domination slack.
+    for name in _SAMPLED:
+        for alpha, p, y, zeta in _check_blocks(drawn, name):
+            psi = _param_form(alpha, p, y, zeta)
+            form = _moment_form_raw(alpha, *_lemma_forward_raw(p, y, zeta))
+            dr, di = psi[0] - form[0], psi[1] - form[1]
+            approx = np.sqrt(dr * dr + di * di)
+            assert np.max(np.abs(approx - np.hypot(dr, di))) <= approx.max() * 2.0**-31
+            yr, yi = y
+            approx = np.sqrt(psi[0] * psi[0] + psi[1] * psi[1]) - _phi_raw(
+                alpha, p, np.sqrt(yr * yr + yi * yi))
+            exact = np.hypot(*psi) - _phi_raw(alpha, p, np.hypot(*y))
+            assert np.max(np.abs(approx - exact)) <= 2.0**-44
+
+
+@pytest.mark.parametrize(
+    "re, im",
+    [
+        (np.zeros(5), np.zeros(5)),
+        ([0.0, -0.0, -0.0], [-0.0, 0.0, -0.0]),
+        ([3.0, 4.0, -3.0, 0.0, 5.0, 1.0], [4.0, 3.0, -4.0, -5.0, 0.0, 1.0]),
+        ([0.6, 0.6, 0.8, 0.8], [0.8, 0.8, -0.6, 0.6]),
+        ([1e-200, 3e-200, -2e-200], [2e-200, 0.0, 1e-200]),
+        ([1e-200, 2e-170], [1e-200, 0.0]),
+        ([1e200, 3e200, -2e200], [2e200, 0.0, 1e200]),
+        ([1e200, 1.0], [1e200, 0.5]),
+        ([1.0, math.nan, 2.0], [0.0, 0.5, 1.0]),
+        ([1.0, math.inf, 2.0], [0.0, 0.5, 1.0]),
+        ([1.0, math.inf, 2.0], [0.0, math.nan, 1.0]),
+        ([math.nan, 3.0, -math.inf], [0.0, 4.0, math.nan]),
+        ([-math.inf, math.nan], [math.inf, math.nan]),
+    ],
+    ids=["all-zero", "signed-zeros", "ties", "tied-rows", "tiny", "tiny-top", "huge",
+         "huge-beside-small", "nan", "inf", "inf-and-nan", "nan-beside-inf", "all-non-finite"],
+)
+def test_modulus_max_is_the_full_row_maximum(re, im):
+    # Squares that underflow or overflow, and non-finite rows, take np.hypot
+    # on every row: np.hypot(inf, nan) is inf, where the screen reads nan.
+    re, im = np.array(re, dtype=float), np.array(im, dtype=float)
+    assert bits(checks._modulus_max(re, im)) == bits(reference.modulus_max(re, im))
+
+
+def test_the_margin_keeps_the_row_np_hypot_orders_first():
+    # On each pair of rows the square-root screen and np.hypot order the two
+    # rows oppositely, so the screen's top row is not the maximum: with a
+    # zero margin the screen would keep only that row.  The second pair's
+    # squares underflow, and its screen errs by more than 2**-30 of its top.
+    for re, im in [((0.655454806932239, 0.7847583169059),
+                    (0.75523439809732, 0.619801890967605)),
+                   ((1.033233376055814e-161, 4.118631337330725e-161),
+                    (9.937182553397523e-161, 9.102557784437876e-161))]:
+        re, im = np.array(re), np.array(im)
+        approx = np.sqrt(re * re + im * im)
+        exact = np.hypot(re, im)
+        assert approx[0] > approx[1] and exact[0] < exact[1]
+        assert bits(checks._modulus_max(re, im)) == bits(reference.modulus_max(re, im))
+    assert approx[0] - approx[1] > approx[0] * 2.0**-30
+
+    two = np.ones(2)
+    block = (0.08564916714362436 * two, 0.4736210131921994 * two,
+             (np.array([0.3615293582476767, 0.36152935824767646]), 0.09859444327724132 * two),
+             (-0.5682199008634411 * two, -0.09362228366893666 * two))
+    (pr, pi), (yr, yi) = _param_form(*block), block[2]
+    alpha, p = block[:2]
+    approx = np.sqrt(pr * pr + pi * pi) - _phi_raw(alpha, p, np.sqrt(yr * yr + yi * yi))
+    exact = np.hypot(pr, pi) - _phi_raw(alpha, p, np.hypot(yr, yi))
+    assert approx[0] > approx[1] and exact[0] < exact[1]
+    assert bits(_screened_block_maxima(*block)[1]) == bits(reference.domination_slack(*block))
+
+
 def test_inadmissible_atoms_end_the_check_at_the_first_such_row(monkeypatch):
     moments = _atom_moment_rows(*_atom_rows(np.random.default_rng(13), 6), 3)
     moments[2] = (2.5, 0.0, 0.0)
