@@ -110,8 +110,9 @@ def kernel_digest() -> str:
     11, its 1,000 moment triples and then its 100,000 lemma rows; of the
     atom kernels on caratheodory-admissibility's 1,000 atom sets at seed 13,
     the kernel planes, the moments and search._h2_rows at the alphas of
-    ALPHA_SPOT; and of phi and the profile on phi's default grid at the
-    alphas of ALPHA_GRID."""
+    ALPHA_SPOT; and of phi, from the alpha-free terms that _phi_grids shares
+    between alphas, and the profile on phi's default grid at the alphas of
+    ALPHA_GRID."""
     digest = hashlib.sha256()
 
     def add(*arrays):
@@ -133,9 +134,9 @@ def kernel_digest() -> str:
         *(search._h2_rows(search._alpha_factors(a), weights, planes)
           for a in checks.ALPHA_SPOT))
     ps = np.linspace(0.0, 2.0, search.DEFAULT_GRID_P)
-    ts = np.linspace(0.0, 1.0, search.DEFAULT_GRID_T)
-    for a in checks.ALPHA_GRID:
-        add(_phi_raw(a, ps[:, None], ts[None, :]), bound_profile(a, ps))
+    grids = search._phi_grids(checks.ALPHA_GRID, search.DEFAULT_GRID_P, search.DEFAULT_GRID_T)
+    for a, vals in zip(checks.ALPHA_GRID, grids):
+        add(vals, bound_profile(a, ps))
     return digest.hexdigest()
 
 

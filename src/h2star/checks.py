@@ -37,18 +37,18 @@ from .hankel import (
     bound_profile,
     det2,
     hankel_det,
-    phi,
     sharp_bound,
 )
 from .search import (
     DEFAULT_GRID_P,
     DEFAULT_GRID_T,
     _herglotz_outcomes,
+    _phi_grids,
+    _t_drops,
     maximize_param,
     maximize_phi,
-    monotonicity_scan,
 )
-from .starlike import _closed_form_rows, coeffs_from_moments, extremal_coeffs
+from .starlike import _closed_form_rows, alpha_value, coeffs_from_moments, extremal_coeffs
 from .tolerances import (
     ATTAINMENT_TOL,
     BOUND_GAP_TOL,
@@ -278,6 +278,10 @@ def check_proof_step_properties():
     Each modulus of the slack is np.hypot of the parts: _domination_slack
     screens a block's rows by their squared moduli and takes np.hypot only
     where the maximum can be.  The screen's bits never reach the output.
+    Monotonicity and the profile identity are read from phi on one 101 x
+    101 (p, t) grid at each of 20 alphas: _phi_grids forms phi's alpha-free
+    terms once for all 20, each alpha's s2 and |c| are Python floats, as in
+    the checked phi, and phi(p, 1) is each grid's last column.
     """
     rng = np.random.default_rng(12)
     worst_dom = -np.inf
@@ -288,11 +292,12 @@ def check_proof_step_properties():
     worst_ident = 0.0
     worst_excess = -np.inf
     ps = np.linspace(0.0, 2.0, 101)
-    for alpha in np.linspace(0.0, 0.95, 20):
-        v, _ = monotonicity_scan(alpha, 101, 101)
-        violations += v
+    alphas = [alpha_value(a) for a in np.linspace(0.0, 0.95, 20)]
+    for alpha, vals in zip(alphas, _phi_grids(alphas, 101, 101)):
+        violations += _t_drops(vals)[0]
         prof = bound_profile(alpha, ps)
-        worst_ident = max(worst_ident, float(np.max(np.abs(phi(alpha, ps, 1.0) - prof))))
+        # t = 1 is the grid's last column, so this is phi(alpha, ps, 1.0)
+        worst_ident = max(worst_ident, float(np.max(np.abs(vals[:, -1] - prof))))
         worst_excess = max(worst_excess, float(np.max(prof)) - sharp_bound(alpha))
     ok = (
         worst_dom <= PROOF_SLACK

@@ -229,16 +229,49 @@ def _phi_raw(alpha_value, p, t):
     alpha_value, p and t are numbers of one kind (floats, numpy arrays that
     broadcast together, Fractions) with p in [0, 2] and t in [0, 1].  The
     constants are integers, so exact types stay exact, and the powers of p
-    and t are products.
+    and t are products.  phi is _phi_sum of alpha's two factors and the
+    alpha-free _phi_terms, so a caller with many alphas on one grid, such
+    as search._phi_grids, forms the terms once; given Python-float factors,
+    each value is the same double as here.
     """
-    s2 = (1 - alpha_value) ** 2
-    c = abs(3 - 8 * alpha_value + 4 * alpha_value**2)
+    return _phi_sum(*_phi_factors(alpha_value), _phi_terms(p, t))
+
+
+def _phi_factors(alpha_value):
+    """phi's two factors of alpha: s2 = (1 - alpha)^2 and |c|, c = 3 - 8 alpha
+    + 4 alpha^2.  For a Python float, ** 2 is libm's pow; for a numpy
+    float64 it is a product, which can differ in the last bit."""
+    return (1 - alpha_value) ** 2, abs(3 - 8 * alpha_value + 4 * alpha_value**2)
+
+
+def _phi_terms(p, t):
+    """The alpha-free terms of phi in _phi_sum's order, with q = 4 - p^2: p^4,
+    p^2 q t / 24, p^2 q t^2 / 12, q^2 t^2 / 16 and p q (1 - t^2) / 6.  Every
+    term but p^4 takes the broadcast shape of p and t.  They are yielded one
+    at a time, so _phi_raw holds one grid term at once, as a single
+    expression would; a caller that reuses them keeps them in a tuple."""
     pp = p * p
     q = 4 - pp
     p2q = pp * q
     t2 = t * t
-    return s2 * (c * (pp * pp) / 48 + p2q * t / 24 + p2q * t2 / 12 + q * q * t2 / 16
-                 + p * q * (1 - t2) / 6)
+    yield pp * pp
+    yield p2q * t / 24
+    yield p2q * t2 / 12
+    yield q * q * t2 / 16
+    yield p * q * (1 - t2) / 6
+
+
+def _phi_sum(s2, c, terms):
+    """phi from s2, |c| and the five terms of _phi_terms: s2 times c p^4 / 48
+    plus the four t terms, added left to right in place on the first sum's
+    fresh array (a number is rebound), so a grid allocates one array.  A
+    polynomial in all of its inputs."""
+    terms = iter(terms)
+    total = c * next(terms) / 48 + next(terms)
+    for term in terms:
+        total += term
+    total *= s2
+    return total
 
 
 def bound_profile(alpha: Alpha | float, p):

@@ -15,9 +15,12 @@ far below TIE_TOL.
 Grids are evaluated on one thread; ``workers`` is accepted and validated but
 does not affect the computation.  zeta is searched on the unit circle only;
 the functional is affine in zeta, so the modulus over the closed disk is
-maximized on the boundary.  maximize_phi, maximize_param and
-monotonicity_scan evaluate the unchecked kernel hankel._phi_raw on the
-grids they build inside phi's box.  phi is nondecreasing in t (proof step
+maximized on the boundary.  maximize_phi and maximize_param evaluate the
+unchecked kernel hankel._phi_raw on the grids they build inside phi's box;
+monotonicity_scan and proof-step-properties' 20 alphas take _phi_grids,
+which forms phi's alpha-free terms once and sums them for each alpha from
+its own s2 and |c|, Python floats as in _phi_raw, so each grid is
+_phi_raw's, bit for bit.  phi is nondecreasing in t (proof step
 4), so both grid searches bound each p row by phi at t = 1 and evaluate
 the rest of the row only where that bound can reach a tie.  The lemma grid
 evaluates the zeta axis only on the lines that the triangle inequality
@@ -54,7 +57,7 @@ from .caratheodory import (_TWO_PI, LemmaPoint, _kernel_planes, _pair_product, _
                            _weighted_moments)
 from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
-from .hankel import _phi_raw, det2, sharp_bound
+from .hankel import _phi_factors, _phi_raw, _phi_sum, _phi_terms, det2, sharp_bound
 from .starlike import Alpha, alpha_value
 from .tolerances import (
     BOUND_MARGIN,
@@ -587,15 +590,31 @@ def sweep_alpha(
 def monotonicity_scan(alpha: Alpha | float, grid_p: int = 101, grid_t: int = 101):
     """Count adjacent t-grid drops of phi beyond MONOTONE_DROP_TOL; contract is zero.
 
-    Returns (violations, worst observed drop clipped at 0).
+    Returns (violations, worst observed drop clipped at 0).  The grid is
+    _phi_grids' at the one Python-float alpha, the same doubles as _phi_raw's.
     """
     al = alpha_value(alpha)
     grid_p = whole_number("grid_p", grid_p, 3)
     grid_t = whole_number("grid_t", grid_t, 3)
+    return _t_drops(next(_phi_grids([al], grid_p, grid_t)))
+
+
+def _phi_grids(alphas, grid_p: int, grid_t: int):
+    """phi on the grid_p x grid_t (p, t) grid at each Python-float alpha, in turn.
+
+    The alpha-free terms are formed once, and each alpha's grid is _phi_sum
+    of its own s2 and |c|, so every value is the same double as _phi_raw's
+    at that alpha.
+    """
     ps = np.linspace(0.0, 2.0, grid_p)
     ts = np.linspace(0.0, 1.0, grid_t)
-    vals = _phi_raw(al, ps[:, None], ts[None, :])
+    terms = tuple(_phi_terms(ps[:, None], ts[None, :]))
+    for al in alphas:
+        yield _phi_sum(*_phi_factors(al), terms)
+
+
+def _t_drops(vals: np.ndarray):
+    """The adjacent drops along t of a (p, t) grid beyond MONOTONE_DROP_TOL:
+    their count, and the worst drop clipped at 0."""
     drops = vals[:, :-1] - vals[:, 1:]
-    violations = int(np.sum(drops > MONOTONE_DROP_TOL))
-    worst = float(max(float(drops.max()), 0.0))
-    return violations, worst
+    return int(np.count_nonzero(drops > MONOTONE_DROP_TOL)), float(max(float(drops.max()), 0.0))

@@ -6,7 +6,9 @@ and lock-step batches, or a kernel's formula term by term in real
 arithmetic; the tests compare the package with them, mostly bit for bit.
 None calls the code it is the reference for.  round_trip and
 sweep_one_alpha_at_a_time call the scalar exports and maximize_herglotz, as
-references for the row kernels and the cross-alpha batch; the sampled
+references for the row kernels and the cross-alpha batch;
+proof_step_grid_detail calls monotonicity_scan and phi once per alpha, as
+the reference for the alphas' shared phi terms; the sampled
 checks' maxima take np.hypot on every row of the package's kernels, as
 references for the checks' screened maxima.
 """
@@ -191,6 +193,21 @@ def domination_slack(alpha, p, y, zeta):
     slack = np.hypot(*hankel._param_form(alpha, p, y, zeta)) - hankel._phi_raw(
         alpha, p, np.hypot(*y))
     return slack.max()
+
+
+def proof_step_grid_detail():
+    """proof-step-properties' detail after its domination slack: the 20
+    alphas' monotonicity violations, profile identity and profile excess,
+    one monotonicity_scan and one checked phi at t = 1 per alpha."""
+    violations, worst_ident, worst_excess = 0, 0.0, -np.inf
+    ps = np.linspace(0.0, 2.0, 101)
+    for alpha in np.linspace(0.0, 0.95, 20):
+        violations += search.monotonicity_scan(alpha, 101, 101)[0]
+        prof = hankel.bound_profile(alpha, ps)
+        worst_ident = max(worst_ident, float(np.max(np.abs(hankel.phi(alpha, ps, 1.0) - prof))))
+        worst_excess = max(worst_excess, float(np.max(prof)) - sharp_bound(alpha))
+    return (f"monotonicity violations = {violations}, profile identity = {worst_ident:.3e}, "
+            f"profile excess = {worst_excess:.3e}")
 
 
 def atom_moments(atoms, m):

@@ -387,6 +387,14 @@ def test_checks_print_the_full_row_maxima(drawn, name, text):
     assert text.format(worst) in checks.CHECKS_BY_NAME[name].__wrapped__()[1]
 
 
+def test_proof_step_grid_is_the_per_alpha_loop():
+    # The 20 alphas share phi's alpha-free terms and read phi(p, 1) from the
+    # grid's last column; the detail is that of one monotonicity_scan and one
+    # phi export per alpha.
+    detail = checks.CHECKS_BY_NAME["proof-step-properties"].__wrapped__()[1]
+    assert detail.split(", ", 1)[1] == reference.proof_step_grid_detail()
+
+
 def test_the_screen_takes_np_hypot_on_a_few_rows(drawn, monkeypatch):
     kept = []
 

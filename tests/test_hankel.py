@@ -25,8 +25,9 @@ from h2star import (
     sharp_bound,
 )
 from h2star.caratheodory import _lemma_forward_raw, _lemma_row_blocks, _parts, random_disk_point
-from h2star.hankel import (_moment_form_raw, _param_form, _param_form_raw, _phi_raw,
-                           _zeta_coefficient, _zeta_free_terms, det2)
+from h2star.hankel import (_moment_form_raw, _param_form, _param_form_raw, _phi_factors,
+                           _phi_raw, _phi_sum, _phi_terms, _zeta_coefficient,
+                           _zeta_free_terms, det2)
 from reference import join, param_form, zeta_free_terms
 
 KOEBE = CoefficientVector([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
@@ -329,6 +330,26 @@ class TestPhi:
                 got = _phi_raw(a, p, 1)
                 assert type(got) is Fraction
                 assert got == s2 * (1 - p**4 / 16 + c * p**4 / 48)
+
+    @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 5), Fraction(49, 100),
+                                   Fraction(1, 2), Fraction(51, 100), Fraction(3, 4),
+                                   Fraction(99, 100)])
+    def test_split_kernel_is_the_expanded_polynomial(self, a):
+        # c = 3 - 8 alpha + 4 alpha^2 = (2 alpha - 1)(2 alpha - 3) changes sign
+        # at alpha = 1/2, so |c| is c below it and -c above it.
+        c = (3 - 8 * a + 4 * a * a) * (1 if a <= Fraction(1, 2) else -1)
+        s2 = 1 - 2 * a + a * a
+        assert _phi_factors(a) == (s2, c)
+        rng = np.random.default_rng(38)
+        for _ in range(60):
+            p = Fraction(int(rng.integers(0, 61)), 30)
+            t = Fraction(int(rng.integers(0, 41)), 40)
+            got = _phi_sum(s2, c, _phi_terms(p, t))
+            assert type(got) is Fraction
+            assert got == _phi_raw(a, p, t) == s2 * (
+                c * p**4 / 48 + 2 * p / 3 - p**3 / 6 + p**2 * t / 6 - p**4 * t / 24
+                + t**2 - 2 * p * t**2 / 3 - p**2 * t**2 / 6 + p**3 * t**2 / 6
+                - p**4 * t**2 / 48)
 
     def test_t_derivative_sign_factor(self):
         # phi' in t equals s2 * (4 - p^2) * [p^2 + t (p-2)(p-6)] / 24, which is

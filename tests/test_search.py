@@ -156,6 +156,19 @@ class TestUncheckedPhiKernel:
         for a in self.ALPHAS:
             assert monotonicity_scan(a, *grid) == _monotonicity_scan_checked(a, *grid)
 
+    @pytest.mark.parametrize("grid", [(101, 101), (201, 101), (7, 5), (3, 3)])
+    def test_phi_grids(self, grid):
+        # One set of alpha-free terms for every alpha, each grid the bits of
+        # the reference formula at its own Python-float alpha; the alphas
+        # include proof-step-properties' 20.
+        alphas = [*self.ALPHAS, *np.linspace(0.0, 0.95, 20).tolist()]
+        ps = np.linspace(0.0, 2.0, grid[0])[:, None]
+        ts = np.linspace(0.0, 1.0, grid[1])[None, :]
+        grids = list(search._phi_grids(alphas, *grid))
+        assert len(grids) == len(alphas)
+        for a, vals in zip(alphas, grids):
+            assert vals.tobytes() == reference.phi(a, ps, ts).tobytes()
+
     def test_searches_skip_the_checked_export(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("hankel.phi called")
