@@ -48,7 +48,7 @@ from .search import (
     maximize_param,
     maximize_phi,
 )
-from .starlike import _closed_form_rows, alpha_value, coeffs_from_moments, extremal_coeffs
+from .starlike import _closed_form_rows, coeffs_from_moments, extremal_coeffs
 from .tolerances import (
     ATTAINMENT_TOL,
     BOUND_GAP_TOL,
@@ -280,8 +280,7 @@ def check_proof_step_properties():
     where the maximum can be.  The screen's bits never reach the output.
     Monotonicity and the profile identity are read from phi on one 101 x
     101 (p, t) grid at each of 20 alphas: _phi_grids forms phi's alpha-free
-    terms once for all 20, each alpha's s2 and |c| are Python floats, as in
-    the checked phi, and phi(p, 1) is each grid's last column.
+    terms once for all 20, and phi(p, 1) is each grid's last column.
     """
     rng = np.random.default_rng(12)
     worst_dom = -np.inf
@@ -292,7 +291,7 @@ def check_proof_step_properties():
     worst_ident = 0.0
     worst_excess = -np.inf
     ps = np.linspace(0.0, 2.0, 101)
-    alphas = [alpha_value(a) for a in np.linspace(0.0, 0.95, 20)]
+    alphas = np.linspace(0.0, 0.95, 20)
     for alpha, vals in zip(alphas, _phi_grids(alphas, 101, 101)):
         violations += _t_drops(vals)[0]
         prof = bound_profile(alpha, ps)

@@ -126,6 +126,18 @@ def _det_partial_pivot(a: np.ndarray) -> complex:
     return complex(det)
 
 
+def _s2(alpha_value):
+    """s2 = (1 - alpha)^2 as a product, so correctly rounded and the same double
+    for a Python float as for numpy float64s and arrays; exact on Fractions."""
+    s = 1 - alpha_value
+    return s * s
+
+
+def _c(alpha_value):
+    """c = 3 - 8 alpha + 4 alpha^2, alpha^2 a product as in _s2."""
+    return 3 - 8 * alpha_value + 4 * alpha_value * alpha_value
+
+
 def functional_moment_form(alpha: Alpha | float, m: MomentTriple) -> complex:
     """a2 a4 - a3^2 written directly in the moments (p1, p2, p3).
 
@@ -141,7 +153,7 @@ def _moment_form_raw(alpha_value, p1, p2, p3):
     """Moment form of functional_moment_form, as a (real, imaginary) pair, of
     (real, imaginary) pairs p1, p2 and p3: s2 (-s2 p1^4 / 12 - p2^2 / 4 +
     p1 p3 / 3).  Broadcast-safe over numpy arrays, and exact on Fractions."""
-    s2 = (1 - alpha_value) ** 2
+    s2 = _s2(alpha_value)
     square = _pair_product(p1, p1)
     terms = _pair_product(square, square), _pair_product(p2, p2), _pair_product(p1, p3)
     return tuple(s2 * (-s2 * x / 12 - y / 4 + z / 3) for x, y, z in zip(*terms))
@@ -158,7 +170,7 @@ def _param_form(alpha_value, p, y, zeta):
     """Five-term form s2 (A + B zeta), A the zeta-free terms and B =
     _zeta_coefficient / 6, as a (real, imaginary) pair, of a real p and the
     pairs y and zeta.  Broadcast-safe over numpy arrays; exact on Fractions."""
-    s2 = (1 - alpha_value) ** 2
+    s2 = _s2(alpha_value)
     ar, ai = _zeta_free_terms(alpha_value, p, y)
     b = _zeta_coefficient(p, y) / 6
     zr, zi = zeta
@@ -175,12 +187,11 @@ def _zeta_free_terms(alpha_value: float, p, y):
     """
     yr, yi = y
     y2r, y2i = _pair_product(y, y)
-    c = 3 - 8 * alpha_value + 4 * alpha_value * alpha_value
     pp = p * p
     q = 4 - pp
     ppq = pp * q
     w = ppq / 12 + q * q / 16
-    return -c * (pp * pp) / 48 + ppq * yr / 24 - w * y2r, ppq * yi / 24 - w * y2i
+    return -_c(alpha_value) * (pp * pp) / 48 + ppq * yr / 24 - w * y2r, ppq * yi / 24 - w * y2i
 
 
 def _zeta_coefficient(p, y):
@@ -229,19 +240,11 @@ def _phi_raw(alpha_value, p, t):
     alpha_value, p and t are numbers of one kind (floats, numpy arrays that
     broadcast together, Fractions) with p in [0, 2] and t in [0, 1].  The
     constants are integers, so exact types stay exact, and the powers of p
-    and t are products.  phi is _phi_sum of alpha's two factors and the
-    alpha-free _phi_terms, so a caller with many alphas on one grid, such
-    as search._phi_grids, forms the terms once; given Python-float factors,
-    each value is the same double as here.
+    and t are products.  phi is _phi_sum of _s2, |_c| and the alpha-free
+    _phi_terms, so a caller with many alphas on one grid, such as
+    search._phi_grids, forms the terms once.
     """
-    return _phi_sum(*_phi_factors(alpha_value), _phi_terms(p, t))
-
-
-def _phi_factors(alpha_value):
-    """phi's two factors of alpha: s2 = (1 - alpha)^2 and |c|, c = 3 - 8 alpha
-    + 4 alpha^2.  For a Python float, ** 2 is libm's pow; for a numpy
-    float64 it is a product, which can differ in the last bit."""
-    return (1 - alpha_value) ** 2, abs(3 - 8 * alpha_value + 4 * alpha_value**2)
+    return _phi_sum(_s2(alpha_value), abs(_c(alpha_value)), _phi_terms(p, t))
 
 
 def _phi_terms(p, t):
@@ -284,13 +287,11 @@ def bound_profile(alpha: Alpha | float, p):
     p_arr = numeric("p", p, _float_array)
     _require(((p_arr >= 0.0) & (p_arr <= 2.0), p_arr, DomainError,
               "p must lie in [0, 2], got {}"))
-    s2 = (1.0 - al) ** 2
-    c = abs(3.0 - 8.0 * al + 4.0 * al**2)
     p4 = (p_arr * p_arr) * (p_arr * p_arr)
-    val = s2 * (1.0 - p4 / 16.0 + p4 * c / 48.0)
+    val = _s2(al) * (1.0 - p4 / 16.0 + p4 * abs(_c(al)) / 48.0)
     return float(val) if val.ndim == 0 else val
 
 
 def sharp_bound(alpha: Alpha | float) -> float:
     """The sharp bound (1 - alpha)^2 on |a2 a4 - a3^2| over the class."""
-    return (1.0 - alpha_value(alpha)) ** 2
+    return _s2(alpha_value(alpha))

@@ -19,14 +19,14 @@ maximized on the boundary.  maximize_phi and maximize_param evaluate the
 unchecked kernel hankel._phi_raw on the grids they build inside phi's box;
 monotonicity_scan and proof-step-properties' 20 alphas take _phi_grids,
 which forms phi's alpha-free terms once and sums them for each alpha from
-its own s2 and |c|, Python floats as in _phi_raw, so each grid is
-_phi_raw's, bit for bit.  phi is nondecreasing in t (proof step
-4), so both grid searches bound each p row by phi at t = 1 and evaluate
-the rest of the row only where that bound can reach a tie.  The lemma grid
-evaluates the zeta axis only on the lines that the triangle inequality
-cannot rule out, and reduces the maxima of the lines it keeps, one float
-per line, as the phi grid reduces its values.  Both give the full grid's
-result bit for bit (see maximize_phi and maximize_param).
+its own s2 and |c|, so each grid is _phi_raw's, bit for bit.  phi is
+nondecreasing in t (proof step 4), so both grid searches bound each p row
+by phi at t = 1 and evaluate the rest of the row only where that bound can
+reach a tie.  The lemma grid evaluates the zeta axis only on the lines
+that the triangle inequality cannot rule out, and reduces the maxima of
+the lines it keeps, one float per line, as the phi grid reduces its
+values.  Both give the full grid's result bit for bit (see maximize_phi
+and maximize_param).
 The atom search refines its restarts in lock-step as one batch, and a
 sweep refines all its alphas' restarts together, in batches of at most
 _HERGLOTZ_BATCH_ROWS rows; both give, bit for bit, the restarts run one
@@ -57,7 +57,7 @@ from .caratheodory import (_TWO_PI, LemmaPoint, _kernel_planes, _pair_product, _
                            _weighted_moments)
 from .errors import DomainError, whole_number
 from .formatting import fmt_complex, fmt_float, to_jsonable
-from .hankel import _phi_factors, _phi_raw, _phi_sum, _phi_terms, det2, sharp_bound
+from .hankel import _c, _phi_raw, _phi_sum, _phi_terms, _s2, det2, sharp_bound
 from .starlike import Alpha, alpha_value
 from .tolerances import (
     BOUND_MARGIN,
@@ -194,7 +194,7 @@ def _line_maxima(al: float, p, y: np.ndarray, e_nu: np.ndarray, floor: float) ->
     elementwise: every value is the double the full grid computes.
     """
     p, y = np.broadcast_to(p, y.shape).ravel(), y.ravel()
-    s2 = (1.0 - al) ** 2
+    s2 = _s2(al)
     a = np.hypot(*(s2 * x for x in hankel._zeta_free_terms(al, p, _parts(y))))
     coef = hankel._zeta_coefficient(p, _parts(y))
     kept = a + s2 * np.abs(coef) / 6.0 >= floor
@@ -591,7 +591,7 @@ def monotonicity_scan(alpha: Alpha | float, grid_p: int = 101, grid_t: int = 101
     """Count adjacent t-grid drops of phi beyond MONOTONE_DROP_TOL; contract is zero.
 
     Returns (violations, worst observed drop clipped at 0).  The grid is
-    _phi_grids' at the one Python-float alpha, the same doubles as _phi_raw's.
+    _phi_grids' at the one alpha, the same doubles as _phi_raw's.
     """
     al = alpha_value(alpha)
     grid_p = whole_number("grid_p", grid_p, 3)
@@ -600,7 +600,7 @@ def monotonicity_scan(alpha: Alpha | float, grid_p: int = 101, grid_t: int = 101
 
 
 def _phi_grids(alphas, grid_p: int, grid_t: int):
-    """phi on the grid_p x grid_t (p, t) grid at each Python-float alpha, in turn.
+    """phi on the grid_p x grid_t (p, t) grid at each alpha, in turn.
 
     The alpha-free terms are formed once, and each alpha's grid is _phi_sum
     of its own s2 and |c|, so every value is the same double as _phi_raw's
@@ -610,7 +610,7 @@ def _phi_grids(alphas, grid_p: int, grid_t: int):
     ts = np.linspace(0.0, 1.0, grid_t)
     terms = tuple(_phi_terms(ps[:, None], ts[None, :]))
     for al in alphas:
-        yield _phi_sum(*_phi_factors(al), terms)
+        yield _phi_sum(_s2(al), abs(_c(al)), terms)
 
 
 def _t_drops(vals: np.ndarray):

@@ -140,13 +140,13 @@ def param_form(a, p, y, zeta):
     """The five-term form Psi(p, y, zeta), its zeta term written inline."""
     b = p * (4.0 - p * p) * (1.0 - (y.real * y.real + y.imag * y.imag)) / 6.0
     free = zeta_free_terms(a, p, y)
-    s2 = (1.0 - a) ** 2
+    s2 = (1.0 - a) * (1.0 - a)
     return join(s2 * (free.real + b * zeta.real), s2 * (free.imag + b * zeta.imag))
 
 
 def moment_form(a, m):
     """a2 a4 - a3^2 of the moment triple ``m`` at the alpha value ``a``."""
-    s2 = (1.0 - a) ** 2
+    s2 = (1.0 - a) * (1.0 - a)
     (r1, i1), (r2, i2), (r3, i3) = ((x.real, x.imag) for x in (m.p1, m.p2, m.p3))
     sr, si = r1 * r1 - i1 * i1, r1 * i1 + i1 * r1
     terms = ((sr * sr - si * si, r2 * r2 - i2 * i2, r1 * r3 - i1 * i3),
@@ -158,8 +158,8 @@ def phi(a, p, t):
     """The majorant phi(p, t) at the alpha value ``a``, on scalars or arrays."""
     p_arr = np.asarray(p, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    s2 = (1.0 - a) ** 2
-    c = abs(3.0 - 8.0 * a + 4.0 * a**2)
+    s2 = (1.0 - a) * (1.0 - a)
+    c = abs(3.0 - 8.0 * a + 4.0 * a * a)
     q = 4.0 - p_arr * p_arr
     val = s2 * (
         c * (p_arr * p_arr * (p_arr * p_arr)) / 48.0

@@ -159,8 +159,8 @@ class TestUncheckedPhiKernel:
     @pytest.mark.parametrize("grid", [(101, 101), (201, 101), (7, 5), (3, 3)])
     def test_phi_grids(self, grid):
         # One set of alpha-free terms for every alpha, each grid the bits of
-        # the reference formula at its own Python-float alpha; the alphas
-        # include proof-step-properties' 20.
+        # the reference formula at its own alpha; the alphas include
+        # proof-step-properties' 20.
         alphas = [*self.ALPHAS, *np.linspace(0.0, 0.95, 20).tolist()]
         ps = np.linspace(0.0, 2.0, grid[0])[:, None]
         ts = np.linspace(0.0, 1.0, grid[1])[None, :]

@@ -1,10 +1,10 @@
 """The tolerance table: its place, its use, and the errors it is measured by.
 
 Every e-notation number of the package lives in h2star/tolerances.py, and
-every entry there is used by some module.  The six entries that absorb
-floating-point rounding in a kernel or a check, and five check windows,
-ATTAINMENT_TOL, MONOTONE_DROP_TOL, GRID_CELL_SLACK, BOUND_GAP_TOL and
-ROUND_TRIP_TOL, are measured here: each
+every entry there is used by some module; no module squares with ``** 2``.
+The six entries that absorb floating-point rounding in a kernel or a check,
+and five check windows, ATTAINMENT_TOL, MONOTONE_DROP_TOL, GRID_CELL_SLACK,
+BOUND_GAP_TOL and ROUND_TRIP_TOL, are measured here: each
 ``_worst_*`` function returns the worst error of the float kernels on a
 fixed sample, against the same kernels run on mpmath numbers at 50 digits
 (or against the exact value 1), and the test asserts that the entry covers
@@ -16,6 +16,7 @@ import ast
 import math
 import tokenize
 from fractions import Fraction
+from itertools import pairwise
 from pathlib import Path
 
 import mpmath
@@ -87,6 +88,17 @@ def test_only_the_table_writes_e_notation():
              for path in _modules() for tok in _tokens(path)
              if tok.type == tokenize.NUMBER and "e" in tok.string.lower()
              and not tok.string.lower().startswith("0x")]
+    assert found == []
+
+
+def test_no_module_squares_by_power():
+    # A Python float's ** 2 is libm's pow, which is not always correctly
+    # rounded, and numpy's is a product, so a square written as a power would
+    # round otherwise for a scalar than for the row kernels' arrays.
+    found = [f"{path.name}:{op.start[0]}: {op.line.strip()}"
+             for path in sorted(PACKAGE.glob("*.py")) for op, exp in pairwise(_tokens(path))
+             if op.string == "**" and exp.type == tokenize.NUMBER
+             and ast.literal_eval(exp.string) == 2]
     assert found == []
 
 
